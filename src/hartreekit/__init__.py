@@ -12,7 +12,6 @@ from .bubbles import (
     TrialProfile,
     bubble_constant,
     coupling_constants,
-    default_grid,
     ground_pair,
     make_bubble,
     make_constants_table,
@@ -62,7 +61,6 @@ from .flow import (
     FlowDiagnostics,
     brezis_lieb_check,
     solve_limit_ground_state,
-    solve_scalar_choquard,
     vanishing_energy_limit,
 )
 from .grids import (

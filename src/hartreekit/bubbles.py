@@ -60,20 +60,7 @@ __all__ = [
     "make_trial_profile",
     "trial_member",
     "trial_pair",
-    "default_grid",
 ]
-
-_CONSTANT_CACHE: dict = {}
-_DEFAULT_GRIDS: dict = {}
-
-
-def default_grid(N: int = 5, M: int = 400, R_max: float = 40.0,
-                 stretch: float = 1.02) -> RadialGrid:
-    """The reference computational grid used by the verification harness."""
-    key = (N, M, R_max, stretch)
-    if key not in _DEFAULT_GRIDS:
-        _DEFAULT_GRIDS[key] = make_grid(N, M, R_max, stretch)
-    return _DEFAULT_GRIDS[key]
 
 
 def _unit_profile(grid: RadialGrid) -> RadialFn:
@@ -89,22 +76,28 @@ def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
     any solution with this profile shape must satisfy the ray-stationarity
     identity, and residual certification (see verify module) confirms the
     shape.
+
+    The amplitude is a property of the grid and is cached on it.  A
+    `.scaled()` grid returns its root grid's amplitude, so dilated copies of
+    a profile keep the same amplitude bit for bit.  Without a grid, a fresh
+    reference grid (M=400, R=40, stretch 1.02) is built and discarded.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 5):
         raise ParameterError(f"N must be an integer >= 5, got {N}")
     if grid is None:
-        grid = default_grid(N)
-    key = (N, id(grid))
-    if key in _CONSTANT_CACHE:
-        return _CONSTANT_CACHE[key]
-    u1 = _unit_profile(grid)
-    num = dirichlet_seminorm(u1)
-    den = double_energy(u1.squared(), u1.squared())
-    if not (num > 0 and den > 0):
-        raise NumericalError("homogeneity relation failed to bracket a positive amplitude")
-    c = math.sqrt(num / den)
-    _CONSTANT_CACHE[key] = c
-    return c
+        grid = make_grid(N, 400, 40.0, 1.02)
+    if grid.N != N:
+        raise ParameterError(f"grid dimension {grid.N} does not match N={N}")
+    root = grid.parent if grid.parent is not None else grid
+    key = "bubble_amplitude"
+    if key not in root._cache:
+        u1 = _unit_profile(root)
+        num = dirichlet_seminorm(u1)
+        den = double_energy(u1.squared(), u1.squared())
+        if not (num > 0 and den > 0):
+            raise NumericalError("homogeneity relation failed to bracket a positive amplitude")
+        root._cache[key] = math.sqrt(num / den)
+    return root._cache[key]
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,10 @@ class Bubble:
         return OffsetFn(self.profile_on(grid), self.rho)
 
 
-def make_bubble(delta: float, rho: float, N: int,
-                grid: RadialGrid | None = None) -> Bubble:
-    return Bubble(delta=float(delta), rho=float(rho), N=int(N),
-                  c_N=bubble_constant(N, grid))
+def make_bubble(delta: float, rho: float, grid: RadialGrid) -> Bubble:
+    """Bubble with the amplitude pinned on `grid` (or on its root grid)."""
+    return Bubble(delta=float(delta), rho=float(rho), N=grid.N,
+                  c_N=bubble_constant(grid.N, grid))
 
 
 def make_constants_table(N: int = 5, grid: RadialGrid | None = None) -> ConstantsTable:
@@ -186,15 +179,8 @@ class CouplingConstants:
         }
 
 
-def _default_s_hl_sq(N: int = 5) -> float:
-    key = ("s_hl_sq", N)
-    if key not in _CONSTANT_CACHE:
-        _CONSTANT_CACHE[key] = sobolev_constant(N) ** 2 / hls_constant(N, 4.0)
-    return _CONSTANT_CACHE[key]
-
-
 def coupling_constants(mu1: float, mu2: float, beta: float,
-                       s_hl_sq: float | None = None) -> CouplingConstants:
+                       s_hl_sq: float) -> CouplingConstants:
     """k1, k2 and the associated energy levels; requires beta > max(mu1, mu2)."""
     if mu1 <= 0 or mu2 <= 0:
         raise ParameterError(f"mu1, mu2 must be positive, got {mu1}, {mu2}")
@@ -202,8 +188,6 @@ def coupling_constants(mu1: float, mu2: float, beta: float,
         raise DomainError(
             f"beta must exceed max(mu1, mu2): beta={beta}, max={max(mu1, mu2)}"
         )
-    if s_hl_sq is None:
-        s_hl_sq = _default_s_hl_sq(5)
     den = beta**2 - mu1 * mu2
     k1 = (beta - mu2) / den
     k2 = (beta - mu1) / den
@@ -258,8 +242,7 @@ def quotient_infimum(mu1: float, mu2: float, beta: float):
 def ground_pair(delta: float, rho: float, cc: CouplingConstants,
                 grid: RadialGrid) -> Pair:
     """The coupled ground state (sqrt(k1) U_delta, sqrt(k2) U_delta)."""
-    b = make_bubble(delta, rho, grid.N)
-    prof = b.profile_on(grid)
+    prof = make_bubble(delta, rho, grid).profile_on(grid)
     if rho == 0.0:
         return Pair(math.sqrt(cc.k1) * prof, math.sqrt(cc.k2) * prof)
     return Pair(
@@ -312,27 +295,25 @@ class TrialProfile:
 
 
 def make_trial_profile(support_fraction: float, cc: CouplingConstants, cbar: float,
-                       grid: RadialGrid | None = None, moll_cells: int = 5,
+                       grid: RadialGrid, amplitude: float, moll_cells: int = 5,
                        max_iter: int = 60) -> TrialProfile:
-    """Build the certified trial profile.
+    """Build the certified trial profile on `grid` (the unit ball).
 
-    A bubble with inner dilation delta0 is cut off smoothly inside the unit
-    ball and rescaled by the unique t > 0 with
-    t^2 ||grad||^2 = t^4 D_4, enforcing the energy equality exactly.  delta0
-    starts at the value keeping `support_fraction` of the bubble's Dirichlet
-    mass inside the ball and shrinks geometrically until the certified
-    coupled energy lands inside (c_inf, cbar); the target is the window
-    midpoint.
+    A bubble of the given amplitude (the run grid's C_N) with inner dilation
+    delta0 is cut off smoothly inside the unit ball and rescaled by the
+    unique t > 0 with t^2 ||grad||^2 = t^4 D_4, enforcing the energy
+    equality exactly.  delta0 starts at the value keeping `support_fraction`
+    of the bubble's Dirichlet mass inside the ball and shrinks geometrically
+    until the certified coupled energy lands inside (c_inf, cbar); the
+    target is the window midpoint.
     """
     if not 0.0 < support_fraction < 1.0:
         raise ParameterError("support_fraction must lie in (0, 1)")
     if not cbar > cc.c_inf:
         raise ParameterError(f"cbar={cbar} must exceed c_inf={cc.c_inf}")
-    if grid is None:
-        grid = make_grid(5, 320, 1.0, 1.0)
     N = grid.N
     w_moll = float(grid.edges[-1] - grid.edges[max(0, len(grid.edges) - 1 - moll_cells)])
-    cn = bubble_constant(N)
+    cn = amplitude
 
     # delta0 with the requested Dirichlet fraction inside the unit ball
     def inside_fraction(d0):

@@ -36,9 +36,9 @@ from .energy import (
     weak_residual,
 )
 from .errors import AdmissibilityError, DomainError, NumericalError, ParameterError
-from .flow import FlowConfig, brezis_lieb_check, vanishing_energy_limit
+from .flow import FlowConfig, FlowDiagnostics, brezis_lieb_check, vanishing_energy_limit
 from .grids import Pair, RadialFn, bicenter_integral, dirichlet_seminorm, integrate
-from .reporting import LemmaReport, Table
+from .reporting import LemmaReport, Table, limit_trend
 from .riesz import ConstantsTable, double_energy
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "check_A3",
     "choose_a_and_cbar",
     "scan_region",
+    "ensure_scan",
     "ScanSpec",
     "homotopy_boundary_check",
     "lambda_sweep",
@@ -57,16 +58,9 @@ __all__ = [
 ]
 
 
-def limit_trend(values, jitter: float = 0.05, final_fraction: float = 0.1) -> bool:
-    """Desk-scale rendering of 'tends to zero' along a parameter sequence."""
-    v = [abs(x) for x in values]
-    if len(v) < 2 or v[0] == 0.0:
-        return all(x == 0.0 for x in v)
-    head = v[0]
-    for prev, cur in zip(v[:-1], v[1:]):
-        if cur > prev * (1.0 + jitter):
-            return False
-    return v[-1] <= final_fraction * head
+def _default_c_star_lower(c_inf: float) -> float:
+    """Lower estimate of the compactness level when no run margin is given."""
+    return 1.02 * c_inf
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +188,7 @@ def choose_a_and_cbar(prob: Problem, constants: ConstantsTable,
 
     c_inf = cc.c_inf
     if c_star_lower is None:
-        c_star_lower = 1.02 * c_inf
+        c_star_lower = _default_c_star_lower(c_inf)
     cap = min(0.5 * (c_star_lower + c_inf), 2.0 ** (1.0 - a) * c_inf)
     cbar = 0.5 * (c_inf + cap)
     chain_rhs = min(cc.m1_inf, cc.m2_inf, 2.0 * c_inf)
@@ -286,7 +280,7 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
     cbar = profile.cbar
     c_inf = cc.c_inf
     if c_star_lower is None:
-        c_star_lower = 1.02 * c_inf
+        c_star_lower = _default_c_star_lower(c_inf)
     threshold = min(cc.m1_inf, cc.m2_inf, 2.0 * c_inf)
     energy_slack = spec.energy_margin * (cbar - c_inf)
     cap = cbar - energy_slack
@@ -430,12 +424,9 @@ def homotopy_boundary_check(scan: RegionScan, s_samples=None) -> LemmaReport:
         for row in offset for s in s_samples
     )
     # each clearance must be strictly positive at every sampled (y, s)
-    rep.require("inner face clearance (1/2 - first component)", -m1, bound=0.0, tol=0.0)
-    rep.rows[-1].value = m1
-    rep.require("outer face clearance (first component - 1/2)", -m2, bound=0.0, tol=0.0)
-    rep.rows[-1].value = m2
-    rep.require("offset face inner-product clearance", -m3, bound=0.0, tol=0.0)
-    rep.rows[-1].value = m3
+    rep.lower_bound("inner face clearance (1/2 - first component)", m1, bound=0.0, tol=0.0)
+    rep.lower_bound("outer face clearance (first component - 1/2)", m2, bound=0.0, tol=0.0)
+    rep.lower_bound("offset face inner-product clearance", m3, bound=0.0, tol=0.0)
     rep.add_note(
         "unit degree supported by sampled boundary non-vanishing "
         f"({len(inner)} + {len(outer)} + {len(offset)} samples x {len(s_samples)} homotopy times); "
@@ -507,8 +498,10 @@ class VerifyContext:
     constants: ConstantsTable
     cc: CouplingConstants
     prob: Problem
+    c_star_lower: float        # lower estimate of the compactness level above c_inf
     profile: TrialProfile | None = None
     scan: RegionScan | None = None
+    flow_diag: FlowDiagnostics | None = None   # set by the ground-state solve
     rng_seed: int = 1234
     tol_scale: float = 1.0
     flow: FlowConfig = field(default_factory=FlowConfig)
@@ -542,16 +535,9 @@ def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
         tbl = vanishing_energy_limit(ctx.prob, j, deltas, ctx.grid)
         tbl.name = f"component{j}_" + tbl.name
         rep.tables.append(tbl)
-        pm = tbl.column("potential_mass")
-        rep.require(
-            f"component {j}: potential mass final/initial",
-            pm[-1] / pm[0] if pm[0] > 0 else 0.0,
-            bound=ctx.trend_fraction, tol=0.0,
-        )
-        rep.rows[-1].note = "monotone decay with vanishing limit"
-        if not limit_trend(pm, final_fraction=ctx.trend_fraction):
-            rep.rows[-1].passed = False
-            rep.status = "fail"
+        rep.trend(f"component {j}: potential mass final/initial",
+                  tbl.column("potential_mass"), ctx.trend_fraction,
+                  note="monotone decay with vanishing limit")
         mu = ctx.prob.mu1 if j == 1 else ctx.prob.mu2
         target = ctx.constants.s_hl_sq / (4.0 * mu)
         rep.require(
@@ -560,7 +546,7 @@ def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
         )
         lam = ctx.prob.lam1 if j == 1 else ctx.prob.lam2
         if lam > 0:
-            u1 = make_bubble(1.0, 0.0, ctx.grid.N).profile_on(ctx.grid)
+            u1 = make_bubble(1.0, 0.0, ctx.grid).profile_on(ctx.grid)
             l2_u1 = integrate(u1.squared())
             worst = 0.0
             for row in tbl.rows:
@@ -609,10 +595,10 @@ def _check_dilation_identity(ctx: VerifyContext) -> LemmaReport:
     rep.require("shift mass at the limit ground state", lam_mass, tol=ctx.tol(1e-12))
     shifted = free.with_lambda(0.5, 0.5)
     lam_mass2, gap2 = pohozaev_residual(gp, shifted)
-    rep.require("shift mass flags the non-solution (must be far from 0)",
-                -lam_mass2, bound=0.0, tol=0.1)
+    rep.lower_bound("shift mass flags the non-solution (must be far from 0)",
+                    lam_mass2, bound=0.0, tol=0.1)
     res = weak_residual(gp, shifted)
-    rep.require("weak residual flags the non-solution", -res, bound=0.0, tol=1e-3)
+    rep.lower_bound("weak residual flags the non-solution", res, bound=0.0, tol=1e-3)
     rep.add_note("a pair passing the residual gate with positive shifts must have "
                  "vanishing shift mass; verified on the solver output in the flow check")
     return rep
@@ -627,7 +613,7 @@ def _check_ground_level_limit(ctx: VerifyContext) -> LemmaReport:
     gaps = []
     for d in deltas:
         gd = ctx.grid.scaled(d)
-        prof = make_bubble(d, 0.0, ctx.grid.N).profile_on(gd)
+        prof = make_bubble(d, 0.0, gd).profile_on(gd)
         sq = prof.squared()
         pot = 0.0
         for k, V, lam in ((cc.k1, ctx.prob.V1, ctx.prob.lam1),
@@ -642,12 +628,7 @@ def _check_ground_level_limit(ctx: VerifyContext) -> LemmaReport:
         tbl.add(delta=d, potential_mass=pot, t_n=math.sqrt(t_sq),
                 energy_gap=energy - cc.c_inf)
     rep.tables.append(tbl)
-    rep.require("energy gap to the limit level: final/initial",
-                gaps[-1] / gaps[0] if gaps[0] > 0 else 0.0,
-                bound=ctx.trend_fraction, tol=0.0)
-    if not limit_trend(gaps, final_fraction=ctx.trend_fraction):
-        rep.rows[-1].passed = False
-        rep.status = "fail"
+    rep.trend("energy gap to the limit level: final/initial", gaps, ctx.trend_fraction)
     rep.require("energy at the smallest dilation", gaps[-1] + cc.c_inf,
                 target=cc.c_inf, tol=ctx.tol(1e-3))
     rep.add_note("non-attainment of the infimum is a structural statement outside "
@@ -661,17 +642,12 @@ def _check_nonlocal_splitting(ctx: VerifyContext) -> LemmaReport:
     from .grids import from_callable, make_grid
 
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
-    bprof = make_bubble(1.0, 0.0, grid.N).profile_on(grid)
+    bprof = make_bubble(1.0, 0.0, grid).profile_on(grid)
     fine = make_grid(grid.N, 640, grid.R_max, 1.025)
     tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], [0.0, 0.0, 0.0], fine)
     rep.tables.append(tbl)
     for col in ("self_error", "mixed_error"):
-        vals = tbl.column(col)
-        rep.require(f"{col} final/initial", vals[-1] / vals[0],
-                    bound=ctx.trend_fraction, tol=0.0)
-        if not limit_trend(vals, final_fraction=ctx.trend_fraction):
-            rep.rows[-1].passed = False
-            rep.status = "fail"
+        rep.trend(f"{col} final/initial", tbl.column(col), ctx.trend_fraction)
     stat = brezis_lieb_check(gauss, bprof, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], fine)
     spread = max(stat.column("self_error")) - min(stat.column("self_error"))
     rep.require("stationary-sequence control stays constant", spread, tol=ctx.tol(1e-10))
@@ -716,11 +692,7 @@ def _check_potential_vanishing(ctx: VerifyContext) -> LemmaReport:
         for p, s in zip(seq, sup):
             t.add(parameter=p, sup_potential_mass=s)
         rep.tables.append(t)
-        rep.require(f"{label} limit: final/initial", sup[-1] / sup[0],
-                    bound=ctx.trend_fraction, tol=0.0)
-        if not limit_trend(sup, final_fraction=ctx.trend_fraction):
-            rep.rows[-1].passed = False
-            rep.status = "fail"
+        rep.trend(f"{label} limit: final/initial", sup, ctx.trend_fraction)
     return rep
 
 
@@ -735,11 +707,8 @@ def _check_concentration_maps(ctx: VerifyContext) -> LemmaReport:
 
     seq_small = [1.0, 0.3, 0.1, 0.03]
     sup_small = [max(gamma_of(d, rho) for rho in (0.0, 1.0, 3.0)) for d in seq_small]
-    rep.require("concentration limit gamma -> 0: final/initial",
-                sup_small[-1] / sup_small[0], bound=ctx.trend_fraction, tol=0.0)
-    if not limit_trend(sup_small, final_fraction=ctx.trend_fraction):
-        rep.rows[-1].passed = False
-        rep.status = "fail"
+    rep.trend("concentration limit gamma -> 0: final/initial", sup_small,
+              ctx.trend_fraction)
     worst_bound = max(gamma_of(0.01, rho) / 0.04 for rho in (0.0, 1.0, 3.0))
     rep.require("four-dilations bound at delta = 0.01 (gamma / 4 delta)",
                 worst_bound, bound=1.0, tol=0.0)
@@ -751,9 +720,8 @@ def _check_concentration_maps(ctx: VerifyContext) -> LemmaReport:
                 for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
     for d, r in grid_pts:
         worst_sign = min(worst_sign, barycenter_axis_sign(prof, d, r))
-    rep.require("axis inner product over a 30-point grid (negated minimum)",
-                -worst_sign, bound=0.0, tol=0.0)
-    rep.rows[-1].value = worst_sign
+    rep.lower_bound("axis inner product over a 30-point grid (negated minimum)",
+                    worst_sign, bound=0.0, tol=0.0)
     return rep
 
 
@@ -772,25 +740,23 @@ def _check_projection_scalars(ctx: VerifyContext) -> LemmaReport:
         ("spreading", [100.0, 300.0, 1000.0, 3000.0], probes),
     ):
         sup = [max(t0_dev(d, rho) for rho in rho_set) for d in seq]
-        rep.require(f"{label} limit of |t0 - 1|: final/initial", sup[-1] / sup[0],
-                    bound=ctx.trend_fraction, tol=0.0)
-        if not limit_trend(sup, final_fraction=ctx.trend_fraction):
-            rep.rows[-1].passed = False
-            rep.status = "fail"
+        rep.trend(f"{label} limit of |t0 - 1|: final/initial", sup, ctx.trend_fraction)
     sup_far = [max(t0_dev(d, r) for d in (0.3, 1.0, 3.0, 10.0))
                for r in [1.0, 4.0, 16.0, 64.0]]
-    rep.require("far-offset limit of |t0 - 1|: final/initial",
-                sup_far[-1] / sup_far[0], bound=ctx.trend_fraction, tol=0.0)
-    if not limit_trend(sup_far, final_fraction=ctx.trend_fraction):
-        rep.rows[-1].passed = False
-        rep.status = "fail"
+    rep.trend("far-offset limit of |t0 - 1|: final/initial", sup_far, ctx.trend_fraction)
     return rep
+
+
+def ensure_scan(ctx: VerifyContext) -> RegionScan:
+    """The context's region scan, run once against the context's c_star_lower."""
+    if ctx.scan is None:
+        ctx.scan = scan_region(ctx.profile, ctx.prob, c_star_lower=ctx.c_star_lower)
+    return ctx.scan
 
 
 def _check_linking_region(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("5.2", "linking region exists with the boundary energy cap")
-    scan = ctx.scan if ctx.scan is not None else scan_region(ctx.profile, ctx.prob)
-    ctx.scan = scan
+    scan = ensure_scan(ctx)
     rep.tables.append(scan.samples)
     rep.require("region found (1 = yes)", 1.0 if scan.found else 0.0,
                 target=1.0, tol=0.0)
@@ -801,9 +767,8 @@ def _check_linking_region(ctx: VerifyContext) -> LemmaReport:
     outer = [r["gamma"] for r in scan.boundary_rows("outer_face")]
     rep.require("inner face: max gamma (must stay below 1/2)", max(inner),
                 bound=0.5, tol=0.0)
-    rep.require("outer face: min gamma (must stay above 1/2)", -min(outer),
-                bound=-0.5, tol=0.0)
-    rep.rows[-1].value = min(outer)
+    rep.lower_bound("outer face: min gamma (must stay above 1/2)", min(outer),
+                    bound=0.5, tol=0.0)
     rep.require("boundary energy cap: sup over the three faces",
                 scan.boundary_sup_energy, bound=scan.cbar, tol=0.0)
     rep.info("delta1", scan.delta1)
@@ -814,8 +779,7 @@ def _check_linking_region(ctx: VerifyContext) -> LemmaReport:
 
 def _check_energy_cap(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("5.4", "region energy cap stays below the scalar-level threshold")
-    scan = ctx.scan if ctx.scan is not None else scan_region(ctx.profile, ctx.prob)
-    ctx.scan = scan
+    scan = ensure_scan(ctx)
     if not scan.found:
         rep.status = "fail"
         rep.add_note(f"region scan failed: {scan.failure}")

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .checks import CHECK_IDS, homotopy_boundary_check, scan_region, verify_lemma
+from .checks import CHECK_IDS, ensure_scan, homotopy_boundary_check, verify_lemma
 from .config import load_config
 from .errors import HartreeKitError, NumericalError, ParameterError
 from .reporting import write_bundle
@@ -116,18 +116,8 @@ def main(argv=None) -> int:
         if args.command == "bubble-certify":
             return _emit(bubble_certification(ctx), args.out)
         if args.command == "solve-ground":
-            import numpy as np
-
-            rep = solver_report(ctx)
-            code = _emit(rep, args.out)
-            diag = getattr(rep, "_diag", None)
-            if diag is not None:
-                diag.trace_csv(Path(args.out) / "flow_trace.csv")
-                if diag.final is not None:
-                    np.savetxt(Path(args.out) / "ground_state.csv",
-                               np.column_stack([ctx.grid.r, diag.final.u.values,
-                                                diag.final.v.values]),
-                               delimiter=",", header="r,u,v", comments="")
+            code = _emit(solver_report(ctx), args.out)
+            ctx.flow_diag.write_files(args.out)
             return code
         if args.command == "verify":
             ensure_profile(ctx, cfg)
@@ -136,8 +126,7 @@ def main(argv=None) -> int:
         if args.command == "scan-region":
             ensure_profile(ctx, cfg)
             adm = admissibility_report(ctx, cfg)
-            scan = scan_region(ctx.profile, ctx.prob)
-            ctx.scan = scan
+            scan = ensure_scan(ctx)
             rep = verify_lemma("5.2", ctx)
             cap = verify_lemma("5.4", ctx)
             payload = write_bundle(args.out, [adm, rep, cap], extras=scan.to_dict(),
@@ -146,8 +135,7 @@ def main(argv=None) -> int:
             return EXIT_PASS if payload["all_passed"] else EXIT_CHECK_FAILURE
         if args.command == "homotopy-check":
             ensure_profile(ctx, cfg)
-            scan = scan_region(ctx.profile, ctx.prob)
-            return _emit(homotopy_boundary_check(scan), args.out)
+            return _emit(homotopy_boundary_check(ensure_scan(ctx)), args.out)
         parser.error(f"unknown command {args.command}")
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

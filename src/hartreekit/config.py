@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import ScanSpec
 from .energy import Problem
 from .errors import ParameterError
 from .flow import FlowConfig
@@ -71,7 +70,6 @@ class RunConfig:
     moll_cells: int = 5
     c_star_margin: float = 0.02
     flow: FlowConfig = field(default_factory=FlowConfig)
-    scan: ScanSpec = field(default_factory=ScanSpec)
     seed: int = 1234
     convention: str = "A3"
     tol_scale: float = 1.0

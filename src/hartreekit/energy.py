@@ -374,16 +374,28 @@ def default_test_set(grid: RadialGrid, n_scales: int = 7) -> list:
     return out[:20]
 
 
+def _with_norms(test_set: list) -> list:
+    """(phi, ||grad phi||^2, ||phi||_2^2) for each bump."""
+    return [(phi, dirichlet_seminorm(phi.profile), integrate(phi.profile.squared()))
+            for phi in test_set]
+
+
 def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float:
     """Relative dual-norm estimate of I'(p) over a mollified-bump test set.
 
     Each test bump phi enters as (phi, 0) and (0, phi).  Pairings integrate
     the pointwise residual field against phi on the bump's own grid (through
     the translated-overlap quadrature when the bump is offset) and are
-    normalized by ||phi|| ||p|| in the lam-weighted norm.
+    normalized by ||phi|| ||p|| in the lam-weighted norm.  The default set
+    and its norms are built once per grid and kept in the grid's cache.
     """
     if test_set is None:
-        test_set = default_test_set(p.grid)
+        key = "weak_residual_test_set"
+        if key not in p.grid._cache:
+            p.grid._cache[key] = _with_norms(default_test_set(p.grid))
+        bumps = p.grid._cache[key]
+    else:
+        bumps = _with_norms(test_set)
     res_u_s, res_v_s = residual_fields(p, prob, strong=True)
     u, v = p.components()
 
@@ -397,11 +409,9 @@ def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float
     norm_p = math.sqrt(norm_p_sq)
 
     worst = 0.0
-    for phi in test_set:
+    for phi, base, mass in bumps:
         pair_u = bicenter_integral(res_u_s, phi.profile, phi.rho)
         pair_v = bicenter_integral(res_v_s, phi.profile, phi.rho)
-        base = dirichlet_seminorm(phi.profile)
-        mass = integrate(phi.profile.squared())
         nrm1 = math.sqrt(base + prob.lam1 * mass)
         nrm2 = math.sqrt(base + prob.lam2 * mass)
         for val, nrm in ((pair_u, nrm1), (pair_v, nrm2)):

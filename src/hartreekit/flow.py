@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .bubbles import CouplingConstants, make_bubble
+from .bubbles import CouplingConstants, bubble_constant, make_bubble
 from .energy import Problem, weak_residual
 from .errors import ParameterError
 from .grids import (
@@ -35,7 +36,6 @@ __all__ = [
     "FlowConfig",
     "FlowDiagnostics",
     "solve_limit_ground_state",
-    "solve_scalar_choquard",
     "vanishing_energy_limit",
     "brezis_lieb_check",
 ]
@@ -46,7 +46,6 @@ class FlowConfig:
     step_size: float = 1.0
     max_iterations: int = 5000
     residual_tolerance: float = 1e-3
-    project_every: int = 1
     recenter_every: int = 50
     check_every: int = 25
     start: str = "gaussian"   # gaussian | bubble
@@ -84,6 +83,16 @@ class FlowDiagnostics:
         for row in self.trace:
             t.add(iteration=row[0], energy=row[1], nehari_defect=row[2], weak_residual=row[3])
         t.to_csv(path)
+
+    def write_files(self, out_dir):
+        """flow_trace.csv and, once there is a final iterate, ground_state.csv."""
+        out = Path(out_dir)
+        self.trace_csv(out / "flow_trace.csv")
+        if self.final is not None:
+            u, v = self.final.components()
+            np.savetxt(out / "ground_state.csv",
+                       np.column_stack([u.grid.r, u.values, v.values]),
+                       delimiter=",", header="r,u,v", comments="")
 
 
 def _pinned_solver(grid: RadialGrid):
@@ -134,7 +143,7 @@ def _fit_bubble_dilation(grid: RadialGrid, values: np.ndarray, amplitude: float)
     d0 = _half_height_scale(grid, values)
     if not np.isfinite(d0):
         return math.nan, math.nan
-    cn = make_bubble(1.0, 0.0, grid.N).c_N
+    cn = bubble_constant(grid.N, grid)
     p = (grid.N - 2) / 2.0
     bulk = values > 0.01 * values.max()
     w = grid.w[bulk]
@@ -179,12 +188,13 @@ def _limit_problem(cc: CouplingConstants, N: int) -> Problem:
 
 
 def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
-                             grid: RadialGrid | None = None) -> FlowDiagnostics:
-    """Projected descent for the coupled limit ground state."""
-    if grid is None:
-        from .bubbles import default_grid
+                             grid: RadialGrid) -> FlowDiagnostics:
+    """Projected descent for the coupled limit ground state.
 
-        grid = default_grid(5)
+    The scalar limit equation is the case mu1 = mu2 = mu/3, beta = 2 mu/3:
+    there k1 = k2 = 1/mu, both components equal mu^(-1/2) U and the level
+    is twice S_HL^2 / (4 mu).
+    """
     N = grid.N
     kern = kernel_for(grid, 4.0)
     A = grid.stiffness()
@@ -193,7 +203,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     prob = _limit_problem(cc, N)
 
     if cfg.start == "bubble":
-        b = make_bubble(1.0, 0.0, N)
+        b = make_bubble(1.0, 0.0, grid)
         u = math.sqrt(cc.k1) * b(grid.r)
         v = math.sqrt(cc.k2) * b(grid.r)
     else:
@@ -208,15 +218,6 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         E = kern.energy
         return (cc.mu1 * (u2 @ (E @ u2)) + cc.mu2 * (v2 @ (E @ v2))
                 + 2.0 * cc.beta * (u2 @ (E @ v2)))
-
-    def ray_energy(uu, vv):
-        """Value of the functional at the Nehari representative of the ray:
-        1/4 K^2 / NL, invariant under positive rescaling of the pair."""
-        K = float(uu @ (A @ uu) + vv @ (A @ vv))
-        NL = nonlocal_sum(uu, vv)
-        if NL <= 0:
-            raise ParameterError("pair has vanishing positive parts")
-        return 0.25 * K * K / NL
 
     def project(uu, vv):
         K = float(uu @ (A @ uu) + vv @ (A @ vv))
@@ -242,7 +243,6 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         pic_u = solve(rhs_u)
         pic_v = solve(rhs_v)
 
-        do_project = it % cfg.project_every == 0
         accepted = False
         for _ in range(40):
             cu = (1.0 - tau) * u + tau * pic_u
@@ -251,10 +251,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
             cu = np.clip(cu, 0, None)
             cv = np.clip(cv, 0, None)
             try:
-                if do_project:
-                    cu, cv, cand_energy = project(cu, cv)
-                else:
-                    cand_energy = ray_energy(cu, cv)
+                cu, cv, cand_energy = project(cu, cv)
             except ParameterError:
                 tau *= 0.5
                 continue
@@ -311,112 +308,12 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     return diag
 
 
-def solve_scalar_choquard(mu: float, cfg: FlowConfig,
-                          grid: RadialGrid | None = None) -> FlowDiagnostics:
-    """Ground state of the scalar limit equation; the extremal is mu^(-1/2) times
-    the standard bubble and the constrained level is S_HL^2 / (4 mu)."""
-    if mu <= 0:
-        raise ParameterError("mu must be positive")
-    if grid is None:
-        from .bubbles import default_grid
-
-        grid = default_grid(5)
-    N = grid.N
-    kern = kernel_for(grid, 4.0)
-    A = grid.stiffness()
-    W = grid.w
-    solve = _pinned_solver(grid)
-
-    if cfg.start == "bubble":
-        u = make_bubble(1.0, 0.0, N)(grid.r) / math.sqrt(mu)
-    else:
-        u = cfg.start_amplitudes[0] * np.exp(-(grid.r / cfg.start_widths[0]) ** 2)
-
-    def project(uu):
-        K = float(uu @ (A @ uu))
-        NL = mu * float((np.clip(uu, 0, None) ** 2) @ (kern.energy @ np.clip(uu, 0, None) ** 2))
-        if NL <= 0:
-            raise ParameterError("start has vanishing positive part")
-        t = math.sqrt(K / NL)
-        return t * uu, 0.25 * t**2 * K
-
-    u, energy = project(u)
-    diag = FlowDiagnostics()
-    tau = cfg.step_size
-    residual = math.inf
-    it = 0
-    for it in range(1, cfg.max_iterations + 1):
-        up = np.clip(u, 0, None)
-        rhs = mu * kern.convolve_values(up**2) * up
-        pic = solve(rhs)
-        accepted = False
-        for _ in range(40):
-            cu = np.clip((1.0 - tau) * u + tau * pic, 0, None)
-            try:
-                cu, cand = project(cu)
-            except ParameterError:
-                tau *= 0.5
-                continue
-            if cand <= energy * (1.0 + 1e-12):
-                accepted = True
-                break
-            tau *= 0.5
-        if not accepted:
-            diag.verdict = "stalled line search"
-            break
-        u, energy = cu, cand
-        tau = min(cfg.step_size, tau * 1.3)
-
-        if it % cfg.recenter_every == 0:
-            d_hat = _half_height_scale(grid, u)
-            if np.isfinite(d_hat) and abs(d_hat - 1.0) > 0.2:
-                u, energy = project(_rescale_profile(grid, u, d_hat))
-
-        if it % cfg.check_every == 0 or it == cfg.max_iterations:
-            pair = Pair(RadialFn(grid, u), RadialFn(grid, u))
-            residual = _scalar_residual(grid, u, mu, kern)
-            diag.trace.append((it, energy, 0.0, residual))
-            if residual < cfg.residual_tolerance:
-                diag.verdict = "converged"
-                break
-
-    diag.iterations = it
-    diag.residual = residual
-    c_fit = float(np.mean(u[grid.r > 0.5 * grid.R_max]
-                          * grid.r[grid.r > 0.5 * grid.R_max] ** (N - 2)))
-    diag.final = Pair(RadialFn(grid, u, p_tail=N - 2, c_tail=max(c_fit, 0.0)),
-                      RadialFn(grid, np.zeros_like(u)))
-    diag.energy = energy
-    diag.fitted_delta, diag.shape_error = _fit_bubble_dilation(
-        grid, u, 1.0 / math.sqrt(mu)
-    )
-    return diag
-
-
-def _scalar_residual(grid, u, mu, kern) -> float:
-    """Dual-norm residual of the scalar limit equation over the default bumps."""
-    from .energy import default_test_set, _strong_laplacian
-    from .grids import bicenter_integral
-
-    up = np.clip(u, 0, None)
-    rhs = mu * kern.convolve_values(up**2) * up
-    res = RadialFn(grid, -_strong_laplacian(grid, u) - rhs)
-    norm_u = math.sqrt(dirichlet_seminorm(RadialFn(grid, u)))
-    worst = 0.0
-    for phi in default_test_set(grid):
-        val = bicenter_integral(res, phi.profile, phi.rho)
-        nrm = math.sqrt(dirichlet_seminorm(phi.profile))
-        if nrm > 0:
-            worst = max(worst, abs(val) / (nrm * norm_u))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # sequence bookkeeping
 # ---------------------------------------------------------------------------
 
 def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
-                           grid: RadialGrid | None = None):
+                           grid: RadialGrid):
     """Scalar concentration family mu_j^(-1/2) U_delta: potential mass and
     constrained energy per dilation.
 
@@ -429,15 +326,9 @@ def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
 
     if mu_index not in (1, 2):
         raise ParameterError("mu_index must be 1 or 2")
-    if grid is None:
-        from .bubbles import default_grid
-
-        grid = default_grid(5)
     mu = prob.mu1 if mu_index == 1 else prob.mu2
     lam = prob.lam1 if mu_index == 1 else prob.lam2
     V = prob.potential(mu_index)
-    N = grid.N
-    b1 = make_bubble(1.0, 0.0, N)
 
     table = Table(
         "vanishing_limits",
@@ -445,7 +336,7 @@ def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
     )
     for d in delta_seq:
         gd = grid.scaled(float(d))
-        prof = make_bubble(float(d), 0.0, N).profile_on(gd) * (1.0 / math.sqrt(mu))
+        prof = make_bubble(float(d), 0.0, gd).profile_on(gd) * (1.0 / math.sqrt(mu))
         sq = prof.squared()
         l2 = integrate(sq)
         lam_mass = lam * l2

@@ -59,6 +59,18 @@ def _csv_cell(x) -> str:
     return str(_native(x))
 
 
+def limit_trend(values, jitter: float = 0.05, final_fraction: float = 0.1) -> bool:
+    """Desk-scale rendering of 'tends to zero' along a parameter sequence."""
+    v = [abs(x) for x in values]
+    if len(v) < 2 or v[0] == 0.0:
+        return all(x == 0.0 for x in v)
+    head = v[0]
+    for prev, cur in zip(v[:-1], v[1:]):
+        if cur > prev * (1.0 + jitter):
+            return False
+    return v[-1] <= final_fraction * head
+
+
 @dataclass
 class CheckRow:
     """One verified quantity: value against its bound at a stated tolerance."""
@@ -66,10 +78,11 @@ class CheckRow:
     label: str
     value: float
     target: float | None = None   # reference value (two-sided comparison) ...
-    bound: float | None = None    # ... or a one-sided bound the value must stay under
+    bound: float | None = None    # ... or a one-sided bound, on the side given by `side`
     tol: float | None = None
     passed: bool = True
     note: str = ""
+    side: str | None = None       # "upper": value < bound - tol; "lower": value > bound + tol
 
     def to_dict(self) -> dict:
         return {
@@ -80,6 +93,7 @@ class CheckRow:
             "tol": self.tol,
             "passed": self.passed,
             "note": self.note,
+            "side": self.side,
         }
 
 
@@ -105,14 +119,30 @@ class LemmaReport:
             scale = max(abs(target), 1e-300)
             ok = abs(value - target) <= tol * scale
         elif bound is not None:
-            # one-sided: value must clear the bound by at least the margin tol
+            # one-sided: value must stay under the bound by more than the margin tol
             ok = (bound - value) > tol
         else:
             ok = abs(value) <= tol
-        self.rows.append(CheckRow(label, value, target, bound, tol, ok, note))
-        if not ok and self.status == "pass":
+        side = "upper" if target is None and bound is not None else None
+        return self._add(CheckRow(label, value, target, bound, tol, ok, note, side))
+
+    def lower_bound(self, label, value, bound, tol, note="") -> bool:
+        """Add a row whose value must exceed the bound by more than the margin tol."""
+        ok = (value - bound) > tol
+        return self._add(CheckRow(label, value, None, bound, tol, ok, note, "lower"))
+
+    def trend(self, label, values, fraction, note="") -> bool:
+        """Add a 'tends to zero' row: value final/initial, which must fall below
+        `fraction` along a sequence that passes `limit_trend`."""
+        ratio = values[-1] / values[0] if values[0] != 0.0 else 0.0
+        ok = fraction - ratio > 0.0 and limit_trend(values, final_fraction=fraction)
+        return self._add(CheckRow(label, ratio, None, fraction, 0.0, ok, note, "upper"))
+
+    def _add(self, row: CheckRow) -> bool:
+        self.rows.append(row)
+        if not row.passed and self.status == "pass":
             self.status = "fail"
-        return ok
+        return row.passed
 
     def info(self, label, value, note=""):
         self.rows.append(CheckRow(label, value, None, None, None, True, note or "informational"))
@@ -161,8 +191,12 @@ def write_bundle(out_dir, reports: list, extras: dict, runtimes: dict) -> dict:
             lines.append("| check | value | reference | tol | pass |")
             lines.append("|---|---|---|---|---|")
             for row in rep.rows:
-                ref = row.target if row.target is not None else row.bound
-                refs = "" if ref is None else f"{ref:.6g}"
+                if row.target is not None:
+                    refs = f"{row.target:.6g}"
+                elif row.bound is not None:
+                    refs = f"{'<' if row.side == 'upper' else '>'} {row.bound:.6g}"
+                else:
+                    refs = ""
                 tols = "" if row.tol is None else f"{row.tol:g}"
                 lines.append(
                     f"| {row.label} | {row.value:.6g} | {refs} | {tols} | "

@@ -13,7 +13,6 @@ from .bubbles import (
     ground_pair,
     make_bubble,
     make_constants_table,
-    make_grid,
     make_trial_profile,
 )
 from .checks import (
@@ -26,7 +25,7 @@ from .checks import (
 )
 from .energy import Problem, pohozaev_residual, weak_residual
 from .flow import solve_limit_ground_state
-from .grids import Pair, RadialFn, dirichlet_seminorm
+from .grids import Pair, RadialFn, dirichlet_seminorm, make_grid
 from .reporting import LemmaReport, write_bundle
 from .riesz import double_energy
 
@@ -41,6 +40,7 @@ def build_context(cfg) -> VerifyContext:
     prob = cfg.build_problem(grid)
     return VerifyContext(
         grid=grid, constants=constants, cc=cc, prob=prob,
+        c_star_lower=(1.0 + cfg.c_star_margin) * cc.c_inf,
         rng_seed=cfg.seed, tol_scale=cfg.tol_scale, flow=cfg.flow,
         trend_fraction=cfg.trend_fraction,
     )
@@ -51,20 +51,17 @@ def ensure_profile(ctx: VerifyContext, cfg) -> None:
         rep = check_A3(ctx.prob, ctx.constants)
         if rep.satisfied(cfg.convention):
             _, cbar = choose_a_and_cbar(
-                ctx.prob, ctx.constants,
-                c_star_lower=(1.0 + cfg.c_star_margin) * ctx.cc.c_inf,
+                ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower,
                 convention=cfg.convention,
             )
         else:
             # no admissible cap from the potentials; certify against the
             # default proxy window so the trial machinery stays usable
-            cbar = ctx.cc.c_inf + 0.5 * (
-                (1.0 + cfg.c_star_margin) * ctx.cc.c_inf - ctx.cc.c_inf
-            )
+            cbar = ctx.cc.c_inf + 0.5 * (ctx.c_star_lower - ctx.cc.c_inf)
         profile_grid = make_grid(cfg.N, cfg.profile_m, 1.0, 1.0)
         ctx.profile = make_trial_profile(
-            cfg.support_fraction, ctx.cc, cbar,
-            grid=profile_grid, moll_cells=cfg.moll_cells,
+            cfg.support_fraction, ctx.cc, cbar, profile_grid,
+            ctx.constants.bubble_norm, moll_cells=cfg.moll_cells,
         )
 
 
@@ -76,8 +73,7 @@ def constants_report(ctx: VerifyContext) -> LemmaReport:
         tbl.s_hl_sq * tbl.hls - tbl.sobolev**2,
         tol=1e-12 * tbl.sobolev**2,
     )
-    b = make_bubble(1.0, 0.0, ctx.grid.N)
-    U = b.profile_on(ctx.grid)
+    U = make_bubble(1.0, 0.0, ctx.grid).profile_on(ctx.grid)
     grad = dirichlet_seminorm(U)
     d4 = double_energy(U.squared(), U.squared())
     rep.require("bubble Dirichlet energy vs s_hl^2", grad, target=tbl.s_hl_sq, tol=1e-3)
@@ -98,15 +94,14 @@ def bubble_certification(ctx: VerifyContext) -> LemmaReport:
                       "weak residual certification of the bubble amplitude")
     grid = ctx.grid
     prob_scalar = Problem(N=grid.N, mu1=1.0, mu2=1.0, beta=2.0)
-    U = make_bubble(1.0, 0.0, grid.N).profile_on(grid)
+    U = make_bubble(1.0, 0.0, grid).profile_on(grid)
     zero = RadialFn(grid, np.zeros(grid.M))
     res = weak_residual(Pair(U, zero), prob_scalar)
     rep.require("scalar-equation residual at the certified amplitude", res, tol=1e-3)
     res_bad = weak_residual(Pair(2.0 * U, zero), prob_scalar)
-    rep.require("doubled amplitude is rejected", -res_bad, bound=0.0, tol=0.1)
-    rep.rows[-1].value = res_bad
-    rep.rows[-1].note = "negative control; residual must exceed 0.1"
-    U2 = make_bubble(2.0, 0.0, grid.N).profile_on(grid)
+    rep.lower_bound("doubled amplitude is rejected", res_bad, bound=0.0, tol=0.1,
+                    note="negative control; residual must exceed 0.1")
+    U2 = make_bubble(2.0, 0.0, grid).profile_on(grid)
     res2 = weak_residual(Pair(U2, zero), prob_scalar)
     rep.require("rescaled bubble keeps the residual", res2, tol=1e-3)
     cc0 = ctx.cc
@@ -119,7 +114,7 @@ def bubble_certification(ctx: VerifyContext) -> LemmaReport:
 
 def solver_report(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("solve-ground", "projected flow reaches the coupled ground state")
-    diag = solve_limit_ground_state(ctx.cc, ctx.flow, ctx.grid)
+    diag = ctx.flow_diag = solve_limit_ground_state(ctx.cc, ctx.flow, ctx.grid)
     rep.require("weak residual at the final iterate", diag.residual,
                 tol=ctx.flow.residual_tolerance)
     rep.require("iterations within budget", float(diag.iterations),
@@ -134,8 +129,6 @@ def solver_report(ctx: VerifyContext) -> LemmaReport:
     rep.info("verdict", 1.0 if diag.converged else 0.0, note=diag.verdict)
     rep.info("fitted dilation", diag.fitted_delta)
     rep.info("shape error after rescaling", diag.shape_error)
-    ctx_diag = diag
-    rep._diag = ctx_diag  # kept for trace export by the runner
     return rep
 
 
@@ -152,8 +145,7 @@ def admissibility_report(ctx: VerifyContext, cfg) -> LemmaReport:
                 float(adm.satisfied(cfg.convention)), target=1.0, tol=0.0)
     if adm.satisfied(cfg.convention):
         a, cbar = choose_a_and_cbar(
-            ctx.prob, ctx.constants,
-            c_star_lower=(1.0 + cfg.c_star_margin) * ctx.cc.c_inf,
+            ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower,
             convention=cfg.convention,
         )
         rep.require("cap exponent lies in (0, 1)", a, bound=1.0, tol=0.0)
@@ -194,7 +186,7 @@ def run_all(cfg, out_dir) -> int:
     homotopy.runtime = time.time() - t0
     runtimes[homotopy.check_id] = homotopy.runtime
     reports.append(homotopy)
-    solver_rep = run_step(solver_report, ctx)
+    run_step(solver_report, ctx)
 
     extras = {
         "constants": ctx.constants.to_dict(),
@@ -222,14 +214,7 @@ def run_all(cfg, out_dir) -> int:
 
     out = Path(out_dir)
     payload = write_bundle(out, reports, extras, runtimes)
-    diag = getattr(solver_rep, "_diag", None)
-    if diag is not None:
-        diag.trace_csv(out / "flow_trace.csv")
-        if diag.final is not None:
-            np.savetxt(out / "ground_state.csv",
-                       np.column_stack([ctx.grid.r, diag.final.u.values,
-                                        diag.final.v.values]),
-                       delimiter=",", header="r,u,v", comments="")
+    ctx.flow_diag.write_files(out)
     total = time.time() - t_all
     md = out / "report.md"
     md.write_text(md.read_text() + f"\ntotal wall time: {total:.1f}s\n")

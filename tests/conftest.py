@@ -4,18 +4,18 @@ from hartreekit import (
     FlowConfig,
     Problem,
     coupling_constants,
-    default_grid,
     from_callable,
     make_constants_table,
     make_grid,
     make_trial_profile,
 )
 from hartreekit.checks import VerifyContext, choose_a_and_cbar
+from hartreekit.config import RunConfig
 
 
 @pytest.fixture(scope="session")
 def grid():
-    return default_grid(5)
+    return make_grid(5, 400, 40.0, 1.02)
 
 
 @pytest.fixture(scope="session")
@@ -51,12 +51,23 @@ def free_problem(grid):
 
 
 @pytest.fixture(scope="session")
-def trial_profile(constants, cc, problem):
-    _, cbar = choose_a_and_cbar(problem, constants)
-    return make_trial_profile(0.995, cc, cbar)
+def c_star_lower(cc):
+    return (1.0 + RunConfig().c_star_margin) * cc.c_inf
 
 
 @pytest.fixture(scope="session")
-def context(grid, constants, cc, problem, trial_profile):
+def profile_grid():
+    return make_grid(5, 320, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def trial_profile(constants, cc, problem, c_star_lower, profile_grid):
+    _, cbar = choose_a_and_cbar(problem, constants, c_star_lower=c_star_lower)
+    return make_trial_profile(0.995, cc, cbar, profile_grid, constants.bubble_norm)
+
+
+@pytest.fixture(scope="session")
+def context(grid, constants, cc, problem, c_star_lower, trial_profile):
     return VerifyContext(grid=grid, constants=constants, cc=cc, prob=problem,
-                         profile=trial_profile, flow=FlowConfig())
+                         c_star_lower=c_star_lower, profile=trial_profile,
+                         flow=FlowConfig())

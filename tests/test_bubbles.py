@@ -19,6 +19,7 @@ from hartreekit import (
     ground_pair,
     lp_norm,
     make_bubble,
+    make_grid,
     make_trial_profile,
     quotient_infimum,
     trial_member,
@@ -40,22 +41,37 @@ def test_bubble_constant_rejects_low_dimension():
         bubble_constant(4)
 
 
+def test_bubble_constant_is_owned_by_each_grid(grid):
+    coarse = make_grid(5, 320, 40.0, 1.02)
+    fine = make_grid(5, 800, 40.0, 1.02)
+    c_coarse = bubble_constant(5, coarse)
+    c_fine = bubble_constant(5, fine)
+    assert c_coarse != c_fine
+    assert bubble_constant(5, coarse) == c_coarse
+    assert bubble_constant(5, make_grid(5, 320, 40.0, 1.02)) == c_coarse
+    assert bubble_constant(5, fine) == c_fine
+    # dilated copies carry their root grid's amplitude, bit for bit
+    assert bubble_constant(5, coarse.scaled(0.3)) == c_coarse
+    assert bubble_constant(5, grid.scaled(0.3).scaled(4.0)) == bubble_constant(5, grid)
+    assert make_bubble(2.0, 0.0, fine.scaled(0.3)).c_N == c_fine
+
+
 def test_bubble_closed_form_values(grid):
-    b = make_bubble(1.0, 0.0, 5, grid)
+    b = make_bubble(1.0, 0.0, grid)
     assert abs(b(0.0) - b.c_N) == 0.0
     assert b.c_N == bubble_constant(5, grid)
     with pytest.raises(ParameterError):
-        make_bubble(-1.0, 0.0, 5)
+        make_bubble(-1.0, 0.0, grid)
 
 
 def test_bubble_dirichlet_scale_invariance(grid):
-    vals = [dirichlet_seminorm(make_bubble(d, 0.0, 5).profile_on(grid))
+    vals = [dirichlet_seminorm(make_bubble(d, 0.0, grid).profile_on(grid))
             for d in (0.5, 1.0, 2.0)]
     assert (max(vals) - min(vals)) / min(vals) <= 1e-4
 
 
 def test_bubble_double_energy_level(grid):
-    U = make_bubble(1.0, 0.0, 5).profile_on(grid)
+    U = make_bubble(1.0, 0.0, grid).profile_on(grid)
     d4 = double_energy(U.squared(), U.squared())
     assert abs(d4 - S_HL_SQ) <= 1e-3 * S_HL_SQ
 
@@ -65,8 +81,8 @@ def test_bubble_residual_certification(grid):
     # equation, so this is a direct certification of the amplitude
     prob = Problem(N=5, mu1=1.0, mu2=1.0, beta=2.0)
     zero = RadialFn(grid, np.zeros(grid.M))
-    U1 = make_bubble(1.0, 0.0, 5).profile_on(grid)
-    U2 = make_bubble(2.0, 0.0, 5).profile_on(grid)
+    U1 = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    U2 = make_bubble(2.0, 0.0, grid).profile_on(grid)
     assert weak_residual(Pair(U1, zero), prob) < 1e-3
     assert weak_residual(Pair(U2, zero), prob) < 1e-3
 
@@ -74,14 +90,14 @@ def test_bubble_residual_certification(grid):
 def test_wrong_amplitude_rejected(grid):
     prob = Problem(N=5, mu1=1.0, mu2=1.0, beta=2.0)
     zero = RadialFn(grid, np.zeros(grid.M))
-    U1 = make_bubble(1.0, 0.0, 5).profile_on(grid)
+    U1 = make_bubble(1.0, 0.0, grid).profile_on(grid)
     assert weak_residual(Pair(2.0 * U1, zero), prob) > 0.1
 
 
 def test_bubble_critical_norm_oracle(grid):
     # per unit amplitude the critical norm is (pi^3/32)^(3/10); dividing out
     # the numerically pinned amplitude isolates the quadrature accuracy
-    b = make_bubble(1.0, 0.0, 5)
+    b = make_bubble(1.0, 0.0, grid)
     U = b.profile_on(grid)
     oracle = 0.96894614625936938 ** 0.3
     assert abs(lp_norm(U, 10.0 / 3.0) / b.c_N - oracle) <= 1e-8 * oracle
@@ -175,9 +191,10 @@ def test_trial_profile_certificates(trial_profile, cc):
     assert p.profile(1.2) == 0.0
 
 
-def test_trial_profile_unattainable_window(cc):
+def test_trial_profile_unattainable_window(cc, constants, profile_grid):
     with pytest.raises(ConstructionError):
-        make_trial_profile(0.995, cc, cc.c_inf * (1.0 + 1e-9))
+        make_trial_profile(0.995, cc, cc.c_inf * (1.0 + 1e-9), profile_grid,
+                           constants.bubble_norm)
 
 
 def test_trial_member_identity(trial_profile):

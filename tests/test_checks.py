@@ -203,3 +203,22 @@ def test_named_checks_pass(cid, context):
     for row in rep.rows:
         if row.note != "informational":
             assert row.tol is not None  # every gated row carries its tolerance
+
+
+def test_c_star_lower_follows_the_margin(monkeypatch):
+    # the margin reaches the cap choice and the value the region scan records;
+    # an empty inner-face candidate list keeps the scan to its set-up
+    from hartreekit import checks
+    from hartreekit.checks import ScanSpec
+    from hartreekit.config import RunConfig
+    from hartreekit.runner import build_context, ensure_profile
+
+    cfg = RunConfig(c_star_margin=0.05)
+    ctx = build_context(cfg)
+    assert ctx.c_star_lower == pytest.approx(1.05 * ctx.cc.c_inf, rel=1e-15)
+    ensure_profile(ctx, cfg)
+    _, cbar = choose_a_and_cbar(ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower)
+    assert ctx.profile.cbar == cbar
+    monkeypatch.setattr(checks, "ScanSpec", lambda: ScanSpec(delta1_candidates=()))
+    verify_lemma("5.2", ctx)
+    assert ctx.scan.to_dict()["c_star_lower"] == ctx.c_star_lower

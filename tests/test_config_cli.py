@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from hartreekit.bubbles import bubble_constant
 from hartreekit.cli import main
 from hartreekit.config import PotentialSpec, load_config
 from hartreekit.errors import ParameterError
+from hartreekit.grids import make_grid
 
 
 def run_cli(*args):
@@ -119,6 +121,14 @@ def test_cli_grid_overrides(tmp_path):
     code = run_cli("constants", "--out", str(tmp_path),
                    "--grid-m", "200", "--r-max", "30.0")
     assert code == 0
+    # the amplitude, and with it every bubble row, comes from the overridden grid
+    data = json.loads((tmp_path / "constants.json").read_text())
+    assert data["bubble_normalization"] == bubble_constant(5, make_grid(5, 200, 30.0, 1.02))
+    rows = {row["label"]: row for row in
+            json.loads((tmp_path / "report.json").read_text())["reports"][0]["rows"]}
+    d4 = rows["bubble double energy vs s_hl^2"]["value"]
+    grad = rows["bubble Dirichlet energy vs s_hl^2"]["value"]
+    assert abs(d4 - grad) <= 1e-12 * grad
 
 
 def test_cli_solve_ground_writes_profiles(tmp_path):

@@ -15,7 +15,6 @@ from hartreekit import (
     make_grid,
     pohozaev_residual,
     solve_limit_ground_state,
-    solve_scalar_choquard,
     vanishing_energy_limit,
 )
 
@@ -90,17 +89,28 @@ def test_flow_clamped_mass_vanishes(diag_123):
     assert diag_123.clamped_mass[-1] <= 1e-12
 
 
+def scalar_ground_state(mu, cfg, grid):
+    """The scalar limit ground state as the coupled one at (mu/3, mu/3, 2 mu/3),
+    where k1 = k2 = 1/mu: each component is mu^(-1/2) U, the level is doubled,
+    and from equal starts the two components track the scalar flow."""
+    cc = coupling_constants(mu / 3.0, mu / 3.0, 2.0 * mu / 3.0, S_HL_SQ)
+    return solve_limit_ground_state(cc, cfg, grid)
+
+
+SCALAR_START = FlowConfig(start_widths=(1.0, 1.0), start_amplitudes=(1.0, 1.0))
+
+
 def test_scalar_flow_level(grid):
-    diag = solve_scalar_choquard(1.0, FlowConfig(), grid)
+    diag = scalar_ground_state(1.0, SCALAR_START, grid)
     assert diag.converged
-    assert abs(diag.energy - S_HL_SQ / 4.0) <= 1e-3 * S_HL_SQ / 4.0
+    assert abs(diag.energy / 2.0 - S_HL_SQ / 4.0) <= 1e-3 * S_HL_SQ / 4.0
     assert diag.shape_error < 1e-3
 
 
 def test_scalar_flow_amplitude_scaling(grid):
-    d1 = solve_scalar_choquard(1.0, FlowConfig(), grid)
-    d4 = solve_scalar_choquard(4.0, FlowConfig(), grid)
-    assert abs(d4.energy - S_HL_SQ / 16.0) <= 1e-3 * S_HL_SQ / 16.0
+    d1 = scalar_ground_state(1.0, SCALAR_START, grid)
+    d4 = scalar_ground_state(4.0, SCALAR_START, grid)
+    assert abs(d4.energy / 2.0 - S_HL_SQ / 16.0) <= 1e-3 * S_HL_SQ / 16.0
     # the Picard map commutes with the mu^(-1/2) amplitude scaling, so the
     # two runs track each other pointwise
     u1 = d1.final.u.values
@@ -111,14 +121,14 @@ def test_scalar_flow_amplitude_scaling(grid):
 
 def test_scalar_flow_cold_start(grid):
     cfg = FlowConfig(start="bubble", max_iterations=100)
-    diag = solve_scalar_choquard(1.0, cfg, grid)
+    diag = scalar_ground_state(1.0, cfg, grid)
     assert diag.converged
     assert diag.iterations <= 25
 
 
 def test_scalar_flow_rejects_bad_mu(grid):
     with pytest.raises(ParameterError):
-        solve_scalar_choquard(-1.0, FlowConfig(), grid)
+        scalar_ground_state(-1.0, FlowConfig(), grid)
 
 
 def test_flow_config_validation():
@@ -153,7 +163,7 @@ def test_vanishing_limit_free_case_energy_constant(free_problem, grid):
 def test_vanishing_limit_shift_mass_law(grid):
     prob = Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0, lam1=0.1, lam2=0.1)
     tbl = vanishing_energy_limit(prob, 1, [1.0, 0.3, 0.1, 0.03], grid)
-    u1 = make_bubble(1.0, 0.0, 5).profile_on(grid)
+    u1 = make_bubble(1.0, 0.0, grid).profile_on(grid)
     l2 = integrate(u1.squared())
     for row in tbl.rows:
         law = 0.1 * row["delta"] ** 2 * l2
@@ -172,7 +182,7 @@ def test_vanishing_limit_rejects_bad_index(problem, grid):
 @pytest.fixture(scope="module")
 def splitting_inputs(grid):
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
-    bprof = make_bubble(1.0, 0.0, 5).profile_on(grid)
+    bprof = make_bubble(1.0, 0.0, grid).profile_on(grid)
     fine = make_grid(5, 640, 40.0, 1.025)
     return gauss, bprof, fine
 

@@ -71,3 +71,18 @@ def test_write_bundle_layout(tmp_path):
     blob = json.loads((tmp_path / "report.json").read_text())
     assert blob["extras"]["flag"] is True
     assert "runtime" not in json.dumps(blob)  # wall times stay out of the machine report
+
+
+def test_trend_and_lower_bound_rows(tmp_path):
+    rep = LemmaReport("demo", "row helpers")
+    assert rep.trend("decays", [1.0, 0.5, 0.2, 0.05], 0.1)
+    assert rep.rows[-1].value == 0.05 and rep.rows[-1].side == "upper"
+    assert not rep.trend("jumps", [1.0, 1.2, 0.2, 0.05], 0.1)   # ratio fine, not monotone
+    assert rep.lower_bound("clearance", 0.3, bound=0.0, tol=0.1)
+    assert rep.rows[-1].value == 0.3 and rep.rows[-1].side == "lower"
+    assert not rep.lower_bound("too close", 0.05, bound=0.0, tol=0.1)
+    assert rep.status == "fail"
+    write_bundle(tmp_path, [rep], extras={}, runtimes={})
+    md = (tmp_path / "report.md").read_text()
+    assert "| decays | 0.05 | < 0.1 | 0 | yes |" in md
+    assert "| clearance | 0.3 | > 0 | 0.1 | yes |" in md
