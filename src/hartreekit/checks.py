@@ -720,7 +720,7 @@ def _check_concentration_maps(ctx: VerifyContext) -> LemmaReport:
                 for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
     for d, r in grid_pts:
         worst_sign = min(worst_sign, barycenter_axis_sign(prof, d, r))
-    rep.lower_bound("axis inner product over a 30-point grid (negated minimum)",
+    rep.lower_bound("axis inner product over a 30-point grid (minimum)",
                     worst_sign, bound=0.0, tol=0.0)
     return rep
 

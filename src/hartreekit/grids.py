@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -40,6 +41,7 @@ __all__ = [
 
 NODES_PER_CELL = 5
 DEFAULT_THETA_NODES = 64
+_TAIL_NODES = 32
 
 
 def sphere_area(N: int) -> float:
@@ -196,7 +198,7 @@ def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:
     nodes, weights, cell_idx = [], [], []
     for j in range(n_cells):
         q = int(counts[j])
-        x, wq = np.polynomial.legendre.leggauss(q)
+        x, wq = _gauss_legendre(q)
         a, b = edges[j], edges[j + 1]
         nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
         weights.append(0.5 * (b - a) * wq)
@@ -443,11 +445,30 @@ def dirichlet_seminorm(f: RadialFn, check_resolution: bool = False) -> float:
     return core + tail
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """n-node Gauss-Legendre rule on [-1, 1]; memoized, so the arrays are read-only."""
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+@lru_cache(maxsize=None)
+def _tail_rule(n: int):
+    """Gauss-Legendre rule on (0, 1) for the tail map s = R / x, s in (R, inf)."""
+    x, wx = _gauss_legendre(n)
+    return _read_only(0.5 * (x + 1.0), 0.5 * wx)
+
+
+@lru_cache(maxsize=None)
 def _theta_rule(N: int, n_theta: int):
-    """Angular rule: int_{S^{N-1}} F(w . e1) dw = sum a_k F(t_k)."""
+    """Angular rule: int_{S^{N-1}} F(w . e1) dw = sum a_k F(t_k) (read-only, memoized)."""
     t, wt = roots_jacobi(n_theta, (N - 3) / 2.0, (N - 3) / 2.0)
-    a = wt * sphere_area(N - 1)
-    return t, a
+    return _read_only(t, wt * sphere_area(N - 1))
 
 
 def bicenter_integral(f: RadialFn, g: RadialFn, rho: float,
@@ -477,12 +498,10 @@ def _bicenter_one_way(f: RadialFn, g: RadialFn, rho: float, n_theta: int) -> flo
     angular = fvals @ a
     core = float((grid.w1 * grid.r ** (N - 1) * g.values) @ angular)
     if g.c_tail != 0.0 and g.p_tail is not None:
-        # s in (R, inf): map s = R / x with 32-node rule
+        # s in (R, inf): map s = R / x
         if f.p_tail is not None and f.c_tail != 0.0 and g.p_tail + f.p_tail <= N:
             raise DivergenceError("combined tails of the translated overlap do not decay")
-        x, wx = np.polynomial.legendre.leggauss(32)
-        x = 0.5 * (x + 1.0)
-        wx = 0.5 * wx
+        x, wx = _tail_rule(_TAIL_NODES)
         s_t = grid.R_max / x
         ds = grid.R_max / x**2
         dist_t = np.sqrt(rho**2 + s_t[:, None] ** 2 + 2.0 * rho * s_t[:, None] * t[None, :])

@@ -24,11 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import comb
 
 from .errors import DivergenceError, NumericalError, ParameterError
 from .grids import (
+    _TAIL_NODES,
     RadialFn,
     RadialGrid,
+    _gauss_legendre,
+    _tail_rule,
     dirichlet_seminorm,
     from_callable,
     integrate,
@@ -148,39 +152,43 @@ def angular_kernel(alpha: float, r: float, s: float, N: int) -> float:
 # quadrature matrices
 # ---------------------------------------------------------------------------
 
-def _log_moments(k_max: int, lo: float, hi: float, c: float) -> np.ndarray:
-    """I_k = int_lo^hi sigma^k ln|sigma - c| d(sigma), k = 0..k_max.
+def _log_moments(k_max: int, lo: float, hi: float, c) -> np.ndarray:
+    """I_k(c) = int_lo^hi sigma^k ln|sigma - c| d(sigma), k = 0..k_max, per centre c.
 
-    Exact for |c| <= 2 via shifted monomial antiderivatives; series in 1/c
-    otherwise (the integrand is then analytic on [lo, hi]).
+    Returns an array of shape c.shape + (k_max + 1,).  Exact for |c| <= 3 via
+    shifted monomial antiderivatives; series in 1/c otherwise (the integrand
+    is then analytic on [lo, hi]).
     """
+    c = np.asarray(c, dtype=float)
+    flat = c.reshape(-1)
     ks = np.arange(k_max + 1)
-    if abs(c) <= 3.0:
-        def F(m, x):
-            if x == 0.0:
-                return 0.0
-            return x ** (m + 1) * (math.log(abs(x)) - 1.0 / (m + 1)) / (m + 1)
+    out = np.empty((flat.size, k_max + 1))
+    exact = np.abs(flat) <= 3.0
+    if exact.any():
+        ce = flat[exact]
 
-        base = np.array([F(m, hi - c) - F(m, lo - c) for m in range(k_max + 1)])
-        out = np.zeros(k_max + 1)
-        for k in ks:
-            acc = 0.0
-            for m in range(k + 1):
-                acc += math.comb(k, m) * c ** (k - m) * base[m]
-            out[k] = acc
-        return out
-    # ln|sigma - c| = ln|c| + ln|1 - sigma/c|, |sigma/c| < 1 on [lo, hi]
-    def mono(m):
-        return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
+        def F(x):  # int_0^x y^m ln|y| dy, m = 0..k_max
+            logx = np.log(np.abs(np.where(x == 0.0, 1.0, x)))[:, None]
+            return x[:, None] ** (ks + 1) * (logx - 1.0 / (ks + 1)) / (ks + 1)
 
-    out = np.array([math.log(abs(c)) * mono(k) for k in ks])
-    for m in range(1, 121):
-        coef = 1.0 / (m * c**m)
-        for k in ks:
-            out[k] -= coef * mono(k + m)
-        if abs(coef) < 1e-18:
-            break
-    return out
+        base = F(hi - ce) - F(lo - ce)
+        # sigma^k = sum_m C(k, m) c^(k-m) (sigma - c)^m
+        expo = np.clip(ks[:, None] - ks[None, :], 0, None)
+        shift = comb(ks[:, None], ks[None, :]) * ce[:, None, None] ** expo
+        out[exact] = np.einsum("ckm,cm->ck", shift, base)
+    if not exact.all():
+        # ln|sigma - c| = ln|c| - sum_m (sigma/c)^m / m, |sigma/c| < 1 on [lo, hi];
+        # the sum stops at the first term with |1/(m c^m)| < 1e-18
+        cs = flat[~exact]
+        ms = np.arange(1, 121)
+        with np.errstate(over="ignore"):
+            coef = 1.0 / (ms * cs[:, None] ** ms)
+        small = np.abs(coef) < 1e-18
+        coef = np.where(np.cumsum(small, axis=1) - small == 0, coef, 0.0)
+        mono = _plain_moments(k_max + ms[-1], lo, hi)
+        tail = np.einsum("cm,km->ck", coef, mono[ks[:, None] + ms])
+        out[~exact] = np.log(np.abs(cs))[:, None] * mono[ks] - tail
+    return out.reshape(c.shape + (k_max + 1,))
 
 
 def _plain_moments(k_max: int, lo: float, hi: float) -> np.ndarray:
@@ -188,58 +196,40 @@ def _plain_moments(k_max: int, lo: float, hi: float) -> np.ndarray:
     return (hi ** (ks + 1) - lo ** (ks + 1)) / (ks + 1)
 
 
-def _near_cell_weights(grid: RadialGrid, i: int, cell: int) -> np.ndarray:
-    """Exact weights for int_cell K(r_i, s) s^{N-1} f(s) ds (N=5, alpha=4).
+def _near_cell_block(grid: RadialGrid, cell: int, rows: np.ndarray) -> np.ndarray:
+    """Exact weights for int_cell K(r_i, s) s^{N-1} f(s) ds, one row per r_i (N=5, alpha=4).
 
     f is replaced by its Lagrange interpolant on the cell's own nodes; the
     kernel factor splits into low-degree polynomials times ln(s + r_i),
     ln|s - r_i| and 1, all of whose moments are exact.
     """
-    ri = grid.r[i]
-    mask = grid.node_cell == cell
-    s_nodes = grid.r[mask]
+    ri = grid.r[rows]
+    s_nodes = grid.r[grid.node_cell == cell]
     q = len(s_nodes)
     lo_e, hi_e = grid.edges[cell], grid.edges[cell + 1]
     mid, h = 0.5 * (hi_e + lo_e), 0.5 * (hi_e - lo_e)
-    sig = (s_nodes - mid) / h
-
-    V = np.vander(sig, q, increasing=True)
-    Linv = np.linalg.inv(V)  # column j = monomial coeffs of Lagrange basis j
+    # column j = monomial coeffs (in sigma) of Lagrange basis j
+    Linv = np.linalg.inv(np.vander((s_nodes - mid) / h, q, increasing=True))
 
     # P(r,s) s^4 = pi^2 (r^2 s + s^3) / r^3  and  Q(r,s) s^4 = -2 pi^2 s^2 / r^2
-    # expanded in sigma with s = mid + h sigma
-    def shift_poly(coeffs_s):
-        deg = len(coeffs_s) - 1
-        out = np.zeros(deg + 1)
-        for n, cn in enumerate(coeffs_s):
-            if cn == 0.0:
-                continue
-            for m in range(n + 1):
-                out[m] += cn * math.comb(n, m) * mid ** (n - m) * h**m
-        return out
+    # expanded in sigma with s = mid + h sigma: s^n = sum_m shift[n, m] sigma^m
+    n = np.arange(4)
+    shift = (comb(n[:, None], n[None, :]) * mid ** np.clip(n[:, None] - n[None, :], 0, None)
+             * h ** n[None, :])
+    P = np.zeros((len(rows), 4))
+    P[:, 1] = math.pi**2 * ri**2 / ri**3
+    P[:, 3] = math.pi**2 / ri**3
+    P = P @ shift
+    Q = (-2.0 * math.pi**2 / ri**2)[:, None] * shift[2, :3]
 
-    Ppoly = shift_poly(np.array([0.0, math.pi**2 * ri**2, 0.0, math.pi**2]) / ri**3)
-    Qpoly = shift_poly(np.array([0.0, 0.0, -2.0 * math.pi**2]) / ri**2)
-
-    k_max = (q - 1) + 3
-    sigma_i = (ri - mid) / h
-    sigma_plus = -(ri + mid) / h  # ln(s + r_i) = ln h + ln|sigma - sigma_plus|
-    lo, hi = -1.0, 1.0
-    mom_log_minus = _log_moments(k_max, lo, hi, sigma_i)
-    mom_log_plus = _log_moments(k_max, lo, hi, sigma_plus)
-    mom_plain = _plain_moments(k_max, lo, hi)
-
-    weights = np.zeros(q)
-    for j in range(q):
-        lag = Linv[:, j]
-        PL = np.polynomial.polynomial.polymul(Ppoly, lag)
-        QL = np.polynomial.polynomial.polymul(Qpoly, lag)
-        kP = len(PL)
-        kQ = len(QL)
-        # ln h terms cancel between ln(s + r_i) and ln|s - r_i|
-        val = PL @ (mom_log_plus[:kP] - mom_log_minus[:kP]) + QL @ mom_plain[:kQ]
-        weights[j] = h * val
-    return weights
+    # ln(s + r_i) = ln h + ln|sigma - sigma_+| with sigma_+ = -(r_i + mid)/h;
+    # the ln h terms cancel against ln|s - r_i| = ln h + ln|sigma - sigma_i|
+    centres = np.stack([-(ri + mid) / h, (ri - mid) / h])
+    mom_plus, mom_minus = _log_moments(q + 2, -1.0, 1.0, centres)
+    hankel = n[:, None] + np.arange(q)[None, :]  # (P L_j)_k pairs P_a with L_b at k = a + b
+    G = (np.einsum("ra,rab->rb", P, (mom_plus - mom_minus)[:, hankel])
+         + Q @ _plain_moments(q + 1, -1.0, 1.0)[hankel[:3]])
+    return h * G @ Linv
 
 
 def _build_conv_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
@@ -250,13 +240,10 @@ def _build_conv_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
         K = _kernel_closed_n5a4(r[:, None], r[None, :])
         np.fill_diagonal(K, 0.0)
         C = K * (grid.w1 * r ** (N - 1))[None, :]
-        n_cells = len(grid.edges) - 1
-        for i in range(grid.M):
-            ci = int(grid.node_cell[i])
-            for cell in range(max(0, ci - _NEAR_CELL_REACH),
-                              min(n_cells, ci + _NEAR_CELL_REACH + 1)):
-                cols = np.flatnonzero(grid.node_cell == cell)
-                C[i, cols] = _near_cell_weights(grid, i, cell)
+        for cell in range(len(grid.edges) - 1):
+            cols = np.flatnonzero(grid.node_cell == cell)
+            rows = np.flatnonzero(np.abs(grid.node_cell - cell) <= _NEAR_CELL_REACH)
+            C[np.ix_(rows, cols)] = _near_cell_block(grid, cell, rows)
         return C
     if alpha >= N - 1:
         raise ParameterError(
@@ -274,7 +261,7 @@ def _kernel_table_generic(N: int, alpha: float, r: np.ndarray, s: np.ndarray) ->
     Accumulated node by node so peak memory stays at one (len(r), len(s))
     block.
     """
-    u, wu = np.polynomial.legendre.leggauss(96)
+    u, wu = _gauss_legendre(96)
     u = 0.5 * math.sqrt(2.0) * (u + 1.0)
     wu = 0.5 * math.sqrt(2.0) * wu
     t = 1.0 - u * u
@@ -300,7 +287,7 @@ class AngularKernel:
 
     alpha: float
     N: int
-    grid: RadialGrid
+    scale_factor: float  # of the grid the tables were built for
     K: np.ndarray        # raw kernel table (diagonal inf at alpha = N - 1)
     C: np.ndarray        # nodal convolution weights
     energy: np.ndarray   # symmetric matrix E with D_alpha(f, g) = f^T E g
@@ -320,9 +307,9 @@ def kernel_for(grid: RadialGrid, alpha: float = 4.0) -> AngularKernel:
         return grid._cache[key]
     if grid.parent is not None and key in grid.parent._cache:
         base: AngularKernel = grid.parent._cache[key]
-        c = grid.scale_factor / base.grid.scale_factor
+        c = grid.scale_factor / base.scale_factor
         kern = AngularKernel(
-            alpha=alpha, N=grid.N, grid=grid,
+            alpha=alpha, N=grid.N, scale_factor=grid.scale_factor,
             K=base.K * c ** (-alpha),
             C=base.C * c ** (grid.N - alpha),
             energy=base.energy * c ** (2 * grid.N - alpha),
@@ -337,13 +324,14 @@ def kernel_for(grid: RadialGrid, alpha: float = 4.0) -> AngularKernel:
     K = _kernel_closed_n5a4(r[:, None], r[None, :]) if (grid.N == 5 and alpha == 4.0) else (
         C / (grid.w1 * r ** (grid.N - 1))[None, :]
     )
-    kern = AngularKernel(alpha=alpha, N=grid.N, grid=grid, K=K, C=C, energy=E)
+    kern = AngularKernel(alpha=alpha, N=grid.N, scale_factor=grid.scale_factor,
+                         K=K, C=C, energy=E)
     grid._cache[key] = kern
     if grid.parent is not None and key not in grid.parent._cache:
         # seed the parent so sibling scaled grids can reuse the build
         c = grid.scale_factor / grid.parent.scale_factor
         grid.parent._cache[key] = AngularKernel(
-            alpha=alpha, N=grid.N, grid=grid.parent,
+            alpha=alpha, N=grid.N, scale_factor=grid.parent.scale_factor,
             K=kern.K * c**alpha,
             C=kern.C * c ** (alpha - grid.N),
             energy=kern.energy * c ** (alpha - 2 * grid.N),
@@ -356,9 +344,7 @@ def _tail_in_vector(grid: RadialGrid, alpha: float, p_tail: float, c_tail: float
     N = grid.N
     if p_tail + alpha <= N:
         raise DivergenceError("source tail too slow for the Riesz convolution")
-    x, wx = np.polynomial.legendre.leggauss(32)
-    x = 0.5 * (x + 1.0)
-    wx = 0.5 * wx
+    x, wx = _tail_rule(_TAIL_NODES)
     s = grid.R_max / x
     ds = grid.R_max / x**2
     if N == 5 and alpha == 4.0:

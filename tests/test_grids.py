@@ -20,6 +20,7 @@ from hartreekit import (
     make_grid,
     sphere_area,
 )
+from hartreekit.grids import _TAIL_NODES, _gauss_legendre, _tail_rule, _theta_rule
 
 # frozen oracle values (30-digit Gamma/quadrature evaluation)
 INT_INV_TEN = 0.96894614625936938       # int (1+r^2)^-5 over R^5 = pi^3/32
@@ -196,3 +197,25 @@ def test_offset_fn_rejects_negative_offset(grid):
     prof = from_callable(grid, lambda r: np.exp(-(r**2)))
     with pytest.raises(ParameterError):
         OffsetFn(prof, -1.0)
+
+
+def test_quadrature_rules_are_memoized_read_only():
+    t, a = _theta_rule(5, 64)
+    again = _theta_rule(5, 64)
+    assert again[0] is t and again[1] is a
+    for arr in (t, a, *_tail_rule(_TAIL_NODES), *_gauss_legendre(5)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_overlap_quadrature_repeats_bit_for_bit(grid):
+    f = from_callable(grid, lambda r: (1.0 + r**2) ** -1.5, p_tail=3.0, c_tail=1.0)
+    g = from_callable(grid, lambda r: np.exp(-(r**2)))
+
+    def run():
+        return (bicenter_integral(f, g, 2.0), bicenter_integral(g, f, 0.7),
+                axis_moment_integrals(OffsetFn(f, 2.0), 0.3))
+
+    first = run()
+    assert run() == first

@@ -1,5 +1,8 @@
+import gc
 import math
+import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from hartreekit import (
     sobolev_constant,
     sphere_area,
 )
-from hartreekit.riesz import double_energy_info
+from hartreekit.riesz import _log_moments, double_energy_info
 
 # frozen oracles (30-digit evaluation of the Gamma-function formulas)
 HLS_5_4 = 15.601260714755495     # pi^(12/5)
@@ -220,3 +223,67 @@ def test_generic_dimension_kernel_path():
     assert abs(dirichlet_seminorm(U6) - t6.s_hl_sq) <= 1e-2 * t6.s_hl_sq
     assert abs(double_energy(U6.squared(), U6.squared()) - t6.s_hl_sq) \
         <= 1e-2 * t6.s_hl_sq
+
+
+def _k4_mp(r, s):
+    """K_4(r, s) in closed form (N = 5), evaluated in mpmath arithmetic."""
+    return mp.pi**2 * ((r**2 + s**2) * mp.log((r + s) / abs(r - s)) - 2 * r * s) / (r**3 * s**3)
+
+
+@pytest.mark.parametrize("where", ["first", "mid", "last"])
+def test_near_cell_weights_against_mpmath(grid, where):
+    # each row of the cell applies its product-integration weights to a
+    # polynomial of degree q - 1 on every near cell; the oracle is an adaptive
+    # mpmath quadrature of K_4(r_i, s) s^4 f(s), split at s = r_i
+    n_cells = len(grid.edges) - 1
+    cell = {"first": 0, "mid": n_cells // 2, "last": n_cells - 1}[where]
+    C = kernel_for(grid, 4.0).C
+    with mp.workdps(30):
+        for i in np.flatnonzero(grid.node_cell == cell):
+            ri = mp.mpf(grid.r[i])
+            for near in range(max(cell - 1, 0), min(cell + 2, n_cells)):
+                cols = np.flatnonzero(grid.node_cell == near)
+                lo, hi = grid.edges[near], grid.edges[near + 1]
+
+                def f(s, q=len(cols)):
+                    return sum(s**d for d in range(q))
+
+                pts = [lo, ri, hi] if lo < grid.r[i] < hi else [lo, hi]
+                exact = float(mp.quad(lambda s: _k4_mp(ri, s) * s**4 * f(s), pts))
+                got = C[i, cols] @ f(grid.r[cols])
+                assert abs(got - exact) <= 1e-10 * abs(exact), (i, near)
+
+
+def test_log_moments_against_mpmath():
+    # one vectorized call over both branches (series for |c| > 3); the exact
+    # branch shifts the (sigma - c)^m moments by c^(k-m), which costs about
+    # log10(3^k) digits at |c| = 3, hence the 5e-9 bound at k = 8
+    centres = np.array([0.0, 1.0, -1.0, 2.999, 3.0, 3.001, -7.0, 40.0])
+    k_max = 8
+    got = _log_moments(k_max, -1.0, 1.0, centres)
+    assert got.shape == (len(centres), k_max + 1)
+    with mp.workdps(30):
+        for c, row in zip(centres, got):
+            pts = [-1, c, 1] if abs(c) < 1 else [-1, 1]
+            for k in range(k_max + 1):
+                exact = float(mp.quad(lambda s: s**k * mp.log(abs(s - c)), pts))
+                assert abs(row[k] - exact) <= 5e-9 * abs(exact) + 1e-15, (c, k)
+    assert np.array_equal(_log_moments(k_max, -1.0, 1.0, 40.0), got[-1])
+
+
+@pytest.mark.parametrize("child_first", [False, True])
+def test_kernel_tables_free_with_their_grid(child_first):
+    # the tables must not point back at the grid that caches them, or every
+    # grid with tables waits for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        base = make_grid(5, 40, 10.0, 1.02)
+        child = base.scaled(2.0)
+        for g in ((child, base) if child_first else (base, child)):
+            kernel_for(g, 4.0)
+        refs = [weakref.ref(base), weakref.ref(child)]
+        del base, child, g
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
