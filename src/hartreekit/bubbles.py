@@ -24,7 +24,7 @@ just above the coupled ground level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -281,6 +281,7 @@ class TrialProfile:
     cbar: float
     inner_scale: float         # dilation of the truncated bubble core
     moll_width: float
+    _squares: dict = field(default_factory=dict, init=False, repr=False)  # delta -> square
 
     @property
     def grid(self) -> RadialGrid:
@@ -288,6 +289,19 @@ class TrialProfile:
 
     def member(self, delta: float, rho: float) -> OffsetFn:
         return trial_member(self, delta, rho)
+
+    def member_square(self, delta: float) -> RadialFn:
+        """Square of the member profile at dilation delta, memoized per delta.
+
+        The square does not depend on the offset, so every offset at one
+        dilation shares this object and the spline it builds on first
+        evaluation.  Only squares are kept: a memoized member or pair would
+        also keep the kernel tables that energies build on its grid.
+        """
+        key = float(delta)
+        if key not in self._squares:
+            self._squares[key] = trial_member(self, key, 0.0).profile.squared()
+        return self._squares[key]
 
     def to_csv(self, path):
         arr = np.column_stack([self.grid.r, self.profile.values])

@@ -271,8 +271,10 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
     the shift-free projected energy below cbar on the whole boundary.  Each
     candidate (rbar, delta2) combination is verified on the same dense
     boundary lattice that the final report carries, so an accepted region is
-    consistent with its own evidence.  kappa (region supremum) is then
-    compared against the scalar-level threshold.
+    consistent with its own evidence.  Each face test stops at its first
+    failing sample; the recorded lattice (three boundary faces plus the
+    interior) is still evaluated in full once a region is accepted.  kappa
+    (region supremum) is then compared against the scalar-level threshold.
     """
     if spec is None:
         spec = ScanSpec()
@@ -298,15 +300,21 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
             cache[key] = _member_maps(profile, prob, cc, float(d), float(rho))
         return cache[key]
 
+    def below(g):
+        return g < 0.5 - spec.gamma_margin
+
+    def above(g):
+        return g > 0.5 + spec.gamma_margin
+
+    def face_ok(d, rhos, gamma_ok):
+        # lazy: stops at the first sample that fails either constraint
+        return all(gamma_ok(g) and e0 < cap
+                   for g, *_, e0, _ in (maps(d, rho) for rho in rhos))
+
     # inner dilation face: gamma < 1/2 and energy < cbar for every probed offset
     delta1 = None
     for d in spec.delta1_candidates:
-        if d >= 0.5:
-            continue
-        rows = [maps(d, rho) for rho in spec.y_probe]
-        if all(g < 0.5 - spec.gamma_margin for g, *_ in rows) and all(
-            e0 < cap for *_, e0, _ in rows
-        ):
+        if d < 0.5 and face_ok(d, spec.y_probe, below):
             delta1 = d
             break
     if delta1 is None:
@@ -321,30 +329,17 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
         ds = np.geomspace(delta1, d2, nb)
         return all(maps(d, rb)[4] < cap for d in ds)
 
-    def outer_face_ok(rb, d2):
-        rhos = np.linspace(0.0, rb * 0.999, nb)
-        rows = [maps(d2, rho) for rho in rhos]
-        return all(g > 0.5 + spec.gamma_margin for g, *_ in rows) and all(
-            e0 < cap for *_, e0, _ in rows
-        )
-
-    def inner_face_ok(rb):
-        rhos = np.linspace(0.0, rb * 0.999, nb)
-        rows = [maps(delta1, rho) for rho in rhos]
-        return all(g < 0.5 - spec.gamma_margin for g, *_ in rows) and all(
-            e0 < cap for *_, e0, _ in rows
-        )
-
     rbar = delta2 = None
     for rb in rbar_candidates:
         rb = float(rb)
-        if not inner_face_ok(rb):
+        rhos = np.linspace(0.0, rb * 0.999, nb)
+        if not face_ok(delta1, rhos, below):
             continue
         d2_found = None
         for d2 in spec.delta2_candidates:
             if d2 <= 0.5:
                 continue
-            if outer_face_ok(rb, float(d2)):
+            if face_ok(float(d2), rhos, above):
                 d2_found = float(d2)
                 break
         if d2_found is None:
@@ -658,10 +653,9 @@ def _check_potential_vanishing(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("4.4", "potential mass of the trial family vanishes in all "
                              "three parameter limits")
     prof = ctx.profile
-    cc = ctx.cc
 
     def pot_mass(delta, rho):
-        sq = prof.member(delta, rho).profile.squared()
+        sq = prof.member_square(delta)
         out = 0.0
         for V in (ctx.prob.V1, ctx.prob.V2):
             if V is not None:

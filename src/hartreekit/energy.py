@@ -201,12 +201,14 @@ def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
 
     Both follow from the profile's certified energy equality and the exact
     dilation covariances: the Dirichlet and double energies of every member
-    equal the profile's, and the L^2 mass scales as delta^2.
+    equal the profile's, and the L^2 mass scales as delta^2.  The member's
+    square comes from the profile's per-delta memo.
     """
-    member = profile.member(delta, rho)
+    if rho < 0:
+        raise ParameterError(f"offset must be >= 0, got {rho}")
+    sq = profile.member_square(delta)
     E = profile.energy
     ksum = cc.k_sum
-    sq = member.profile.squared()
     P = 0.0
     for k, V in ((cc.k1, prob.V1), (cc.k2, prob.V2)):
         if V is not None:

@@ -15,7 +15,8 @@ from hartreekit import (
     scan_region,
     verify_lemma,
 )
-from hartreekit.checks import CHECK_IDS, limit_trend
+from hartreekit import checks
+from hartreekit.checks import CHECK_IDS, ScanSpec, limit_trend
 
 
 def make_problem(grid, v0, lam=0.1):
@@ -152,6 +153,107 @@ def test_scan_negative_control_shrunken_radius(trial_profile, problem, scan):
     # a radius below the certified one must fail the boundary constraints
     bad = scan_region(trial_profile, problem, rbar_override=scan.rbar / 16.0)
     assert not bad.found
+
+
+def eager_scan(profile, prob, spec=None, rbar_override=None):
+    """Reference region scan: every face test evaluates all its rows, then decides."""
+    spec = spec or ScanSpec()
+    cc = profile.cc
+    cap = profile.cbar - spec.energy_margin * (profile.cbar - cc.c_inf)
+    nb = spec.boundary_samples
+    cache = {}
+
+    def maps(d, rho):
+        key = (round(float(d), 12), round(float(rho), 12))
+        if key not in cache:
+            cache[key] = checks._member_maps(profile, prob, cc, float(d), float(rho))
+        return cache[key]
+
+    def face_ok(d, rhos, lo):
+        rows = [maps(d, rho) for rho in rhos]
+        side = [g < 0.5 - spec.gamma_margin if lo else g > 0.5 + spec.gamma_margin
+                for g, *_ in rows]
+        return all(side) and all([e0 < cap for *_, e0, _ in rows])
+
+    out = {"found": False, "delta1": math.nan, "delta2": math.nan, "rbar": math.nan,
+           "kappa": math.nan, "rows": []}
+    delta1 = next((d for d in spec.delta1_candidates
+                   if d < 0.5 and face_ok(d, spec.y_probe, True)), None)
+    if delta1 is None:
+        return dict(out, failure="no inner dilation face with concentration below 1/2")
+    out["delta1"] = delta1
+    for rb in ((rbar_override,) if rbar_override is not None else spec.rbar_candidates):
+        rb = float(rb)
+        rhos = np.linspace(0.0, rb * 0.999, nb)
+        if not face_ok(delta1, rhos, True):
+            continue
+        d2 = next((float(d) for d in spec.delta2_candidates
+                   if d > 0.5 and face_ok(float(d), rhos, False)), None)
+        if d2 is None:
+            continue
+        if all([maps(d, rb)[4] < cap for d in np.geomspace(delta1, d2, nb)]):
+            break
+    else:
+        return dict(out, failure="no (radius, outer dilation) combination satisfies "
+                                 "the boundary constraints on the dense lattice")
+    lattice = [(piece, d, rho) for rho in np.linspace(0.0, rb * 0.999, nb)
+               for piece, d in (("inner_face", delta1), ("outer_face", d2))]
+    lattice += [("offset_face", d, rb) for d in np.geomspace(delta1, d2, nb)]
+    lattice += [("interior", d, rho) for d in np.geomspace(delta1, d2, spec.interior_delta_samples)
+                for rho in np.linspace(0.0, rb * 0.98, spec.interior_y_samples)]
+    names = ("gamma", "xi_axial", "t0", "t_lam", "i0_hat", "i_tilde")
+    rows = [dict(piece=piece, delta=float(d), rho=float(rho), **dict(zip(names, maps(d, rho))))
+            for piece, d, rho in lattice]
+    boundary = max(r["i0_hat"] for r in rows if r["piece"] != "interior")
+    return dict(out, found=boundary < profile.cbar, delta2=d2, rbar=rb, rows=rows,
+                kappa=max(r["i0_hat"] for r in rows),
+                failure="" if boundary < profile.cbar
+                else "boundary energy cap violated on the sampled lattice")
+
+
+@pytest.fixture
+def count_maps(monkeypatch):
+    calls = []
+    inner = checks._member_maps
+
+    def counted(*args):
+        calls.append(args[3:])
+        return inner(*args)
+
+    monkeypatch.setattr(checks, "_member_maps", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shrink", [None, 16.0])
+def test_scan_matches_the_eager_reference(trial_profile, problem, scan, count_maps, shrink):
+    # the default spec and the shrunken-radius negative control
+    rbar = None if shrink is None else scan.rbar / shrink
+    lazy = scan_region(trial_profile, problem, rbar_override=rbar)
+    lazy_maps = len(count_maps)
+    ref = eager_scan(trial_profile, problem, rbar_override=rbar)
+    assert (lazy.found, lazy.failure) == (ref["found"], ref["failure"])
+    for key in ("delta1", "delta2", "rbar", "kappa"):
+        assert repr(getattr(lazy, key)) == repr(ref[key]), key
+    assert lazy.samples.rows == ref["rows"]
+    assert lazy.found == (shrink is None)
+    # the early stop evaluates fewer members than the eager reference; the
+    # default scan records 131 samples from at most 270 maps (722 when eager)
+    assert lazy_maps < len(count_maps) - lazy_maps
+    if shrink is None:
+        assert len(lazy.samples.rows) == 131 and lazy_maps <= 270
+
+
+def test_scan_face_test_stops_at_its_first_failing_sample(trial_profile, problem,
+                                                          count_maps):
+    # no concentration can sit below 1/2 - 1/2, so each inner-face candidate
+    # fails at its first probed offset and costs exactly one member map
+    spec = ScanSpec(delta1_candidates=(0.4, 0.3), gamma_margin=0.5)
+    lazy = scan_region(trial_profile, problem, spec)
+    assert not lazy.found
+    assert count_maps == [(0.4, 0.0), (0.3, 0.0)]
+    ref = eager_scan(trial_profile, problem, spec)
+    assert ref["failure"] == lazy.failure
+    assert len(count_maps) == 2 + 2 * len(spec.y_probe)
 
 
 def test_homotopy_clearances(scan):

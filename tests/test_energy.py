@@ -1,3 +1,8 @@
+import dataclasses
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from hartreekit import (
     RadialFn,
     barycenter,
     barycenter_axis_sign,
+    bicenter_integral,
     energy_I,
     energy_I0,
     energy_I_infty,
@@ -18,8 +24,10 @@ from hartreekit import (
     ground_pair,
     nehari_project,
     pohozaev_residual,
+    trial_member,
     trial_pair,
     trial_projection_scalars,
+    verify_lemma,
     weak_residual,
 )
 
@@ -275,3 +283,61 @@ def test_axis_moments_divergent_profile_rejected(grid):
     slow = from_callable(grid, lambda r: (1.0 + r) ** -1.2, p_tail=1.2, c_tail=1.0)
     with pytest.raises(DivergenceError):
         axis_moment_integrals(OffsetFn(slow, 1.0), 0.0)
+
+
+def test_member_square_is_memoized_per_delta(trial_profile, cc, problem):
+    # both offsets at one dilation read the same square and its one spline
+    d = 2.5
+    trial_projection_scalars(trial_profile, d, 1.0, problem, cc)
+    sq = trial_profile.member_square(d)
+    spline = sq._cache["spline"]
+    trial_projection_scalars(trial_profile, d, 3.0, problem, cc)
+    assert trial_profile.member_square(d) is sq
+    assert sq._cache["spline"] is spline
+    assert trial_profile.member_square(np.float64(d)) is sq
+
+
+@pytest.mark.parametrize("delta, rho", [(0.4, 0.0), (0.4, 1.3), (37.0, 2.0)])
+def test_trial_projection_scalars_match_a_fresh_square(trial_profile, cc, problem,
+                                                       delta, rho):
+    sq = trial_member(trial_profile, delta, rho).profile.squared()
+    P = sum(k * bicenter_integral(V, sq, rho)
+            for k, V in ((cc.k1, problem.V1), (cc.k2, problem.V2)))
+    lam_term = ((cc.k1 * problem.lam1 + cc.k2 * problem.lam2)
+                * delta**2 * trial_profile.l2_mass)
+    ksum_E = cc.k_sum * trial_profile.energy
+    expected = (math.sqrt(1.0 + P / ksum_E), math.sqrt(1.0 + (P + lam_term) / ksum_E))
+    assert trial_projection_scalars(trial_profile, delta, rho, problem, cc) == expected
+
+
+def test_trial_projection_scalars_reject_negative_offset(trial_profile, cc, problem):
+    with pytest.raises(ParameterError):
+        trial_projection_scalars(trial_profile, 1.0, -0.5, problem, cc)
+
+
+def test_member_square_memo_holds_no_kernel_tables(context, trial_profile):
+    # the memo keeps squares only; a memoized grid with kernel tables would
+    # keep 2.5 MB per dilation alive with the profile
+    fresh = dataclasses.replace(trial_profile)
+    ctx = dataclasses.replace(context, profile=fresh, scan=None)
+    for cid in ("4.4", "5.1", "5.2"):
+        assert verify_lemma(cid, ctx).passed
+    assert fresh._squares
+    kernel_keys = [k for sq in fresh._squares.values() for k in sq.grid._cache
+                   if isinstance(k, tuple) and k[0] == "kernel"]
+    assert kernel_keys == []
+
+
+def test_member_square_memo_frees_with_its_profile(trial_profile):
+    gc.collect()
+    gc.disable()
+    try:
+        prof = dataclasses.replace(trial_profile)
+        sq = prof.member_square(3.0)
+        sq(np.array([0.5, 1.5]))  # builds the spline the memo carries
+        assert "spline" in sq._cache
+        refs = [weakref.ref(prof), weakref.ref(sq), weakref.ref(sq.grid)]
+        del prof, sq
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
