@@ -564,8 +564,7 @@ def _check_projection_ordering(ctx: VerifyContext) -> LemmaReport:
         u = RadialFn(grid, a1 * np.exp(-((grid.r / w1) ** 2)))
         v = RadialFn(grid, a2 * np.exp(-((grid.r / w2) ** 2)))
         pair = Pair(u, v)
-        tau, _ = nehari_project(pair, Problem(N=grid.N, mu1=ctx.cc.mu1,
-                                              mu2=ctx.cc.mu2, beta=ctx.cc.beta))
+        tau, _ = nehari_project(pair, Problem.limit(grid.N, ctx.cc))
         t, _ = nehari_project(pair, ctx.prob)
         if tau > t * (1.0 + 1e-14):
             violations += 1
@@ -583,7 +582,7 @@ def _check_projection_ordering(ctx: VerifyContext) -> LemmaReport:
 def _check_dilation_identity(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("2.5", "dilation identity forces zero shift-mass for solutions")
     grid = ctx.grid
-    free = Problem(N=grid.N, mu1=ctx.cc.mu1, mu2=ctx.cc.mu2, beta=ctx.cc.beta)
+    free = Problem.limit(grid.N, ctx.cc)
     gp = ground_pair(1.0, 0.0, ctx.cc, grid)
     lam_mass, gap = pohozaev_residual(gp, free)
     rep.require("identity gap at the limit ground state", gap, tol=ctx.tol(1e-3))

@@ -122,13 +122,22 @@ _REPORT_KEYS = {
 }
 
 
+def _read(sec, key, cast):
+    """sec[key] cast to its type; a value that does not cast is a config error."""
+    try:
+        return cast(sec[key])
+    except (ValueError, configparser.Error) as exc:
+        raise ParameterError(f"[{sec.name}] {key}: cannot read {sec.get(key, raw=True)!r} "
+                             f"as {cast.__name__}") from exc
+
+
 def _potential_from_section(sec, prefix) -> PotentialSpec:
     kw = {}
     for key, cast in (("family", str), ("v0", float), ("s", float), ("path", str),
                       ("tail_exponent", float), ("tail_coeff", float)):
         k = f"{prefix}.{key}"
         if k in sec:
-            kw[key] = cast(sec[k])
+            kw[key] = _read(sec, k, cast)
     return PotentialSpec(**kw)
 
 
@@ -142,8 +151,8 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise FileNotFoundError(f"config file not found: {p}")
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(p.read_text())
-    except configparser.Error as exc:
+        parser.read_string(p.read_text(encoding="utf-8"))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ParameterError(f"malformed config {p}: {exc}") from exc
 
     kw = {}
@@ -151,23 +160,23 @@ def load_config(path: str | Path | None) -> RunConfig:
         sec = parser["problem"]
         for key, (attr, cast) in _MAIN_KEYS.items():
             if key in sec:
-                kw[attr] = cast(sec[key])
+                kw[attr] = _read(sec, key, cast)
         kw["v1"] = _potential_from_section(sec, "v1")
         kw["v2"] = _potential_from_section(sec, "v2")
     if parser.has_section("grid"):
         sec = parser["grid"]
         for key, (attr, cast) in _GRID_KEYS.items():
             if key in sec:
-                kw[attr] = cast(sec[key])
+                kw[attr] = _read(sec, key, cast)
     if parser.has_section("flow"):
         sec = parser["flow"]
-        fkw = {k: c(sec[k]) for k, c in _FLOW_KEYS.items() if k in sec}
+        fkw = {k: _read(sec, k, c) for k, c in _FLOW_KEYS.items() if k in sec}
         kw["flow"] = FlowConfig(**fkw)
     if parser.has_section("report"):
         sec = parser["report"]
         for key, (attr, cast) in _REPORT_KEYS.items():
             if key in sec:
-                kw[attr] = cast(sec[key])
+                kw[attr] = _read(sec, key, cast)
     out = replace(cfg, **kw)
     if out.convention not in ("A3", "C3"):
         raise ParameterError(f"convention must be A3 or C3, got {out.convention}")

@@ -10,9 +10,11 @@ the Nehari set (kinetic + potential = nonlocal sum) the value reduces to a
 quarter of the quadratic part, which is what every level computation here
 exploits.
 
-Weak pairings are evaluated through the nodal residual field
-R_u = (A u + W ((V1 + lam1) u - RHS_u)) / W, so that discrete critical
-points have machine-zero residuals by construction and discretized
+Weak pairings are evaluated through the pointwise residual field
+R_u = -L u + (V1 + lam1) u - RHS_u, with L the collocation Laplacian of the
+grid, which can be interpolated and integrated against translated test
+bumps.  The ground-state flow's fixed point satisfies the same collocation
+equation, so converged flows report near-machine residuals and discretized
 continuum solutions expose only their truncation error.
 """
 
@@ -83,6 +85,11 @@ class Problem:
             if np.any(V.values < 0) or V.c_tail < 0:
                 raise ParameterError(f"{tag} must be nonnegative")
             lp_norm(V, self.N / 2.0)  # raises DivergenceError if not L^{N/2}
+
+    @classmethod
+    def limit(cls, N: int, cc: CouplingConstants) -> "Problem":
+        """The limit system of cc's couplings: no potentials, no mass shifts."""
+        return cls(N=N, mu1=cc.mu1, mu2=cc.mu2, beta=cc.beta)
 
     @property
     def lam(self) -> float:
@@ -173,8 +180,7 @@ def energy_I(p: Pair, prob: Problem) -> EnergyBreakdown:
 
 def energy_I_infty(p: Pair, cc: CouplingConstants) -> EnergyBreakdown:
     """Limit functional: no potentials, no mass shifts."""
-    prob = Problem(N=p.grid.N, mu1=cc.mu1, mu2=cc.mu2, beta=cc.beta)
-    return energy_I(p, prob)
+    return energy_I(p, Problem.limit(p.grid.N, cc))
 
 
 def energy_I0(p: Pair, prob: Problem) -> EnergyBreakdown:
@@ -313,41 +319,26 @@ def _nodal_potential(V, grid):
     return V.values if V.grid is grid else V(grid.r)
 
 
-def _strong_laplacian(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Pointwise radial Laplacian u'' + (N-1) u'/r via direct collocation stencils."""
-    return grid.laplacian_matrix() @ values
+def residual_fields(p: Pair, prob: Problem):
+    """Pointwise nodal residuals (R_u, R_v) of the coupled system at a centered pair.
 
-
-def residual_fields(p: Pair, prob: Problem, strong: bool = False):
-    """Nodal residuals (R_u, R_v) of the coupled system at a centered pair.
-
-    Default uses the quadratic-form row (A u) / W, whose pairings against
-    nodal test vectors vanish identically at discrete critical points; the
-    entries are meaningful only under the volume weights.  strong=True swaps
-    in the pointwise Laplacian, giving a field that can be interpolated and
-    integrated against translated test functions.
+    The Laplacian is the grid's collocation matrix, so the fields can be
+    interpolated and integrated against translated test functions.
     """
     if p.offset != 0.0:
         raise ParameterError("residual fields are defined for centered pairs")
     u, v = p.components()
     grid = u.grid
-    W = grid.w
-    kern = kernel_for(grid, 4.0)
+    kern = kernel_for(grid)
+    L = grid.laplacian_matrix()
     up = u.positive()
     vp = v.positive()
     conv_u2 = kern.convolve_values(up.squared().values)
     conv_v2 = kern.convolve_values(vp.squared().values)
     rhs_u = prob.mu1 * conv_u2 * up.values + prob.beta * conv_v2 * up.values
     rhs_v = prob.mu2 * conv_v2 * vp.values + prob.beta * conv_u2 * vp.values
-    if strong:
-        lap_u = -_strong_laplacian(grid, u.values)
-        lap_v = -_strong_laplacian(grid, v.values)
-    else:
-        A = grid.stiffness()
-        lap_u = (A @ u.values) / W
-        lap_v = (A @ v.values) / W
-    res_u = lap_u + (_nodal_potential(prob.V1, grid) + prob.lam1) * u.values - rhs_u
-    res_v = lap_v + (_nodal_potential(prob.V2, grid) + prob.lam2) * v.values - rhs_v
+    res_u = -(L @ u.values) + (_nodal_potential(prob.V1, grid) + prob.lam1) * u.values - rhs_u
+    res_v = -(L @ v.values) + (_nodal_potential(prob.V2, grid) + prob.lam2) * v.values - rhs_v
     return RadialFn(grid, res_u), RadialFn(grid, res_v)
 
 
@@ -398,7 +389,7 @@ def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float
         bumps = p.grid._cache[key]
     else:
         bumps = _with_norms(test_set)
-    res_u_s, res_v_s = residual_fields(p, prob, strong=True)
+    res_u, res_v = residual_fields(p, prob)
     u, v = p.components()
 
     norm_p_sq = dirichlet_seminorm(u) + dirichlet_seminorm(v)
@@ -412,8 +403,8 @@ def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float
 
     worst = 0.0
     for phi, base, mass in bumps:
-        pair_u = bicenter_integral(res_u_s, phi.profile, phi.rho)
-        pair_v = bicenter_integral(res_v_s, phi.profile, phi.rho)
+        pair_u = bicenter_integral(res_u, phi.profile, phi.rho)
+        pair_v = bicenter_integral(res_v, phi.profile, phi.rho)
         nrm1 = math.sqrt(base + prob.lam1 * mass)
         nrm2 = math.sqrt(base + prob.lam2 * mass)
         for val, nrm in ((pair_u, nrm1), (pair_v, nrm2)):

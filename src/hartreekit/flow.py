@@ -3,11 +3,11 @@
 The limit system has no potentials; restricted to its Nehari set the
 functional equals a quarter of the Dirichlet norm, so the coupled ground
 state is the constrained minimizer and projected descent is the natural
-solver.  Each step preconditions the gradient with the (pinned) stiffness
-matrix, clamps negative values, rescales back onto the Nehari set, and
-backtracks on the energy.  The dilation zero mode is re-gauged to unit
-scale every few dozen iterations so the iterate cannot drift below grid
-resolution.
+solver.  Each step is a damped Picard step that solves with the collocation
+Laplacian (outermost node pinned to zero), clamps negative values, rescales
+back onto the Nehari set, and backtracks on the energy.  The dilation zero
+mode is re-gauged to unit scale every few dozen iterations so the iterate
+cannot drift below grid resolution.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ class FlowConfig:
             raise ParameterError("step size must be positive")
         if self.residual_tolerance <= 0:
             raise ParameterError("residual tolerance must be positive")
+        if self.start not in ("gaussian", "bubble"):
+            raise ParameterError(f"start must be gaussian or bubble, got {self.start!r}")
+        for name in ("max_iterations", "check_every", "recenter_every"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -183,10 +188,6 @@ def _rescale_profile(grid: RadialGrid, values: np.ndarray, scale: float) -> np.n
     return out * scale ** ((grid.N - 2) / 2.0)
 
 
-def _limit_problem(cc: CouplingConstants, N: int) -> Problem:
-    return Problem(N=N, mu1=cc.mu1, mu2=cc.mu2, beta=cc.beta)
-
-
 def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
                              grid: RadialGrid) -> FlowDiagnostics:
     """Projected descent for the coupled limit ground state.
@@ -196,11 +197,11 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     is twice S_HL^2 / (4 mu).
     """
     N = grid.N
-    kern = kernel_for(grid, 4.0)
+    kern = kernel_for(grid)
     A = grid.stiffness()
     W = grid.w
     solve = _pinned_solver(grid)
-    prob = _limit_problem(cc, N)
+    prob = Problem.limit(N, cc)
 
     if cfg.start == "bubble":
         b = make_bubble(1.0, 0.0, grid)

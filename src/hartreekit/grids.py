@@ -100,24 +100,12 @@ class RadialGrid:
     def deriv_matrix(self) -> np.ndarray:
         """Nodal differentiation matrix (degree-4 local polynomial stencils).
 
-        Five-node sliding windows; one-sided at both ends.  Exact on
-        polynomials up to degree 4, so the derivative is 4th-order accurate
-        on smooth profiles.
+        Exact on polynomials up to degree 4, so the derivative is 4th-order
+        accurate on smooth profiles.
         """
         key = "deriv_matrix"
         if key not in self._cache:
-            r = self.r
-            M = len(r)
-            width = min(5, M)
-            D = np.zeros((M, M))
-            for i in range(M):
-                lo = min(max(i - width // 2, 0), M - width)
-                x = r[lo : lo + width] - r[i]
-                h = max(abs(x[0]), abs(x[-1]))
-                V = np.vander(x / h, width, increasing=True)
-                coeffs = np.linalg.solve(V.T, np.eye(width)[1])  # d/dx at 0
-                D[i, lo : lo + width] = coeffs / h
-            self._cache[key] = D
+            self._cache[key] = _stencil_matrix(self.r, 1)
         return self._cache[key]
 
     def stiffness(self) -> np.ndarray:
@@ -132,37 +120,37 @@ class RadialGrid:
             self._cache[key] = D.T @ (self.w[:, None] * D)
         return self._cache[key]
 
-    def second_deriv_matrix(self) -> np.ndarray:
-        """Nodal second-derivative matrix from the same 5-point polynomial fits.
-
-        Unlike the square of the first-derivative matrix, direct stencils keep
-        a large symbol at the grid's highest frequency, so the collocation
-        Laplacian built from this matrix is safely invertible.
-        """
-        key = "second_deriv_matrix"
-        if key not in self._cache:
-            r = self.r
-            M = len(r)
-            width = min(5, M)
-            D2 = np.zeros((M, M))
-            for i in range(M):
-                lo = min(max(i - width // 2, 0), M - width)
-                x = r[lo : lo + width] - r[i]
-                h = max(abs(x[0]), abs(x[-1]))
-                V = np.vander(x / h, width, increasing=True)
-                coeffs = np.linalg.solve(V.T, 2.0 * np.eye(width)[2])  # d2/dx2 at 0
-                D2[i, lo : lo + width] = coeffs / h**2
-            self._cache[key] = D2
-        return self._cache[key]
-
     def laplacian_matrix(self) -> np.ndarray:
-        """Radial Laplacian collocation matrix: u'' + (N-1) u'/r at the nodes."""
+        """Radial Laplacian collocation matrix: u'' + (N-1) u'/r at the nodes.
+
+        u'' comes from direct second-derivative stencils, not from the square
+        of the first-derivative matrix: they keep a large symbol at the grid's
+        highest frequency, so this matrix is safely invertible.
+        """
         key = "laplacian_matrix"
         if key not in self._cache:
-            D = self.deriv_matrix()
-            D2 = self.second_deriv_matrix()
-            self._cache[key] = D2 + (self.N - 1) / self.r[:, None] * D
+            D2 = _stencil_matrix(self.r, 2)
+            self._cache[key] = D2 + (self.N - 1) / self.r[:, None] * self.deriv_matrix()
         return self._cache[key]
+
+
+def _stencil_matrix(r: np.ndarray, k: int) -> np.ndarray:
+    """Nodal k-th derivative matrix from five-node polynomial fits.
+
+    Sliding windows centred on each node, one-sided at both ends; exact on
+    polynomials up to degree 4.
+    """
+    M = len(r)
+    width = min(5, M)
+    rhs = math.factorial(k) * np.eye(width)[k]  # d^k/dx^k at 0 of the monomials
+    D = np.zeros((M, M))
+    for i in range(M):
+        lo = min(max(i - width // 2, 0), M - width)
+        x = r[lo : lo + width] - r[i]
+        h = max(abs(x[0]), abs(x[-1]))
+        V = np.vander(x / h, width, increasing=True)
+        D[i, lo : lo + width] = np.linalg.solve(V.T, rhs) / h**k
+    return D
 
 
 def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:

@@ -1,11 +1,14 @@
 """Nonlocal engine: angular-averaged Riesz kernels and the double energy.
 
-For a radial density f the convolution (|x|^(-alpha) * f)(x) reduces to
+The system convolves with |x|^-4 in every dimension N >= 5 (the
+Hardy-Littlewood-Sobolev critical case, where u^2 is exactly the critical
+power), so every grid table here has that exponent.  For a radial density f
+the convolution (|x|^-4 * f)(x) reduces to
 
-    g(r) = int_0^inf K_alpha(r, s) s^(N-1) f(s) ds,
+    g(r) = int_0^inf K_4(r, s) s^(N-1) f(s) ds,
     K_alpha(r, s) = int_{S^{N-1}} |r e1 - s w|^(-alpha) dw.
 
-In the critical case alpha = 4, N = 5 the angular integral is elementary:
+For N = 5 the angular integral is elementary:
 
     K_4(r, s) = pi^2 [ (r^2 + s^2) ln((r+s)/|r-s|) - 2 r s ] / (r^3 s^3),
 
@@ -14,7 +17,8 @@ exactly the borderline where the angular average stops being finite at
 r = s).  The s-integral is still absolutely convergent; the quadrature
 matrix therefore treats the cells nearest the diagonal with exact
 log-weighted moments of the local polynomial interpolant instead of plain
-nodal weights.
+nodal weights.  `angular_kernel` and `hls_constant` keep a general alpha as
+pointwise oracles.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ __all__ = [
     "ConstantsTable",
 ]
 
+_ALPHA = 4.0  # the Riesz exponent of every grid table
 _NEAR_CELL_REACH = 1  # cells on each side of the diagonal handled by exact moments
 
 
@@ -232,35 +237,28 @@ def _near_cell_block(grid: RadialGrid, cell: int, rows: np.ndarray) -> np.ndarra
     return h * G @ Linv
 
 
-def _build_conv_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
-    """Matrix C with (C f)_i ~ int K_alpha(r_i, s) s^{N-1} f(s) ds."""
+def _build_conv_matrix(grid: RadialGrid) -> np.ndarray:
+    """Matrix C with (C f)_i ~ int K_4(r_i, s) s^{N-1} f(s) ds."""
     r = grid.r
-    N = grid.N
-    if N == 5 and alpha == 4.0:
-        K = _kernel_closed_n5a4(r[:, None], r[None, :])
-        np.fill_diagonal(K, 0.0)
-        C = K * (grid.w1 * r ** (N - 1))[None, :]
+    C = _kernel_table(grid.N, r, r) * (grid.w1 * r ** (grid.N - 1))[None, :]
+    if grid.N == 5:
+        # the log-singular diagonal (inf in the table) and its neighbours
         for cell in range(len(grid.edges) - 1):
             cols = np.flatnonzero(grid.node_cell == cell)
             rows = np.flatnonzero(np.abs(grid.node_cell - cell) <= _NEAR_CELL_REACH)
             C[np.ix_(rows, cols)] = _near_cell_block(grid, cell, rows)
-        return C
-    if alpha >= N - 1:
-        raise ParameterError(
-            f"kernel tables require alpha < N - 1 away from the critical pair "
-            f"(N=5, alpha=4); got N={N}, alpha={alpha}"
-        )
-    # regular diagonal: fixed high-order rule in the u = sqrt(1 - t) variable
-    K = _kernel_table_generic(N, alpha, r, r)
-    return K * (grid.w1 * r ** (N - 1))[None, :]
+    return C
 
 
-def _kernel_table_generic(N: int, alpha: float, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """K_alpha on an r x s product, for alpha < N - 1 (integrable diagonal).
+def _kernel_table(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """K_4 on an r x s product: closed form at N = 5, else a fixed high-order rule.
 
-    Accumulated node by node so peak memory stays at one (len(r), len(s))
+    For N >= 6 the diagonal is integrable; the rule in u = sqrt(1 - t) is
+    accumulated node by node so peak memory stays at one (len(r), len(s))
     block.
     """
+    if N == 5:
+        return _kernel_closed_n5a4(r[:, None], s[None, :])
     u, wu = _gauss_legendre(96)
     u = 0.5 * math.sqrt(2.0) * (u + 1.0)
     wu = 0.5 * math.sqrt(2.0) * wu
@@ -271,13 +269,13 @@ def _kernel_table_generic(N: int, alpha: float, r: np.ndarray, s: np.ndarray) ->
     b = 2.0 * r[:, None] * s[None, :]
     K = np.zeros_like(a)
     for tk, wk in zip(t, ang_w):
-        K += wk * (a - b * tk) ** (-alpha / 2.0)
+        K += wk * (a - b * tk) ** (-_ALPHA / 2.0)
     return K
 
 
 @dataclass(frozen=True, eq=False)
 class AngularKernel:
-    """Cached angular-kernel quadrature for one grid and one exponent.
+    """Cached quadrature tables of the |x|^-4 convolution on one grid.
 
     C is the row-form convolution matrix (pointwise accurate everywhere);
     E = sym(W C) is the energy matrix used for double energies, symmetric by
@@ -285,120 +283,91 @@ class AngularKernel:
     would amplify the symmetrization residue, hence the two matrices.
     """
 
-    alpha: float
-    N: int
-    scale_factor: float  # of the grid the tables were built for
-    K: np.ndarray        # raw kernel table (diagonal inf at alpha = N - 1)
     C: np.ndarray        # nodal convolution weights
-    energy: np.ndarray   # symmetric matrix E with D_alpha(f, g) = f^T E g
+    energy: np.ndarray   # symmetric matrix E with D(f, g) = f^T E g
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
         return self.C @ values
 
 
-def kernel_for(grid: RadialGrid, alpha: float = 4.0) -> AngularKernel:
-    """Build (or fetch from cache) the kernel tables for a grid.
+def kernel_for(grid: RadialGrid) -> AngularKernel:
+    """Build (or fetch from the grid's cache) the kernel tables of a grid.
 
-    Scaled grids reuse their parent's tables: K(cr, cs) = c^(-alpha) K(r, s),
-    hence C scales by c^(N - alpha) and E by c^(2N - alpha).
+    A root grid builds its own tables.  A `.scaled(c)` grid derives them from
+    its root's: K(cr, cs) = c^-4 K(r, s), hence C scales by c^(N - 4) and E
+    by c^(2N - 4).
     """
-    key = ("kernel", alpha)
-    if key in grid._cache:
-        return grid._cache[key]
-    if grid.parent is not None and key in grid.parent._cache:
-        base: AngularKernel = grid.parent._cache[key]
-        c = grid.scale_factor / base.scale_factor
-        kern = AngularKernel(
-            alpha=alpha, N=grid.N, scale_factor=grid.scale_factor,
-            K=base.K * c ** (-alpha),
-            C=base.C * c ** (grid.N - alpha),
-            energy=base.energy * c ** (2 * grid.N - alpha),
-        )
-        grid._cache[key] = kern
-        return kern
-    C = _build_conv_matrix(grid, alpha)
-    W = grid.w
-    WC = W[:, None] * C
-    E = 0.5 * (WC + WC.T)
-    r = grid.r
-    K = _kernel_closed_n5a4(r[:, None], r[None, :]) if (grid.N == 5 and alpha == 4.0) else (
-        C / (grid.w1 * r ** (grid.N - 1))[None, :]
-    )
-    kern = AngularKernel(alpha=alpha, N=grid.N, scale_factor=grid.scale_factor,
-                         K=K, C=C, energy=E)
-    grid._cache[key] = kern
-    if grid.parent is not None and key not in grid.parent._cache:
-        # seed the parent so sibling scaled grids can reuse the build
-        c = grid.scale_factor / grid.parent.scale_factor
-        grid.parent._cache[key] = AngularKernel(
-            alpha=alpha, N=grid.N, scale_factor=grid.parent.scale_factor,
-            K=kern.K * c**alpha,
-            C=kern.C * c ** (alpha - grid.N),
-            energy=kern.energy * c ** (alpha - 2 * grid.N),
-        )
+    if "kernel" in grid._cache:
+        return grid._cache["kernel"]
+    if grid.parent is not None:
+        base = kernel_for(grid.parent)
+        c = grid.scale_factor
+        kern = AngularKernel(C=base.C * c ** (grid.N - _ALPHA),
+                             energy=base.energy * c ** (2 * grid.N - _ALPHA))
+    else:
+        C = _build_conv_matrix(grid)
+        WC = grid.w[:, None] * C
+        kern = AngularKernel(C=C, energy=0.5 * (WC + WC.T))
+    grid._cache["kernel"] = kern
     return kern
 
 
-def _tail_in_vector(grid: RadialGrid, alpha: float, p_tail: float, c_tail: float) -> np.ndarray:
+def _tail_in_vector(grid: RadialGrid, p_tail: float, c_tail: float) -> np.ndarray:
     """Contribution of the source tail (s > R) to the convolution at the nodes."""
     N = grid.N
-    if p_tail + alpha <= N:
+    if p_tail + _ALPHA <= N:
         raise DivergenceError("source tail too slow for the Riesz convolution")
     x, wx = _tail_rule(_TAIL_NODES)
     s = grid.R_max / x
     ds = grid.R_max / x**2
-    if N == 5 and alpha == 4.0:
-        K = _kernel_closed_n5a4(grid.r[:, None], s[None, :])
-    else:
-        K = _kernel_table_generic(N, alpha, grid.r, s)
     dens = c_tail * s ** (-p_tail) * s ** (N - 1) * ds * wx
-    return K @ dens
+    return _kernel_table(N, grid.r, s) @ dens
 
 
-def riesz_convolve(f: RadialFn, alpha: float = 4.0) -> RadialFn:
-    """g = |x|^(-alpha) * f as a RadialFn with far-field tail ||f||_L1 r^(-alpha)."""
-    kern = kernel_for(f.grid, alpha)
+def riesz_convolve(f: RadialFn) -> RadialFn:
+    """g = |x|^-4 * f as a RadialFn with far-field tail ||f||_L1 r^-4."""
+    kern = kernel_for(f.grid)
     vals = kern.convolve_values(f.values)
     if f.c_tail != 0.0 and f.p_tail is not None:
-        vals = vals + _tail_in_vector(f.grid, alpha, f.p_tail, f.c_tail)
+        vals = vals + _tail_in_vector(f.grid, f.p_tail, f.c_tail)
     mass = integrate(f)
-    return RadialFn(f.grid, vals, p_tail=alpha, c_tail=mass)
+    return RadialFn(f.grid, vals, p_tail=_ALPHA, c_tail=mass)
 
 
-def _tail_cross(f: RadialFn, g: RadialFn, alpha: float) -> float:
-    """Tail contributions to D_alpha(f, g) outside the core-core block."""
+def _tail_cross(f: RadialFn, g: RadialFn) -> float:
+    """Tail contributions to D(f, g) outside the core-core block."""
     grid = f.grid
     out = 0.0
     if g.c_tail != 0.0 and g.p_tail is not None:
         # core f against tail of g
-        tv = _tail_in_vector(grid, alpha, g.p_tail, g.c_tail)
+        tv = _tail_in_vector(grid, g.p_tail, g.c_tail)
         out += float(grid.w @ (f.values * tv))
     if f.c_tail != 0.0 and f.p_tail is not None:
         # tail of f against the far-field model of conv(g)
-        if f.p_tail + alpha <= grid.N:
+        if f.p_tail + _ALPHA <= grid.N:
             raise DivergenceError("tail of the first factor too slow for the double energy")
         mass_g = integrate(g)
         out += (
             grid.omega * f.c_tail * mass_g
-            * grid.R_max ** (grid.N - f.p_tail - alpha) / (f.p_tail + alpha - grid.N)
+            * grid.R_max ** (grid.N - f.p_tail - _ALPHA) / (f.p_tail + _ALPHA - grid.N)
         )
     return out
 
 
-def double_energy_info(f: RadialFn, g: RadialFn, alpha: float = 4.0):
-    """D_alpha(f, g) = int int f(x) g(y) |x-y|^(-alpha), plus tail fraction."""
+def double_energy_info(f: RadialFn, g: RadialFn):
+    """D(f, g) = int int f(x) g(y) |x-y|^-4, plus tail fraction."""
     if f.grid is not g.grid:
         raise ParameterError("double_energy requires both densities on one grid")
-    kern = kernel_for(f.grid, alpha)
+    kern = kernel_for(f.grid)
     core = float(f.values @ (kern.energy @ g.values))
-    tails = 0.5 * (_tail_cross(f, g, alpha) + _tail_cross(g, f, alpha))
+    tails = 0.5 * (_tail_cross(f, g) + _tail_cross(g, f))
     total = core + tails
     frac = abs(tails) / abs(total) if total != 0.0 else 0.0
     return total, frac
 
 
-def double_energy(f: RadialFn, g: RadialFn, alpha: float = 4.0) -> float:
-    return double_energy_info(f, g, alpha)[0]
+def double_energy(f: RadialFn, g: RadialFn) -> float:
+    return double_energy_info(f, g)[0]
 
 
 # ---------------------------------------------------------------------------

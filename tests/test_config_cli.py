@@ -1,13 +1,24 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hartreekit.bubbles import bubble_constant
 from hartreekit.cli import main
-from hartreekit.config import PotentialSpec, load_config
+from hartreekit.config import (
+    _FLOW_KEYS,
+    _GRID_KEYS,
+    _MAIN_KEYS,
+    _REPORT_KEYS,
+    PotentialSpec,
+    load_config,
+)
 from hartreekit.errors import ParameterError
 from hartreekit.grids import make_grid
 
@@ -137,3 +148,52 @@ def test_cli_solve_ground_writes_profiles(tmp_path):
     data = np.loadtxt(tmp_path / "ground_state.csv", delimiter=",", skiprows=1)
     assert data.shape[1] == 3
     assert (tmp_path / "flow_trace.csv").exists()
+
+
+@pytest.mark.parametrize("text, names", [
+    ("[grid]\nm = abc\n", "[grid] m"),
+    ("[report]\ntrend_fraction = x\n", "[report] trend_fraction"),
+    ("[problem]\nv1.v0 = tiny\n", "[problem] v1.v0"),
+    ("[flow]\ncheck_every = 0\n", "check_every"),
+    ("[flow]\nrecenter_every = -1\n", "recenter_every"),
+    ("[flow]\nmax_iterations = 0\n", "max_iterations"),
+    ("[flow]\nstart = bogus\n", "bogus"),
+])
+def test_cli_malformed_config_exit_code(tmp_path, capsys, text, names):
+    # a config that cannot be read is a usage error (2), never a failed check (1)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = run_cli("solve-ground", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and names in err
+
+
+_POTENTIAL_KEYS = [f"{v}.{k}" for v in ("v1", "v2")
+                   for k in ("family", "v0", "s", "path", "tail_exponent", "tail_coeff")]
+_KNOWN_KEYS = ([("problem", k) for k in [*_MAIN_KEYS, *_POTENTIAL_KEYS]]
+               + [("grid", k) for k in _GRID_KEYS]
+               + [("flow", k) for k in _FLOW_KEYS]
+               + [("report", k) for k in _REPORT_KEYS])
+_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.integers(-3, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["gaussian", "bubble", "A3", "C3", "csv", "none", "%", "%(m)s"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KNOWN_KEYS), _VALUES, max_size=6))
+def test_load_config_fuzz_raises_only_config_errors(entries):
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    text = "".join(f"[{sec}]\n" + "\n".join(lines) + "\n" for sec, lines in sections.items())
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            load_config(path)
+        except (ParameterError, FileNotFoundError):
+            pass

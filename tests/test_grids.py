@@ -219,3 +219,25 @@ def test_overlap_quadrature_repeats_bit_for_bit(grid):
 
     first = run()
     assert run() == first
+
+
+def _derivative_oracles(grid):
+    """Each monomial r^k, k <= 4, with its exact derivative and radial Laplacian."""
+    r = grid.r
+    for k in range(5):
+        d1 = k * r ** max(k - 1, 0)
+        d2 = k * (k - 1) * r ** max(k - 2, 0)
+        yield k, r**k, d1, d2 + (grid.N - 1) * d1 / r
+
+
+@pytest.mark.parametrize("rows", ["boundary", "interior"])
+def test_derivative_stencils_exact_on_quartics(rows):
+    # five-node fits are exact on degree <= 4; the first and last two rows use
+    # one-sided windows, the others centred ones
+    g = make_grid(5, 60, 4.0, 1.05)
+    sel = [0, 1, g.M - 2, g.M - 1] if rows == "boundary" else list(range(2, g.M - 2))
+    D, L = g.deriv_matrix(), g.laplacian_matrix()
+    for k, p, d1, lap in _derivative_oracles(g):
+        for got, want in ((D @ p, d1), (L @ p, lap)):
+            err = np.abs(got[sel] - want[sel])
+            assert np.all(err <= 1e-9 * (1.0 + np.abs(want[sel]))), (k, err.max())

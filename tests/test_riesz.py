@@ -22,7 +22,7 @@ from hartreekit import (
     sobolev_constant,
     sphere_area,
 )
-from hartreekit.riesz import _log_moments, double_energy_info
+from hartreekit.riesz import _kernel_closed_n5a4, _log_moments, double_energy_info
 
 # frozen oracles (30-digit evaluation of the Gamma-function formulas)
 HLS_5_4 = 15.601260714755495     # pi^(12/5)
@@ -104,18 +104,40 @@ def test_angular_kernel_monte_carlo_oracle():
 
 
 def test_kernel_table_symmetry_and_positivity(grid):
-    kern = kernel_for(grid, 4.0)
+    # the closed-form K_4 table behind C; C itself is not all positive, since
+    # the near-diagonal product-integration weights carry both signs
+    K = _kernel_closed_n5a4(grid.r[:, None], grid.r[None, :])
     off = ~np.eye(grid.M, dtype=bool)
-    assert np.all(kern.K[off] > 0)
-    assert np.allclose(kern.K, kern.K.T, rtol=0, atol=0)
-    assert np.array_equal(kern.energy, kern.energy.T)
+    assert np.all(K[off] > 0)
+    assert np.array_equal(K, K.T)
+    energy = kernel_for(grid).energy
+    assert np.array_equal(energy, energy.T)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_scaled_grid_tables_derive_from_its_root(n):
+    # a scaled grid asked first still builds on its root and scales: C by
+    # c^(N-4), E by c^(2N-4); the root's tables are those of a fresh equal grid
+    c = 2.5
+    root = make_grid(n, 40, 10.0, 1.02)
+    child = root.scaled(c)
+    kc = kernel_for(child)
+    kr = kernel_for(root)
+    assert np.array_equal(kc.C, kr.C * c ** (n - 4))
+    assert np.array_equal(kc.energy, kr.energy * c ** (2 * n - 4))
+    fresh = kernel_for(make_grid(n, 40, 10.0, 1.02))
+    assert np.array_equal(kr.C, fresh.C)
+    assert np.array_equal(kr.energy, fresh.energy)
+    grand = child.scaled(2.0)
+    assert grand.parent is root
+    assert np.array_equal(kernel_for(grand).C, kr.C * 5.0 ** (n - 4))
 
 
 def test_convolution_far_field(grid):
     gf = make_grid(5, 120, 1.0, 1.0)
     bump = from_callable(gf, lambda r: np.exp(1 - 1 / np.clip(1 - r**2, 1e-12, None)) * (r < 1))
     bump_on_main = RadialFn(grid, bump(grid.r))
-    conv = riesz_convolve(bump_on_main, 4.0)
+    conv = riesz_convolve(bump_on_main)
     mass = integrate(bump_on_main)
     i = int(np.argmin(abs(grid.r - 30.0)))
     assert abs(conv.values[i] * grid.r[i] ** 4 / mass - 1.0) <= 1e-3
@@ -123,7 +145,7 @@ def test_convolution_far_field(grid):
 
 def test_convolution_of_bubble_density_is_proportional(grid):
     prof = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
-    conv = riesz_convolve(prof, 4.0)
+    conv = riesz_convolve(prof)
     sel = grid.r < 10.0
     ratio = conv.values[sel] / ((1.0 + grid.r[sel] ** 2) ** -2.0)
     assert np.max(np.abs(ratio / CONV_COEFF - 1.0)) <= 1e-3
@@ -133,14 +155,14 @@ def test_convolution_of_bubble_density_is_proportional(grid):
 def test_convolution_linearity(grid):
     f = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
     g = from_callable(grid, lambda r: np.exp(-(r**2)))
-    lhs = riesz_convolve(2.0 * f + 3.0 * g, 4.0).values
-    rhs = 2.0 * riesz_convolve(f, 4.0).values + 3.0 * riesz_convolve(g, 4.0).values
+    lhs = riesz_convolve(2.0 * f + 3.0 * g).values
+    rhs = 2.0 * riesz_convolve(f).values + 3.0 * riesz_convolve(g).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_convolution_of_zero(grid):
     z = RadialFn(grid, np.zeros(grid.M))
-    assert np.all(riesz_convolve(z, 4.0).values == 0.0)
+    assert np.all(riesz_convolve(z).values == 0.0)
 
 
 def test_double_energy_of_unit_profile(grid):
@@ -237,7 +259,7 @@ def test_near_cell_weights_against_mpmath(grid, where):
     # mpmath quadrature of K_4(r_i, s) s^4 f(s), split at s = r_i
     n_cells = len(grid.edges) - 1
     cell = {"first": 0, "mid": n_cells // 2, "last": n_cells - 1}[where]
-    C = kernel_for(grid, 4.0).C
+    C = kernel_for(grid).C
     with mp.workdps(30):
         for i in np.flatnonzero(grid.node_cell == cell):
             ri = mp.mpf(grid.r[i])
@@ -281,7 +303,7 @@ def test_kernel_tables_free_with_their_grid(child_first):
         base = make_grid(5, 40, 10.0, 1.02)
         child = base.scaled(2.0)
         for g in ((child, base) if child_first else (base, child)):
-            kernel_for(g, 4.0)
+            kernel_for(g)
         refs = [weakref.ref(base), weakref.ref(child)]
         del base, child, g
         assert [r() for r in refs] == [None, None]
