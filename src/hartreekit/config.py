@@ -17,7 +17,7 @@ import numpy as np
 from .energy import Problem
 from .errors import ParameterError
 from .flow import FlowConfig
-from .grids import RadialFn, RadialGrid, from_callable, make_grid
+from .grids import NODES_PER_CELL, RadialFn, RadialGrid, from_callable, make_grid
 
 
 @dataclass(frozen=True)
@@ -182,4 +182,13 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ParameterError(f"convention must be A3 or C3, got {out.convention}")
     if not math.isfinite(out.beta):
         raise ParameterError("beta must be finite")
+    # the paper's shifts satisfy lambda1 + lambda2 != 0; Problem itself accepts
+    # zero shifts, which the limit problems use
+    if out.lam1 + out.lam2 == 0.0:
+        raise ParameterError("[problem] lambda1/lambda2: lambda1 + lambda2 must be nonzero")
+    # the mollifier spans the outermost moll_cells cells of the profile grid
+    profile_cells = out.profile_m // NODES_PER_CELL
+    if not 1 <= out.moll_cells < profile_cells:
+        raise ParameterError(f"[report] moll_cells must lie in [1, {profile_cells - 1}] "
+                             f"for profile_m = {out.profile_m}, got {out.moll_cells}")
     return out

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import roots_jacobi
 
 from .errors import AccuracyWarning, DivergenceError, ParameterError
 
@@ -138,18 +136,24 @@ def _stencil_matrix(r: np.ndarray, k: int) -> np.ndarray:
     """Nodal k-th derivative matrix from five-node polynomial fits.
 
     Sliding windows centred on each node, one-sided at both ends; exact on
-    polynomials up to degree 4.
+    polynomials up to degree 4.  All M window systems go to one batched solve.
     """
     M = len(r)
     width = min(5, M)
+    rows = np.arange(M)
+    lo = np.clip(rows - width // 2, 0, M - width)
+    cols = lo[:, None] + np.arange(width)
+    x = r[cols] - r[:, None]
+    h = np.maximum(np.abs(x[:, 0]), np.abs(x[:, -1]))
+    # transposed Vandermonde of each window, powers built as np.vander does
+    Vt = np.empty((M, width, width))
+    Vt[:, 0, :] = 1.0
+    Vt[:, 1:, :] = (x / h[:, None])[:, None, :]
+    np.multiply.accumulate(Vt[:, 1:, :], axis=1, out=Vt[:, 1:, :])
     rhs = math.factorial(k) * np.eye(width)[k]  # d^k/dx^k at 0 of the monomials
+    weights = np.linalg.solve(Vt, np.broadcast_to(rhs[:, None], (M, width, 1)))[..., 0]
     D = np.zeros((M, M))
-    for i in range(M):
-        lo = min(max(i - width // 2, 0), M - width)
-        x = r[lo : lo + width] - r[i]
-        h = max(abs(x[0]), abs(x[-1]))
-        V = np.vander(x / h, width, increasing=True)
-        D[i, lo : lo + width] = np.linalg.solve(V.T, rhs) / h**k
+    D[rows[:, None], cols] = weights / h[:, None] ** k
     return D
 
 
@@ -216,6 +220,56 @@ def _combine_tails(p1, c1, p2, c2, mode):
     return (p1, c1) if p1 < p2 else (p2, c2)
 
 
+def _cubic_spline(x: np.ndarray, y: np.ndarray, end_slope: float | None):
+    """C2 cubic spline through (x_i, y_i) with slope 0 at x_0.
+
+    At x_-1 the slope is `end_slope`, or the second derivative is 0 when it is
+    None.  The slopes s_i solve the usual tridiagonal system (assembled as
+    scipy's CubicSpline does) by Thomas elimination, which needs no pivoting
+    because the system is diagonally dominant.  Returns the columns
+    (c3, c2, c1, c0) of y = c3 z^3 + c2 z^2 + c1 z + c0 on [x_i, x_i+1],
+    z = x - x_i.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    diag = np.empty(len(x))
+    rhs = np.empty(len(x))
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    upper = [0.0, *dx[:-1].tolist()]
+    lower = [*dx[1:].tolist(), 0.0]
+    diag[0], rhs[0] = 1.0, 0.0
+    if end_slope is None:
+        diag[-1], lower[-1], rhs[-1] = 2 * dx[-1], dx[-1], 3 * (y[-1] - y[-2])
+    else:
+        diag[-1], rhs[-1] = 1.0, end_slope
+    d, s = diag.tolist(), rhs.tolist()
+    for i in range(len(d) - 1):
+        fact = lower[i] / d[i]
+        d[i + 1] -= fact * upper[i]
+        s[i + 1] -= fact * s[i]
+    s[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / d[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+
+def _eval_spline(knots: np.ndarray, coefs, x: np.ndarray) -> np.ndarray:
+    """Evaluate a `_cubic_spline` at x (end intervals extend past the knots).
+
+    The interval index is the integer part of x's fractional position, read
+    off np.interp; where that rounds up to the next knot, the neighbouring
+    cubic agrees there to round-off, because the spline is C2.
+    """
+    pos = np.interp(x, knots, np.arange(len(knots), dtype=float))
+    i = np.minimum(pos.astype(np.intp), len(knots) - 2)
+    z = x - knots.take(i)
+    c3, c2, c1, c0 = (c.take(i) for c in coefs)
+    return ((c3 * z + c2) * z + c1) * z + c0
+
+
 @dataclass(frozen=True, eq=False)
 class RadialFn:
     """Nodal values of a radial function plus its power-law tail model."""
@@ -235,7 +289,8 @@ class RadialFn:
         object.__setattr__(self, "values", v)
 
     # -- evaluation ---------------------------------------------------------
-    def _spline(self) -> CubicSpline:
+    def _spline(self):
+        """Knots and coefficient columns of the C2 cubic spline through (0, f(0)), (r_i, f_i)."""
         if "spline" not in self._cache:
             r = np.concatenate([[0.0], self.grid.r])
             # even extension: fit f(0) from a + b r^2 through the first nodes
@@ -243,11 +298,10 @@ class RadialFn:
             A = np.vstack([np.ones(3), r2]).T
             ab, *_ = np.linalg.lstsq(A, self.values[:3], rcond=None)
             v = np.concatenate([[ab[0]], self.values])
+            end_slope = None
             if self.c_tail != 0.0 and self.p_tail is not None:
-                right = (1, -self.p_tail * self.c_tail * self.grid.R_max ** (-self.p_tail - 1))
-            else:
-                right = (2, 0.0)
-            self._cache["spline"] = CubicSpline(r, v, bc_type=((1, 0.0), right))
+                end_slope = -self.p_tail * self.c_tail * self.grid.R_max ** (-self.p_tail - 1)
+            self._cache["spline"] = (r, _cubic_spline(r, v, end_slope))
         return self._cache["spline"]
 
     def __call__(self, r):
@@ -255,7 +309,7 @@ class RadialFn:
         out = np.empty_like(r)
         inside = r <= self.grid.R_max
         if inside.any():
-            out[inside] = self._spline()(r[inside])
+            out[inside] = _eval_spline(*self._spline(), r[inside])
         if (~inside).any():
             if self.c_tail != 0.0 and self.p_tail is not None:
                 out[~inside] = self.c_tail * r[~inside] ** (-self.p_tail)
@@ -454,8 +508,21 @@ def _tail_rule(n: int):
 
 @lru_cache(maxsize=None)
 def _theta_rule(N: int, n_theta: int):
-    """Angular rule: int_{S^{N-1}} F(w . e1) dw = sum a_k F(t_k) (read-only, memoized)."""
-    t, wt = roots_jacobi(n_theta, (N - 3) / 2.0, (N - 3) / 2.0)
+    """Angular rule: int_{S^{N-1}} F(w . e1) dw = sum a_k F(t_k) (read-only, memoized).
+
+    Gauss rule for the weight (1 - t^2)^a, a = (N - 3)/2, by Golub-Welsch: the
+    nodes are the eigenvalues of the Gegenbauer Jacobi matrix and the weights
+    mu_0 v_0^2 from the first eigenvector components.
+    """
+    a = (N - 3) / 2.0
+    k = np.arange(1, n_theta)
+    off = np.sqrt(k * (k + 2.0 * a) / (4.0 * (k + a) ** 2 - 1.0))
+    t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    wt = mu0 * vecs[0] ** 2
+    # the rule is even: symmetrize away the eigensolver's round-off
+    t = 0.5 * (t - t[::-1])
+    wt = 0.5 * (wt + wt[::-1])
     return _read_only(t, wt * sphere_area(N - 1))
 
 

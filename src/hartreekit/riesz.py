@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import comb
 
 from .errors import DivergenceError, NumericalError, ParameterError
 from .grids import (
@@ -138,7 +137,10 @@ def angular_kernel(alpha: float, r: float, s: float, N: int) -> float:
     if N == 5 and alpha == 4:
         return float(_kernel_closed_n5a4(r, s))
     # generic path: t = cos(theta), then t = 1 - u^2 to absorb the near-
-    # diagonal singularity; weight (1 - t^2)^((N-3)/2)
+    # diagonal singularity; weight (1 - t^2)^((N-3)/2).  No run path calls
+    # this oracle, so scipy is imported only here.
+    from scipy.integrate import quad
+
     a, b = r * r + s * s, 2.0 * r * s
     pw = (N - 3) / 2.0
     area = sphere_area(N - 1)
@@ -179,7 +181,7 @@ def _log_moments(k_max: int, lo: float, hi: float, c) -> np.ndarray:
         base = F(hi - ce) - F(lo - ce)
         # sigma^k = sum_m C(k, m) c^(k-m) (sigma - c)^m
         expo = np.clip(ks[:, None] - ks[None, :], 0, None)
-        shift = comb(ks[:, None], ks[None, :]) * ce[:, None, None] ** expo
+        shift = _binomials(k_max + 1) * ce[:, None, None] ** expo
         out[exact] = np.einsum("ckm,cm->ck", shift, base)
     if not exact.all():
         # ln|sigma - c| = ln|c| - sum_m (sigma/c)^m / m, |sigma/c| < 1 on [lo, hi];
@@ -194,6 +196,14 @@ def _log_moments(k_max: int, lo: float, hi: float, c) -> np.ndarray:
         tail = np.einsum("cm,km->ck", coef, mono[ks[:, None] + ms])
         out[~exact] = np.log(np.abs(cs))[:, None] * mono[ks] - tail
     return out.reshape(c.shape + (k_max + 1,))
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """C(k, m) for 0 <= k, m < n as floats (0 for m > k); read-only, memoized."""
+    out = np.array([[math.comb(k, m) for m in range(n)] for k in range(n)], dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _plain_moments(k_max: int, lo: float, hi: float) -> np.ndarray:
@@ -219,7 +229,7 @@ def _near_cell_block(grid: RadialGrid, cell: int, rows: np.ndarray) -> np.ndarra
     # P(r,s) s^4 = pi^2 (r^2 s + s^3) / r^3  and  Q(r,s) s^4 = -2 pi^2 s^2 / r^2
     # expanded in sigma with s = mid + h sigma: s^n = sum_m shift[n, m] sigma^m
     n = np.arange(4)
-    shift = (comb(n[:, None], n[None, :]) * mid ** np.clip(n[:, None] - n[None, :], 0, None)
+    shift = (_binomials(4) * mid ** np.clip(n[:, None] - n[None, :], 0, None)
              * h ** n[None, :])
     P = np.zeros((len(rows), 4))
     P[:, 1] = math.pi**2 * ri**2 / ri**3

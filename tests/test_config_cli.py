@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -119,6 +120,30 @@ def test_cli_missing_potential_file_exit_code(tmp_path, capsys):
     assert str(missing) in err
 
 
+_SCIPY_LOADED = ("import sys; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+
+
+@pytest.mark.parametrize("command", [
+    "import hartreekit.cli",
+    "from hartreekit.cli import main; code = main(['run-all', '--config', {cfg!r}, "
+    "'--out', {out!r}]); assert code == 0, code",
+], ids=["import", "run-all"])
+def test_run_path_imports_no_scipy(tmp_path, command):
+    # scipy is an oracle for the tests only: the run path is numpy alone
+    import hartreekit
+
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    src = str(Path(hartreekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = command.format(cfg=str(cfg), out=str(tmp_path / "out")) + "; " + _SCIPY_LOADED
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "hartreekit", "--help"],
@@ -158,6 +183,9 @@ def test_cli_solve_ground_writes_profiles(tmp_path):
     ("[flow]\nrecenter_every = -1\n", "recenter_every"),
     ("[flow]\nmax_iterations = 0\n", "max_iterations"),
     ("[flow]\nstart = bogus\n", "bogus"),
+    ("[problem]\nlambda1 = 0.0\nlambda2 = 0.0\n", "[problem] lambda1/lambda2"),
+    ("[report]\nmoll_cells = 0\n", "[report] moll_cells"),
+    ("[grid]\nprofile_m = 320\n[report]\nmoll_cells = 64\n", "[report] moll_cells"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, text, names):
     # a config that cannot be read is a usage error (2), never a failed check (1)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from hartreekit import (
     FlowConfig,
@@ -17,6 +18,7 @@ from hartreekit import (
     solve_limit_ground_state,
     vanishing_energy_limit,
 )
+from hartreekit.flow import _pinned_solver
 
 S_HL_SQ = 225.0 / 16.0
 C_INF_123 = 675.0 / 448.0
@@ -215,3 +217,17 @@ def test_splitting_rejects_offsets(splitting_inputs):
         brezis_lieb_check(gauss, bprof, [1.0], [2.0], fine)
     with pytest.raises(ParameterError):
         brezis_lieb_check(gauss, bprof, [1.0, 0.3], [0.0], fine)
+
+
+@pytest.mark.parametrize("M", [320, 400, 800])
+def test_pinned_solver_matches_lu_solve(M):
+    g = make_grid(5, M, 40.0, 1.02)
+    L = -g.laplacian_matrix()
+    L[-1, :] = 0.0
+    L[-1, -1] = 1.0
+    rhs = (1.0 + g.r**2) ** -2.0 * (1.0 + np.random.default_rng(M).uniform(-0.1, 0.1, M))
+    b = rhs.copy()
+    b[-1] = 0.0
+    want = lu_solve(lu_factor(L), b)
+    got = _pinned_solver(g)(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
+from scipy.special import roots_jacobi
 
 from hartreekit import (
     DivergenceError,
@@ -20,7 +22,15 @@ from hartreekit import (
     make_grid,
     sphere_area,
 )
-from hartreekit.grids import _TAIL_NODES, _gauss_legendre, _tail_rule, _theta_rule
+from hartreekit.grids import (
+    _TAIL_NODES,
+    _cubic_spline,
+    _eval_spline,
+    _gauss_legendre,
+    _stencil_matrix,
+    _tail_rule,
+    _theta_rule,
+)
 
 # frozen oracle values (30-digit Gamma/quadrature evaluation)
 INT_INV_TEN = 0.96894614625936938       # int (1+r^2)^-5 over R^5 = pi^3/32
@@ -241,3 +251,71 @@ def test_derivative_stencils_exact_on_quartics(rows):
         for got, want in ((D @ p, d1), (L @ p, lap)):
             err = np.abs(got[sel] - want[sel])
             assert np.all(err <= 1e-9 * (1.0 + np.abs(want[sel]))), (k, err.max())
+
+
+@pytest.mark.parametrize("end_slope", [None, -3.0 * 40.0**-4], ids=["natural", "clamped"])
+def test_cubic_spline_matches_scipy(grid, end_slope):
+    # the run path's spline must be the one scipy builds with
+    # bc_type=((1, 0), (2, 0)) or ((1, 0), (1, end_slope))
+    rng = np.random.default_rng(7)
+    knots = np.concatenate([[0.0], grid.r])
+    y = (1.0 + knots**2) ** -1.5 * (1.0 + 0.01 * rng.standard_normal(len(knots)))
+    right = (2, 0.0) if end_slope is None else (1, end_slope)
+    ref = CubicSpline(knots, y, bc_type=((1, 0.0), right))
+    coefs = _cubic_spline(knots, y, end_slope)
+    for got, want in zip(coefs, ref.c):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    x = np.concatenate([[0.0], knots, [grid.R_max], rng.uniform(0.0, grid.R_max, 2000)])
+    want = ref(x)
+    assert np.max(np.abs(_eval_spline(knots, coefs, x) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_radial_fn_spline_honours_the_tail_slope(grid):
+    # a tailed profile is clamped to the tail model's slope at R_max, an
+    # untailed one ends with zero curvature
+    vals = (1.0 + grid.r**2) ** -1.5
+    tailed = RadialFn(grid, vals, p_tail=3.0, c_tail=1.0)
+    bare = RadialFn(grid, vals)
+    for fn, right in ((tailed, (1, -3.0 * grid.R_max**-4.0)), (bare, (2, 0.0))):
+        knots, coefs = fn._spline()
+        ref = CubicSpline(knots, np.concatenate([[coefs[3][0]], vals]),
+                          bc_type=((1, 0.0), right))
+        x = np.linspace(0.0, grid.R_max, 777)
+        assert np.max(np.abs(fn(x) - ref(x))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("N", range(5, 11))
+def test_theta_rule_matches_gauss_jacobi(N, n):
+    a = (N - 3) / 2.0
+    t, w = _theta_rule(N, n)
+    w = w / sphere_area(N - 1)
+    t_ref, w_ref = roots_jacobi(n, a, a)
+    assert np.max(np.abs(t - t_ref)) <= 1e-15
+    # roots_jacobi itself misses the moments below by up to 9e-14 relative
+    assert np.max(np.abs(w - w_ref)) <= 5e-14 * w_ref.max()
+    # Gauss exactness: int t^(2k) (1 - t^2)^a dt = B(k + 1/2, a + 1) for 2k < 2n
+    for k in range(n):
+        exact = math.gamma(k + 0.5) * math.gamma(a + 1.0) / math.gamma(k + a + 1.5)
+        assert abs(w @ t ** (2 * k) - exact) <= 1e-13 * exact, k
+
+
+def _stencil_loop(r, k):
+    """Per-row reference: one five-node solve for each node's window."""
+    M = len(r)
+    D = np.zeros((M, M))
+    for i in range(M):
+        lo = min(max(i - 2, 0), M - 5)
+        x = r[lo : lo + 5] - r[i]
+        h = max(abs(x[0]), abs(x[-1]))
+        rhs = math.factorial(k) * np.eye(5)[k]
+        D[i, lo : lo + 5] = np.linalg.solve(np.vander(x / h, 5, increasing=True).T, rhs) / h**k
+    return D
+
+
+@pytest.mark.parametrize("M", [16, 37, 400])
+@pytest.mark.parametrize("k", [1, 2])
+def test_stencil_matrix_matches_per_row_loop(M, k):
+    r = make_grid(5, M, 40.0, 1.02).r
+    got, want = _stencil_matrix(r, k), _stencil_loop(r, k)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
