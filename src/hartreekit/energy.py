@@ -32,14 +32,17 @@ from .grids import (
     Pair,
     RadialFn,
     RadialGrid,
+    _has_tail,
     _tail_integral,
     axis_moment_integrals,
     bicenter_integral,
+    bicenter_with_side,
     dirichlet_seminorm,
     from_callable,
     integrate,
     lp_norm,
     make_grid,
+    overlap_side,
 )
 from .riesz import double_energy, kernel_for
 
@@ -208,17 +211,22 @@ def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
     Both follow from the profile's certified energy equality and the exact
     dilation covariances: the Dirichlet and double energies of every member
     equal the profile's, and the L^2 mass scales as delta^2.  The member's
-    square comes from the profile's per-delta memo.
+    square comes from the profile's per-delta memo, and its side of the
+    overlap over a potential's grid is evaluated once for both potentials.
     """
     if rho < 0:
         raise ParameterError(f"offset must be >= 0, got {rho}")
     sq = profile.member_square(delta)
     E = profile.energy
     ksum = cc.k_sum
+    potentials = [(k, V) for k, V in ((cc.k1, prob.V1), (cc.k2, prob.V2)) if V is not None]
+    with_tail = any(_has_tail(V) for _, V in potentials)
+    sides = {}
     P = 0.0
-    for k, V in ((cc.k1, prob.V1), (cc.k2, prob.V2)):
-        if V is not None:
-            P += k * bicenter_integral(V, sq, rho)
+    for k, V in potentials:
+        if V.grid not in sides:
+            sides[V.grid] = overlap_side(sq, V.grid, rho, with_tail)
+        P += k * bicenter_with_side(V, sq, sides[V.grid])
     lam_term = (cc.k1 * prob.lam1 + cc.k2 * prob.lam2) * delta**2 * profile.l2_mass
     t0 = math.sqrt(1.0 + P / (ksum * E))
     t_lam = math.sqrt(1.0 + (P + lam_term) / (ksum * E))
@@ -261,10 +269,8 @@ def barycenter(p: Pair, mu1: float = 1.0, mu2: float = 1.0, beta: float = 1.0):
     # axis_moment_integrals consumes a profile h and weighs |h|^{2*}; feed the
     # combined density through its 1/2* root (exact for the nonnegative density)
     carrier = OffsetFn(dens.power((grid.N - 2.0) / (2.0 * grid.N)), rho)
-    mass, axial, _ = axis_moment_integrals(carrier, 0.0)
-    xi = axial / mass
-    _, _, spread = axis_moment_integrals(carrier, xi)
-    return xi, spread / mass
+    mass, axial, spread = axis_moment_integrals(carrier)
+    return axial / mass, spread / mass
 
 
 def barycenter_axis_sign(profile: TrialProfile, delta: float, rho: float) -> float:
@@ -272,7 +278,7 @@ def barycenter_axis_sign(profile: TrialProfile, delta: float, rho: float) -> flo
     if rho <= 0:
         raise ParameterError("axis sign is defined only for rho > 0")
     member = profile.member(delta, rho)
-    mass, axial, _ = axis_moment_integrals(member, 0.0)
+    mass, axial, _ = axis_moment_integrals(member)
     return (axial / mass) * rho
 
 
@@ -367,28 +373,38 @@ def default_test_set(grid: RadialGrid, n_scales: int = 7) -> list:
     return out[:20]
 
 
-def _with_norms(test_set: list) -> list:
-    """(phi, ||grad phi||^2, ||phi||_2^2) for each bump."""
-    return [(phi, dirichlet_seminorm(phi.profile), integrate(phi.profile.squared()))
+def _with_sides(test_set: list, grid: RadialGrid) -> list:
+    """(phi, ||grad phi||^2, ||phi||_2^2, phi's overlap side over grid) per bump.
+
+    The residual fields on `grid` carry no tail model, so the sides need no
+    tail-node sums.  Sides are plain arrays: a resampled RadialFn would point
+    back at the grid whose cache holds it.
+    """
+    return [(phi, dirichlet_seminorm(phi.profile), integrate(phi.profile.squared()),
+             overlap_side(phi.profile, grid, phi.rho))
             for phi in test_set]
 
 
 def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float:
     """Relative dual-norm estimate of I'(p) over a mollified-bump test set.
 
-    Each test bump phi enters as (phi, 0) and (0, phi).  Pairings integrate
-    the pointwise residual field against phi on the bump's own grid (through
-    the translated-overlap quadrature when the bump is offset) and are
-    normalized by ||phi|| ||p|| in the lam-weighted norm.  The default set
-    and its norms are built once per grid and kept in the grid's cache.
+    Each test bump phi enters as (phi, 0) and (0, phi).  Pairings are the
+    translated-overlap quadrature bicenter_integral(R, phi.profile, phi.rho)
+    of each residual field R, normalized by ||phi|| ||p|| in the
+    lam-weighted norm.  The bump's side of each pairing over the run grid
+    (its nodal values there, or its angular means when offset) does not
+    depend on the residual: the default set, its norms and these sides are
+    built once per grid and kept in the grid's cache, so a call evaluates
+    only the residuals on the bumps' own grids.  An explicit test_set is
+    prepared per call.
     """
     if test_set is None:
         key = "weak_residual_test_set"
         if key not in p.grid._cache:
-            p.grid._cache[key] = _with_norms(default_test_set(p.grid))
+            p.grid._cache[key] = _with_sides(default_test_set(p.grid), p.grid)
         bumps = p.grid._cache[key]
     else:
-        bumps = _with_norms(test_set)
+        bumps = _with_sides(test_set, p.grid)
     res_u, res_v = residual_fields(p, prob)
     u, v = p.components()
 
@@ -402,9 +418,9 @@ def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float
     norm_p = math.sqrt(norm_p_sq)
 
     worst = 0.0
-    for phi, base, mass in bumps:
-        pair_u = bicenter_integral(res_u, phi.profile, phi.rho)
-        pair_v = bicenter_integral(res_v, phi.profile, phi.rho)
+    for phi, base, mass, side in bumps:
+        pair_u = bicenter_with_side(res_u, phi.profile, side)
+        pair_v = bicenter_with_side(res_v, phi.profile, side)
         nrm1 = math.sqrt(base + prob.lam1 * mass)
         nrm2 = math.sqrt(base + prob.lam2 * mass)
         for val, nrm in ((pair_u, nrm1), (pair_v, nrm2)):

@@ -218,8 +218,9 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         u2 = np.clip(uu, 0, None) ** 2
         v2 = np.clip(vv, 0, None) ** 2
         E = kern.energy
-        return (cc.mu1 * (u2 @ (E @ u2)) + cc.mu2 * (v2 @ (E @ v2))
-                + 2.0 * cc.beta * (u2 @ (E @ v2)))
+        Ev2 = E @ v2
+        return (cc.mu1 * (u2 @ (E @ u2)) + cc.mu2 * (v2 @ Ev2)
+                + 2.0 * cc.beta * (u2 @ Ev2))
 
     def project(uu, vv):
         K = float(uu @ (A @ uu) + vv @ (A @ vv))

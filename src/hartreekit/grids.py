@@ -33,7 +33,10 @@ __all__ = [
     "integrate",
     "lp_norm",
     "dirichlet_seminorm",
+    "OverlapSide",
+    "overlap_side",
     "bicenter_integral",
+    "bicenter_with_side",
     "axis_moment_integrals",
 ]
 
@@ -204,6 +207,11 @@ def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:
     )
 
 
+def _has_tail(f) -> bool:
+    """Whether the power-law tail model (p_tail, c_tail) of f is active."""
+    return f.c_tail != 0.0 and f.p_tail is not None
+
+
 def _combine_tails(p1, c1, p2, c2, mode):
     """Tail model of a product or sum of two tailed functions."""
     if mode == "mul":
@@ -306,16 +314,22 @@ class RadialFn:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
         inside = r <= self.grid.R_max
-        if inside.any():
+        if inside.all():
+            out = _eval_spline(*self._spline(), r)
+        elif not inside.any():
+            out = self._tail_values(r)
+        else:
+            out = np.empty_like(r)
             out[inside] = _eval_spline(*self._spline(), r[inside])
-        if (~inside).any():
-            if self.c_tail != 0.0 and self.p_tail is not None:
-                out[~inside] = self.c_tail * r[~inside] ** (-self.p_tail)
-            else:
-                out[~inside] = 0.0
+            out[~inside] = self._tail_values(r[~inside])
         return out if out.ndim else float(out)
+
+    def _tail_values(self, r: np.ndarray) -> np.ndarray:
+        """The tail model at radii beyond R_max (zero without one)."""
+        if _has_tail(self):
+            return self.c_tail * r ** (-self.p_tail)
+        return np.zeros_like(r)
 
     # -- algebra ------------------------------------------------------------
     def _binary(self, other, op, mode):
@@ -526,54 +540,109 @@ def _theta_rule(N: int, n_theta: int):
     return _read_only(t, wt * sphere_area(N - 1))
 
 
-def bicenter_integral(f: RadialFn, g: RadialFn, rho: float,
-                      n_theta: int = DEFAULT_THETA_NODES) -> float:
-    """int f(|x|) g(|x - y|) dx for |y| = rho.
+def _offset_distance(s: np.ndarray, rho: float, t: np.ndarray) -> np.ndarray:
+    """|x| on the lattice |x - y| = s_i, angle cosine t_k to y, |y| = rho."""
+    s = s[:, None]
+    return np.sqrt(rho**2 + s**2 + 2.0 * rho * s * t[None, :])
 
-    Symmetric in (f, g) by construction; rho = 0 falls back to the plain
-    radial product quadrature.
+
+@dataclass(frozen=True, eq=False)
+class OverlapSide:
+    """One function's side of a translated overlap, evaluated over a grid.
+
+    For rho > 0, values[i] = sum_k a_k f(|x|) over the angular nodes of the
+    sphere |x - y| = r_i (the angular means over the grid's (s, theta)
+    lattice), and tail holds the same sums at the tail nodes s = R_max / x_j
+    when they were asked for.  For rho = 0, values are f's nodal values.
+    f's tail model travels along for the weighing.  The side holds plain
+    arrays only, no grid, so a grid can cache sides over itself without a
+    reference cycle.
+    """
+
+    rho: float
+    values: np.ndarray
+    tail: np.ndarray | None
+    p_tail: float | None
+    c_tail: float
+
+
+def overlap_side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool = False,
+                 n_theta: int = DEFAULT_THETA_NODES) -> OverlapSide:
+    """f's side of int f(|x|) g(|x - y|) dx, |y| = rho, for any g on `grid`.
+
+    with_tail adds the tail-node sums that a g with a tail model needs.
     """
     if rho < 0:
         raise ParameterError("offset must be >= 0")
     if rho == 0.0:
-        if g.grid is f.grid:
-            return integrate(f * g)
-        return 0.5 * (integrate(f.resample(g.grid) * g) + integrate(g.resample(f.grid) * f))
-    return 0.5 * (_bicenter_one_way(f, g, rho, n_theta) + _bicenter_one_way(g, f, rho, n_theta))
+        return OverlapSide(0.0, f(grid.r), None, f.p_tail, f.c_tail)
+    t, a = _theta_rule(grid.N, n_theta)
+    tail = None
+    if with_tail:
+        x, _ = _tail_rule(_TAIL_NODES)
+        tail = f(_offset_distance(grid.R_max / x, rho, t)) @ a
+    return OverlapSide(rho, f(_offset_distance(grid.r, rho, t)) @ a, tail, f.p_tail, f.c_tail)
 
 
-def _bicenter_one_way(f: RadialFn, g: RadialFn, rho: float, n_theta: int) -> float:
-    """Quadrature over g's grid (s = |x - y|), f evaluated at |x|."""
+def _weigh_side(side: OverlapSide, g: RadialFn) -> float:
+    """Quadrature over g's grid (s = |x - y|) of f's side over that grid against g."""
     grid = g.grid
     N = grid.N
-    t, a = _theta_rule(N, n_theta)
-    s = grid.r[:, None]
-    dist = np.sqrt(rho**2 + s**2 + 2.0 * rho * s * t[None, :])
-    fvals = f(dist)
-    angular = fvals @ a
-    core = float((grid.w1 * grid.r ** (N - 1) * g.values) @ angular)
-    if g.c_tail != 0.0 and g.p_tail is not None:
+    if side.values.shape != grid.r.shape:
+        raise ParameterError("overlap side was evaluated over another grid")
+    if side.rho == 0.0:
+        return integrate(RadialFn(grid, side.values, side.p_tail, side.c_tail) * g)
+    core = float((grid.w1 * grid.r ** (N - 1) * g.values) @ side.values)
+    if _has_tail(g):
         # s in (R, inf): map s = R / x
-        if f.p_tail is not None and f.c_tail != 0.0 and g.p_tail + f.p_tail <= N:
+        if _has_tail(side) and g.p_tail + side.p_tail <= N:
             raise DivergenceError("combined tails of the translated overlap do not decay")
+        if side.tail is None:
+            raise ParameterError("overlap side lacks the tail-node sums of a tailed weight")
         x, wx = _tail_rule(_TAIL_NODES)
         s_t = grid.R_max / x
         ds = grid.R_max / x**2
-        dist_t = np.sqrt(rho**2 + s_t[:, None] ** 2 + 2.0 * rho * s_t[:, None] * t[None, :])
-        ft = f(dist_t) @ a
         gt = g.c_tail * s_t ** (-g.p_tail)
-        core += float(np.sum(wx * ds * s_t ** (N - 1) * gt * ft))
+        core += float(np.sum(wx * ds * s_t ** (N - 1) * gt * side.tail))
     return core
 
 
-def axis_moment_integrals(h: OffsetFn, xi_guess: float,
-                          n_theta: int = DEFAULT_THETA_NODES):
-    """Weighted integrals of |h|^{2*} used by the barycenter maps.
+def bicenter_integral(f: RadialFn, g: RadialFn, rho: float,
+                      n_theta: int = DEFAULT_THETA_NODES) -> float:
+    """int f(|x|) g(|x - y|) dx for |y| = rho.
+
+    Symmetric in (f, g) by construction: the mean of the quadratures over
+    f's and over g's grid.  rho = 0 on one shared grid is the plain radial
+    product quadrature.
+    """
+    if rho == 0.0 and g.grid is f.grid:
+        return integrate(f * g)
+    return bicenter_with_side(f, g, overlap_side(g, f.grid, rho, _has_tail(f), n_theta), n_theta)
+
+
+def bicenter_with_side(f: RadialFn, g: RadialFn, g_side: OverlapSide,
+                       n_theta: int = DEFAULT_THETA_NODES) -> float:
+    """bicenter_integral(f, g, g_side.rho), given g's side over f's grid.
+
+    A side that several overlaps share (one test bump against many
+    residuals, one member square against both potentials) is then
+    evaluated once.
+    """
+    if g_side.rho == 0.0 and g.grid is f.grid:
+        return integrate(f * g)
+    f_side = overlap_side(f, g.grid, g_side.rho, _has_tail(g), n_theta)
+    return 0.5 * (_weigh_side(f_side, g) + _weigh_side(g_side, f))
+
+
+def axis_moment_integrals(h: OffsetFn, n_theta: int = DEFAULT_THETA_NODES):
+    """Weighted integrals of |h|^{2*} used by the barycenter maps, in one lattice pass.
 
     Returns (mass, axial_first_moment, spread):
       mass   = int |h|^{2*} dx
       axial  = int (x . yhat)/(1 + |x|) |h|^{2*} dx      (0 exactly when rho = 0)
-      spread = int |x/(1+|x|) - xi_guess * yhat| |h|^{2*} dx
+      spread = int |x/(1+|x|) - xi * yhat| |h|^{2*} dx,  xi = axial / mass,
+    so spread / mass is the concentration about the barycenter's axial
+    component xi.  The tail model's mass counts in mass and in xi.
     """
     prof = h.profile
     grid = prof.grid
@@ -581,36 +650,32 @@ def axis_moment_integrals(h: OffsetFn, xi_guess: float,
     two_star = 2.0 * N / (N - 2.0)
     dens = prof.power(two_star)
     rho = h.rho
-    if dens.c_tail != 0.0 and dens.p_tail is not None and dens.p_tail <= N:
+    if _has_tail(dens) and dens.p_tail <= N:
         raise DivergenceError("profile is not 2*-integrable under its tail model")
 
     if rho == 0.0:
-        mass = integrate(dens)
+        # xi = 0, and the tail weight tends to 1 at large radii
         r = grid.r
-        spread_w = np.sqrt((r / (1.0 + r)) ** 2 + xi_guess**2)
-        spread = float(grid.w @ (dens.values * spread_w)) + _tail_integral(dens) * math.hypot(
-            1.0, xi_guess
-        )
-        return mass, 0.0, spread
+        spread = float(grid.w @ (dens.values * (r / (1.0 + r)))) + _tail_integral(dens)
+        return integrate(dens), 0.0, spread
 
     t, a = _theta_rule(N, n_theta)
-    s = grid.r[:, None]
-    absx = np.sqrt(rho**2 + s**2 + 2.0 * rho * s * t[None, :])
-    axial_comp = rho + s * t[None, :]
+    absx = _offset_distance(grid.r, rho, t)
+    one_absx = 1.0 + absx
+    axial_comp = rho + grid.r[:, None] * t[None, :]
     radial_weight = grid.w1 * grid.r ** (N - 1) * dens.values
 
     mass = float(a.sum() * radial_weight.sum())
-    axial = float(radial_weight @ ((axial_comp / (1.0 + absx)) @ a))
+    axial = float(radial_weight @ ((axial_comp / one_absx) @ a))
+    tail_mass = _tail_integral(dens)
+    mass += tail_mass
+    xi = axial / mass if mass != 0.0 else 0.0   # a zero density has zero moments
     spread_kernel = np.sqrt(
-        (absx / (1.0 + absx)) ** 2
-        - 2.0 * xi_guess * axial_comp / (1.0 + absx)
-        + xi_guess**2
+        (absx / one_absx) ** 2
+        - 2.0 * xi * axial_comp / one_absx
+        + xi**2
     )
-    spread = float(radial_weight @ (spread_kernel @ a))
-    if dens.c_tail != 0.0 and dens.p_tail is not None:
-        tail_mass = _tail_integral(dens)
-        mass += tail_mass
-        # at |x| -> inf the axial weight averages to 0 and the spread weight to
-        # the unit-vector distance ~ sqrt(1 + xi^2); first-order tail model
-        spread += tail_mass * math.hypot(1.0, xi_guess)
+    # at |x| -> inf the axial weight averages to 0 and the spread weight to
+    # the unit-vector distance ~ sqrt(1 + xi^2); first-order tail model
+    spread = float(radial_weight @ (spread_kernel @ a)) + tail_mass * math.hypot(1.0, xi)
     return mass, axial, spread

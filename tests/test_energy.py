@@ -30,6 +30,15 @@ from hartreekit import (
     verify_lemma,
     weak_residual,
 )
+from hartreekit.energy import _pair_density, default_test_set, residual_fields
+from hartreekit.grids import (
+    _tail_integral,
+    _theta_rule,
+    bicenter_with_side,
+    dirichlet_seminorm,
+    integrate,
+    make_grid,
+)
 
 C_INF_123 = 675.0 / 448.0
 
@@ -282,7 +291,7 @@ def test_axis_moments_divergent_profile_rejected(grid):
 
     slow = from_callable(grid, lambda r: (1.0 + r) ** -1.2, p_tail=1.2, c_tail=1.0)
     with pytest.raises(DivergenceError):
-        axis_moment_integrals(OffsetFn(slow, 1.0), 0.0)
+        axis_moment_integrals(OffsetFn(slow, 1.0))
 
 
 def test_member_square_is_memoized_per_delta(trial_profile, cc, problem):
@@ -341,3 +350,147 @@ def test_member_square_memo_frees_with_its_profile(trial_profile):
         assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# shared overlap sides: the same numbers as the plain overlap quadrature
+# ---------------------------------------------------------------------------
+
+def _slow_pair(grid):
+    u = from_callable(grid, lambda r: (1.0 + r**2) ** -1.5, p_tail=3.0, c_tail=1.0)
+    return Pair(u, 0.5 * RadialFn(grid, np.exp(-grid.r**2)))
+
+
+def _plain_weak_residual(p, prob, test_set):
+    """weak_residual with every pairing a fresh bicenter_integral."""
+    res_u, res_v = residual_fields(p, prob)
+    u, v = p.components()
+    norm_p = math.sqrt(dirichlet_seminorm(u) + dirichlet_seminorm(v)
+                       + prob.lam1 * integrate(u.squared())
+                       + prob.lam2 * integrate(v.squared()))
+    worst = 0.0
+    for phi in test_set:
+        base = dirichlet_seminorm(phi.profile)
+        mass = integrate(phi.profile.squared())
+        for res, lam in ((res_u, prob.lam1), (res_v, prob.lam2)):
+            val = bicenter_integral(res, phi.profile, phi.rho)
+            worst = max(worst, abs(val) / (math.sqrt(base + lam * mass) * norm_p))
+    return worst
+
+
+def test_weak_residual_cached_sides_match_the_plain_quadrature(problem):
+    g = make_grid(5, 160, 40.0, 1.02)
+    p = _slow_pair(g)
+    prob = problem.with_lambda(0.1, 0.3)
+    expected = _plain_weak_residual(p, prob, default_test_set(g))
+    assert expected > 1e-3
+    assert "weak_residual_test_set" not in g._cache
+    assert weak_residual(p, prob) == expected    # cold: builds the sides
+    assert "weak_residual_test_set" in g._cache
+    assert weak_residual(p, prob) == expected    # warm: reads them
+    # the maximum hides all but one pairing: check each cached side on its own
+    res_u, _ = residual_fields(p, prob)
+    for phi, _, _, side in g._cache["weak_residual_test_set"]:
+        assert bicenter_with_side(res_u, phi.profile, side) == \
+            bicenter_integral(res_u, phi.profile, phi.rho)
+
+
+def test_weak_residual_explicit_test_set_matches_the_plain_quadrature(problem):
+    g = make_grid(5, 160, 40.0, 1.02)
+    p = _slow_pair(g)
+    prob = problem.with_lambda(0.1, 0.3)
+    own = make_grid(5, 60, 8.0, 1.0)
+    tailed = from_callable(own, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+    test_set = default_test_set(g)[::4] + [OffsetFn(tailed, 0.0), OffsetFn(tailed, 2.0)]
+    expected = _plain_weak_residual(p, prob, test_set)
+    assert weak_residual(p, prob, test_set=test_set) == expected
+    assert "weak_residual_test_set" not in g._cache
+
+
+def test_weak_residual_cache_frees_with_its_grid(free_problem):
+    # the cached bump sides are plain arrays; a RadialFn resampled onto the
+    # grid would point back at it, and the grid would wait for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        g = make_grid(5, 60, 20.0, 1.02)
+        p = _slow_pair(g)
+        weak_residual(p, free_problem)
+        assert "weak_residual_test_set" in g._cache
+        ref = weakref.ref(g)
+        del g, p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _potential_pairs(grid):
+    def inv_sq(s):
+        return from_callable(grid, lambda r: 0.1 * (1.0 + r**2) ** -s, p_tail=2.0 * s, c_tail=0.1)
+    untailed = from_callable(grid, lambda r: 0.05 * np.exp(-(r**2)))
+    return {
+        "different-s": (inv_sq(2.0), inv_sq(1.5)),
+        "V2-none": (inv_sq(2.0), None),
+        "V1-none": (None, inv_sq(1.5)),
+        "V1-untailed": (untailed, inv_sq(2.0)),
+        "V2-untailed": (inv_sq(2.0), untailed),
+    }
+
+
+@pytest.mark.parametrize("case", ["different-s", "V2-none", "V1-none", "V1-untailed",
+                                  "V2-untailed"])
+@pytest.mark.parametrize("delta, rho", [(0.4, 0.0), (2.5, 0.0), (0.4, 1.3), (2.5, 3.0)])
+def test_trial_projection_scalars_share_the_square_exactly(trial_profile, cc, problem, grid,
+                                                           case, delta, rho):
+    V1, V2 = _potential_pairs(grid)[case]
+    prob = dataclasses.replace(problem, V1=V1, V2=V2, lam1=0.2, lam2=0.05)
+    sq = trial_member(trial_profile, delta, rho).profile.squared()
+    P = sum(k * bicenter_integral(V, sq, rho)
+            for k, V in ((cc.k1, V1), (cc.k2, V2)) if V is not None)
+    lam_term = (cc.k1 * 0.2 + cc.k2 * 0.05) * delta**2 * trial_profile.l2_mass
+    ksum_E = cc.k_sum * trial_profile.energy
+    expected = (math.sqrt(1.0 + P / ksum_E), math.sqrt(1.0 + (P + lam_term) / ksum_E))
+    assert trial_projection_scalars(trial_profile, delta, rho, prob, cc) == expected
+
+
+def _axis_moments_at(h, xi):
+    """mass, axial moment and the spread about a given xi of |h|^{2*}."""
+    prof, rho = h.profile, h.rho
+    grid = prof.grid
+    N = grid.N
+    dens = prof.power(2.0 * N / (N - 2.0))
+    t, a = _theta_rule(N, 64)
+    s = grid.r[:, None]
+    absx = np.sqrt(rho**2 + s**2 + 2.0 * rho * s * t[None, :])
+    axial_comp = rho + s * t[None, :]
+    radial_weight = grid.w1 * grid.r ** (N - 1) * dens.values
+    mass = float(a.sum() * radial_weight.sum())
+    axial = float(radial_weight @ ((axial_comp / (1.0 + absx)) @ a))
+    kernel = np.sqrt((absx / (1.0 + absx)) ** 2 - 2.0 * xi * axial_comp / (1.0 + absx) + xi**2)
+    spread = float(radial_weight @ (kernel @ a))
+    if dens.c_tail != 0.0:
+        tail_mass = _tail_integral(dens)
+        mass += tail_mass
+        spread += tail_mass * math.hypot(1.0, xi)
+    return mass, axial, spread
+
+
+def _two_pass_barycenter(p, mu1, mu2, beta):
+    """xi from a first pass at xi = 0, then the spread from a second pass at xi."""
+    dens = _pair_density(p, mu1, mu2, beta)
+    N = dens.grid.N
+    carrier = OffsetFn(dens.power((N - 2.0) / (2.0 * N)), p.offset)
+    mass, axial, _ = _axis_moments_at(carrier, 0.0)
+    xi = axial / mass
+    _, _, spread = _axis_moments_at(carrier, xi)
+    return xi, spread / mass
+
+
+@pytest.mark.parametrize("rho", [0.7, 3.0])
+def test_barycenter_matches_the_two_pass_computation(trial_profile, cc, grid, rho):
+    tailed = _slow_pair(grid)
+    pairs = [trial_pair(trial_profile, 0.5, rho),
+             Pair(OffsetFn(tailed.u, rho), OffsetFn(tailed.v, rho))]
+    for p in pairs:
+        assert barycenter(p, cc.mu1, cc.mu2, cc.beta) == \
+            _two_pass_barycenter(p, cc.mu1, cc.mu2, cc.beta)

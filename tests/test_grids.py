@@ -24,6 +24,8 @@ from hartreekit import (
 )
 from hartreekit.grids import (
     _TAIL_NODES,
+    bicenter_with_side,
+    overlap_side,
     _cubic_spline,
     _eval_spline,
     _gauss_legendre,
@@ -184,14 +186,14 @@ def test_bicenter_disjoint_supports(grid):
 
 def test_axis_moments_centered_symmetry(grid):
     h = OffsetFn(from_callable(grid, lambda r: np.exp(-(r**2))), 0.0)
-    mass, axial, _ = axis_moment_integrals(h, 0.0)
+    mass, axial, _ = axis_moment_integrals(h)
     assert axial == 0.0
     assert mass > 0
 
 
 def test_axis_moments_mass_matches_lp_norm(grid):
     prof = from_callable(grid, lambda r: np.exp(-(r**2)))
-    mass, _, _ = axis_moment_integrals(OffsetFn(prof, 0.0), 0.0)
+    mass, _, _ = axis_moment_integrals(OffsetFn(prof, 0.0))
     ref = lp_norm(prof, 10.0 / 3.0) ** (10.0 / 3.0)
     assert abs(mass - ref) <= 1e-10 * ref
 
@@ -199,7 +201,7 @@ def test_axis_moments_mass_matches_lp_norm(grid):
 def test_axis_moments_point_mass_limit():
     g = make_grid(5, 200, 1.0, 1.0)
     bump = from_callable(g, lambda r: np.exp(-((r / 0.02) ** 2)))
-    mass, axial, _ = axis_moment_integrals(OffsetFn(bump, 3.0), 0.0)
+    mass, axial, _ = axis_moment_integrals(OffsetFn(bump, 3.0))
     assert abs(axial / mass - 0.75) <= 1e-2
 
 
@@ -225,7 +227,7 @@ def test_overlap_quadrature_repeats_bit_for_bit(grid):
 
     def run():
         return (bicenter_integral(f, g, 2.0), bicenter_integral(g, f, 0.7),
-                axis_moment_integrals(OffsetFn(f, 2.0), 0.3))
+                axis_moment_integrals(OffsetFn(f, 2.0)))
 
     first = run()
     assert run() == first
@@ -319,3 +321,36 @@ def test_stencil_matrix_matches_per_row_loop(M, k):
     r = make_grid(5, M, 40.0, 1.02).r
     got, want = _stencil_matrix(r, k), _stencil_loop(r, k)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_radial_fn_values_do_not_depend_on_the_batch(grid):
+    # all-inside and all-outside calls skip the mask; each value must equal
+    # the one a mixed call gives
+    tailed = from_callable(grid, lambda r: (1.0 + r**2) ** -1.5, p_tail=3.0, c_tail=1.0)
+    untailed = RadialFn(grid, tailed.values)
+    inner = np.linspace(0.0, grid.R_max, 101)
+    outer = grid.R_max * np.linspace(1.01, 3.0, 50)
+    for f in (tailed, untailed):
+        mixed = f(np.concatenate([inner, outer]))
+        assert np.array_equal(f(inner), mixed[:101])
+        assert np.array_equal(f(outer), mixed[101:])
+        assert f(float(inner[37])) == mixed[37]
+        assert f(float(outer[3])) == mixed[104]
+    assert np.all(untailed(outer) == 0.0)
+
+
+def test_overlap_side_must_match_the_weighing(grid):
+    f = from_callable(grid, lambda r: np.exp(-(r**2)))
+    g = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+    other = make_grid(5, 80, 10.0, 1.0)
+    h = from_callable(other, lambda r: np.exp(-(r**2)))
+    assert bicenter_with_side(h, f, overlap_side(f, other, 1.5)) == bicenter_integral(h, f, 1.5)
+    with pytest.raises(ParameterError):
+        bicenter_with_side(h, f, overlap_side(f, grid, 1.5))    # side over the wrong grid
+    with pytest.raises(ParameterError):
+        bicenter_with_side(g, f, overlap_side(f, grid, 1.5))    # g's tail needs tail sums
+
+
+def test_axis_moments_of_a_zero_profile_vanish(grid):
+    zero = RadialFn(grid, np.zeros(grid.M))
+    assert axis_moment_integrals(OffsetFn(zero, 1.0)) == (0.0, 0.0, 0.0)
