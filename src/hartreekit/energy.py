@@ -148,7 +148,7 @@ def _potential_term(V: RadialFn | None, lam: float, comp, rho: float) -> float:
     out = 0.0
     sq = comp.squared()
     if lam > 0.0:
-        if sq.c_tail != 0.0 and sq.p_tail is not None and sq.p_tail <= comp.grid.N:
+        if _has_tail(sq) and sq.p_tail <= comp.grid.N:
             raise DivergenceError("component lacks the L^2 decay required when lam > 0")
         out += lam * integrate(sq)
     if V is not None:

@@ -25,6 +25,7 @@ from .grids import (
     Pair,
     RadialFn,
     RadialGrid,
+    _has_tail,
     dirichlet_seminorm,
     integrate,
     make_grid,
@@ -400,7 +401,7 @@ def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
     p = (N - 2) / 2.0
     for sig, off in zip(sigma_seq, offset_seq):
         vals = bubble_profile(g.r / sig) * sig ** (-p)
-        if bubble_profile.p_tail is not None and bubble_profile.c_tail != 0.0:
+        if _has_tail(bubble_profile):
             ct = bubble_profile.c_tail * sig ** (bubble_profile.p_tail - p)
             bn = RadialFn(g, vals, p_tail=bubble_profile.p_tail, c_tail=ct)
         else:

@@ -307,7 +307,7 @@ class RadialFn:
             ab, *_ = np.linalg.lstsq(A, self.values[:3], rcond=None)
             v = np.concatenate([[ab[0]], self.values])
             end_slope = None
-            if self.c_tail != 0.0 and self.p_tail is not None:
+            if _has_tail(self):
                 end_slope = -self.p_tail * self.c_tail * self.grid.R_max ** (-self.p_tail - 1)
             self._cache["spline"] = (r, _cubic_spline(r, v, end_slope))
         return self._cache["spline"]
@@ -477,7 +477,7 @@ def dirichlet_seminorm(f: RadialFn, check_resolution: bool = False) -> float:
     df = g.deriv_matrix() @ f.values
     core = float(g.w @ df**2)
     tail = 0.0
-    if f.c_tail != 0.0 and f.p_tail is not None:
+    if _has_tail(f):
         p = f.p_tail
         if 2 * p + 2 <= g.N:
             raise DivergenceError("gradient tail is not square integrable")
@@ -554,41 +554,52 @@ class OverlapSide:
     sphere |x - y| = r_i (the angular means over the grid's (s, theta)
     lattice), and tail holds the same sums at the tail nodes s = R_max / x_j
     when they were asked for.  For rho = 0, values are f's nodal values.
-    f's tail model travels along for the weighing.  The side holds plain
-    arrays only, no grid, so a grid can cache sides over itself without a
+    f's tail model travels along for the weighing, and n_theta names the
+    angular rule.  The side holds plain arrays only: r is the node array of
+    the grid it was evaluated over, which identifies that grid without
+    referring to it, so a grid can cache sides over itself without a
     reference cycle.
     """
 
+    r: np.ndarray
     rho: float
+    n_theta: int
     values: np.ndarray
     tail: np.ndarray | None
     p_tail: float | None
     c_tail: float
 
 
-def overlap_side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool = False,
-                 n_theta: int = DEFAULT_THETA_NODES) -> OverlapSide:
+def overlap_side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool = False) -> OverlapSide:
     """f's side of int f(|x|) g(|x - y|) dx, |y| = rho, for any g on `grid`.
 
-    with_tail adds the tail-node sums that a g with a tail model needs.
+    with_tail adds the tail-node sums that a g with a tail model needs.  The
+    angular rule is the default one of bicenter_integral.
     """
+    return _overlap_side(f, grid, rho, with_tail, DEFAULT_THETA_NODES)
+
+
+def _overlap_side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool,
+                  n_theta: int) -> OverlapSide:
+    """overlap_side under an n_theta-node angular rule."""
     if rho < 0:
         raise ParameterError("offset must be >= 0")
     if rho == 0.0:
-        return OverlapSide(0.0, f(grid.r), None, f.p_tail, f.c_tail)
+        return OverlapSide(grid.r, 0.0, n_theta, f(grid.r), None, f.p_tail, f.c_tail)
     t, a = _theta_rule(grid.N, n_theta)
     tail = None
     if with_tail:
         x, _ = _tail_rule(_TAIL_NODES)
         tail = f(_offset_distance(grid.R_max / x, rho, t)) @ a
-    return OverlapSide(rho, f(_offset_distance(grid.r, rho, t)) @ a, tail, f.p_tail, f.c_tail)
+    return OverlapSide(grid.r, rho, n_theta, f(_offset_distance(grid.r, rho, t)) @ a, tail,
+                       f.p_tail, f.c_tail)
 
 
 def _weigh_side(side: OverlapSide, g: RadialFn) -> float:
     """Quadrature over g's grid (s = |x - y|) of f's side over that grid against g."""
     grid = g.grid
     N = grid.N
-    if side.values.shape != grid.r.shape:
+    if side.r is not grid.r:
         raise ParameterError("overlap side was evaluated over another grid")
     if side.rho == 0.0:
         return integrate(RadialFn(grid, side.values, side.p_tail, side.c_tail) * g)
@@ -617,20 +628,19 @@ def bicenter_integral(f: RadialFn, g: RadialFn, rho: float,
     """
     if rho == 0.0 and g.grid is f.grid:
         return integrate(f * g)
-    return bicenter_with_side(f, g, overlap_side(g, f.grid, rho, _has_tail(f), n_theta), n_theta)
+    return bicenter_with_side(f, g, _overlap_side(g, f.grid, rho, _has_tail(f), n_theta))
 
 
-def bicenter_with_side(f: RadialFn, g: RadialFn, g_side: OverlapSide,
-                       n_theta: int = DEFAULT_THETA_NODES) -> float:
+def bicenter_with_side(f: RadialFn, g: RadialFn, g_side: OverlapSide) -> float:
     """bicenter_integral(f, g, g_side.rho), given g's side over f's grid.
 
     A side that several overlaps share (one test bump against many
     residuals, one member square against both potentials) is then
-    evaluated once.
+    evaluated once.  f's side is evaluated under g_side's angular rule.
     """
     if g_side.rho == 0.0 and g.grid is f.grid:
         return integrate(f * g)
-    f_side = overlap_side(f, g.grid, g_side.rho, _has_tail(g), n_theta)
+    f_side = _overlap_side(f, g.grid, g_side.rho, _has_tail(g), g_side.n_theta)
     return 0.5 * (_weigh_side(f_side, g) + _weigh_side(g_side, f))
 
 

@@ -35,6 +35,7 @@ from .grids import (
     RadialFn,
     RadialGrid,
     _gauss_legendre,
+    _has_tail,
     _tail_rule,
     dirichlet_seminorm,
     from_callable,
@@ -338,7 +339,7 @@ def riesz_convolve(f: RadialFn) -> RadialFn:
     """g = |x|^-4 * f as a RadialFn with far-field tail ||f||_L1 r^-4."""
     kern = kernel_for(f.grid)
     vals = kern.convolve_values(f.values)
-    if f.c_tail != 0.0 and f.p_tail is not None:
+    if _has_tail(f):
         vals = vals + _tail_in_vector(f.grid, f.p_tail, f.c_tail)
     mass = integrate(f)
     return RadialFn(f.grid, vals, p_tail=_ALPHA, c_tail=mass)
@@ -348,11 +349,11 @@ def _tail_cross(f: RadialFn, g: RadialFn) -> float:
     """Tail contributions to D(f, g) outside the core-core block."""
     grid = f.grid
     out = 0.0
-    if g.c_tail != 0.0 and g.p_tail is not None:
+    if _has_tail(g):
         # core f against tail of g
         tv = _tail_in_vector(grid, g.p_tail, g.c_tail)
         out += float(grid.w @ (f.values * tv))
-    if f.c_tail != 0.0 and f.p_tail is not None:
+    if _has_tail(f):
         # tail of f against the far-field model of conv(g)
         if f.p_tail + _ALPHA <= grid.N:
             raise DivergenceError("tail of the first factor too slow for the double energy")

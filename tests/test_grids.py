@@ -176,6 +176,16 @@ def test_bicenter_symmetry(grid):
     assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
 
 
+def test_bicenter_sides_share_the_angular_rule(grid):
+    # both one-way quadratures run under the requested rule, so swapping the
+    # factors swaps two identical terms
+    f = from_callable(grid, lambda r: np.exp(-(r**2)))
+    g = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+    coarse = bicenter_integral(f, g, 2.0, n_theta=8)
+    assert coarse == bicenter_integral(g, f, 2.0, n_theta=8)
+    assert coarse != bicenter_integral(f, g, 2.0)
+
+
 def test_bicenter_disjoint_supports(grid):
     gf = make_grid(5, 80, 1.0, 1.0)
     bump = from_callable(gf, lambda r: np.exp(1 - 1 / np.clip(1 - r**2, 1e-12, None)) * (r < 1))
@@ -347,6 +357,9 @@ def test_overlap_side_must_match_the_weighing(grid):
     assert bicenter_with_side(h, f, overlap_side(f, other, 1.5)) == bicenter_integral(h, f, 1.5)
     with pytest.raises(ParameterError):
         bicenter_with_side(h, f, overlap_side(f, grid, 1.5))    # side over the wrong grid
+    for same_m in (grid.scaled(2.0), make_grid(grid.N, grid.M, 2.0 * grid.R_max, grid.stretch)):
+        with pytest.raises(ParameterError):                    # another grid with the same M
+            bicenter_with_side(f, h, overlap_side(h, same_m, 1.5))
     with pytest.raises(ParameterError):
         bicenter_with_side(g, f, overlap_side(f, grid, 1.5))    # g's tail needs tail sums
 
