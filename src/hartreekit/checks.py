@@ -37,7 +37,7 @@ from .energy import (
 )
 from .errors import AdmissibilityError, DomainError, NumericalError, ParameterError
 from .flow import FlowConfig, FlowDiagnostics, brezis_lieb_check, vanishing_energy_limit
-from .grids import Pair, RadialFn, bicenter_integral, dirichlet_seminorm, integrate
+from .grids import Pair, RadialFn, dirichlet_seminorm, integrate
 from .reporting import LemmaReport, Table, limit_trend
 from .riesz import ConstantsTable, double_energy
 
@@ -654,12 +654,7 @@ def _check_potential_vanishing(ctx: VerifyContext) -> LemmaReport:
     prof = ctx.profile
 
     def pot_mass(delta, rho):
-        sq = prof.member_square(delta)
-        out = 0.0
-        for V in (ctx.prob.V1, ctx.prob.V2):
-            if V is not None:
-                out = max(out, bicenter_integral(V, sq, rho))
-        return out
+        return max(0.0, *ctx.prob.potential_overlaps(prof.member_square(delta), rho))
 
     probes = (0.0, 1.0, 3.0, 10.0)
     seq_small = [1.0, 0.3, 0.1, 0.03]

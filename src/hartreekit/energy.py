@@ -36,6 +36,7 @@ from .grids import (
     _tail_integral,
     axis_moment_integrals,
     bicenter_integral,
+    bicenter_rows,
     bicenter_with_side,
     dirichlet_seminorm,
     from_callable,
@@ -103,6 +104,26 @@ class Problem:
 
     def potential(self, j: int) -> RadialFn | None:
         return self.V1 if j == 1 else self.V2
+
+    def potential_overlaps(self, sq: RadialFn, rho: float) -> tuple[float, float]:
+        """(int V1(x) sq(|x - y|) dx, the same for V2) at |y| = rho; 0 for an absent V.
+
+        sq's side of the overlap is evaluated once per potential grid, with
+        the tail-node sums when either potential has a tail model, so two
+        potentials on one grid share it.
+        """
+        potentials = (self.V1, self.V2)
+        with_tail = any(V is not None and _has_tail(V) for V in potentials)
+        sides = {}
+        out = []
+        for V in potentials:
+            if V is None:
+                out.append(0.0)
+                continue
+            if V.grid not in sides:
+                sides[V.grid] = overlap_side(sq, V.grid, rho, with_tail)
+            out.append(bicenter_with_side(V, sq, sides[V.grid]))
+        return out[0], out[1]
 
     def potential_norms(self) -> tuple[float, float]:
         n1 = lp_norm(self.V1, self.N / 2.0) if self.V1 is not None else 0.0
@@ -211,22 +232,15 @@ def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
     Both follow from the profile's certified energy equality and the exact
     dilation covariances: the Dirichlet and double energies of every member
     equal the profile's, and the L^2 mass scales as delta^2.  The member's
-    square comes from the profile's per-delta memo, and its side of the
-    overlap over a potential's grid is evaluated once for both potentials.
+    square comes from the profile's per-delta memo, and both potentials
+    share its side of the overlap (Problem.potential_overlaps).
     """
     if rho < 0:
         raise ParameterError(f"offset must be >= 0, got {rho}")
-    sq = profile.member_square(delta)
     E = profile.energy
     ksum = cc.k_sum
-    potentials = [(k, V) for k, V in ((cc.k1, prob.V1), (cc.k2, prob.V2)) if V is not None]
-    with_tail = any(_has_tail(V) for _, V in potentials)
-    sides = {}
-    P = 0.0
-    for k, V in potentials:
-        if V.grid not in sides:
-            sides[V.grid] = overlap_side(sq, V.grid, rho, with_tail)
-        P += k * bicenter_with_side(V, sq, sides[V.grid])
+    over1, over2 = prob.potential_overlaps(profile.member_square(delta), rho)
+    P = cc.k1 * over1 + cc.k2 * over2
     lam_term = (cc.k1 * prob.lam1 + cc.k2 * prob.lam2) * delta**2 * profile.l2_mass
     t0 = math.sqrt(1.0 + P / (ksum * E))
     t_lam = math.sqrt(1.0 + (P + lam_term) / (ksum * E))
@@ -373,16 +387,18 @@ def default_test_set(grid: RadialGrid, n_scales: int = 7) -> list:
     return out[:20]
 
 
-def _with_sides(test_set: list, grid: RadialGrid) -> list:
-    """(phi, ||grad phi||^2, ||phi||_2^2, phi's overlap side over grid) per bump.
+def _pairing_matrix(test_set: list, grid: RadialGrid):
+    """(W, ||grad phi||^2, ||phi||_2^2) over a test set, W[b] @ R.values pairing R with bump b.
 
-    The residual fields on `grid` carry no tail model, so the sides need no
-    tail-node sums.  Sides are plain arrays: a resampled RadialFn would point
-    back at the grid whose cache holds it.
+    The residual fields on `grid` carry no tail model, so each pairing
+    bicenter_integral(R, phi.profile, phi.rho) is a fixed row of W (see
+    bicenter_rows).  W and the norms are plain arrays: a resampled RadialFn
+    would point back at the grid whose cache holds them.
     """
-    return [(phi, dirichlet_seminorm(phi.profile), integrate(phi.profile.squared()),
-             overlap_side(phi.profile, grid, phi.rho))
-            for phi in test_set]
+    W = bicenter_rows(test_set, grid)
+    base = np.array([dirichlet_seminorm(phi.profile) for phi in test_set])
+    mass = np.array([integrate(phi.profile.squared()) for phi in test_set])
+    return W, base, mass
 
 
 def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float:
@@ -391,20 +407,19 @@ def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float
     Each test bump phi enters as (phi, 0) and (0, phi).  Pairings are the
     translated-overlap quadrature bicenter_integral(R, phi.profile, phi.rho)
     of each residual field R, normalized by ||phi|| ||p|| in the
-    lam-weighted norm.  The bump's side of each pairing over the run grid
-    (its nodal values there, or its angular means when offset) does not
-    depend on the residual: the default set, its norms and these sides are
-    built once per grid and kept in the grid's cache, so a call evaluates
-    only the residuals on the bumps' own grids.  An explicit test_set is
-    prepared per call.
+    lam-weighted norm.  A pairing is linear in R's nodal values, so the
+    test set becomes a cached pairing matrix W, one row per bump: the
+    default set's W and norms are built once per grid and kept in the
+    grid's cache, and a call is one product of W with the two residual
+    fields.  An explicit test_set is prepared per call.
     """
     if test_set is None:
         key = "weak_residual_test_set"
         if key not in p.grid._cache:
-            p.grid._cache[key] = _with_sides(default_test_set(p.grid), p.grid)
-        bumps = p.grid._cache[key]
+            p.grid._cache[key] = _pairing_matrix(default_test_set(p.grid), p.grid)
+        W, base, mass = p.grid._cache[key]
     else:
-        bumps = _with_sides(test_set, p.grid)
+        W, base, mass = _pairing_matrix(test_set, p.grid)
     res_u, res_v = residual_fields(p, prob)
     u, v = p.components()
 
@@ -417,13 +432,7 @@ def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float
         return 0.0
     norm_p = math.sqrt(norm_p_sq)
 
-    worst = 0.0
-    for phi, base, mass, side in bumps:
-        pair_u = bicenter_with_side(res_u, phi.profile, side)
-        pair_v = bicenter_with_side(res_v, phi.profile, side)
-        nrm1 = math.sqrt(base + prob.lam1 * mass)
-        nrm2 = math.sqrt(base + prob.lam2 * mass)
-        for val, nrm in ((pair_u, nrm1), (pair_v, nrm2)):
-            if nrm > 0:
-                worst = max(worst, abs(val) / (nrm * norm_p))
-    return worst
+    pairs = W @ np.stack([res_u.values, res_v.values], axis=1)
+    nrm = np.sqrt(base[:, None] + np.array([prob.lam1, prob.lam2]) * mass[:, None])
+    ratios = np.abs(pairs[nrm > 0]) / (nrm[nrm > 0] * norm_p)
+    return float(ratios.max(initial=0.0))

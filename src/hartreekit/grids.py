@@ -37,6 +37,7 @@ __all__ = [
     "overlap_side",
     "bicenter_integral",
     "bicenter_with_side",
+    "bicenter_rows",
     "axis_moment_integrals",
 ]
 
@@ -228,54 +229,84 @@ def _combine_tails(p1, c1, p2, c2, mode):
     return (p1, c1) if p1 < p2 else (p2, c2)
 
 
+def _spline_system(dx: np.ndarray, natural_end: bool):
+    """Diagonals (sub, diag, sup) of the slope system T s = rhs of `_cubic_spline`.
+
+    sub[i] = T[i+1, i] and sup[i] = T[i, i+1], assembled as scipy's
+    CubicSpline does.  Row 0 pins s_0 = 0; the last row is the natural end
+    (zero curvature) or pins the end slope.
+    """
+    diag = np.empty(len(dx) + 1)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    sup = [0.0, *dx[:-1].tolist()]
+    sub = [*dx[1:].tolist(), 0.0]
+    diag[0] = 1.0
+    if natural_end:
+        diag[-1], sub[-1] = 2 * dx[-1], dx[-1]
+    else:
+        diag[-1] = 1.0
+    return sub, diag.tolist(), sup
+
+
+def _thomas(sub, diag, sup, b):
+    """Solve a tridiagonal system by Thomas elimination, in place in b.
+
+    b is a list of floats, or an array whose rows are the entries of several
+    right-hand sides.  No pivoting: the spline's slope system and its
+    transpose factor stably as they are.
+    """
+    d = list(diag)
+    for i in range(len(d) - 1):
+        fact = sub[i] / d[i]
+        d[i + 1] -= fact * sup[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        b[i] = (b[i] - sup[i] * b[i + 1]) / d[i]
+    return b
+
+
 def _cubic_spline(x: np.ndarray, y: np.ndarray, end_slope: float | None):
     """C2 cubic spline through (x_i, y_i) with slope 0 at x_0.
 
     At x_-1 the slope is `end_slope`, or the second derivative is 0 when it is
-    None.  The slopes s_i solve the usual tridiagonal system (assembled as
-    scipy's CubicSpline does) by Thomas elimination, which needs no pivoting
-    because the system is diagonally dominant.  Returns the columns
-    (c3, c2, c1, c0) of y = c3 z^3 + c2 z^2 + c1 z + c0 on [x_i, x_i+1],
-    z = x - x_i.
+    None.  The slopes s_i solve the tridiagonal system of `_spline_system`
+    by Thomas elimination.  Returns the columns (c3, c2, c1, c0) of
+    y = c3 z^3 + c2 z^2 + c1 z + c0 on [x_i, x_i+1], z = x - x_i.
     """
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    diag = np.empty(len(x))
     rhs = np.empty(len(x))
-    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
     rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    upper = [0.0, *dx[:-1].tolist()]
-    lower = [*dx[1:].tolist(), 0.0]
-    diag[0], rhs[0] = 1.0, 0.0
-    if end_slope is None:
-        diag[-1], lower[-1], rhs[-1] = 2 * dx[-1], dx[-1], 3 * (y[-1] - y[-2])
-    else:
-        diag[-1], rhs[-1] = 1.0, end_slope
-    d, s = diag.tolist(), rhs.tolist()
-    for i in range(len(d) - 1):
-        fact = lower[i] / d[i]
-        d[i + 1] -= fact * upper[i]
-        s[i + 1] -= fact * s[i]
-    s[-1] /= d[-1]
-    for i in range(len(d) - 2, -1, -1):
-        s[i] = (s[i] - upper[i] * s[i + 1]) / d[i]
-    s = np.array(s)
+    rhs[0] = 0.0
+    rhs[-1] = 3 * (y[-1] - y[-2]) if end_slope is None else end_slope
+    s = np.array(_thomas(*_spline_system(dx, end_slope is None), rhs.tolist()))
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
 
-def _eval_spline(knots: np.ndarray, coefs, x: np.ndarray) -> np.ndarray:
-    """Evaluate a `_cubic_spline` at x (end intervals extend past the knots).
+def _spline_interval(knots: np.ndarray, x: np.ndarray):
+    """Interval index i and offset z = x - knots[i] of each point (end intervals extend).
 
-    The interval index is the integer part of x's fractional position, read
-    off np.interp; where that rounds up to the next knot, the neighbouring
+    The index is the integer part of x's fractional position, read off
+    np.interp; where that rounds up to the next knot, the neighbouring
     cubic agrees there to round-off, because the spline is C2.
     """
     pos = np.interp(x, knots, np.arange(len(knots), dtype=float))
     i = np.minimum(pos.astype(np.intp), len(knots) - 2)
-    z = x - knots.take(i)
+    return i, x - knots.take(i)
+
+
+def _eval_spline(knots: np.ndarray, coefs, x: np.ndarray) -> np.ndarray:
+    """Evaluate a `_cubic_spline` at x."""
+    i, z = _spline_interval(knots, x)
     c3, c2, c1, c0 = (c.take(i) for c in coefs)
     return ((c3 * z + c2) * z + c1) * z + c0
+
+
+def _origin_design(r: np.ndarray) -> np.ndarray:
+    """Design matrix of the fit f ~ a + b r^2 through the first three nodes; a is f(0)."""
+    return np.vstack([np.ones(3), r[:3] ** 2]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,9 +333,7 @@ class RadialFn:
         if "spline" not in self._cache:
             r = np.concatenate([[0.0], self.grid.r])
             # even extension: fit f(0) from a + b r^2 through the first nodes
-            r2 = self.grid.r[:3] ** 2
-            A = np.vstack([np.ones(3), r2]).T
-            ab, *_ = np.linalg.lstsq(A, self.values[:3], rcond=None)
+            ab, *_ = np.linalg.lstsq(_origin_design(self.grid.r), self.values[:3], rcond=None)
             v = np.concatenate([[ab[0]], self.values])
             end_slope = None
             if _has_tail(self):
@@ -595,6 +624,14 @@ def _overlap_side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool,
                        f.p_tail, f.c_tail)
 
 
+def _tail_nodes(grid: RadialGrid):
+    """Tail nodes s_j = R_max / x_j and radial weights: sum_j q_j h(s_j) ~ int_R^inf h s^{N-1} ds."""
+    x, wx = _tail_rule(_TAIL_NODES)
+    s_t = grid.R_max / x
+    ds = grid.R_max / x**2
+    return s_t, wx * ds * s_t ** (grid.N - 1)
+
+
 def _weigh_side(side: OverlapSide, g: RadialFn) -> float:
     """Quadrature over g's grid (s = |x - y|) of f's side over that grid against g."""
     grid = g.grid
@@ -610,11 +647,9 @@ def _weigh_side(side: OverlapSide, g: RadialFn) -> float:
             raise DivergenceError("combined tails of the translated overlap do not decay")
         if side.tail is None:
             raise ParameterError("overlap side lacks the tail-node sums of a tailed weight")
-        x, wx = _tail_rule(_TAIL_NODES)
-        s_t = grid.R_max / x
-        ds = grid.R_max / x**2
+        s_t, q = _tail_nodes(grid)
         gt = g.c_tail * s_t ** (-g.p_tail)
-        core += float(np.sum(wx * ds * s_t ** (N - 1) * gt * side.tail))
+        core += float(np.sum(q * gt * side.tail))
     return core
 
 
@@ -642,6 +677,93 @@ def bicenter_with_side(f: RadialFn, g: RadialFn, g_side: OverlapSide) -> float:
         return integrate(f * g)
     f_side = _overlap_side(f, g.grid, g_side.rho, _has_tail(g), g_side.n_theta)
     return 0.5 * (_weigh_side(f_side, g) + _weigh_side(g_side, f))
+
+
+def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
+    """Rows W with W[b] @ f.values = bicenter_integral(f, gs[b].profile, gs[b].rho).
+
+    This holds for every f on `grid` without a tail model, to round-off.
+    Both halves of the symmetric quadrature are linear in f's nodal values:
+    g's side over `grid` weighs them directly, and f's side over g's grid is
+    f's spline at the points of g's lattice, which the spline's adjoint
+    pulls back to the nodes.  Points beyond grid.R_max weigh nothing, since
+    f is zero there.
+    """
+    N = grid.N
+    t, a = _theta_rule(N, DEFAULT_THETA_NODES)
+    W = np.empty((len(gs), grid.M))
+    points, weights, owner = [], [], []
+    for b, h in enumerate(gs):
+        g, rho = h.profile, h.rho
+        own = g.grid
+        side = overlap_side(g, grid, rho)
+        if rho == 0.0:
+            W[b] = 0.5 * grid.w * side.values
+            x, wx = own.r, 0.5 * own.w * g.values
+        else:
+            W[b] = 0.5 * grid.w1 * grid.r ** (N - 1) * side.values
+            x = _offset_distance(own.r, rho, t)
+            wx = np.outer(0.5 * own.w1 * own.r ** (N - 1) * g.values, a)
+            if _has_tail(g):
+                # f's side also holds its sums at the tail nodes of g's grid
+                s_t, q = _tail_nodes(own)
+                x = np.concatenate([x, _offset_distance(s_t, rho, t)])
+                wx = np.concatenate([wx, np.outer(0.5 * q * g.c_tail * s_t ** (-g.p_tail), a)])
+        points.append(x.ravel())
+        weights.append(wx.ravel())
+        owner.append(np.full(x.size, b))
+    W += _spline_pullback(grid, np.concatenate(points), np.concatenate(weights),
+                          np.concatenate(owner), len(gs))
+    return W
+
+
+def _spline_pullback(grid: RadialGrid, x: np.ndarray, wx: np.ndarray, owner: np.ndarray,
+                     n_rows: int) -> np.ndarray:
+    """Rows L with L[b] @ f.values = sum of wx[p] f(x[p]) over the points p with owner b.
+
+    f is any function on `grid` without a tail model, evaluated as
+    RadialFn.__call__ does: its natural-end spline through the even
+    extension f(0) inside R_max, zero beyond.  The spline is linear in the
+    nodal values, so each sum is too; the point weights are binned per
+    interval and power of z, then pulled back through the coefficient
+    formulas, the slope system's transpose and the f(0) fit.
+    """
+    knots = np.concatenate([[0.0], grid.r])
+    dx = np.diff(knots)
+    n_int = len(dx)
+    inside = x <= grid.R_max
+    i, z = _spline_interval(knots, x[inside])
+    bins = owner[inside] * n_int + i
+    # B[m][b, j] = sum of wx z^m over row b's points in interval j
+    B, wz = [], wx[inside]
+    for _ in range(4):
+        B.append(np.bincount(bins, wz, n_rows * n_int).reshape(n_rows, n_int))
+        wz = wz * z
+    # on interval j, with m_j the secant slope (y_j+1 - y_j) / dx_j:
+    #   c3 = (s_j + s_j+1 - 2 m_j) / dx_j^2, c2 = (3 m_j - 2 s_j - s_j+1) / dx_j,
+    #   c1 = s_j, c0 = y_j; gather the gradients in s, m and y
+    P3, P2 = B[3] / dx**2, B[2] / dx
+    g_s = np.zeros((n_int + 1, n_rows))
+    g_s[:-1] = (B[1] - 2 * P2 + P3).T
+    g_s[1:] += (P3 - P2).T
+    g_m = 3 * P2 - 2 * P3
+    g_y = np.zeros((n_rows, n_int + 1))
+    g_y[:, :-1] = B[0]
+    # s = T^-1 rhs(y): solve with T's transpose, whose sub and sup swap
+    sub, diag, sup = _spline_system(dx, natural_end=True)
+    lam = _thomas(sup, diag, sub, g_s).T
+    # rhs_0 = 0, rhs_i = 3 (dx_i m_i-1 + dx_i-1 m_i), rhs_-1 = 3 (y_-1 - y_-2)
+    g_m[:, :-1] += 3 * dx[1:] * lam[:, 1:-1]
+    g_m[:, 1:] += 3 * dx[:-1] * lam[:, 1:-1]
+    g_y[:, -1] += 3 * lam[:, -1]
+    g_y[:, -2] -= 3 * lam[:, -1]
+    g_y[:, 1:] += g_m / dx
+    g_y[:, :-1] -= g_m / dx
+    # y_0 = f(0), the least-squares fit through the first three nodes
+    fit, *_ = np.linalg.lstsq(_origin_design(grid.r), np.eye(3), rcond=None)
+    L = g_y[:, 1:]
+    L[:, :3] += np.outer(g_y[:, 0], fit[0])
+    return L
 
 
 def axis_moment_integrals(h: OffsetFn, n_theta: int = DEFAULT_THETA_NODES):

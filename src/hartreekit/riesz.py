@@ -324,7 +324,11 @@ def kernel_for(grid: RadialGrid) -> AngularKernel:
 
 
 def _tail_in_vector(grid: RadialGrid, p_tail: float, c_tail: float) -> np.ndarray:
-    """Contribution of the source tail (s > R) to the convolution at the nodes."""
+    """Contribution of the source tail (s > R) to the convolution at the nodes.
+
+    The kernel table against the tail nodes depends on the grid only, so the
+    grid's cache keeps it.
+    """
     N = grid.N
     if p_tail + _ALPHA <= N:
         raise DivergenceError("source tail too slow for the Riesz convolution")
@@ -332,7 +336,9 @@ def _tail_in_vector(grid: RadialGrid, p_tail: float, c_tail: float) -> np.ndarra
     s = grid.R_max / x
     ds = grid.R_max / x**2
     dens = c_tail * s ** (-p_tail) * s ** (N - 1) * ds * wx
-    return _kernel_table(N, grid.r, s) @ dens
+    if "tail_kernel" not in grid._cache:
+        grid._cache["tail_kernel"] = _kernel_table(N, grid.r, s)
+    return grid._cache["tail_kernel"] @ dens
 
 
 def riesz_convolve(f: RadialFn) -> RadialFn:

@@ -34,7 +34,7 @@ from hartreekit.energy import _pair_density, default_test_set, residual_fields
 from hartreekit.grids import (
     _tail_integral,
     _theta_rule,
-    bicenter_with_side,
+    bicenter_rows,
     dirichlet_seminorm,
     integrate,
     make_grid,
@@ -333,7 +333,7 @@ def test_member_square_memo_holds_no_kernel_tables(context, trial_profile):
         assert verify_lemma(cid, ctx).passed
     assert fresh._squares
     kernel_keys = [k for sq in fresh._squares.values() for k in sq.grid._cache
-                   if isinstance(k, tuple) and k[0] == "kernel"]
+                   if k in ("kernel", "tail_kernel")]
     assert kernel_keys == []
 
 
@@ -378,6 +378,61 @@ def _plain_weak_residual(p, prob, test_set):
     return worst
 
 
+def _assert_rows_pair_like_the_quadrature(W, test_set, fields):
+    assert W.shape == (len(test_set), fields[0].grid.M)
+    for row, phi in zip(W, test_set):
+        for f in fields:
+            assert math.isclose(row @ f.values, bicenter_integral(f, phi.profile, phi.rho),
+                                rel_tol=1e-13, abs_tol=1e-15)
+
+
+def _unrelated_fields(grid):
+    """Two tail-free fields that do not vanish near R_max or near the origin."""
+    return [RadialFn(grid, np.cos(1.3 * grid.r) / (1.0 + 0.1 * grid.r)),
+            RadialFn(grid, 1.0 + 0.5 * grid.r**2 * np.exp(-grid.r / 8.0))]
+
+
+def test_pairing_matrix_rows_match_the_overlap_quadrature(free_problem):
+    g = make_grid(5, 160, 40.0, 1.02)
+    weak_residual(_slow_pair(g), free_problem)
+    W, base, mass = g._cache["weak_residual_test_set"]
+    test_set = default_test_set(g)
+    _assert_rows_pair_like_the_quadrature(W, test_set, _unrelated_fields(g))
+    assert list(base) == [dirichlet_seminorm(phi.profile) for phi in test_set]
+    assert list(mass) == [integrate(phi.profile.squared()) for phi in test_set]
+
+
+def test_pairing_rows_of_an_explicit_test_set_match_the_overlap_quadrature():
+    g = make_grid(5, 160, 40.0, 1.02)
+    own = make_grid(5, 60, 8.0, 1.0)
+    tailed = from_callable(own, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+    wide = make_grid(5, 80, 60.0, 1.0)        # reaches past the run grid's R_max
+    broad = from_callable(wide, lambda r: np.exp(-((r / 25.0) ** 2)))
+    local = from_callable(g, lambda r: np.exp(-(r**2)))   # lives on the run grid itself
+    test_set = [OffsetFn(tailed, 0.0), OffsetFn(tailed, 2.0), OffsetFn(broad, 0.0),
+                OffsetFn(broad, 3.0), OffsetFn(local, 0.0), OffsetFn(local, 1.5)]
+    W = bicenter_rows(test_set, g)
+    _assert_rows_pair_like_the_quadrature(W, test_set, _unrelated_fields(g))
+
+
+def test_weak_residual_of_one_bump_is_its_pairing_over_the_norms(problem):
+    g = make_grid(5, 160, 40.0, 1.02)
+    p = _slow_pair(g)
+    prob = problem.with_lambda(0.1, 0.3)
+    phi = default_test_set(g)[10]
+    res_u, res_v = residual_fields(p, prob)
+    u, v = p.components()
+    norm_p = math.sqrt(dirichlet_seminorm(u) + dirichlet_seminorm(v)
+                       + 0.1 * integrate(u.squared()) + 0.3 * integrate(v.squared()))
+    base = dirichlet_seminorm(phi.profile)
+    mass = integrate(phi.profile.squared())
+    expected = max(abs(bicenter_integral(res, phi.profile, phi.rho))
+                   / (math.sqrt(base + lam * mass) * norm_p)
+                   for res, lam in ((res_u, 0.1), (res_v, 0.3)))
+    assert expected > 1e-3
+    assert math.isclose(weak_residual(p, prob, test_set=[phi]), expected, rel_tol=1e-13)
+
+
 def test_weak_residual_cached_sides_match_the_plain_quadrature(problem):
     g = make_grid(5, 160, 40.0, 1.02)
     p = _slow_pair(g)
@@ -385,14 +440,14 @@ def test_weak_residual_cached_sides_match_the_plain_quadrature(problem):
     expected = _plain_weak_residual(p, prob, default_test_set(g))
     assert expected > 1e-3
     assert "weak_residual_test_set" not in g._cache
-    assert weak_residual(p, prob) == expected    # cold: builds the sides
+    # the pairing matrix sums in another order than the per-pairing quadrature
+    assert math.isclose(weak_residual(p, prob), expected, rel_tol=1e-13)   # cold: builds W
     assert "weak_residual_test_set" in g._cache
-    assert weak_residual(p, prob) == expected    # warm: reads them
-    # the maximum hides all but one pairing: check each cached side on its own
+    assert math.isclose(weak_residual(p, prob), expected, rel_tol=1e-13)   # warm: reads it
+    # the maximum hides all but one pairing: check each cached row on its own
     res_u, _ = residual_fields(p, prob)
-    for phi, _, _, side in g._cache["weak_residual_test_set"]:
-        assert bicenter_with_side(res_u, phi.profile, side) == \
-            bicenter_integral(res_u, phi.profile, phi.rho)
+    W, _, _ = g._cache["weak_residual_test_set"]
+    _assert_rows_pair_like_the_quadrature(W, default_test_set(g), [res_u])
 
 
 def test_weak_residual_explicit_test_set_matches_the_plain_quadrature(problem):
@@ -403,13 +458,14 @@ def test_weak_residual_explicit_test_set_matches_the_plain_quadrature(problem):
     tailed = from_callable(own, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
     test_set = default_test_set(g)[::4] + [OffsetFn(tailed, 0.0), OffsetFn(tailed, 2.0)]
     expected = _plain_weak_residual(p, prob, test_set)
-    assert weak_residual(p, prob, test_set=test_set) == expected
+    assert math.isclose(weak_residual(p, prob, test_set=test_set), expected, rel_tol=1e-13)
     assert "weak_residual_test_set" not in g._cache
 
 
 def test_weak_residual_cache_frees_with_its_grid(free_problem):
-    # the cached bump sides are plain arrays; a RadialFn resampled onto the
-    # grid would point back at it, and the grid would wait for the collector
+    # the cached pairing matrix and norms are plain arrays; a RadialFn
+    # resampled onto the grid would point back at it, and the grid would
+    # wait for the collector
     gc.collect()
     gc.disable()
     try:
@@ -417,6 +473,8 @@ def test_weak_residual_cache_frees_with_its_grid(free_problem):
         p = _slow_pair(g)
         weak_residual(p, free_problem)
         assert "weak_residual_test_set" in g._cache
+        W, _, _ = g._cache["weak_residual_test_set"]
+        assert W.shape == (20, 60)
         ref = weakref.ref(g)
         del g, p
         assert ref() is None
@@ -451,6 +509,16 @@ def test_trial_projection_scalars_share_the_square_exactly(trial_profile, cc, pr
     ksum_E = cc.k_sum * trial_profile.energy
     expected = (math.sqrt(1.0 + P / ksum_E), math.sqrt(1.0 + (P + lam_term) / ksum_E))
     assert trial_projection_scalars(trial_profile, delta, rho, prob, cc) == expected
+
+
+@pytest.mark.parametrize("case", ["different-s", "V2-none", "V1-none", "V1-untailed"])
+@pytest.mark.parametrize("rho", [0.0, 1.3])
+def test_potential_overlaps_equal_the_plain_quadrature(trial_profile, problem, grid, case, rho):
+    V1, V2 = _potential_pairs(grid)[case]
+    prob = dataclasses.replace(problem, V1=V1, V2=V2)
+    sq = trial_profile.member_square(0.4)
+    expected = tuple(0.0 if V is None else bicenter_integral(V, sq, rho) for V in (V1, V2))
+    assert prob.potential_overlaps(sq, rho) == expected
 
 
 def _axis_moments_at(h, xi):

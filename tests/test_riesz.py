@@ -309,3 +309,18 @@ def test_kernel_tables_free_with_their_grid(child_first):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_tail_kernel_table_is_cached_per_grid():
+    # the table against the tail nodes depends on the grid only; a scaled
+    # grid keeps its own, and a warm call gives the cold call's numbers
+    base = make_grid(5, 60, 10.0, 1.02)
+    child = base.scaled(2.0)
+    for g in (base, child):
+        f = from_callable(g, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+        cold = riesz_convolve(f).values
+        table = g._cache["tail_kernel"]
+        assert table.shape == (60, 32)
+        assert np.array_equal(riesz_convolve(f).values, cold)
+        assert g._cache["tail_kernel"] is table
+    assert base._cache["tail_kernel"] is not child._cache["tail_kernel"]
