@@ -150,7 +150,8 @@ def angular_kernel(alpha: float, r: float, s: float, N: int) -> float:
         t = 1.0 - u * u
         return 2.0 * u * (1.0 - t * t) ** pw * (a - b * t) ** (-alpha / 2.0)
 
-    val, err = quad(integrand, 0.0, math.sqrt(2.0), limit=200)
+    # quad's default epsabs (1.49e-8) is looser than the acceptance test below
+    val, err = quad(integrand, 0.0, math.sqrt(2.0), limit=200, epsabs=0.0, epsrel=1e-11)
     if not np.isfinite(val) or err > 1e-8 * max(abs(val), 1.0):
         raise NumericalError(f"angular kernel quadrature failed at (r={r}, s={s})")
     return area * val
@@ -165,7 +166,8 @@ def _log_moments(k_max: int, lo: float, hi: float, c) -> np.ndarray:
 
     Returns an array of shape c.shape + (k_max + 1,).  Exact for |c| <= 3 via
     shifted monomial antiderivatives; series in 1/c otherwise (the integrand
-    is then analytic on [lo, hi]).
+    is then analytic on [lo, hi]).  Each centre's row depends on that centre
+    alone, bit for bit, whatever else the call holds.
     """
     c = np.asarray(c, dtype=float)
     flat = c.reshape(-1)
@@ -186,16 +188,21 @@ def _log_moments(k_max: int, lo: float, hi: float, c) -> np.ndarray:
         out[exact] = np.einsum("ckm,cm->ck", shift, base)
     if not exact.all():
         # ln|sigma - c| = ln|c| - sum_m (sigma/c)^m / m, |sigma/c| < 1 on [lo, hi];
-        # the sum stops at the first term with |1/(m c^m)| < 1e-18
+        # a centre's sum stops at its first term with |1/(m c^m)| < 1e-18, and
+        # the loop ends with the last centre's stop (about 35 terms at |c| = 3)
         cs = flat[~exact]
-        ms = np.arange(1, 121)
-        with np.errstate(over="ignore"):
-            coef = 1.0 / (ms * cs[:, None] ** ms)
-        small = np.abs(coef) < 1e-18
-        coef = np.where(np.cumsum(small, axis=1) - small == 0, coef, 0.0)
-        mono = _plain_moments(k_max + ms[-1], lo, hi)
-        tail = np.einsum("cm,km->ck", coef, mono[ks[:, None] + ms])
-        out[~exact] = np.log(np.abs(cs))[:, None] * mono[ks] - tail
+        inv = 1.0 / cs
+        power = np.ones_like(cs)       # 1/c^m by cumulative product
+        live = np.ones(cs.size, dtype=bool)
+        tail = np.zeros((cs.size, k_max + 1))
+        m = 0
+        while live.any():
+            m += 1
+            power *= inv
+            coef = power / m
+            live &= np.abs(coef) >= 1e-18
+            tail += np.where(live, coef, 0.0)[:, None] * _plain_moments(k_max + m, lo, hi)[m:]
+        out[~exact] = np.log(np.abs(cs))[:, None] * _plain_moments(k_max, lo, hi) - tail
     return out.reshape(c.shape + (k_max + 1,))
 
 
@@ -212,40 +219,54 @@ def _plain_moments(k_max: int, lo: float, hi: float) -> np.ndarray:
     return (hi ** (ks + 1) - lo ** (ks + 1)) / (ks + 1)
 
 
-def _near_cell_block(grid: RadialGrid, cell: int, rows: np.ndarray) -> np.ndarray:
-    """Exact weights for int_cell K(r_i, s) s^{N-1} f(s) ds, one row per r_i (N=5, alpha=4).
+def _near_cell_weights(grid: RadialGrid, C: np.ndarray) -> None:
+    """Overwrite C's near-diagonal blocks with exact weights (N = 5, alpha = 4).
 
-    f is replaced by its Lagrange interpolant on the cell's own nodes; the
-    kernel factor splits into low-degree polynomials times ln(s + r_i),
-    ln|s - r_i| and 1, all of whose moments are exact.
+    Each (row i, cell) pair within _NEAR_CELL_REACH cells of the diagonal
+    gets the weights of int_cell K(r_i, s) s^{N-1} f(s) ds, with f replaced
+    by its Lagrange interpolant on the cell's own nodes; the kernel factor
+    splits into low-degree polynomials times ln(s + r_i), ln|s - r_i| and 1,
+    all of whose moments are exact.  Every pair of one cell node count is
+    handled in one batched pass.
     """
-    ri = grid.r[rows]
-    s_nodes = grid.r[grid.node_cell == cell]
-    q = len(s_nodes)
-    lo_e, hi_e = grid.edges[cell], grid.edges[cell + 1]
-    mid, h = 0.5 * (hi_e + lo_e), 0.5 * (hi_e - lo_e)
-    # column j = monomial coeffs (in sigma) of Lagrange basis j
-    Linv = np.linalg.inv(np.vander((s_nodes - mid) / h, q, increasing=True))
-
-    # P(r,s) s^4 = pi^2 (r^2 s + s^3) / r^3  and  Q(r,s) s^4 = -2 pi^2 s^2 / r^2
-    # expanded in sigma with s = mid + h sigma: s^n = sum_m shift[n, m] sigma^m
+    counts = np.bincount(grid.node_cell)
+    first = np.cumsum(counts) - counts
+    mids = 0.5 * (grid.edges[1:] + grid.edges[:-1])
+    hs = 0.5 * (grid.edges[1:] - grid.edges[:-1])
     n = np.arange(4)
-    shift = (_binomials(4) * mid ** np.clip(n[:, None] - n[None, :], 0, None)
-             * h ** n[None, :])
-    P = np.zeros((len(rows), 4))
-    P[:, 1] = math.pi**2 * ri**2 / ri**3
-    P[:, 3] = math.pi**2 / ri**3
-    P = P @ shift
-    Q = (-2.0 * math.pi**2 / ri**2)[:, None] * shift[2, :3]
+    for q in np.unique(counts):
+        cells = np.flatnonzero(counts == q)
+        nodes = first[cells][:, None] + np.arange(q)   # (cell, node) grid indices
+        # every (row, cell k of the group) pair within reach: each row's window
+        # of cells read through a table of the group's slots (-1 elsewhere)
+        slot = np.full(len(counts) + 2 * _NEAR_CELL_REACH, -1)
+        slot[cells + _NEAR_CELL_REACH] = np.arange(len(cells))
+        window = slot[grid.node_cell[:, None] + np.arange(2 * _NEAR_CELL_REACH + 1)]
+        rows, j = np.nonzero(window >= 0)
+        k = window[rows, j]
+        mid, h, ri = mids[cells], hs[cells], grid.r[rows]
+        # column j = monomial coeffs (in sigma) of Lagrange basis j, per cell
+        x = (grid.r[nodes] - mid[:, None]) / h[:, None]
+        Linv = np.linalg.inv(x[:, :, None] ** np.arange(q))
 
-    # ln(s + r_i) = ln h + ln|sigma - sigma_+| with sigma_+ = -(r_i + mid)/h;
-    # the ln h terms cancel against ln|s - r_i| = ln h + ln|sigma - sigma_i|
-    centres = np.stack([-(ri + mid) / h, (ri - mid) / h])
-    mom_plus, mom_minus = _log_moments(q + 2, -1.0, 1.0, centres)
-    hankel = n[:, None] + np.arange(q)[None, :]  # (P L_j)_k pairs P_a with L_b at k = a + b
-    G = (np.einsum("ra,rab->rb", P, (mom_plus - mom_minus)[:, hankel])
-         + Q @ _plain_moments(q + 1, -1.0, 1.0)[hankel[:3]])
-    return h * G @ Linv
+        # P(r,s) s^4 = pi^2 (r^2 s + s^3) / r^3  and  Q(r,s) s^4 = -2 pi^2 s^2 / r^2
+        # expanded in sigma with s = mid + h sigma: s^n = sum_m shift[n, m] sigma^m.
+        # The innermost rows' weights on the next cell cancel by about (s/r)^4,
+        # so P's last bit shows in C: keep its rounding as written.
+        shift = (_binomials(4) * mid[:, None, None] ** np.clip(n[:, None] - n, 0, None)
+                 * h[:, None, None] ** n)[k]
+        P = ((math.pi**2 * ri**2 / ri**3)[:, None] * shift[:, 1]
+             + (math.pi**2 / ri**3)[:, None] * shift[:, 3])
+        Q = (-2.0 * math.pi**2 / ri**2)[:, None] * shift[:, 2, :3]
+
+        # ln(s + r_i) = ln h + ln|sigma - sigma_+| with sigma_+ = -(r_i + mid)/h;
+        # the ln h terms cancel against ln|s - r_i| = ln h + ln|sigma - sigma_i|
+        centres = np.stack([-(ri + mid[k]) / h[k], (ri - mid[k]) / h[k]])
+        mom_plus, mom_minus = _log_moments(q + 2, -1.0, 1.0, centres)
+        hankel = n[:, None] + np.arange(q)  # (P L_j)_k pairs P_a with L_b at k = a + b
+        G = (np.einsum("pa,pab->pb", P, (mom_plus - mom_minus)[:, hankel])
+             + Q @ _plain_moments(q + 1, -1.0, 1.0)[hankel[:3]])
+        C[rows[:, None], nodes[k]] = h[k, None] * np.einsum("pb,pbj->pj", G, Linv[k])
 
 
 def _build_conv_matrix(grid: RadialGrid) -> np.ndarray:
@@ -254,10 +275,7 @@ def _build_conv_matrix(grid: RadialGrid) -> np.ndarray:
     C = _kernel_table(grid.N, r, r) * (grid.w1 * r ** (grid.N - 1))[None, :]
     if grid.N == 5:
         # the log-singular diagonal (inf in the table) and its neighbours
-        for cell in range(len(grid.edges) - 1):
-            cols = np.flatnonzero(grid.node_cell == cell)
-            rows = np.flatnonzero(np.abs(grid.node_cell - cell) <= _NEAR_CELL_REACH)
-            C[np.ix_(rows, cols)] = _near_cell_block(grid, cell, rows)
+        _near_cell_weights(grid, C)
     return C
 
 

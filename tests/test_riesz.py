@@ -22,7 +22,16 @@ from hartreekit import (
     sobolev_constant,
     sphere_area,
 )
-from hartreekit.riesz import _kernel_closed_n5a4, _log_moments, double_energy_info
+from hartreekit.riesz import (
+    _NEAR_CELL_REACH,
+    _binomials,
+    _build_conv_matrix,
+    _kernel_closed_n5a4,
+    _kernel_table,
+    _log_moments,
+    _plain_moments,
+    double_energy_info,
+)
 
 # frozen oracles (30-digit evaluation of the Gamma-function formulas)
 HLS_5_4 = 15.601260714755495     # pi^(12/5)
@@ -101,6 +110,31 @@ def test_angular_kernel_monte_carlo_oracle():
     err2 = sphere_area(5) * np.std(d2**-3.0) / math.sqrt(n)
     val2 = angular_kernel(3.0, 1.0, 1.0, 5)
     assert abs(val2 - mc2) <= max(4 * err2, 1e-3 * val2)
+
+
+def _angular_mp(N, r, s):
+    """K_4(r, s) in dimension N by mpmath quadrature over the polar angle."""
+    r, s = mp.mpf(r), mp.mpf(s)
+    area = 2 * mp.pi ** (mp.mpf(N - 1) / 2) / mp.gamma(mp.mpf(N - 1) / 2)  # |S^{N-2}|
+    width = abs(r - s) / mp.sqrt(r * s)  # angular width of the near-diagonal peak
+    pts = [0] + [width * 4**j for j in range(8) if width * 4**j < mp.pi] + [mp.pi]
+    return area * mp.quad(
+        lambda t: mp.sin(t) ** (N - 2) * (r * r + s * s - 2 * r * s * mp.cos(t)) ** -2, pts)
+
+
+@pytest.mark.parametrize("N,r", [(6, 0.3), (6, 0.99), (6, 1.01), (8, 0.5), (10, 5.0),
+                                 (10, 0.99)])
+def test_angular_kernel_generic_dimension_against_mpmath(N, r):
+    # the quad path at ordinary inputs (these raised NumericalError while quad
+    # ran at its default absolute tolerance); at N = 6 the kernel is exactly
+    # |S^5| / max(r, s)^4
+    val = angular_kernel(4.0, r, 1.0, N)
+    with mp.workdps(30):
+        exact = float(_angular_mp(N, r, 1.0))
+    assert abs(val - exact) <= 1e-10 * exact
+    if N == 6:
+        closed = sphere_area(6) / max(r, 1.0) ** 4
+        assert abs(val - closed) <= 1e-10 * closed
 
 
 def test_kernel_table_symmetry_and_positivity(grid):
@@ -252,13 +286,17 @@ def _k4_mp(r, s):
     return mp.pi**2 * ((r**2 + s**2) * mp.log((r + s) / abs(r - s)) - 2 * r * s) / (r**3 * s**3)
 
 
-@pytest.mark.parametrize("where", ["first", "mid", "last"])
+@pytest.mark.parametrize("where", ["first", "mid", "last", "last-six-node"])
 def test_near_cell_weights_against_mpmath(grid, where):
     # each row of the cell applies its product-integration weights to a
     # polynomial of degree q - 1 on every near cell; the oracle is an adaptive
-    # mpmath quadrature of K_4(r_i, s) s^4 f(s), split at s = r_i
+    # mpmath quadrature of K_4(r_i, s) s^4 f(s), split at s = r_i.  The last
+    # cells of M = 403 hold six nodes.
+    if where == "last-six-node":
+        grid = make_grid(5, 403, 40.0, 1.02)
+        assert np.count_nonzero(grid.node_cell == grid.node_cell[-1]) == 6
     n_cells = len(grid.edges) - 1
-    cell = {"first": 0, "mid": n_cells // 2, "last": n_cells - 1}[where]
+    cell = {"first": 0, "mid": n_cells // 2}.get(where, n_cells - 1)
     C = kernel_for(grid).C
     with mp.workdps(30):
         for i in np.flatnonzero(grid.node_cell == cell):
@@ -267,20 +305,68 @@ def test_near_cell_weights_against_mpmath(grid, where):
                 cols = np.flatnonzero(grid.node_cell == near)
                 lo, hi = grid.edges[near], grid.edges[near + 1]
 
-                def f(s, q=len(cols)):
-                    return sum(s**d for d in range(q))
-
+                # in s itself, and in the cell's own variable, where the top
+                # degree weighs as much as the rest; the latter is left out
+                # for row 0 against cell 1, whose weights are ill-conditioned
+                # (3e-10 relative on it, an open defect)
+                polys = [lambda s, q=len(cols): sum(s**d for d in range(q))]
+                if (i, near) != (0, 1):
+                    polys.append(lambda s, q=len(cols): sum(((s - lo) / (hi - lo))**d
+                                                            for d in range(q)))
                 pts = [lo, ri, hi] if lo < grid.r[i] < hi else [lo, hi]
-                exact = float(mp.quad(lambda s: _k4_mp(ri, s) * s**4 * f(s), pts))
-                got = C[i, cols] @ f(grid.r[cols])
-                assert abs(got - exact) <= 1e-10 * abs(exact), (i, near)
+                for f in polys:
+                    exact = float(mp.quad(lambda s: _k4_mp(ri, s) * s**4 * f(s), pts))
+                    got = C[i, cols] @ f(grid.r[cols])
+                    assert abs(got - exact) <= 1e-10 * abs(exact), (i, near)
+
+
+def _reference_near_cell_block(grid, cell, rows):
+    """The near-cell weights of one cell, built on their own (N = 5)."""
+    ri = grid.r[rows]
+    s_nodes = grid.r[grid.node_cell == cell]
+    q = len(s_nodes)
+    lo_e, hi_e = grid.edges[cell], grid.edges[cell + 1]
+    mid, h = 0.5 * (hi_e + lo_e), 0.5 * (hi_e - lo_e)
+    Linv = np.linalg.inv(np.vander((s_nodes - mid) / h, q, increasing=True))
+    n = np.arange(4)
+    shift = _binomials(4) * mid ** np.clip(n[:, None] - n[None, :], 0, None) * h ** n[None, :]
+    # P in the build's own rounding: row 0's weights on cell 1 amplify P's
+    # last bit about a millionfold
+    P = ((math.pi**2 * ri**2 / ri**3)[:, None] * shift[1]
+         + (math.pi**2 / ri**3)[:, None] * shift[3])
+    Q = (-2.0 * math.pi**2 / ri**2)[:, None] * shift[2, :3]
+    mom_plus, mom_minus = _log_moments(q + 2, -1.0, 1.0,
+                                       np.stack([-(ri + mid) / h, (ri - mid) / h]))
+    hankel = n[:, None] + np.arange(q)[None, :]
+    G = (np.einsum("ra,rab->rb", P, (mom_plus - mom_minus)[:, hankel])
+         + Q @ _plain_moments(q + 1, -1.0, 1.0)[hankel[:3]])
+    return h * G @ Linv
+
+
+@pytest.mark.parametrize("m", [37, 400, 403])
+def test_conv_matrix_matches_the_per_cell_reference(m):
+    # the batched near-diagonal pass against one block per cell; at M = 37 and
+    # 403 the outer cells hold six nodes, so both node-count groups are built
+    grid = make_grid(5, m, 40.0, 1.02)
+    assert set(np.bincount(grid.node_cell)) == ({5} if m == 400 else {5, 6})
+    r = grid.r
+    ref = _kernel_table(5, r, r) * (grid.w1 * r**4)[None, :]
+    for cell in range(len(grid.edges) - 1):
+        cols = np.flatnonzero(grid.node_cell == cell)
+        rows = np.flatnonzero(np.abs(grid.node_cell - cell) <= _NEAR_CELL_REACH)
+        ref[np.ix_(rows, cols)] = _reference_near_cell_block(grid, cell, rows)
+    C = _build_conv_matrix(grid)
+    assert np.all(np.isfinite(C))
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.max(np.abs(C - ref) / scale) <= 1e-13
 
 
 def test_log_moments_against_mpmath():
     # one vectorized call over both branches (series for |c| > 3); the exact
     # branch shifts the (sigma - c)^m moments by c^(k-m), which costs about
     # log10(3^k) digits at |c| = 3, hence the 5e-9 bound at k = 8
-    centres = np.array([0.0, 1.0, -1.0, 2.999, 3.0, 3.001, -7.0, 40.0])
+    centres = np.array([0.0, 1.0, -1.0, 2.999, 3.0, 3.001, 3.0001, -3.0001, -7.0, -12.0,
+                        1e3, -1e4, 40.0])
     k_max = 8
     got = _log_moments(k_max, -1.0, 1.0, centres)
     assert got.shape == (len(centres), k_max + 1)
@@ -291,6 +377,23 @@ def test_log_moments_against_mpmath():
                 exact = float(mp.quad(lambda s: s**k * mp.log(abs(s - c)), pts))
                 assert abs(row[k] - exact) <= 5e-9 * abs(exact) + 1e-15, (c, k)
     assert np.array_equal(_log_moments(k_max, -1.0, 1.0, 40.0), got[-1])
+
+
+def test_log_moments_rows_do_not_depend_on_the_batch():
+    # a centre's row is the same bit for bit alone and among about 1000 mixed
+    # centres of both branches, although the series runs to the batch's
+    # longest stop
+    rng = np.random.default_rng(3)
+    centres = np.concatenate([
+        [0.0, 3.0, -3.0, 3.0001, -3.0001],
+        rng.uniform(-3.0, 3.0, 400),
+        rng.choice([-1.0, 1.0], 595) * 10.0 ** rng.uniform(math.log10(3.0), 5.0, 595),
+    ])
+    rng.shuffle(centres)
+    for k_max in (6, 7):
+        batch = _log_moments(k_max, -1.0, 1.0, centres)
+        for c, row in zip(centres, batch):
+            assert np.array_equal(_log_moments(k_max, -1.0, 1.0, c), row), (k_max, c)
 
 
 @pytest.mark.parametrize("child_first", [False, True])
