@@ -46,7 +46,6 @@ from .energy import (
     weak_residual,
 )
 from .errors import (
-    AccuracyWarning,
     AdmissibilityError,
     ConstructionError,
     DivergenceError,

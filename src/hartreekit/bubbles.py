@@ -44,6 +44,7 @@ from .grids import (
     integrate,
     lp_norm,
     make_grid,
+    sphere_area,
 )
 from .riesz import ConstantsTable, double_energy, hls_constant, sobolev_constant
 
@@ -144,7 +145,7 @@ def make_constants_table(N: int = 5, grid: RadialGrid | None = None) -> Constant
         sobolev=S,
         s_hl=S / math.sqrt(C),
         bubble_norm=bubble_constant(N, grid),
-        sphere=2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0),
+        sphere=sphere_area(N),
     )
 
 

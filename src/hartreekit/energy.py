@@ -12,10 +12,11 @@ exploits.
 
 Weak pairings are evaluated through the pointwise residual field
 R_u = -L u + (V1 + lam1) u - RHS_u, with L the collocation Laplacian of the
-grid, which can be interpolated and integrated against translated test
-bumps.  The ground-state flow's fixed point satisfies the same collocation
-equation, so converged flows report near-machine residuals and discretized
-continuum solutions expose only their truncation error.
+grid.  Its pairing with a translated test bump is linear in its nodal
+values, so the default test set becomes one pairing matrix per grid
+(grids.bicenter_rows).  The ground-state flow's fixed point satisfies the
+same collocation equation, so converged flows report near-machine residuals
+and discretized continuum solutions expose only their truncation error.
 """
 
 from __future__ import annotations
@@ -33,17 +34,15 @@ from .grids import (
     RadialFn,
     RadialGrid,
     _has_tail,
-    _tail_integral,
     axis_moment_integrals,
     bicenter_integral,
+    bicenter_integrals,
     bicenter_rows,
-    bicenter_with_side,
     dirichlet_seminorm,
     from_callable,
     integrate,
     lp_norm,
     make_grid,
-    overlap_side,
 )
 from .riesz import double_energy, kernel_for
 
@@ -108,22 +107,11 @@ class Problem:
     def potential_overlaps(self, sq: RadialFn, rho: float) -> tuple[float, float]:
         """(int V1(x) sq(|x - y|) dx, the same for V2) at |y| = rho; 0 for an absent V.
 
-        sq's side of the overlap is evaluated once per potential grid, with
-        the tail-node sums when either potential has a tail model, so two
-        potentials on one grid share it.
+        Two potentials on one grid share sq's side of the overlap.
         """
         potentials = (self.V1, self.V2)
-        with_tail = any(V is not None and _has_tail(V) for V in potentials)
-        sides = {}
-        out = []
-        for V in potentials:
-            if V is None:
-                out.append(0.0)
-                continue
-            if V.grid not in sides:
-                sides[V.grid] = overlap_side(sq, V.grid, rho, with_tail)
-            out.append(bicenter_with_side(V, sq, sides[V.grid]))
-        return out[0], out[1]
+        over = iter(bicenter_integrals(sq, [V for V in potentials if V is not None], rho))
+        return tuple(0.0 if V is None else next(over) for V in potentials)
 
     def potential_norms(self) -> tuple[float, float]:
         n1 = lp_norm(self.V1, self.N / 2.0) if self.V1 is not None else 0.0
@@ -270,20 +258,9 @@ def barycenter(p: Pair, mu1: float = 1.0, mu2: float = 1.0, beta: float = 1.0):
     centered pairs xi = 0 exactly by symmetry.
     """
     dens = _pair_density(p, mu1, mu2, beta)
-    rho = p.offset
-    grid = dens.grid
     if np.all(dens.values == 0.0) and dens.c_tail == 0.0:
         raise ProjectionError("zero critical density; barycenter undefined")
-    if rho == 0.0:
-        mass = integrate(dens)
-        weight = grid.r / (1.0 + grid.r)
-        # tail weight ~ 1 at large radii
-        spread = float(grid.w @ (dens.values * weight)) + _tail_integral(dens)
-        return 0.0, spread / mass
-    # axis_moment_integrals consumes a profile h and weighs |h|^{2*}; feed the
-    # combined density through its 1/2* root (exact for the nonnegative density)
-    carrier = OffsetFn(dens.power((grid.N - 2.0) / (2.0 * grid.N)), rho)
-    mass, axial, spread = axis_moment_integrals(carrier)
+    mass, axial, spread = axis_moment_integrals(dens, p.offset)
     return axial / mass, spread / mass
 
 
@@ -291,8 +268,9 @@ def barycenter_axis_sign(profile: TrialProfile, delta: float, rho: float) -> flo
     """<xi | y> for the proportional trial pair at the member (delta, rho); must be > 0."""
     if rho <= 0:
         raise ParameterError("axis sign is defined only for rho > 0")
-    member = profile.member(delta, rho)
-    mass, axial, _ = axis_moment_integrals(member)
+    prof = profile.member(delta, rho).profile
+    N = prof.grid.N
+    mass, axial, _ = axis_moment_integrals(prof.power(2.0 * N / (N - 2.0)), rho)
     return (axial / mass) * rho
 
 
@@ -373,9 +351,9 @@ def mollified_bump(grid: RadialGrid, scale: float) -> RadialFn:
     return from_callable(grid, f)
 
 
-def default_test_set(grid: RadialGrid, n_scales: int = 7) -> list:
+def default_test_set(grid: RadialGrid) -> list:
     """Mollified bumps at log-spaced scales and offsets 0, 1, 5 (20 functions)."""
-    scales = np.geomspace(0.05, 20.0, n_scales)
+    scales = np.geomspace(0.05, 20.0, 7)
     out = []
     for s in scales:
         own = make_grid(grid.N, 80, float(s), 1.0)
@@ -387,7 +365,7 @@ def default_test_set(grid: RadialGrid, n_scales: int = 7) -> list:
     return out[:20]
 
 
-def _pairing_matrix(test_set: list, grid: RadialGrid):
+def _pairing_matrix(bumps: list, grid: RadialGrid):
     """(W, ||grad phi||^2, ||phi||_2^2) over a test set, W[b] @ R.values pairing R with bump b.
 
     The residual fields on `grid` carry no tail model, so each pairing
@@ -395,31 +373,27 @@ def _pairing_matrix(test_set: list, grid: RadialGrid):
     bicenter_rows).  W and the norms are plain arrays: a resampled RadialFn
     would point back at the grid whose cache holds them.
     """
-    W = bicenter_rows(test_set, grid)
-    base = np.array([dirichlet_seminorm(phi.profile) for phi in test_set])
-    mass = np.array([integrate(phi.profile.squared()) for phi in test_set])
+    W = bicenter_rows(bumps, grid)
+    base = np.array([dirichlet_seminorm(phi.profile) for phi in bumps])
+    mass = np.array([integrate(phi.profile.squared()) for phi in bumps])
     return W, base, mass
 
 
-def weak_residual(p: Pair, prob: Problem, test_set: list | None = None) -> float:
-    """Relative dual-norm estimate of I'(p) over a mollified-bump test set.
+def weak_residual(p: Pair, prob: Problem) -> float:
+    """Relative dual-norm estimate of I'(p) over the default mollified-bump test set.
 
     Each test bump phi enters as (phi, 0) and (0, phi).  Pairings are the
     translated-overlap quadrature bicenter_integral(R, phi.profile, phi.rho)
     of each residual field R, normalized by ||phi|| ||p|| in the
     lam-weighted norm.  A pairing is linear in R's nodal values, so the
-    test set becomes a cached pairing matrix W, one row per bump: the
-    default set's W and norms are built once per grid and kept in the
-    grid's cache, and a call is one product of W with the two residual
-    fields.  An explicit test_set is prepared per call.
+    test set becomes a pairing matrix W, one row per bump: W and the norms
+    are built once per grid and kept in the grid's cache, and a call is one
+    product of W with the two residual fields.
     """
-    if test_set is None:
-        key = "weak_residual_test_set"
-        if key not in p.grid._cache:
-            p.grid._cache[key] = _pairing_matrix(default_test_set(p.grid), p.grid)
-        W, base, mass = p.grid._cache[key]
-    else:
-        W, base, mass = _pairing_matrix(test_set, p.grid)
+    key = "weak_residual_pairing"
+    if key not in p.grid._cache:
+        p.grid._cache[key] = _pairing_matrix(default_test_set(p.grid), p.grid)
+    W, base, mass = p.grid._cache[key]
     res_u, res_v = residual_fields(p, prob)
     u, v = p.components()
 

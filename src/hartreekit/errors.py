@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class HartreeKitError(Exception):
@@ -31,7 +31,3 @@ class AdmissibilityError(HartreeKitError):
 
 class NumericalError(HartreeKitError):
     """A numerical procedure failed (bracketing, convergence, cross-check)."""
-
-
-class AccuracyWarning(UserWarning):
-    """Requested quantity is likely under-resolved on the current grid."""

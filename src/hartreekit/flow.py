@@ -175,6 +175,12 @@ def _fit_bubble_dilation(grid: RadialGrid, values: np.ndarray, amplitude: float)
     return d_fit, err
 
 
+def _decay_amplitude(grid: RadialGrid, values: np.ndarray) -> float:
+    """c in values ~ c r^-(N-2), fitted over the outer half of the grid."""
+    sel = grid.r > 0.5 * grid.R_max
+    return float(np.mean(values[sel] * grid.r[sel] ** (grid.N - 2)))
+
+
 def _rescale_profile(grid: RadialGrid, values: np.ndarray, scale: float) -> np.ndarray:
     """values(r) -> scale^((N-2)/2) values(scale r), power-law beyond the grid."""
     f = RadialFn(grid, values)
@@ -183,10 +189,7 @@ def _rescale_profile(grid: RadialGrid, values: np.ndarray, scale: float) -> np.n
     inside = r_out <= grid.R_max
     out[inside] = f(r_out[inside])
     if (~inside).any():
-        # fit the decay amplitude from the outermost decade
-        sel = grid.r > 0.5 * grid.R_max
-        c = float(np.mean(values[sel] * grid.r[sel] ** (grid.N - 2)))
-        out[~inside] = c * r_out[~inside] ** (-(grid.N - 2))
+        out[~inside] = _decay_amplitude(grid, values) * r_out[~inside] ** (-(grid.N - 2))
     return out * scale ** ((grid.N - 2) / 2.0)
 
 
@@ -294,12 +297,8 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
 
     diag.iterations = it
     diag.residual = residual
-    c_fit = float(np.mean(u[grid.r > 0.5 * grid.R_max]
-                          * grid.r[grid.r > 0.5 * grid.R_max] ** (N - 2)))
-    fu = RadialFn(grid, u, p_tail=N - 2, c_tail=max(c_fit, 0.0))
-    cv_fit = float(np.mean(v[grid.r > 0.5 * grid.R_max]
-                           * grid.r[grid.r > 0.5 * grid.R_max] ** (N - 2)))
-    fv = RadialFn(grid, v, p_tail=N - 2, c_tail=max(cv_fit, 0.0))
+    fu = RadialFn(grid, u, p_tail=N - 2, c_tail=max(_decay_amplitude(grid, u), 0.0))
+    fv = RadialFn(grid, v, p_tail=N - 2, c_tail=max(_decay_amplitude(grid, v), 0.0))
     diag.final = Pair(fu, fv)
     diag.energy = energy
 

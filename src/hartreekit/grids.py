@@ -14,13 +14,12 @@ distance (OffsetFn); their integrals against radial weights reduce to a 2-D
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError
 
 __all__ = [
     "RadialGrid",
@@ -33,16 +32,14 @@ __all__ = [
     "integrate",
     "lp_norm",
     "dirichlet_seminorm",
-    "OverlapSide",
-    "overlap_side",
     "bicenter_integral",
-    "bicenter_with_side",
+    "bicenter_integrals",
     "bicenter_rows",
     "axis_moment_integrals",
 ]
 
 NODES_PER_CELL = 5
-DEFAULT_THETA_NODES = 64
+_THETA_NODES = 64
 _TAIL_NODES = 32
 
 
@@ -469,9 +466,7 @@ class Pair:
 
 def _tail_integral(f: RadialFn, power: float = 1.0) -> float:
     """int_{R}^{inf} (c r^-p)^power * |S^{N-1}| r^{N-1} dr, with divergence check."""
-    if f.c_tail == 0.0:
-        return 0.0
-    if f.p_tail is None:
+    if not _has_tail(f):
         return 0.0
     N, R = f.grid.N, f.grid.R_max
     p_eff = f.p_tail * power
@@ -496,12 +491,8 @@ def lp_norm(f: RadialFn, p: float) -> float:
     return (core + _tail_integral(f, power=p)) ** (1.0 / p)
 
 
-def dirichlet_seminorm(f: RadialFn, check_resolution: bool = False) -> float:
-    """int |grad f|^2 for radial f, via 4th-order nodal differentiation.
-
-    With check_resolution=True an embedded half-resolution estimate is
-    compared and an AccuracyWarning is emitted on > 0.1% disagreement.
-    """
+def dirichlet_seminorm(f: RadialFn) -> float:
+    """int |grad f|^2 for radial f, via 4th-order nodal differentiation."""
     g = f.grid
     df = g.deriv_matrix() @ f.values
     core = float(g.w @ df**2)
@@ -511,22 +502,6 @@ def dirichlet_seminorm(f: RadialFn, check_resolution: bool = False) -> float:
         if 2 * p + 2 <= g.N:
             raise DivergenceError("gradient tail is not square integrable")
         tail = g.omega * (f.c_tail * p) ** 2 * g.R_max ** (g.N - 2 * p - 2) / (2 * p + 2 - g.N)
-    if check_resolution:
-        sub = slice(None, None, 2)
-        r_c = g.r[sub]
-        vals_c = f.values[sub]
-        dfc = np.gradient(vals_c, r_c)
-        wc = np.empty_like(r_c)
-        mids = 0.5 * (r_c[1:] + r_c[:-1])
-        edges_c = np.concatenate([[0.0], mids, [g.R_max]])
-        wc = g.omega * r_c ** (g.N - 1) * np.diff(edges_c)
-        coarse = float(wc @ dfc**2)
-        if abs(coarse - core) > 1e-3 * max(abs(core), 1e-300):
-            warnings.warn(
-                "dirichlet_seminorm may be under-resolved on this grid",
-                AccuracyWarning,
-                stacklevel=2,
-            )
     return core + tail
 
 
@@ -550,7 +525,7 @@ def _tail_rule(n: int):
 
 
 @lru_cache(maxsize=None)
-def _theta_rule(N: int, n_theta: int):
+def _theta_rule(N: int, n: int):
     """Angular rule: int_{S^{N-1}} F(w . e1) dw = sum a_k F(t_k) (read-only, memoized).
 
     Gauss rule for the weight (1 - t^2)^a, a = (N - 3)/2, by Golub-Welsch: the
@@ -558,7 +533,7 @@ def _theta_rule(N: int, n_theta: int):
     mu_0 v_0^2 from the first eigenvector components.
     """
     a = (N - 3) / 2.0
-    k = np.arange(1, n_theta)
+    k = np.arange(1, n)
     off = np.sqrt(k * (k + 2.0 * a) / (4.0 * (k + a) ** 2 - 1.0))
     t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
@@ -575,53 +550,24 @@ def _offset_distance(s: np.ndarray, rho: float, t: np.ndarray) -> np.ndarray:
     return np.sqrt(rho**2 + s**2 + 2.0 * rho * s * t[None, :])
 
 
-@dataclass(frozen=True, eq=False)
-class OverlapSide:
-    """One function's side of a translated overlap, evaluated over a grid.
+def _side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool):
+    """f's side (values, tail) of int f(|x|) g(|x - y|) dx, |y| = rho, for any g on `grid`.
 
     For rho > 0, values[i] = sum_k a_k f(|x|) over the angular nodes of the
-    sphere |x - y| = r_i (the angular means over the grid's (s, theta)
-    lattice), and tail holds the same sums at the tail nodes s = R_max / x_j
-    when they were asked for.  For rho = 0, values are f's nodal values.
-    f's tail model travels along for the weighing, and n_theta names the
-    angular rule.  The side holds plain arrays only: r is the node array of
-    the grid it was evaluated over, which identifies that grid without
-    referring to it, so a grid can cache sides over itself without a
-    reference cycle.
+    sphere |x - y| = r_i (f's angular means over the grid's (s, theta)
+    lattice), and with_tail adds the same sums at the tail nodes that a g
+    with a tail model needs.  For rho = 0, values are f's nodal values.
     """
-
-    r: np.ndarray
-    rho: float
-    n_theta: int
-    values: np.ndarray
-    tail: np.ndarray | None
-    p_tail: float | None
-    c_tail: float
-
-
-def overlap_side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool = False) -> OverlapSide:
-    """f's side of int f(|x|) g(|x - y|) dx, |y| = rho, for any g on `grid`.
-
-    with_tail adds the tail-node sums that a g with a tail model needs.  The
-    angular rule is the default one of bicenter_integral.
-    """
-    return _overlap_side(f, grid, rho, with_tail, DEFAULT_THETA_NODES)
-
-
-def _overlap_side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool,
-                  n_theta: int) -> OverlapSide:
-    """overlap_side under an n_theta-node angular rule."""
     if rho < 0:
         raise ParameterError("offset must be >= 0")
     if rho == 0.0:
-        return OverlapSide(grid.r, 0.0, n_theta, f(grid.r), None, f.p_tail, f.c_tail)
-    t, a = _theta_rule(grid.N, n_theta)
+        return f(grid.r), None
+    t, a = _theta_rule(grid.N, _THETA_NODES)
     tail = None
     if with_tail:
         x, _ = _tail_rule(_TAIL_NODES)
         tail = f(_offset_distance(grid.R_max / x, rho, t)) @ a
-    return OverlapSide(grid.r, rho, n_theta, f(_offset_distance(grid.r, rho, t)) @ a, tail,
-                       f.p_tail, f.c_tail)
+    return f(_offset_distance(grid.r, rho, t)) @ a, tail
 
 
 def _tail_nodes(grid: RadialGrid):
@@ -632,83 +578,82 @@ def _tail_nodes(grid: RadialGrid):
     return s_t, wx * ds * s_t ** (grid.N - 1)
 
 
-def _weigh_side(side: OverlapSide, g: RadialFn) -> float:
+def _weigh(side, f: RadialFn, g: RadialFn, rho: float) -> float:
     """Quadrature over g's grid (s = |x - y|) of f's side over that grid against g."""
+    values, tail = side
     grid = g.grid
     N = grid.N
-    if side.r is not grid.r:
-        raise ParameterError("overlap side was evaluated over another grid")
-    if side.rho == 0.0:
-        return integrate(RadialFn(grid, side.values, side.p_tail, side.c_tail) * g)
-    core = float((grid.w1 * grid.r ** (N - 1) * g.values) @ side.values)
+    if rho == 0.0:
+        return integrate(RadialFn(grid, values, f.p_tail, f.c_tail) * g)
+    core = float((grid.w1 * grid.r ** (N - 1) * g.values) @ values)
     if _has_tail(g):
         # s in (R, inf): map s = R / x
-        if _has_tail(side) and g.p_tail + side.p_tail <= N:
+        if _has_tail(f) and g.p_tail + f.p_tail <= N:
             raise DivergenceError("combined tails of the translated overlap do not decay")
-        if side.tail is None:
-            raise ParameterError("overlap side lacks the tail-node sums of a tailed weight")
         s_t, q = _tail_nodes(grid)
         gt = g.c_tail * s_t ** (-g.p_tail)
-        core += float(np.sum(q * gt * side.tail))
+        core += float(np.sum(q * gt * tail))
     return core
 
 
-def bicenter_integral(f: RadialFn, g: RadialFn, rho: float,
-                      n_theta: int = DEFAULT_THETA_NODES) -> float:
+def bicenter_integral(f: RadialFn, g: RadialFn, rho: float) -> float:
     """int f(|x|) g(|x - y|) dx for |y| = rho.
 
     Symmetric in (f, g) by construction: the mean of the quadratures over
     f's and over g's grid.  rho = 0 on one shared grid is the plain radial
     product quadrature.
     """
-    if rho == 0.0 and g.grid is f.grid:
-        return integrate(f * g)
-    return bicenter_with_side(f, g, _overlap_side(g, f.grid, rho, _has_tail(f), n_theta))
+    return bicenter_integrals(f, [g], rho)[0]
 
 
-def bicenter_with_side(f: RadialFn, g: RadialFn, g_side: OverlapSide) -> float:
-    """bicenter_integral(f, g, g_side.rho), given g's side over f's grid.
+def bicenter_integrals(f: RadialFn, gs: list, rho: float) -> list:
+    """[bicenter_integral(f, g, rho) for g in gs], bit for bit.
 
-    A side that several overlaps share (one test bump against many
-    residuals, one member square against both potentials) is then
-    evaluated once.  f's side is evaluated under g_side's angular rule.
+    f's side is evaluated once per distinct grid among gs, so functions
+    that share a grid (two potentials against one member square) share it.
     """
-    if g_side.rho == 0.0 and g.grid is f.grid:
-        return integrate(f * g)
-    f_side = _overlap_side(f, g.grid, g_side.rho, _has_tail(g), g_side.n_theta)
-    return 0.5 * (_weigh_side(f_side, g) + _weigh_side(g_side, f))
+    sides = {}
+    out = []
+    for g in gs:
+        if rho == 0.0 and g.grid is f.grid:
+            out.append(integrate(f * g))
+            continue
+        if g.grid not in sides:
+            with_tail = any(_has_tail(h) for h in gs if h.grid is g.grid)
+            sides[g.grid] = _side(f, g.grid, rho, with_tail)
+        g_side = _side(g, f.grid, rho, _has_tail(f))
+        out.append(0.5 * (_weigh(sides[g.grid], f, g, rho) + _weigh(g_side, g, f, rho)))
+    return out
 
 
 def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
     """Rows W with W[b] @ f.values = bicenter_integral(f, gs[b].profile, gs[b].rho).
 
-    This holds for every f on `grid` without a tail model, to round-off.
-    Both halves of the symmetric quadrature are linear in f's nodal values:
-    g's side over `grid` weighs them directly, and f's side over g's grid is
+    This holds for every f on `grid` without a tail model, to round-off,
+    and every g without one (a tailed g raises ParameterError).  Both
+    halves of the symmetric quadrature are linear in f's nodal values: g's
+    side over `grid` weighs them directly, and f's side over g's grid is
     f's spline at the points of g's lattice, which the spline's adjoint
     pulls back to the nodes.  Points beyond grid.R_max weigh nothing, since
     f is zero there.
     """
     N = grid.N
-    t, a = _theta_rule(N, DEFAULT_THETA_NODES)
+    t, a = _theta_rule(N, _THETA_NODES)
     W = np.empty((len(gs), grid.M))
     points, weights, owner = [], [], []
     for b, h in enumerate(gs):
         g, rho = h.profile, h.rho
+        if _has_tail(g):
+            raise ParameterError("pairing rows take functions without a tail model")
         own = g.grid
-        side = overlap_side(g, grid, rho)
+        values, _ = _side(g, grid, rho, False)
         if rho == 0.0:
-            W[b] = 0.5 * grid.w * side.values
+            W[b] = 0.5 * grid.w * values
             x, wx = own.r, 0.5 * own.w * g.values
         else:
-            W[b] = 0.5 * grid.w1 * grid.r ** (N - 1) * side.values
+            W[b] = 0.5 * grid.w1 * grid.r ** (N - 1) * values
             x = _offset_distance(own.r, rho, t)
             wx = np.outer(0.5 * own.w1 * own.r ** (N - 1) * g.values, a)
-            if _has_tail(g):
-                # f's side also holds its sums at the tail nodes of g's grid
-                s_t, q = _tail_nodes(own)
-                x = np.concatenate([x, _offset_distance(s_t, rho, t)])
-                wx = np.concatenate([wx, np.outer(0.5 * q * g.c_tail * s_t ** (-g.p_tail), a)])
         points.append(x.ravel())
         weights.append(wx.ravel())
         owner.append(np.full(x.size, b))
@@ -766,24 +711,22 @@ def _spline_pullback(grid: RadialGrid, x: np.ndarray, wx: np.ndarray, owner: np.
     return L
 
 
-def axis_moment_integrals(h: OffsetFn, n_theta: int = DEFAULT_THETA_NODES):
-    """Weighted integrals of |h|^{2*} used by the barycenter maps, in one lattice pass.
+def axis_moment_integrals(dens: RadialFn, rho: float):
+    """Weighted integrals of a density translated by rho, in one lattice pass.
 
     Returns (mass, axial_first_moment, spread):
-      mass   = int |h|^{2*} dx
-      axial  = int (x . yhat)/(1 + |x|) |h|^{2*} dx      (0 exactly when rho = 0)
-      spread = int |x/(1+|x|) - xi * yhat| |h|^{2*} dx,  xi = axial / mass,
+      mass   = int dens dx
+      axial  = int (x . yhat)/(1 + |x|) dens dx      (0 exactly when rho = 0)
+      spread = int |x/(1+|x|) - xi * yhat| dens dx,  xi = axial / mass,
     so spread / mass is the concentration about the barycenter's axial
     component xi.  The tail model's mass counts in mass and in xi.
     """
-    prof = h.profile
-    grid = prof.grid
+    if not (np.isfinite(rho) and rho >= 0):
+        raise ParameterError(f"offset distance must be finite and >= 0, got {rho}")
+    grid = dens.grid
     N = grid.N
-    two_star = 2.0 * N / (N - 2.0)
-    dens = prof.power(two_star)
-    rho = h.rho
     if _has_tail(dens) and dens.p_tail <= N:
-        raise DivergenceError("profile is not 2*-integrable under its tail model")
+        raise DivergenceError("density is not integrable under its tail model")
 
     if rho == 0.0:
         # xi = 0, and the tail weight tends to 1 at large radii
@@ -791,7 +734,7 @@ def axis_moment_integrals(h: OffsetFn, n_theta: int = DEFAULT_THETA_NODES):
         spread = float(grid.w @ (dens.values * (r / (1.0 + r)))) + _tail_integral(dens)
         return integrate(dens), 0.0, spread
 
-    t, a = _theta_rule(N, n_theta)
+    t, a = _theta_rule(N, _THETA_NODES)
     absx = _offset_distance(grid.r, rho, t)
     one_absx = 1.0 + absx
     axial_comp = rho + grid.r[:, None] * t[None, :]

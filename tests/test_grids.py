@@ -24,14 +24,13 @@ from hartreekit import (
 )
 from hartreekit.grids import (
     _TAIL_NODES,
-    bicenter_with_side,
-    overlap_side,
     _cubic_spline,
     _eval_spline,
     _gauss_legendre,
     _stencil_matrix,
     _tail_rule,
     _theta_rule,
+    bicenter_integrals,
 )
 
 # frozen oracle values (30-digit Gamma/quadrature evaluation)
@@ -171,19 +170,27 @@ def test_bicenter_gaussian_closed_form(grid):
 def test_bicenter_symmetry(grid):
     f = from_callable(grid, lambda r: np.exp(-(r**2)))
     g = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
-    a = bicenter_integral(f, g, 2.0)
-    b = bicenter_integral(g, f, 2.0)
-    assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
+    # both one-way quadratures run under one rule, so swapping the factors
+    # swaps two identical terms
+    other = make_grid(5, 80, 10.0, 1.0)
+    h = from_callable(other, lambda r: np.exp(-(r**2)))
+    for x, y in ((f, g), (f, h), (g, h)):
+        for rho in (0.0, 2.0):
+            assert bicenter_integral(x, y, rho) == bicenter_integral(y, x, rho)
 
 
-def test_bicenter_sides_share_the_angular_rule(grid):
-    # both one-way quadratures run under the requested rule, so swapping the
-    # factors swaps two identical terms
-    f = from_callable(grid, lambda r: np.exp(-(r**2)))
-    g = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
-    coarse = bicenter_integral(f, g, 2.0, n_theta=8)
-    assert coarse == bicenter_integral(g, f, 2.0, n_theta=8)
-    assert coarse != bicenter_integral(f, g, 2.0)
+def test_bicenter_integrals_match_the_single_pair_form(grid):
+    # f's side is shared by the g on one grid; every value must be the one a
+    # single pair gives, bit for bit
+    f = from_callable(grid, lambda r: (1.0 + r**2) ** -1.5, p_tail=3.0, c_tail=1.0)
+    plain = from_callable(grid, lambda r: np.exp(-(r**2)))
+    tailed = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+    other = make_grid(5, 80, 10.0, 1.0)
+    far = from_callable(other, lambda r: np.exp(-((r / 2.0) ** 2)))
+    far_tailed = from_callable(other, lambda r: (1.0 + r**2) ** -2.5, p_tail=5.0, c_tail=1.0)
+    gs = [plain, far, tailed, far_tailed]
+    for rho in (0.0, 1.5):
+        assert bicenter_integrals(f, gs, rho) == [bicenter_integral(f, g, rho) for g in gs]
 
 
 def test_bicenter_disjoint_supports(grid):
@@ -195,15 +202,15 @@ def test_bicenter_disjoint_supports(grid):
 
 
 def test_axis_moments_centered_symmetry(grid):
-    h = OffsetFn(from_callable(grid, lambda r: np.exp(-(r**2))), 0.0)
-    mass, axial, _ = axis_moment_integrals(h)
+    dens = from_callable(grid, lambda r: np.exp(-(r**2)))
+    mass, axial, _ = axis_moment_integrals(dens, 0.0)
     assert axial == 0.0
     assert mass > 0
 
 
 def test_axis_moments_mass_matches_lp_norm(grid):
     prof = from_callable(grid, lambda r: np.exp(-(r**2)))
-    mass, _, _ = axis_moment_integrals(OffsetFn(prof, 0.0))
+    mass, _, _ = axis_moment_integrals(prof.power(10.0 / 3.0), 0.0)
     ref = lp_norm(prof, 10.0 / 3.0) ** (10.0 / 3.0)
     assert abs(mass - ref) <= 1e-10 * ref
 
@@ -211,7 +218,7 @@ def test_axis_moments_mass_matches_lp_norm(grid):
 def test_axis_moments_point_mass_limit():
     g = make_grid(5, 200, 1.0, 1.0)
     bump = from_callable(g, lambda r: np.exp(-((r / 0.02) ** 2)))
-    mass, axial, _ = axis_moment_integrals(OffsetFn(bump, 3.0))
+    mass, axial, _ = axis_moment_integrals(bump, 3.0)
     assert abs(axial / mass - 0.75) <= 1e-2
 
 
@@ -219,6 +226,11 @@ def test_offset_fn_rejects_negative_offset(grid):
     prof = from_callable(grid, lambda r: np.exp(-(r**2)))
     with pytest.raises(ParameterError):
         OffsetFn(prof, -1.0)
+    for rho in (-1.0, math.inf):
+        with pytest.raises(ParameterError):
+            axis_moment_integrals(prof, rho)
+    with pytest.raises(ParameterError):
+        bicenter_integral(prof, prof, -1.0)
 
 
 def test_quadrature_rules_are_memoized_read_only():
@@ -237,7 +249,7 @@ def test_overlap_quadrature_repeats_bit_for_bit(grid):
 
     def run():
         return (bicenter_integral(f, g, 2.0), bicenter_integral(g, f, 0.7),
-                axis_moment_integrals(OffsetFn(f, 2.0)))
+                axis_moment_integrals(f.power(10.0 / 3.0), 2.0))
 
     first = run()
     assert run() == first
@@ -349,21 +361,6 @@ def test_radial_fn_values_do_not_depend_on_the_batch(grid):
     assert np.all(untailed(outer) == 0.0)
 
 
-def test_overlap_side_must_match_the_weighing(grid):
-    f = from_callable(grid, lambda r: np.exp(-(r**2)))
-    g = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
-    other = make_grid(5, 80, 10.0, 1.0)
-    h = from_callable(other, lambda r: np.exp(-(r**2)))
-    assert bicenter_with_side(h, f, overlap_side(f, other, 1.5)) == bicenter_integral(h, f, 1.5)
-    with pytest.raises(ParameterError):
-        bicenter_with_side(h, f, overlap_side(f, grid, 1.5))    # side over the wrong grid
-    for same_m in (grid.scaled(2.0), make_grid(grid.N, grid.M, 2.0 * grid.R_max, grid.stretch)):
-        with pytest.raises(ParameterError):                    # another grid with the same M
-            bicenter_with_side(f, h, overlap_side(h, same_m, 1.5))
-    with pytest.raises(ParameterError):
-        bicenter_with_side(g, f, overlap_side(f, grid, 1.5))    # g's tail needs tail sums
-
-
 def test_axis_moments_of_a_zero_profile_vanish(grid):
     zero = RadialFn(grid, np.zeros(grid.M))
-    assert axis_moment_integrals(OffsetFn(zero, 1.0)) == (0.0, 0.0, 0.0)
+    assert axis_moment_integrals(zero, 1.0) == (0.0, 0.0, 0.0)

@@ -1,18 +1,13 @@
 import json
 
 import numpy as np
-import pytest
 
 from hartreekit import (
-    AccuracyWarning,
     FlowConfig,
     ground_pair,
     energy_I,
-    from_callable,
-    make_grid,
     solve_limit_ground_state,
 )
-from hartreekit.grids import dirichlet_seminorm
 from hartreekit.reporting import LemmaReport, Table, write_bundle
 
 
@@ -41,13 +36,6 @@ def test_flow_trace_csv(cc, grid, tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "iteration,energy,nehari_defect,weak_residual"
     assert len(text) >= 2
-
-
-def test_dirichlet_resolution_warning():
-    coarse = make_grid(5, 16, 40.0, 1.0)
-    f = from_callable(coarse, lambda r: np.exp(-((r / 0.4) ** 2)))
-    with pytest.warns(AccuracyWarning):
-        dirichlet_seminorm(f, check_resolution=True)
 
 
 def test_report_rows_require_tolerance():
