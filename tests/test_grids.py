@@ -179,6 +179,20 @@ def test_bicenter_symmetry(grid):
             assert bicenter_integral(x, y, rho) == bicenter_integral(y, x, rho)
 
 
+def test_bicenter_sides_share_the_angular_rule(grid, monkeypatch):
+    # both one-way quadratures read the module's one angular rule: under a
+    # coarse rule swapping the factors still swaps two identical terms
+    from hartreekit import grids
+
+    f = from_callable(grid, lambda r: np.exp(-(r**2)))
+    g = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+    fine = bicenter_integral(f, g, 2.0)
+    monkeypatch.setattr(grids, "_THETA_NODES", 8)
+    coarse = bicenter_integral(f, g, 2.0)
+    assert coarse == bicenter_integral(g, f, 2.0)
+    assert coarse != fine
+
+
 def test_bicenter_integrals_match_the_single_pair_form(grid):
     # f's side is shared by the g on one grid; every value must be the one a
     # single pair gives, bit for bit
