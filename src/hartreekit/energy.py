@@ -311,6 +311,15 @@ def pohozaev_residual(p: Pair, prob: Problem):
     return lam_mass, gap / scale
 
 
+def _coupling_matrix(c) -> np.ndarray:
+    """[[mu1, beta], [beta, mu2]] of a Problem or CouplingConstants.
+
+    With the convolutions of both squared components as the columns of an
+    (M, 2) array, column j of (conv @ this matrix) is component j's factor.
+    """
+    return np.array([[c.mu1, c.beta], [c.beta, c.mu2]])
+
+
 def _nodal_potential(V, grid):
     if V is None:
         return 0.0
@@ -321,7 +330,9 @@ def residual_fields(p: Pair, prob: Problem):
     """Pointwise nodal residuals (R_u, R_v) of the coupled system at a centered pair.
 
     The Laplacian is the grid's collocation matrix, so the fields can be
-    interpolated and integrated against translated test functions.
+    interpolated and integrated against translated test functions.  Both
+    components travel as the columns of one (M, 2) array, so the Laplacian
+    and the convolution table are each applied once.
     """
     if p.offset != 0.0:
         raise ParameterError("residual fields are defined for centered pairs")
@@ -329,14 +340,12 @@ def residual_fields(p: Pair, prob: Problem):
     grid = u.grid
     kern = kernel_for(grid)
     L = grid.laplacian_matrix()
-    up = u.positive()
-    vp = v.positive()
-    conv_u2 = kern.convolve_values(up.squared().values)
-    conv_v2 = kern.convolve_values(vp.squared().values)
-    rhs_u = prob.mu1 * conv_u2 * up.values + prob.beta * conv_v2 * up.values
-    rhs_v = prob.mu2 * conv_v2 * vp.values + prob.beta * conv_u2 * vp.values
-    res_u = -(L @ u.values) + (_nodal_potential(prob.V1, grid) + prob.lam1) * u.values - rhs_u
-    res_v = -(L @ v.values) + (_nodal_potential(prob.V2, grid) + prob.lam2) * v.values - rhs_v
+    X = np.column_stack([u.values, v.values])
+    Xp = np.clip(X, 0.0, None)
+    rhs = (kern.convolve_values(Xp**2) @ _coupling_matrix(prob)) * Xp
+    shift = np.stack(np.broadcast_arrays(_nodal_potential(prob.V1, grid) + prob.lam1,
+                                         _nodal_potential(prob.V2, grid) + prob.lam2), axis=-1)
+    res_u, res_v = (-(L @ X) + shift * X - rhs).T
     return RadialFn(grid, res_u), RadialFn(grid, res_v)
 
 

@@ -8,6 +8,13 @@ Laplacian (outermost node pinned to zero), clamps negative values, rescales
 back onto the Nehari set, and backtracks on the energy.  The dilation zero
 mode is re-gauged to unit scale every few dozen iterations so the iterate
 cannot drift below grid resolution.
+
+The iterate is one (M, 2) array X = [u v], so each dense M x M operator (the
+convolution table, the pinned inverse, the stiffness and energy matrices)
+is applied once to both components: a Picard step makes one convolution of
+the squared positive parts, the coupling mixes its columns through the 2 x 2
+matrix [[mu1, beta], [beta, mu2]], and the Dirichlet and nonlocal sums are
+read off 2 x 2 Gram matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bubbles import CouplingConstants, bubble_constant, make_bubble
-from .energy import Problem, weak_residual
+from .energy import Problem, _coupling_matrix, weak_residual
 from .errors import ParameterError
 from .grids import (
     Pair,
@@ -103,9 +110,11 @@ class FlowDiagnostics:
 def _pinned_solver(grid: RadialGrid):
     """Solve -Lap g = rhs with the outermost node pinned to zero.
 
-    Uses the collocation Laplacian (direct second-derivative stencils), whose
-    inverse is cached on the grid: each solve is then one matrix-vector
-    product, and the pinned matrix (condition number about 7e6 at M = 400)
+    rhs is one (M,) vector or an (M, k) block of right-hand sides, one per
+    column; the last row is pinned in every column.  Uses the collocation
+    Laplacian (direct second-derivative stencils), whose inverse is cached
+    on the grid: each solve is then one product of the inverse with rhs,
+    and the pinned matrix (condition number about 7e6 at M = 400)
     leaves it within round-off of an LU solve.  The fixed point of the Picard
     map then satisfies the same strong-form operator that the residual field
     is built from, so converged flows report near-machine residuals.
@@ -162,13 +171,17 @@ def _fit_bubble_dilation(grid: RadialGrid, values: np.ndarray, amplitude: float)
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = d0 / 1.5, d0 * 1.5
     c1, c2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = misfit(c1), misfit(c2)
     for _ in range(80):
-        if misfit(c1) < misfit(c2):
-            b, c2 = c2, c1
+        # the surviving interior point keeps its misfit; one new evaluation per pass
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
             c1 = b - phi * (b - a)
+            f1 = misfit(c1)
         else:
-            a, c1 = c1, c2
+            a, c1, f1 = c1, c2, f2
             c2 = a + phi * (b - a)
+            f2 = misfit(c2)
     d_fit = 0.5 * (a + b)
     model = amplitude * cn * (d_fit / (d_fit**2 + grid.r[bulk] ** 2)) ** p
     err = float(np.max(np.abs(values[bulk] - model)) / values.max())
@@ -209,56 +222,44 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     prob = Problem.limit(N, cc)
 
     if cfg.start == "bubble":
-        b = make_bubble(1.0, 0.0, grid)
-        u = math.sqrt(cc.k1) * b(grid.r)
-        v = math.sqrt(cc.k2) * b(grid.r)
+        b = make_bubble(1.0, 0.0, grid)(grid.r)
+        X = b[:, None] * np.sqrt([cc.k1, cc.k2])
     else:
-        w1, w2 = cfg.start_widths
-        a1, a2 = cfg.start_amplitudes
-        u = a1 * np.exp(-(grid.r / w1) ** 2)
-        v = a2 * np.exp(-(grid.r / w2) ** 2)
+        widths = np.asarray(cfg.start_widths, float)
+        amps = np.asarray(cfg.start_amplitudes, float)
+        X = amps * np.exp(-(grid.r[:, None] / widths) ** 2)
+    coupling = _coupling_matrix(cc)
 
-    def nonlocal_sum(uu, vv):
-        u2 = np.clip(uu, 0, None) ** 2
-        v2 = np.clip(vv, 0, None) ** 2
-        E = kern.energy
-        Ev2 = E @ v2
-        return (cc.mu1 * (u2 @ (E @ u2)) + cc.mu2 * (v2 @ Ev2)
-                + 2.0 * cc.beta * (u2 @ Ev2))
+    def gram(S, Y):
+        return Y.T @ (S @ Y)
 
-    def project(uu, vv):
-        K = float(uu @ (A @ uu) + vv @ (A @ vv))
-        NL = nonlocal_sum(uu, vv)
+    def nonlocal_sum(XX):
+        return float(np.sum(coupling * gram(kern.energy, np.clip(XX, 0, None) ** 2)))
+
+    def project(XX):
+        K = float(np.trace(gram(A, XX)))
+        NL = nonlocal_sum(XX)
         if NL <= 0:
             raise ParameterError("pair has vanishing positive parts")
         t = math.sqrt(K / NL)
-        return t * uu, t * vv, t**4 * 0.25 * NL  # on-manifold energy = K/4
+        return t * XX, t**4 * 0.25 * NL  # on-manifold energy = K/4
 
-    u, v, energy = project(u, v)
+    X, energy = project(X)
     diag = FlowDiagnostics()
     tau = cfg.step_size
     residual = math.inf
     it = 0
 
     for it in range(1, cfg.max_iterations + 1):
-        up = np.clip(u, 0, None)
-        vp = np.clip(v, 0, None)
-        conv_u2 = kern.convolve_values(up**2)
-        conv_v2 = kern.convolve_values(vp**2)
-        rhs_u = (cc.mu1 * conv_u2 + cc.beta * conv_v2) * up
-        rhs_v = (cc.mu2 * conv_v2 + cc.beta * conv_u2) * vp
-        pic_u = solve(rhs_u)
-        pic_v = solve(rhs_v)
+        Xp = np.clip(X, 0, None)
+        pic = solve((kern.convolve_values(Xp**2) @ coupling) * Xp)
 
         accepted = False
         for _ in range(40):
-            cu = (1.0 - tau) * u + tau * pic_u
-            cv = (1.0 - tau) * v + tau * pic_v
-            clamped = float(W @ np.clip(cu, None, 0) ** 2 + W @ np.clip(cv, None, 0) ** 2)
-            cu = np.clip(cu, 0, None)
-            cv = np.clip(cv, 0, None)
+            cand = (1.0 - tau) * X + tau * pic
+            clamped = float(np.sum(W @ np.clip(cand, None, 0) ** 2))
             try:
-                cu, cv, cand_energy = project(cu, cv)
+                cand, cand_energy = project(np.clip(cand, 0, None))
             except ParameterError:
                 tau *= 0.5
                 continue
@@ -269,25 +270,23 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         if not accepted:
             diag.verdict = "stalled line search"
             break
-        u, v, energy = cu, cv, cand_energy
+        X, energy = cand, cand_energy
         diag.clamped_mass.append(clamped)
         tau = min(cfg.step_size, tau * 1.3)
 
         if it % cfg.recenter_every == 0:
-            d_hat = _half_height_scale(grid, u)
+            d_hat = _half_height_scale(grid, X[:, 0])
             if np.isfinite(d_hat) and abs(d_hat - 1.0) > 0.2:
-                u = _rescale_profile(grid, u, d_hat)
-                v = _rescale_profile(grid, v, d_hat)
-                u, v, energy = project(u, v)
+                X = np.column_stack([_rescale_profile(grid, x, d_hat) for x in X.T])
+                X, energy = project(X)
 
         if it % cfg.check_every == 0 or it == cfg.max_iterations:
-            pair = Pair(RadialFn(grid, u), RadialFn(grid, v))
+            pair = Pair(RadialFn(grid, X[:, 0]), RadialFn(grid, X[:, 1]))
             residual = weak_residual(pair, prob)
-            K = float(u @ (A @ u) + v @ (A @ v))
-            defect = (K - nonlocal_sum(u, v)) / max(K, 1e-300)
+            ku, kv = np.diag(gram(A, X))
+            K = float(ku + kv)
+            defect = (K - nonlocal_sum(X)) / max(K, 1e-300)
             diag.trace.append((it, energy, defect, residual))
-            ku = float(u @ (A @ u))
-            kv = float(v @ (A @ v))
             if min(ku, kv) < 1e-12 * max(ku, kv):
                 diag.verdict = "semi-trivial attractor"
                 break
@@ -295,6 +294,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
                 diag.verdict = "converged"
                 break
 
+    u, v = X.T.copy()
     diag.iterations = it
     diag.residual = residual
     fu = RadialFn(grid, u, p_tail=N - 2, c_tail=max(_decay_amplitude(grid, u), 0.0))

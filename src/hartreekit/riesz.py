@@ -316,6 +316,7 @@ class AngularKernel:
     energy: np.ndarray   # symmetric matrix E with D(f, g) = f^T E g
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
+        """Nodal convolution of (M,) values, or of each column of an (M, k) block."""
         return self.C @ values
 
 

@@ -18,7 +18,7 @@ from hartreekit import (
     solve_limit_ground_state,
     vanishing_energy_limit,
 )
-from hartreekit.flow import _pinned_solver
+from hartreekit.flow import _fit_bubble_dilation, _pinned_solver
 
 S_HL_SQ = 225.0 / 16.0
 C_INF_123 = 675.0 / 448.0
@@ -73,6 +73,21 @@ def test_flow_symmetric_case_preserves_equality(grid, constants):
     assert diag.converged
     u, v = diag.final.components()
     assert np.max(np.abs(u.values - v.values)) <= 1e-10 * np.max(u.values)
+
+
+def test_flow_component_swap(diag_123, constants, grid):
+    # swapping mu1 <-> mu2 with the start widths and amplitudes swaps the
+    # components: a transposed coupling matrix or a mixed-up column breaks it
+    cc_swap = coupling_constants(2.0, 1.0, 3.0, constants.s_hl_sq)
+    cfg = FlowConfig(start_widths=(1.2, 1.0), start_amplitudes=(0.8, 1.0))
+    swapped = solve_limit_ground_state(cc_swap, cfg, grid)
+    assert swapped.iterations == diag_123.iterations
+    assert swapped.verdict == diag_123.verdict
+    u, v = diag_123.final.components()
+    su, sv = swapped.final.components()
+    scale = max(np.max(u.values), np.max(v.values))
+    assert np.max(np.abs(u.values - sv.values)) <= 1e-12 * scale
+    assert np.max(np.abs(v.values - su.values)) <= 1e-12 * scale
 
 
 def test_flow_not_semi_trivial(diag_123):
@@ -231,3 +246,20 @@ def test_pinned_solver_matches_lu_solve(M):
     want = lu_solve(lu_factor(L), b)
     got = _pinned_solver(g)(rhs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # a two-column right-hand side: each column solved, each last row pinned
+    rhs2 = np.column_stack([rhs, rhs[::-1] * g.r / g.R_max])
+    got2 = _pinned_solver(g)(rhs2)
+    assert got2.shape == (M, 2)
+    for j in range(2):
+        b = rhs2[:, j].copy()
+        b[-1] = 0.0
+        want = lu_solve(lu_factor(L), b)
+        assert np.max(np.abs(got2[:, j] - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(np.abs(got2[-1]) <= 1e-13 * np.max(np.abs(got2), axis=0))
+
+
+def test_bubble_dilation_fit_recovers_known_dilation(grid):
+    values = make_bubble(0.85, 0.0, grid)(grid.r)
+    delta, err = _fit_bubble_dilation(grid, values, 1.0)
+    assert abs(delta - 0.85) <= 1e-6
+    assert err <= 1e-12
