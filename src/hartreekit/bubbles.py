@@ -126,9 +126,6 @@ class Bubble:
         return RadialFn(grid, self(grid.r), p_tail=self.N - 2,
                         c_tail=self.c_N * self.delta**p)
 
-    def as_offset(self, grid: RadialGrid) -> OffsetFn:
-        return OffsetFn(self.profile_on(grid), self.rho)
-
 
 def make_bubble(delta: float, rho: float, grid: RadialGrid) -> Bubble:
     """Bubble with the amplitude pinned on `grid` (or on its root grid)."""

@@ -341,7 +341,7 @@ def residual_fields(p: Pair, prob: Problem):
     kern = kernel_for(grid)
     L = grid.laplacian_matrix()
     X = np.column_stack([u.values, v.values])
-    Xp = np.clip(X, 0.0, None)
+    Xp = np.maximum(X, 0.0)
     rhs = (kern.convolve_values(Xp**2) @ _coupling_matrix(prob)) * Xp
     shift = np.stack(np.broadcast_arrays(_nodal_potential(prob.V1, grid) + prob.lam1,
                                          _nodal_potential(prob.V2, grid) + prob.lam2), axis=-1)

@@ -9,12 +9,14 @@ back onto the Nehari set, and backtracks on the energy.  The dilation zero
 mode is re-gauged to unit scale every few dozen iterations so the iterate
 cannot drift below grid resolution.
 
-The iterate is one (M, 2) array X = [u v], so each dense M x M operator (the
-convolution table, the pinned inverse, the stiffness and energy matrices)
-is applied once to both components: a Picard step makes one convolution of
-the squared positive parts, the coupling mixes its columns through the 2 x 2
-matrix [[mu1, beta], [beta, mu2]], and the Dirichlet and nonlocal sums are
-read off 2 x 2 Gram matrices.
+The iterate is one (M, 2) array X = [u v], so each dense M x M table is
+applied once to both components.  A step applies three: the pinned inverse,
+the stiffness and the convolution table.  The projection is the only place
+the flow convolves: it forms Y = (X_+)^2 once, reads the nonlocal sum off
+the 2 x 2 matrix Y^T (w Z) with Z = C Y (equal to Y^T E Y against the
+symmetric coupling), and hands the rescaled Z on, so the next Picard step
+and the Nehari defect reuse it.  The coupling mixes the columns of Z through
+the 2 x 2 matrix [[mu1, beta], [beta, mu2]].
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class FlowDiagnostics:
     amplitude_ratio: float = math.nan
     shape_error: float = math.nan
     clamped_mass: list = field(default_factory=list)
+    projections: int = 0   # Nehari projections, one convolution-table product each
 
     @property
     def converged(self) -> bool:
@@ -230,36 +233,39 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         X = amps * np.exp(-(grid.r[:, None] / widths) ** 2)
     coupling = _coupling_matrix(cc)
 
-    def gram(S, Y):
-        return Y.T @ (S @ Y)
-
-    def nonlocal_sum(XX):
-        return float(np.sum(coupling * gram(kern.energy, np.clip(XX, 0, None) ** 2)))
+    def nonlocal_sum(Y, Z):
+        """Sum of coupling * D((X_+)^2) over both components, from Y = (X_+)^2 and Z = C Y."""
+        return float(np.sum(coupling * (Y.T @ (W[:, None] * Z))))
 
     def project(XX):
-        K = float(np.trace(gram(A, XX)))
-        NL = nonlocal_sum(XX)
+        """Rescale onto the Nehari set: (t XX, its energy, its convolution C (t XX)_+^2)."""
+        Y = np.maximum(XX, 0.0) ** 2
+        Z = kern.convolve_values(Y)
+        diag.projections += 1
+        K = float(np.sum(XX * (A @ XX)))
+        NL = nonlocal_sum(Y, Z)
         if NL <= 0:
             raise ParameterError("pair has vanishing positive parts")
         t = math.sqrt(K / NL)
-        return t * XX, t**4 * 0.25 * NL  # on-manifold energy = K/4
+        return t * XX, t**4 * 0.25 * NL, t**2 * Z  # on-manifold energy = K/4
 
-    X, energy = project(X)
     diag = FlowDiagnostics()
+    X, energy, Z = project(X)
     tau = cfg.step_size
     residual = math.inf
     it = 0
 
     for it in range(1, cfg.max_iterations + 1):
-        Xp = np.clip(X, 0, None)
-        pic = solve((kern.convolve_values(Xp**2) @ coupling) * Xp)
+        Xp = np.maximum(X, 0.0)
+        pic = solve((Z @ coupling) * Xp)
 
         accepted = False
         for _ in range(40):
             cand = (1.0 - tau) * X + tau * pic
-            clamped = float(np.sum(W @ np.clip(cand, None, 0) ** 2))
+            cand_p = np.maximum(cand, 0.0)
+            clamped = float(np.sum(W @ (cand - cand_p) ** 2))
             try:
-                cand, cand_energy = project(np.clip(cand, 0, None))
+                cand, cand_energy, cand_Z = project(cand_p)
             except ParameterError:
                 tau *= 0.5
                 continue
@@ -270,7 +276,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         if not accepted:
             diag.verdict = "stalled line search"
             break
-        X, energy = cand, cand_energy
+        X, energy, Z = cand, cand_energy, cand_Z
         diag.clamped_mass.append(clamped)
         tau = min(cfg.step_size, tau * 1.3)
 
@@ -278,14 +284,14 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
             d_hat = _half_height_scale(grid, X[:, 0])
             if np.isfinite(d_hat) and abs(d_hat - 1.0) > 0.2:
                 X = np.column_stack([_rescale_profile(grid, x, d_hat) for x in X.T])
-                X, energy = project(X)
+                X, energy, Z = project(X)
 
         if it % cfg.check_every == 0 or it == cfg.max_iterations:
             pair = Pair(RadialFn(grid, X[:, 0]), RadialFn(grid, X[:, 1]))
             residual = weak_residual(pair, prob)
-            ku, kv = np.diag(gram(A, X))
+            ku, kv = np.sum(X * (A @ X), axis=0)
             K = float(ku + kv)
-            defect = (K - nonlocal_sum(X)) / max(K, 1e-300)
+            defect = (K - nonlocal_sum(np.maximum(X, 0.0) ** 2, Z)) / max(K, 1e-300)
             diag.trace.append((it, energy, defect, residual))
             if min(ku, kv) < 1e-12 * max(ku, kv):
                 diag.verdict = "semi-trivial attractor"

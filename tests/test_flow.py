@@ -12,12 +12,14 @@ from hartreekit import (
     coupling_constants,
     from_callable,
     integrate,
+    kernel_for,
     make_bubble,
     make_grid,
     pohozaev_residual,
     solve_limit_ground_state,
     vanishing_energy_limit,
 )
+from hartreekit.energy import _coupling_matrix
 from hartreekit.flow import _fit_bubble_dilation, _pinned_solver
 
 S_HL_SQ = 225.0 / 16.0
@@ -104,6 +106,55 @@ def test_flow_shape_matches_ground_family(diag_123):
 
 def test_flow_clamped_mass_vanishes(diag_123):
     assert diag_123.clamped_mass[-1] <= 1e-12
+
+
+@pytest.mark.parametrize("widths", [(0.3, 0.3), (0.3, 4.0), (1.0, 1.2), (2.5, 0.7), (4.0, 4.0)])
+@pytest.mark.parametrize("mus", [(1.0, 2.0, 3.0), (0.5, 0.7, 0.8), (2.0, 1.0, 5.0)])
+def test_nonlocal_sum_reads_off_the_convolution(grid, constants, widths, mus):
+    # E = sym(W C), so against the symmetric coupling matrix the weighted sum
+    # of Y^T E Y equals that of Y^T (w C Y): the flow reads its nonlocal sum
+    # off the convolution it already has
+    kern = kernel_for(grid)
+    coupling = _coupling_matrix(coupling_constants(*mus, constants.s_hl_sq))
+    Y = (np.array([1.0, 0.8]) * np.exp(-(grid.r[:, None] / np.array(widths)) ** 2)) ** 2
+    want = np.sum(coupling * (Y.T @ kern.energy @ Y))
+    got = np.sum(coupling * (Y.T @ (grid.w[:, None] * kern.convolve_values(Y))))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+class _CountingKernel:
+    """Stands in for a grid's kernel tables and counts what the caller applies."""
+
+    def __init__(self, kern):
+        self._kern = kern
+        self.products = 0
+        self.energy_uses = 0
+
+    def convolve_values(self, values):
+        self.products += 1
+        return self._kern.convolve_values(values)
+
+    @property
+    def energy(self):
+        self.energy_uses += 1
+        return self._kern.energy
+
+
+@pytest.mark.parametrize("cfg", [
+    FlowConfig(step_size=4.0),                               # line-search halvings
+    FlowConfig(start_widths=(3.0, 4.0), recenter_every=10),  # a re-gauge
+])
+def test_flow_convolves_once_per_projection_and_check(cc, grid, monkeypatch, cfg):
+    # the projection's convolution feeds the next Picard step and the Nehari
+    # defect; the only other product is the weak residual's at each check
+    counter = _CountingKernel(kernel_for(grid))
+    monkeypatch.setitem(grid._cache, "kernel", counter)
+    diag = solve_limit_ground_state(cc, cfg, grid)
+    assert diag.converged
+    assert counter.energy_uses == 0
+    assert counter.products == diag.projections + len(diag.trace)
+    # the start projection, one per accepted step, and at least one more
+    assert diag.projections > diag.iterations + 1
 
 
 def scalar_ground_state(mu, cfg, grid):
