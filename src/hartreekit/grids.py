@@ -110,13 +110,21 @@ class RadialGrid:
     def stiffness(self) -> np.ndarray:
         """Symmetric PSD matrix A with u^T A u ~ int |grad u|^2 over the ball.
 
-        Accurate as a quadratic form on smooth nodal vectors; nearly singular
-        on sawtooth modes (centered stencils), so it must not be inverted.
+        A = sum_k w_k d_k d_k^T = D^T diag(w) D, with d_k the five-node window
+        of row k of the derivative matrix, so A has half-bandwidth 4.  The
+        outer products are scattered in window order and w_k (d_a d_b) is
+        symmetric in a, b, so A equals A^T exactly.  Accurate as a quadratic
+        form on smooth nodal vectors; nearly singular on sawtooth modes
+        (centered stencils), so it must not be inverted.
         """
         key = "stiffness"
         if key not in self._cache:
-            D = self.deriv_matrix()
-            self._cache[key] = D.T @ (self.w[:, None] * D)
+            cols = _stencil_windows(self.M)
+            d = self.deriv_matrix()[np.arange(self.M)[:, None], cols]
+            A = np.zeros((self.M, self.M))
+            np.add.at(A, (cols[:, :, None], cols[:, None, :]),
+                      self.w[:, None, None] * (d[:, :, None] * d[:, None, :]))
+            self._cache[key] = A
         return self._cache[key]
 
     def laplacian_matrix(self) -> np.ndarray:
@@ -140,10 +148,8 @@ def _stencil_matrix(r: np.ndarray, k: int) -> np.ndarray:
     polynomials up to degree 4.  All M window systems go to one batched solve.
     """
     M = len(r)
-    width = min(5, M)
-    rows = np.arange(M)
-    lo = np.clip(rows - width // 2, 0, M - width)
-    cols = lo[:, None] + np.arange(width)
+    cols = _stencil_windows(M)
+    width = cols.shape[1]
     x = r[cols] - r[:, None]
     h = np.maximum(np.abs(x[:, 0]), np.abs(x[:, -1]))
     # transposed Vandermonde of each window, powers built as np.vander does
@@ -154,8 +160,15 @@ def _stencil_matrix(r: np.ndarray, k: int) -> np.ndarray:
     rhs = math.factorial(k) * np.eye(width)[k]  # d^k/dx^k at 0 of the monomials
     weights = np.linalg.solve(Vt, np.broadcast_to(rhs[:, None], (M, width, 1)))[..., 0]
     D = np.zeros((M, M))
-    D[rows[:, None], cols] = weights / h[:, None] ** k
+    D[np.arange(M)[:, None], cols] = weights / h[:, None] ** k
     return D
+
+
+def _stencil_windows(M: int) -> np.ndarray:
+    """(M, 5) node indices of each row's stencil window: centred, one-sided at the ends."""
+    width = min(5, M)
+    lo = np.clip(np.arange(M) - width // 2, 0, M - width)
+    return lo[:, None] + np.arange(width)
 
 
 def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:

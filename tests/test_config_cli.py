@@ -144,6 +144,25 @@ def test_run_path_imports_no_scipy(tmp_path, command):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the thread count is set in the children's environment only
+    import hartreekit
+
+    src = str(Path(hartreekit.__file__).resolve().parents[1])
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(base, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "hartreekit", "run-all", "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "hartreekit", "--help"],

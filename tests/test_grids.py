@@ -359,6 +359,18 @@ def test_stencil_matrix_matches_per_row_loop(M, k):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("M", [320, 400, 800])
+def test_stiffness_band_build_matches_the_dense_product(M):
+    g = make_grid(5, M, 40.0, 1.02)
+    D = g.deriv_matrix()
+    want = D.T @ (g.w[:, None] * D)
+    A = g.stiffness()
+    assert np.max(np.abs(A - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(A, A.T)
+    i, j = np.nonzero(A)
+    assert np.max(np.abs(i - j)) == 4
+
+
 def test_radial_fn_values_do_not_depend_on_the_batch(grid):
     # all-inside and all-outside calls skip the mask; each value must equal
     # the one a mixed call gives
