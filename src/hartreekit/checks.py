@@ -74,7 +74,7 @@ class AdmissibilityReport:
     The plain convention weighs the L^{N/2} norms directly against the
     Sobolev constant; the alternative scales both sides by the inverse root
     of the sharp convolution constant, so the two agree on satisfaction and
-    differ only in the margin's units.
+    differ only in the margin's units; `satisfied` reads the plain one.
     """
 
     v1_norm: float
@@ -95,8 +95,8 @@ class AdmissibilityReport:
     def margin_scaled(self) -> float:
         return self.right_scaled - self.left_scaled
 
-    def satisfied(self, convention: str = "A3") -> bool:
-        return self.satisfied_plain if convention == "A3" else self.satisfied_scaled
+    def satisfied(self) -> bool:
+        return self.satisfied_plain
 
     def to_dict(self) -> dict:
         return {
@@ -144,8 +144,7 @@ def check_A3(prob: Problem, constants: ConstantsTable) -> AdmissibilityReport:
 
 
 def choose_a_and_cbar(prob: Problem, constants: ConstantsTable,
-                      c_star_lower: float | None = None,
-                      convention: str = "A3"):
+                      c_star_lower: float | None = None):
     """Exponent a in (0, 1) and the energy cap cbar.
 
     a solves f(a) = left where f(t) = 2^(-(1-t)/2) * minfactor * S - S is
@@ -155,18 +154,14 @@ def choose_a_and_cbar(prob: Problem, constants: ConstantsTable,
     2^(1-a) c_inf <= min(scalar levels, 2 c_inf) is verified.
     """
     rep = check_A3(prob, constants)
-    if not rep.satisfied(convention):
+    if not rep.satisfied():
         raise AdmissibilityError(
             "potential-smallness condition violated; cannot place the energy cap"
         )
     cc = coupling_constants(prob.mu1, prob.mu2, prob.beta, constants.s_hl_sq)
     mf = _min_factor(prob.mu1, prob.mu2, prob.beta)
-    if convention == "A3":
-        S = constants.sobolev
-        left = rep.left_plain
-    else:
-        S = constants.s_hl
-        left = rep.left_scaled
+    S = constants.sobolev
+    left = rep.left_plain
 
     def f(t):
         return 2.0 ** (-(1.0 - t) / 2.0) * mf * S - S
@@ -470,21 +465,6 @@ def lambda_sweep(profile: TrialProfile, prob: Problem, scan: RegionScan,
 # named checks
 # ---------------------------------------------------------------------------
 
-CHECK_IDS = {
-    "2.1": "scalar-vanishing-limits",
-    "2.2": "projection-ordering",
-    "2.5": "dilation-identity",
-    "2.6": "ground-level-limit",
-    "3.2": "nonlocal-splitting",
-    "4.4": "potential-vanishing",
-    "4.5": "concentration-maps",
-    "5.1": "projection-scalars",
-    "5.2": "linking-region",
-    "5.4": "energy-cap",
-    "cor2.3": "threshold-gap",
-}
-
-
 @dataclass
 class VerifyContext:
     """Shared artifacts for the named checks."""
@@ -519,7 +499,7 @@ def verify_lemma(check_id: str, ctx: VerifyContext) -> LemmaReport:
             f"unknown check id {check_id!r}; known: {sorted(CHECK_IDS)} "
             f"or names {sorted(CHECK_IDS.values())}"
         )
-    return _DISPATCH[cid](ctx)
+    return _CHECKS[cid][1](ctx)
 
 
 def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
@@ -796,16 +776,18 @@ def _check_threshold_gap(ctx: VerifyContext) -> LemmaReport:
     return rep
 
 
-_DISPATCH = {
-    "2.1": _check_vanishing_limits,
-    "2.2": _check_projection_ordering,
-    "2.5": _check_dilation_identity,
-    "2.6": _check_ground_level_limit,
-    "3.2": _check_nonlocal_splitting,
-    "4.4": _check_potential_vanishing,
-    "4.5": _check_concentration_maps,
-    "5.1": _check_projection_scalars,
-    "5.2": _check_linking_region,
-    "5.4": _check_energy_cap,
-    "cor2.3": _check_threshold_gap,
+# numeric alias -> (name, check), in the order run-all runs them
+_CHECKS = {
+    "2.1": ("scalar-vanishing-limits", _check_vanishing_limits),
+    "2.2": ("projection-ordering", _check_projection_ordering),
+    "2.5": ("dilation-identity", _check_dilation_identity),
+    "2.6": ("ground-level-limit", _check_ground_level_limit),
+    "3.2": ("nonlocal-splitting", _check_nonlocal_splitting),
+    "4.4": ("potential-vanishing", _check_potential_vanishing),
+    "4.5": ("concentration-maps", _check_concentration_maps),
+    "5.1": ("projection-scalars", _check_projection_scalars),
+    "5.2": ("linking-region", _check_linking_region),
+    "5.4": ("energy-cap", _check_energy_cap),
+    "cor2.3": ("threshold-gap", _check_threshold_gap),
 }
+CHECK_IDS = {cid: name for cid, (name, _) in _CHECKS.items()}

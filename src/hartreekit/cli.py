@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--r-max", type=float, default=None, help="override grid radius")
     common.add_argument("--tol-scale", type=float, default=None, help="scale all tolerances")
     common.add_argument("--seed", type=int, default=None, help="override RNG seed")
-    common.add_argument("--convention", choices=["A3", "C3"], default=None,
-                        help="potential-smallness normalization convention")
     p = argparse.ArgumentParser(
         prog="hartreekit",
         description="verification toolkit for the critically coupled Hartree system",
@@ -75,8 +73,6 @@ def _apply_overrides(cfg, args):
         kw["tol_scale"] = args.tol_scale
     if args.seed is not None:
         kw["seed"] = args.seed
-    if args.convention is not None:
-        kw["convention"] = args.convention
     return dataclasses.replace(cfg, **kw) if kw else cfg
 
 
@@ -125,7 +121,7 @@ def main(argv=None) -> int:
             return _emit(rep, args.out)
         if args.command == "scan-region":
             ensure_profile(ctx, cfg)
-            adm = admissibility_report(ctx, cfg)
+            adm = admissibility_report(ctx)
             scan = ensure_scan(ctx)
             rep = verify_lemma("5.2", ctx)
             cap = verify_lemma("5.4", ctx)

@@ -71,7 +71,6 @@ class RunConfig:
     c_star_margin: float = 0.02
     flow: FlowConfig = field(default_factory=FlowConfig)
     seed: int = 1234
-    convention: str = "A3"
     tol_scale: float = 1.0
     trend_fraction: float = 0.1
 
@@ -113,12 +112,28 @@ _GRID_KEYS = {
 
 _REPORT_KEYS = {
     "seed": ("seed", int),
-    "convention": ("convention", str),
     "tol_scale": ("tol_scale", float),
     "trend_fraction": ("trend_fraction", float),
     "support_fraction": ("support_fraction", float),
     "moll_cells": ("moll_cells", int),
     "c_star_margin": ("c_star_margin", float),
+}
+
+_POTENTIAL_KEYS = {
+    "family": str,
+    "v0": float,
+    "s": float,
+    "path": str,
+    "tail_exponent": float,
+    "tail_coeff": float,
+}
+
+# every key a section accepts; anything else is a config error
+_KNOWN = {
+    "problem": {*_MAIN_KEYS, *(f"{v}.{k}" for v in ("v1", "v2") for k in _POTENTIAL_KEYS)},
+    "grid": set(_GRID_KEYS),
+    "flow": set(_FLOW_KEYS),
+    "report": set(_REPORT_KEYS),
 }
 
 
@@ -133,8 +148,7 @@ def _read(sec, key, cast):
 
 def _potential_from_section(sec, prefix) -> PotentialSpec:
     kw = {}
-    for key, cast in (("family", str), ("v0", float), ("s", float), ("path", str),
-                      ("tail_exponent", float), ("tail_coeff", float)):
+    for key, cast in _POTENTIAL_KEYS.items():
         k = f"{prefix}.{key}"
         if k in sec:
             kw[key] = _read(sec, k, cast)
@@ -154,6 +168,13 @@ def load_config(path: str | Path | None) -> RunConfig:
         parser.read_string(p.read_text(encoding="utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ParameterError(f"malformed config {p}: {exc}") from exc
+    for name in parser.sections():
+        if name not in _KNOWN:
+            raise ParameterError(f"[{name}]: unknown section; known: {sorted(_KNOWN)}")
+        for key in parser[name]:
+            if key not in _KNOWN[name]:
+                raise ParameterError(f"[{name}] {key}: unknown key; "
+                                     f"known: {sorted(_KNOWN[name])}")
 
     kw = {}
     if parser.has_section("problem"):
@@ -178,8 +199,6 @@ def load_config(path: str | Path | None) -> RunConfig:
             if key in sec:
                 kw[attr] = _read(sec, key, cast)
     out = replace(cfg, **kw)
-    if out.convention not in ("A3", "C3"):
-        raise ParameterError(f"convention must be A3 or C3, got {out.convention}")
     if not math.isfinite(out.beta):
         raise ParameterError("beta must be finite")
     # the paper's shifts satisfy lambda1 + lambda2 != 0; Problem itself accepts

@@ -13,10 +13,11 @@ The iterate is one (M, 2) array X = [u v], so each dense M x M table is
 applied once to both components.  A step applies three: the pinned inverse,
 the stiffness and the convolution table.  The projection is the only place
 the flow convolves: it forms Y = (X_+)^2 once, reads the nonlocal sum off
-the 2 x 2 matrix Y^T (w Z) with Z = C Y (equal to Y^T E Y against the
-symmetric coupling), and hands the rescaled Z on, so the next Picard step
-and the Nehari defect reuse it.  The coupling mixes the columns of Z through
-the 2 x 2 matrix [[mu1, beta], [beta, mu2]].
+the 2 x 2 matrix Y^T (w Z) with Z = C Y (against the symmetric coupling
+the same sum as the double energies, which take its symmetric part), and
+hands the rescaled Z on, so the next Picard step and the Nehari defect
+reuse it.  The coupling mixes the columns of Z through the 2 x 2 matrix
+[[mu1, beta], [beta, mu2]].
 """
 
 from __future__ import annotations

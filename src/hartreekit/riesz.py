@@ -304,16 +304,13 @@ def _kernel_table(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AngularKernel:
-    """Cached quadrature tables of the |x|^-4 convolution on one grid.
+    """Cached quadrature table of the |x|^-4 convolution on one grid.
 
-    C is the row-form convolution matrix (pointwise accurate everywhere);
-    E = sym(W C) is the energy matrix used for double energies, symmetric by
-    construction.  Dividing E back by the tiny volume weights near r = 0
-    would amplify the symmetrization residue, hence the two matrices.
+    C is the row-form convolution matrix, pointwise accurate everywhere; the
+    double energy reads off it as well (`double_energy_info`).
     """
 
-    C: np.ndarray        # nodal convolution weights
-    energy: np.ndarray   # symmetric matrix E with D(f, g) = f^T E g
+    C: np.ndarray   # nodal convolution weights
 
     def convolve_values(self, values: np.ndarray) -> np.ndarray:
         """Nodal convolution of (M,) values, or of each column of an (M, k) block."""
@@ -321,24 +318,19 @@ class AngularKernel:
 
 
 def kernel_for(grid: RadialGrid) -> AngularKernel:
-    """Build (or fetch from the grid's cache) the kernel tables of a grid.
+    """Build (or fetch from the grid's cache) the convolution table of a grid.
 
-    A root grid builds its own tables.  A `.scaled(c)` grid derives them from
-    its root's: K(cr, cs) = c^-4 K(r, s), hence C scales by c^(N - 4) and E
-    by c^(2N - 4).
+    A root grid builds its own table, the one M x M array the grid caches for
+    the kernel.  A `.scaled(c)` grid derives it from its root's:
+    K(cr, cs) = c^-4 K(r, s), hence C scales by c^(N - 4).
     """
     if "kernel" in grid._cache:
         return grid._cache["kernel"]
     if grid.parent is not None:
-        base = kernel_for(grid.parent)
-        c = grid.scale_factor
-        kern = AngularKernel(C=base.C * c ** (grid.N - _ALPHA),
-                             energy=base.energy * c ** (2 * grid.N - _ALPHA))
+        C = kernel_for(grid.parent).C * grid.scale_factor ** (grid.N - _ALPHA)
     else:
         C = _build_conv_matrix(grid)
-        WC = grid.w[:, None] * C
-        kern = AngularKernel(C=C, energy=0.5 * (WC + WC.T))
-    grid._cache["kernel"] = kern
+    kern = grid._cache["kernel"] = AngularKernel(C=C)
     return kern
 
 
@@ -391,11 +383,21 @@ def _tail_cross(f: RadialFn, g: RadialFn) -> float:
 
 
 def double_energy_info(f: RadialFn, g: RadialFn):
-    """D(f, g) = int int f(x) g(y) |x-y|^-4, plus tail fraction."""
+    """D(f, g) = int int f(x) g(y) |x-y|^-4, plus tail fraction.
+
+    The core is the symmetric form 0.5 [(w f).(C g) + (w g).(C f)], read off
+    one product of C with the block [f g] (with f alone when g is f), so
+    D(f, g) and D(g, f) agree bit for bit.
+    """
     if f.grid is not g.grid:
         raise ParameterError("double_energy requires both densities on one grid")
     kern = kernel_for(f.grid)
-    core = float(f.values @ (kern.energy @ g.values))
+    w = f.grid.w
+    if g is f:
+        core = float((w * f.values) @ kern.convolve_values(f.values))
+    else:
+        Cf, Cg = kern.convolve_values(np.stack([f.values, g.values], axis=1)).T
+        core = 0.5 * (float((w * f.values) @ Cg) + float((w * g.values) @ Cf))
     tails = 0.5 * (_tail_cross(f, g) + _tail_cross(g, f))
     total = core + tails
     frac = abs(tails) / abs(total) if total != 0.0 else 0.0

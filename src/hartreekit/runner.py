@@ -16,6 +16,7 @@ from .bubbles import (
     make_trial_profile,
 )
 from .checks import (
+    CHECK_IDS,
     VerifyContext,
     check_A3,
     choose_a_and_cbar,
@@ -28,9 +29,6 @@ from .flow import solve_limit_ground_state
 from .grids import Pair, RadialFn, dirichlet_seminorm, make_grid
 from .reporting import LemmaReport, write_bundle
 from .riesz import double_energy
-
-DEFAULT_CHECK_ORDER = ["2.1", "2.2", "2.5", "2.6", "3.2", "4.4", "4.5",
-                       "5.1", "5.2", "5.4", "cor2.3"]
 
 
 def build_context(cfg) -> VerifyContext:
@@ -49,11 +47,9 @@ def build_context(cfg) -> VerifyContext:
 def ensure_profile(ctx: VerifyContext, cfg) -> None:
     if ctx.profile is None:
         rep = check_A3(ctx.prob, ctx.constants)
-        if rep.satisfied(cfg.convention):
-            _, cbar = choose_a_and_cbar(
-                ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower,
-                convention=cfg.convention,
-            )
+        if rep.satisfied():
+            _, cbar = choose_a_and_cbar(ctx.prob, ctx.constants,
+                                        c_star_lower=ctx.c_star_lower)
         else:
             # no admissible cap from the potentials; certify against the
             # default proxy window so the trial machinery stays usable
@@ -129,7 +125,7 @@ def solver_report(ctx: VerifyContext) -> LemmaReport:
     return rep
 
 
-def admissibility_report(ctx: VerifyContext, cfg) -> LemmaReport:
+def admissibility_report(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("admissibility", "potential-smallness condition and the energy cap")
     adm = check_A3(ctx.prob, ctx.constants)
     rep.info("V1 norm", adm.v1_norm)
@@ -138,13 +134,9 @@ def admissibility_report(ctx: VerifyContext, cfg) -> LemmaReport:
     rep.info("scaled-convention margin", adm.margin_scaled)
     rep.require("conventions agree on satisfaction",
                 float(adm.satisfied_plain == adm.satisfied_scaled), target=1.0, tol=0.0)
-    rep.require("condition satisfied under the selected convention",
-                float(adm.satisfied(cfg.convention)), target=1.0, tol=0.0)
-    if adm.satisfied(cfg.convention):
-        a, cbar = choose_a_and_cbar(
-            ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower,
-            convention=cfg.convention,
-        )
+    rep.require("condition satisfied", float(adm.satisfied()), target=1.0, tol=0.0)
+    if adm.satisfied():
+        a, cbar = choose_a_and_cbar(ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower)
         rep.require("cap exponent lies in (0, 1)", a, bound=1.0, tol=0.0)
         rep.info("cap value", cbar)
         chain = min(ctx.cc.m1_inf, ctx.cc.m2_inf, 2.0 * ctx.cc.c_inf)
@@ -169,9 +161,9 @@ def run_all(cfg, out_dir) -> int:
     ctx = build_context(cfg)
     run_step(constants_report, ctx)
     run_step(bubble_certification, ctx)
-    run_step(admissibility_report, ctx, cfg)
+    run_step(admissibility_report, ctx)
     ensure_profile(ctx, cfg)
-    for cid in DEFAULT_CHECK_ORDER:
+    for cid in CHECK_IDS:
         run_step(verify_lemma, cid, ctx)
     run_step(homotopy_boundary_check, ctx.scan)
     run_step(solver_report, ctx)
@@ -188,7 +180,7 @@ def run_all(cfg, out_dir) -> int:
         },
         "region": ctx.scan.to_dict() if ctx.scan is not None else None,
         "config": {
-            "seed": cfg.seed, "convention": cfg.convention,
+            "seed": cfg.seed,
             "grid_m": cfg.grid_m, "r_max": cfg.r_max, "stretch": cfg.stretch,
             "mu": [cfg.mu1, cfg.mu2], "beta": cfg.beta,
             "lambda": [cfg.lam1, cfg.lam2],

@@ -101,16 +101,6 @@ def test_choose_a_rejects_inadmissible(grid, constants):
         choose_a_and_cbar(make_problem(grid, 100.0), constants)
 
 
-def test_choose_a_convention_independent(grid, constants):
-    # both sides of the condition rescale together, so the exponent and the
-    # cap agree between the two conventions
-    prob = make_problem(grid, 0.1)
-    a1, c1 = choose_a_and_cbar(prob, constants, convention="A3")
-    a2, c2 = choose_a_and_cbar(prob, constants, convention="C3")
-    assert abs(a1 - a2) <= 1e-9
-    assert abs(c1 - c2) <= 1e-12 * c1
-
-
 @pytest.fixture(scope="module")
 def scan(trial_profile, problem):
     return scan_region(trial_profile, problem)

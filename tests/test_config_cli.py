@@ -31,7 +31,6 @@ def run_cli(*args):
 def test_default_config_roundtrip():
     cfg = load_config(None)
     assert cfg.mu1 == 1.0 and cfg.mu2 == 2.0 and cfg.beta == 3.0
-    assert cfg.convention == "A3"
 
 
 def test_config_file_parsing(tmp_path):
@@ -43,14 +42,14 @@ def test_config_file_parsing(tmp_path):
         "v2.family = none\n"
         "[grid]\nm = 200\nr_max = 30.0\nstretch = 1.01\n"
         "[flow]\nmax_iterations = 1000\nresidual_tolerance = 5e-4\n"
-        "[report]\nseed = 99\nconvention = C3\n"
+        "[report]\nseed = 99\n"
     )
     cfg = load_config(p)
     assert cfg.mu1 == 1.5 and cfg.beta == 4.0
     assert cfg.lam1 == 0.05 and cfg.lam2 == 0.0
     assert cfg.grid_m == 200 and cfg.r_max == 30.0
     assert cfg.flow.max_iterations == 1000
-    assert cfg.seed == 99 and cfg.convention == "C3"
+    assert cfg.seed == 99
     grid = cfg.build_grid()
     prob = cfg.build_problem(grid)
     assert prob.V1 is not None and prob.V2 is None
@@ -62,10 +61,27 @@ def test_config_missing_file():
 
 
 def test_config_bad_convention(tmp_path):
+    # the convention key is gone; an old config that still sets it is rejected
     p = tmp_path / "bad.cfg"
     p.write_text("[report]\nconvention = X9\n")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"\[report\] convention"):
         load_config(p)
+
+
+@pytest.mark.parametrize("text, names", [
+    ("[grid]\nm = 200\n[flow]\nstep = 0.5\n", "[flow] step"),
+    ("[gird]\nm = 10\n", "[gird]"),
+    ("[problem]\nv1.vo = 0.2\n", "[problem] v1.vo"),
+])
+def test_cli_unknown_config_key_or_section_exit_code(tmp_path, capsys, text, names):
+    # a misspelled key or section is a usage error, not a silently kept default
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    code = run_cli("run-all", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and names in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_potential_csv_roundtrip(tmp_path, grid):

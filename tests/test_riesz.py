@@ -30,6 +30,7 @@ from hartreekit.riesz import (
     _kernel_table,
     _log_moments,
     _plain_moments,
+    _tail_cross,
     double_energy_info,
 )
 
@@ -144,24 +145,20 @@ def test_kernel_table_symmetry_and_positivity(grid):
     off = ~np.eye(grid.M, dtype=bool)
     assert np.all(K[off] > 0)
     assert np.array_equal(K, K.T)
-    energy = kernel_for(grid).energy
-    assert np.array_equal(energy, energy.T)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_scaled_grid_tables_derive_from_its_root(n):
-    # a scaled grid asked first still builds on its root and scales: C by
-    # c^(N-4), E by c^(2N-4); the root's tables are those of a fresh equal grid
+    # a scaled grid asked first still builds on its root and scales C by
+    # c^(N-4); the root's table is that of a fresh equal grid
     c = 2.5
     root = make_grid(n, 40, 10.0, 1.02)
     child = root.scaled(c)
     kc = kernel_for(child)
     kr = kernel_for(root)
     assert np.array_equal(kc.C, kr.C * c ** (n - 4))
-    assert np.array_equal(kc.energy, kr.energy * c ** (2 * n - 4))
     fresh = kernel_for(make_grid(n, 40, 10.0, 1.02))
     assert np.array_equal(kr.C, fresh.C)
-    assert np.array_equal(kr.energy, fresh.energy)
     grand = child.scaled(2.0)
     assert grand.parent is root
     assert np.array_equal(kernel_for(grand).C, kr.C * 5.0 ** (n - 4))
@@ -206,11 +203,31 @@ def test_double_energy_of_unit_profile(grid):
     assert 0 <= tail_frac < 1e-4
 
 
+def _bubble_square(grid):
+    return from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+
+
+def _gaussian(grid, width):
+    return from_callable(grid, lambda r: np.exp(-((r / width) ** 2)))
+
+
 def test_double_energy_symmetry(grid):
-    f = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
-    g = from_callable(grid, lambda r: np.exp(-(r**2)))
-    a, b = double_energy(f, g), double_energy(g, f)
-    assert abs(a - b) <= 1e-12 * abs(a)
+    f, g = _bubble_square(grid), _gaussian(grid, 1.0)
+    assert double_energy(f, g) == double_energy(g, f)
+
+
+def test_double_energy_matches_the_dense_energy_matrix(grid):
+    # the energy matrix E = sym(W C), built here as the oracle: D(f, g) has
+    # the core f^T E g and the symmetrized tail terms
+    WC = grid.w[:, None] * kernel_for(grid).C
+    E = 0.5 * (WC + WC.T)
+    sq = _bubble_square(grid)
+    widths = [(0.3, 0.3), (0.3, 4.0), (1.0, 1.2), (2.5, 0.7), (4.0, 4.0), (0.3, 1.0)]
+    cases = [(_gaussian(grid, a), _gaussian(grid, b)) for a, b in widths]
+    cases += [(sq, sq), (sq, _gaussian(grid, 1.0))]
+    for f, g in cases:
+        want = float(f.values @ E @ g.values) + 0.5 * (_tail_cross(f, g) + _tail_cross(g, f))
+        assert abs(double_energy(f, g) - want) <= 1e-13 * abs(want)
 
 
 def test_double_energy_hls_inequality(grid):
