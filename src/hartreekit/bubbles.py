@@ -133,7 +133,7 @@ def make_bubble(delta: float, rho: float, grid: RadialGrid) -> Bubble:
                   c_N=bubble_constant(grid.N, grid))
 
 
-def make_constants_table(N: int = 5, grid: RadialGrid | None = None) -> ConstantsTable:
+def make_constants_table(N: int, grid: RadialGrid) -> ConstantsTable:
     S = sobolev_constant(N, grid)
     C = hls_constant(N, 4.0)
     return ConstantsTable(

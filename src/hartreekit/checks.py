@@ -4,7 +4,7 @@ Every check returns a LemmaReport whose rows each carry an explicit
 tolerance.  Limit statements are rendered at desk scale: along a geometric
 parameter sequence of length >= 4 the monitored quantity must decrease
 (5% non-monotone jitter allowed) and its final value must drop below a
-configured fraction (default 10%) of the initial one.
+fixed fraction (10%) of the initial one.
 
 The degree conclusion of the homotopy check is reported as supported by
 sampled boundary non-vanishing, never as proved.
@@ -478,12 +478,7 @@ class VerifyContext:
     scan: RegionScan | None = None
     flow_diag: FlowDiagnostics | None = None   # set by the ground-state solve
     rng_seed: int = 1234
-    tol_scale: float = 1.0
     flow: FlowConfig = field(default_factory=FlowConfig)
-    trend_fraction: float = 0.1
-
-    def tol(self, x: float) -> float:
-        return x * self.tol_scale
 
 
 def verify_lemma(check_id: str, ctx: VerifyContext) -> LemmaReport:
@@ -511,13 +506,12 @@ def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
         tbl.name = f"component{j}_" + tbl.name
         rep.tables.append(tbl)
         rep.trend(f"component {j}: potential mass final/initial",
-                  tbl.column("potential_mass"), ctx.trend_fraction,
-                  note="monotone decay with vanishing limit")
+                  tbl.column("potential_mass"), note="monotone decay with vanishing limit")
         mu = ctx.prob.mu1 if j == 1 else ctx.prob.mu2
         target = ctx.constants.s_hl_sq / (4.0 * mu)
         rep.require(
             f"component {j}: constrained energy at smallest dilation",
-            tbl.column("energy")[-1], target=target, tol=ctx.tol(1e-3),
+            tbl.column("energy")[-1], target=target, tol=1e-3,
         )
         lam = ctx.prob.lam1 if j == 1 else ctx.prob.lam2
         if lam > 0:
@@ -527,7 +521,7 @@ def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
             for row in tbl.rows:
                 law = lam * row["delta"] ** 2 * l2_u1 / mu
                 worst = max(worst, abs(row["lambda_mass"] - law) / law)
-            rep.require(f"component {j}: shift-mass dilation law", worst, tol=ctx.tol(1e-6))
+            rep.require(f"component {j}: shift-mass dilation law", worst, tol=1e-6)
     return rep
 
 
@@ -565,8 +559,8 @@ def _check_dilation_identity(ctx: VerifyContext) -> LemmaReport:
     free = Problem.limit(grid.N, ctx.cc)
     gp = ground_pair(1.0, 0.0, ctx.cc, grid)
     lam_mass, gap = pohozaev_residual(gp, free)
-    rep.require("identity gap at the limit ground state", gap, tol=ctx.tol(1e-3))
-    rep.require("shift mass at the limit ground state", lam_mass, tol=ctx.tol(1e-12))
+    rep.require("identity gap at the limit ground state", gap, tol=1e-3)
+    rep.require("shift mass at the limit ground state", lam_mass, tol=1e-12)
     shifted = free.with_lambda(0.5, 0.5)
     lam_mass2, gap2 = pohozaev_residual(gp, shifted)
     rep.lower_bound("shift mass flags the non-solution (must be far from 0)",
@@ -602,9 +596,9 @@ def _check_ground_level_limit(ctx: VerifyContext) -> LemmaReport:
         tbl.add(delta=d, potential_mass=pot, t_n=math.sqrt(t_sq),
                 energy_gap=energy - cc.c_inf)
     rep.tables.append(tbl)
-    rep.trend("energy gap to the limit level: final/initial", gaps, ctx.trend_fraction)
+    rep.trend("energy gap to the limit level: final/initial", gaps)
     rep.require("energy at the smallest dilation", gaps[-1] + cc.c_inf,
-                target=cc.c_inf, tol=ctx.tol(1e-3))
+                target=cc.c_inf, tol=1e-3)
     rep.add_note("non-attainment of the infimum is a structural statement outside "
                  "numerical scope; only the level identity is checked")
     return rep
@@ -621,10 +615,10 @@ def _check_nonlocal_splitting(ctx: VerifyContext) -> LemmaReport:
     tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], [0.0, 0.0, 0.0], fine)
     rep.tables.append(tbl)
     for col in ("self_error", "mixed_error"):
-        rep.trend(f"{col} final/initial", tbl.column(col), ctx.trend_fraction)
+        rep.trend(f"{col} final/initial", tbl.column(col))
     stat = brezis_lieb_check(gauss, bprof, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], fine)
     spread = max(stat.column("self_error")) - min(stat.column("self_error"))
-    rep.require("stationary-sequence control stays constant", spread, tol=ctx.tol(1e-10))
+    rep.require("stationary-sequence control stays constant", spread, tol=1e-10)
     return rep
 
 
@@ -660,7 +654,7 @@ def _check_potential_vanishing(ctx: VerifyContext) -> LemmaReport:
         for p, s in zip(seq, sup):
             t.add(parameter=p, sup_potential_mass=s)
         rep.tables.append(t)
-        rep.trend(f"{label} limit: final/initial", sup, ctx.trend_fraction)
+        rep.trend(f"{label} limit: final/initial", sup)
     return rep
 
 
@@ -675,8 +669,7 @@ def _check_concentration_maps(ctx: VerifyContext) -> LemmaReport:
 
     seq_small = [1.0, 0.3, 0.1, 0.03]
     sup_small = [max(gamma_of(d, rho) for rho in (0.0, 1.0, 3.0)) for d in seq_small]
-    rep.trend("concentration limit gamma -> 0: final/initial", sup_small,
-              ctx.trend_fraction)
+    rep.trend("concentration limit gamma -> 0: final/initial", sup_small)
     worst_bound = max(gamma_of(0.01, rho) / 0.04 for rho in (0.0, 1.0, 3.0))
     rep.require("four-dilations bound at delta = 0.01 (gamma / 4 delta)",
                 worst_bound, bound=1.0, tol=0.0)
@@ -708,10 +701,10 @@ def _check_projection_scalars(ctx: VerifyContext) -> LemmaReport:
         ("spreading", [100.0, 300.0, 1000.0, 3000.0], probes),
     ):
         sup = [max(t0_dev(d, rho) for rho in rho_set) for d in seq]
-        rep.trend(f"{label} limit of |t0 - 1|: final/initial", sup, ctx.trend_fraction)
+        rep.trend(f"{label} limit of |t0 - 1|: final/initial", sup)
     sup_far = [max(t0_dev(d, r) for d in (0.3, 1.0, 3.0, 10.0))
                for r in [1.0, 4.0, 16.0, 64.0]]
-    rep.trend("far-offset limit of |t0 - 1|: final/initial", sup_far, ctx.trend_fraction)
+    rep.trend("far-offset limit of |t0 - 1|: final/initial", sup_far)
     return rep
 
 

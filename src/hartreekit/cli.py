@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=str, default="out", help="output directory")
     common.add_argument("--grid-m", type=int, default=None, help="override grid node count")
     common.add_argument("--r-max", type=float, default=None, help="override grid radius")
-    common.add_argument("--tol-scale", type=float, default=None, help="scale all tolerances")
     common.add_argument("--seed", type=int, default=None, help="override RNG seed")
     p = argparse.ArgumentParser(
         prog="hartreekit",
@@ -65,15 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg, args):
     kw = {}
-    if args.grid_m is not None:
-        kw["grid_m"] = args.grid_m
-    if args.r_max is not None:
-        kw["r_max"] = args.r_max
-    if args.tol_scale is not None:
-        kw["tol_scale"] = args.tol_scale
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    return dataclasses.replace(cfg, **kw) if kw else cfg
+    for name in ("grid_m", "r_max", "seed"):
+        if getattr(args, name) is not None:
+            kw[name] = getattr(args, name)
+    return dataclasses.replace(cfg, **kw)
 
 
 def _emit(report, out_dir) -> int:

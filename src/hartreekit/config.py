@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +71,20 @@ class RunConfig:
     c_star_margin: float = 0.02
     flow: FlowConfig = field(default_factory=FlowConfig)
     seed: int = 1234
-    tol_scale: float = 1.0
-    trend_fraction: float = 0.1
+
+    def __post_init__(self):
+        # the paper's shifts satisfy lambda1 + lambda2 != 0; Problem itself accepts
+        # zero shifts, which the limit problems use
+        if self.lam1 + self.lam2 == 0.0:
+            raise ParameterError("[problem] lambda1/lambda2: lambda1 + lambda2 must be nonzero")
+        # the mollifier spans the outermost moll_cells cells of the profile grid
+        profile_cells = self.profile_m // NODES_PER_CELL
+        if not 1 <= self.moll_cells < profile_cells:
+            raise ParameterError(f"[report] moll_cells must lie in [1, {profile_cells - 1}] "
+                                 f"for profile_m = {self.profile_m}, got {self.moll_cells}")
+        # numpy's generators take only non-negative seeds
+        if self.seed < 0:
+            raise ParameterError(f"[report] seed must be >= 0, got {self.seed}")
 
     def build_grid(self) -> RadialGrid:
         return make_grid(self.N, self.grid_m, self.r_max, self.stretch)
@@ -85,81 +97,56 @@ class RunConfig:
         )
 
 
-_FLOW_KEYS = {
-    "step_size": float,
-    "max_iterations": int,
-    "residual_tolerance": float,
-    "recenter_every": int,
-    "check_every": int,
-    "start": str,
-}
-
-_MAIN_KEYS = {
-    "n": ("N", int),
-    "mu1": ("mu1", float),
-    "mu2": ("mu2", float),
-    "beta": ("beta", float),
-    "lambda1": ("lam1", float),
-    "lambda2": ("lam2", float),
-}
-
-_GRID_KEYS = {
-    "m": ("grid_m", int),
-    "r_max": ("r_max", float),
-    "stretch": ("stretch", float),
-    "profile_m": ("profile_m", int),
-}
-
-_REPORT_KEYS = {
-    "seed": ("seed", int),
-    "tol_scale": ("tol_scale", float),
-    "trend_fraction": ("trend_fraction", float),
-    "support_fraction": ("support_fraction", float),
-    "moll_cells": ("moll_cells", int),
-    "c_star_margin": ("c_star_margin", float),
-}
-
-_POTENTIAL_KEYS = {
-    "family": str,
-    "v0": float,
-    "s": float,
-    "path": str,
-    "tail_exponent": float,
-    "tail_coeff": float,
-}
-
-# every key a section accepts; anything else is a config error
-_KNOWN = {
-    "problem": {*_MAIN_KEYS, *(f"{v}.{k}" for v in ("v1", "v2") for k in _POTENTIAL_KEYS)},
-    "grid": set(_GRID_KEYS),
-    "flow": set(_FLOW_KEYS),
-    "report": set(_REPORT_KEYS),
+# section -> key -> (field, cast): every key a config file may set; anything
+# else is a config error.  A dotted field fills a nested spec: "v1.s" sets
+# RunConfig.v1.s and "flow.start" RunConfig.flow.start.
+_KEYS = {
+    "problem": {
+        "n": ("N", int),
+        "mu1": ("mu1", float),
+        "mu2": ("mu2", float),
+        "beta": ("beta", float),
+        "lambda1": ("lam1", float),
+        "lambda2": ("lam2", float),
+        **{f"{v}.{k}": (f"{v}.{k}", cast) for v in ("v1", "v2") for k, cast in (
+            ("family", str), ("v0", float), ("s", float), ("path", str),
+            ("tail_exponent", float), ("tail_coeff", float))},
+    },
+    "grid": {
+        "m": ("grid_m", int),
+        "r_max": ("r_max", float),
+        "stretch": ("stretch", float),
+        "profile_m": ("profile_m", int),
+    },
+    "flow": {k: (f"flow.{k}", cast) for k, cast in (
+        ("step_size", float), ("max_iterations", int), ("residual_tolerance", float),
+        ("recenter_every", int), ("check_every", int), ("start", str))},
+    "report": {
+        "seed": ("seed", int),
+        "support_fraction": ("support_fraction", float),
+        "moll_cells": ("moll_cells", int),
+        "c_star_margin": ("c_star_margin", float),
+    },
 }
 
 
 def _read(sec, key, cast):
-    """sec[key] cast to its type; a value that does not cast is a config error."""
+    """sec[key] cast to its type; a value that does not cast, or a float that
+    is not finite, is a config error."""
     try:
-        return cast(sec[key])
+        value = cast(sec[key])
     except (ValueError, configparser.Error) as exc:
         raise ParameterError(f"[{sec.name}] {key}: cannot read {sec.get(key, raw=True)!r} "
                              f"as {cast.__name__}") from exc
-
-
-def _potential_from_section(sec, prefix) -> PotentialSpec:
-    kw = {}
-    for key, cast in _POTENTIAL_KEYS.items():
-        k = f"{prefix}.{key}"
-        if k in sec:
-            kw[key] = _read(sec, k, cast)
-    return PotentialSpec(**kw)
+    if cast is float and not math.isfinite(value):
+        raise ParameterError(f"[{sec.name}] {key}: {value} is not a finite number")
+    return value
 
 
 def load_config(path: str | Path | None) -> RunConfig:
     """Parse the run configuration; missing file raises FileNotFoundError."""
-    cfg = RunConfig()
     if path is None:
-        return cfg
+        return RunConfig()
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
@@ -168,46 +155,17 @@ def load_config(path: str | Path | None) -> RunConfig:
         parser.read_string(p.read_text(encoding="utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ParameterError(f"malformed config {p}: {exc}") from exc
+    kw = {"": {}, "v1": {}, "v2": {}, "flow": {}}
     for name in parser.sections():
-        if name not in _KNOWN:
-            raise ParameterError(f"[{name}]: unknown section; known: {sorted(_KNOWN)}")
-        for key in parser[name]:
-            if key not in _KNOWN[name]:
+        if name not in _KEYS:
+            raise ParameterError(f"[{name}]: unknown section; known: {sorted(_KEYS)}")
+        sec = parser[name]
+        for key in sec:
+            if key not in _KEYS[name]:
                 raise ParameterError(f"[{name}] {key}: unknown key; "
-                                     f"known: {sorted(_KNOWN[name])}")
-
-    kw = {}
-    if parser.has_section("problem"):
-        sec = parser["problem"]
-        for key, (attr, cast) in _MAIN_KEYS.items():
-            if key in sec:
-                kw[attr] = _read(sec, key, cast)
-        kw["v1"] = _potential_from_section(sec, "v1")
-        kw["v2"] = _potential_from_section(sec, "v2")
-    if parser.has_section("grid"):
-        sec = parser["grid"]
-        for key, (attr, cast) in _GRID_KEYS.items():
-            if key in sec:
-                kw[attr] = _read(sec, key, cast)
-    if parser.has_section("flow"):
-        sec = parser["flow"]
-        fkw = {k: _read(sec, k, c) for k, c in _FLOW_KEYS.items() if k in sec}
-        kw["flow"] = FlowConfig(**fkw)
-    if parser.has_section("report"):
-        sec = parser["report"]
-        for key, (attr, cast) in _REPORT_KEYS.items():
-            if key in sec:
-                kw[attr] = _read(sec, key, cast)
-    out = replace(cfg, **kw)
-    if not math.isfinite(out.beta):
-        raise ParameterError("beta must be finite")
-    # the paper's shifts satisfy lambda1 + lambda2 != 0; Problem itself accepts
-    # zero shifts, which the limit problems use
-    if out.lam1 + out.lam2 == 0.0:
-        raise ParameterError("[problem] lambda1/lambda2: lambda1 + lambda2 must be nonzero")
-    # the mollifier spans the outermost moll_cells cells of the profile grid
-    profile_cells = out.profile_m // NODES_PER_CELL
-    if not 1 <= out.moll_cells < profile_cells:
-        raise ParameterError(f"[report] moll_cells must lie in [1, {profile_cells - 1}] "
-                             f"for profile_m = {out.profile_m}, got {out.moll_cells}")
-    return out
+                                     f"known: {sorted(_KEYS[name])}")
+            dotted, cast = _KEYS[name][key]
+            part, _, attr = dotted.rpartition(".")
+            kw[part][attr] = _read(sec, key, cast)
+    return RunConfig(**kw[""], v1=PotentialSpec(**kw["v1"]), v2=PotentialSpec(**kw["v2"]),
+                     flow=FlowConfig(**kw["flow"]))

@@ -38,7 +38,6 @@ from .grids import (
     _has_tail,
     dirichlet_seminorm,
     integrate,
-    make_grid,
 )
 from .riesz import double_energy, kernel_for
 
@@ -63,10 +62,11 @@ class FlowConfig:
     start_amplitudes: tuple = (1.0, 0.8)
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ParameterError("step size must be positive")
-        if self.residual_tolerance <= 0:
-            raise ParameterError("residual tolerance must be positive")
+        if not (0 < self.step_size < math.inf):
+            raise ParameterError(f"step size must be positive and finite, got {self.step_size}")
+        if not (0 < self.residual_tolerance < math.inf):
+            raise ParameterError("residual tolerance must be positive and finite, "
+                                 f"got {self.residual_tolerance}")
         if self.start not in ("gaussian", "bubble"):
             raise ParameterError(f"start must be gaussian or bubble, got {self.start!r}")
         for name in ("max_iterations", "check_every", "recenter_every"):
@@ -407,7 +407,7 @@ def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
 
 
 def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
-                      sigma_seq, offset_seq, fine_grid: RadialGrid | None = None):
+                      sigma_seq, offset_seq, fine_grid: RadialGrid):
     """Splitting error of the nonlocal energy along a concentrating family.
 
     u_n = u0 + sigma_n^(-(N-2)/2) b(x / sigma_n); the self column reports
@@ -430,9 +430,6 @@ def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
         raise ParameterError(
             "nonzero bubble offsets are not representable with a single translation center"
         )
-    if fine_grid is None:
-        R = bubble_profile.grid.R_max if u0 is None else u0.grid.R_max
-        fine_grid = make_grid(bubble_profile.grid.N, 640, R, 1.025)
     g = fine_grid
     N = g.N
 

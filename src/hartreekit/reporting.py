@@ -59,7 +59,11 @@ def _csv_cell(x) -> str:
     return str(_native(x))
 
 
-def limit_trend(values, jitter: float = 0.05, final_fraction: float = 0.1) -> bool:
+# a limit 'tends to zero' when the sequence ends below this fraction of its start
+TREND_FRACTION = 0.1
+
+
+def limit_trend(values, jitter: float = 0.05) -> bool:
     """Desk-scale rendering of 'tends to zero' along a parameter sequence."""
     v = [abs(x) for x in values]
     if len(v) < 2 or v[0] == 0.0:
@@ -68,7 +72,7 @@ def limit_trend(values, jitter: float = 0.05, final_fraction: float = 0.1) -> bo
     for prev, cur in zip(v[:-1], v[1:]):
         if cur > prev * (1.0 + jitter):
             return False
-    return v[-1] <= final_fraction * head
+    return v[-1] <= TREND_FRACTION * head
 
 
 @dataclass
@@ -131,12 +135,12 @@ class LemmaReport:
         ok = (value - bound) > tol
         return self._add(CheckRow(label, value, None, bound, tol, ok, note, "lower"))
 
-    def trend(self, label, values, fraction, note="") -> bool:
+    def trend(self, label, values, note="") -> bool:
         """Add a 'tends to zero' row: value final/initial, which must fall below
-        `fraction` along a sequence that passes `limit_trend`."""
+        TREND_FRACTION along a sequence that passes `limit_trend`."""
         ratio = values[-1] / values[0] if values[0] != 0.0 else 0.0
-        ok = fraction - ratio > 0.0 and limit_trend(values, final_fraction=fraction)
-        return self._add(CheckRow(label, ratio, None, fraction, 0.0, ok, note, "upper"))
+        ok = TREND_FRACTION - ratio > 0.0 and limit_trend(values)
+        return self._add(CheckRow(label, ratio, None, TREND_FRACTION, 0.0, ok, note, "upper"))
 
     def _add(self, row: CheckRow) -> bool:
         self.rows.append(row)

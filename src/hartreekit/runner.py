@@ -39,8 +39,7 @@ def build_context(cfg) -> VerifyContext:
     return VerifyContext(
         grid=grid, constants=constants, cc=cc, prob=prob,
         c_star_lower=(1.0 + cfg.c_star_margin) * cc.c_inf,
-        rng_seed=cfg.seed, tol_scale=cfg.tol_scale, flow=cfg.flow,
-        trend_fraction=cfg.trend_fraction,
+        rng_seed=cfg.seed, flow=cfg.flow,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,14 +13,7 @@ from hypothesis import strategies as st
 
 from hartreekit.bubbles import bubble_constant
 from hartreekit.cli import main
-from hartreekit.config import (
-    _FLOW_KEYS,
-    _GRID_KEYS,
-    _MAIN_KEYS,
-    _REPORT_KEYS,
-    PotentialSpec,
-    load_config,
-)
+from hartreekit.config import _KEYS, PotentialSpec, load_config
 from hartreekit.errors import ParameterError
 from hartreekit.grids import make_grid
 
@@ -72,6 +66,9 @@ def test_config_bad_convention(tmp_path):
     ("[grid]\nm = 200\n[flow]\nstep = 0.5\n", "[flow] step"),
     ("[gird]\nm = 10\n", "[gird]"),
     ("[problem]\nv1.vo = 0.2\n", "[problem] v1.vo"),
+    # no setting scales a tolerance or the trend fraction
+    ("[report]\ntol_scale = 100\n", "[report] tol_scale"),
+    ("[report]\ntrend_fraction = 1e9\n", "[report] trend_fraction"),
 ])
 def test_cli_unknown_config_key_or_section_exit_code(tmp_path, capsys, text, names):
     # a misspelled key or section is a usage error, not a silently kept default
@@ -82,6 +79,31 @@ def test_cli_unknown_config_key_or_section_exit_code(tmp_path, capsys, text, nam
     err = capsys.readouterr().err
     assert err.startswith("config error:") and names in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_tol_scale_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "2.1", "--tol-scale", "100", "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert "--tol-scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_negative_seed_flag_exit_code(tmp_path, capsys):
+    # numpy rejects a negative seed; the run must say so as a usage error
+    code = run_cli("run-all", "--seed", "-1", "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replace_meets_the_config_checks():
+    cfg = load_config(None)
+    with pytest.raises(ParameterError, match="seed"):
+        dataclasses.replace(cfg, seed=-1)
+    with pytest.raises(ParameterError, match="lambda1 \\+ lambda2"):
+        dataclasses.replace(cfg, lam1=0.0, lam2=0.0)
 
 
 def test_potential_csv_roundtrip(tmp_path, grid):
@@ -221,6 +243,11 @@ def test_cli_solve_ground_writes_profiles(tmp_path):
     ("[problem]\nlambda1 = 0.0\nlambda2 = 0.0\n", "[problem] lambda1/lambda2"),
     ("[report]\nmoll_cells = 0\n", "[report] moll_cells"),
     ("[grid]\nprofile_m = 320\n[report]\nmoll_cells = 64\n", "[report] moll_cells"),
+    ("[report]\nseed = -5\n", "[report] seed"),
+    ("[flow]\nresidual_tolerance = inf\n", "[flow] residual_tolerance"),
+    ("[flow]\nresidual_tolerance = nan\n", "[flow] residual_tolerance"),
+    ("[flow]\nstep_size = inf\n", "[flow] step_size"),
+    ("[problem]\nlambda1 = nan\n", "[problem] lambda1"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, text, names):
     # a config that cannot be read is a usage error (2), never a failed check (1)
@@ -232,12 +259,7 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, text, names):
     assert err.startswith("config error:") and names in err
 
 
-_POTENTIAL_KEYS = [f"{v}.{k}" for v in ("v1", "v2")
-                   for k in ("family", "v0", "s", "path", "tail_exponent", "tail_coeff")]
-_KNOWN_KEYS = ([("problem", k) for k in [*_MAIN_KEYS, *_POTENTIAL_KEYS]]
-               + [("grid", k) for k in _GRID_KEYS]
-               + [("flow", k) for k in _FLOW_KEYS]
-               + [("report", k) for k in _REPORT_KEYS])
+_KNOWN_KEYS = [(section, key) for section, keys in _KEYS.items() for key in keys]
 _VALUES = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
     st.integers(-3, 10**6).map(str),

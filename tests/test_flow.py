@@ -199,6 +199,11 @@ def test_flow_config_validation():
         FlowConfig(step_size=0.0)
     with pytest.raises(ParameterError):
         FlowConfig(residual_tolerance=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            FlowConfig(step_size=bad)
+        with pytest.raises(ParameterError):
+            FlowConfig(residual_tolerance=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,9 @@ def test_write_bundle_layout(tmp_path):
 
 def test_trend_and_lower_bound_rows(tmp_path):
     rep = LemmaReport("demo", "row helpers")
-    assert rep.trend("decays", [1.0, 0.5, 0.2, 0.05], 0.1)
+    assert rep.trend("decays", [1.0, 0.5, 0.2, 0.05])
     assert rep.rows[-1].value == 0.05 and rep.rows[-1].side == "upper"
-    assert not rep.trend("jumps", [1.0, 1.2, 0.2, 0.05], 0.1)   # ratio fine, not monotone
+    assert not rep.trend("jumps", [1.0, 1.2, 0.2, 0.05])   # ratio fine, not monotone
     assert rep.lower_bound("clearance", 0.3, bound=0.0, tol=0.1)
     assert rep.rows[-1].value == 0.3 and rep.rows[-1].side == "lower"
     assert not rep.lower_bound("too close", 0.05, bound=0.0, tol=0.1)
