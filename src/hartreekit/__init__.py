@@ -23,7 +23,6 @@ from .bubbles import (
 from .checks import (
     AdmissibilityReport,
     RegionScan,
-    ScanSpec,
     VerifyContext,
     check_A3,
     choose_a_and_cbar,

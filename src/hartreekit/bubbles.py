@@ -306,9 +306,13 @@ class TrialProfile:
         np.savetxt(path, arr, delimiter=",", header="r,value", comments="")
 
 
+# the inner dilation shrinks by 0.9 per step for at most this many steps
+_SHRINK_STEPS = 60
+
+
 def make_trial_profile(support_fraction: float, cc: CouplingConstants, cbar: float,
-                       grid: RadialGrid, amplitude: float, moll_cells: int = 5,
-                       max_iter: int = 60) -> TrialProfile:
+                       grid: RadialGrid, amplitude: float,
+                       moll_cells: int = 5) -> TrialProfile:
     """Build the certified trial profile on `grid` (the unit ball).
 
     A bubble of the given amplitude (the run grid's C_N) with inner dilation
@@ -350,7 +354,7 @@ def make_trial_profile(support_fraction: float, cc: CouplingConstants, cbar: flo
     accept_hi = cc.c_inf + 0.70 * window   # floor values up to here are still usable
     best = None
     prev_sigma = math.inf
-    for _ in range(max_iter):
+    for _ in range(_SHRINK_STEPS):
         prof, E, sigma = _build_and_certify(grid, cn, delta0, w_moll, cc)
         if cc.c_inf < sigma < cbar and (best is None or sigma < best[2]):
             best = (prof, E, sigma, delta0)

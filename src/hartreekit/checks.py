@@ -6,8 +6,13 @@ parameter sequence of length >= 4 the monitored quantity must decrease
 (5% non-monotone jitter allowed) and its final value must drop below a
 fixed fraction (10%) of the initial one.
 
-The degree conclusion of the homotopy check is reported as supported by
-sampled boundary non-vanishing, never as proved.
+The region scan, the homotopy check and the lambda sweep read fixed module
+constants: the candidate lists, the sample counts (32 per boundary face, a
+7 x 5 interior lattice), the 0.02 clearance around 1/2 and the 5% energy
+slack.  No argument, config key or flag changes them.  The homotopy
+clearances are affine in the homotopy time, so checking both ends is exact
+in that direction; the boundary itself is sampled, and the degree
+conclusion is reported as supported, never as proved.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ __all__ = [
     "choose_a_and_cbar",
     "scan_region",
     "ensure_scan",
-    "ScanSpec",
     "homotopy_boundary_check",
     "lambda_sweep",
     "limit_trend",
@@ -56,11 +60,6 @@ __all__ = [
     "VerifyContext",
     "verify_lemma",
 ]
-
-
-def _default_c_star_lower(c_inf: float) -> float:
-    """Lower estimate of the compactness level when no run margin is given."""
-    return 1.02 * c_inf
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +142,7 @@ def check_A3(prob: Problem, constants: ConstantsTable) -> AdmissibilityReport:
     )
 
 
-def choose_a_and_cbar(prob: Problem, constants: ConstantsTable,
-                      c_star_lower: float | None = None):
+def choose_a_and_cbar(prob: Problem, constants: ConstantsTable, c_star_lower: float):
     """Exponent a in (0, 1) and the energy cap cbar.
 
     a solves f(a) = left where f(t) = 2^(-(1-t)/2) * minfactor * S - S is
@@ -182,8 +180,6 @@ def choose_a_and_cbar(prob: Problem, constants: ConstantsTable,
         raise AdmissibilityError(f"exponent landed outside (0, 1): a={a}")
 
     c_inf = cc.c_inf
-    if c_star_lower is None:
-        c_star_lower = _default_c_star_lower(c_inf)
     cap = min(0.5 * (c_star_lower + c_inf), 2.0 ** (1.0 - a) * c_inf)
     cbar = 0.5 * (c_inf + cap)
     chain_rhs = min(cc.m1_inf, cc.m2_inf, 2.0 * c_inf)
@@ -198,18 +194,19 @@ def choose_a_and_cbar(prob: Problem, constants: ConstantsTable,
 # linking-region scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanSpec:
-    delta1_candidates: tuple = (0.4, 0.3, 0.2, 0.1, 0.05)
-    delta2_candidates: tuple = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                                256.0, 512.0, 1024.0)
-    rbar_candidates: tuple = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
-    y_probe: tuple = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)  # samples of 'all y'
-    boundary_samples: int = 32
-    interior_delta_samples: int = 7
-    interior_y_samples: int = 5
-    gamma_margin: float = 0.02      # clearance required around the 1/2 level
-    energy_margin: float = 0.05     # fraction of the cap window kept as slack
+# candidates tried in order; the scan keeps the first that passes
+DELTA1_CANDIDATES = (0.4, 0.3, 0.2, 0.1, 0.05)
+DELTA2_CANDIDATES = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
+RBAR_CANDIDATES = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+Y_PROBE = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)   # samples of 'all y'
+BOUNDARY_SAMPLES = 32           # per boundary face
+INTERIOR_DELTA_SAMPLES = 7
+INTERIOR_Y_SAMPLES = 5
+GAMMA_MARGIN = 0.02             # clearance required around the 1/2 level
+ENERGY_MARGIN = 0.05            # fraction of the cap window kept as slack
+# mass shifts of the lambda sweep, largest first
+SWEEP_LAMBDAS = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5,
+                 3e-6, 1e-6, 3e-7, 1e-7, 3e-8, 1e-8)
 
 
 @dataclass
@@ -256,9 +253,7 @@ def _member_maps(profile: TrialProfile, prob: Problem, cc: CouplingConstants,
     return gamma, xi, t0, t_lam, t0**4 * sigma, t_lam**4 * sigma
 
 
-def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = None,
-                c_star_lower: float | None = None,
-                rbar_override: float | None = None) -> RegionScan:
+def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> RegionScan:
     """Search for the linking region and evaluate the energy caps on it.
 
     Constraints: concentration below 1/2 on the inner dilation face for all
@@ -271,16 +266,11 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
     interior) is still evaluated in full once a region is accepted.  kappa
     (region supremum) is then compared against the scalar-level threshold.
     """
-    if spec is None:
-        spec = ScanSpec()
     cc = profile.cc
     cbar = profile.cbar
     c_inf = cc.c_inf
-    if c_star_lower is None:
-        c_star_lower = _default_c_star_lower(c_inf)
     threshold = min(cc.m1_inf, cc.m2_inf, 2.0 * c_inf)
-    energy_slack = spec.energy_margin * (cbar - c_inf)
-    cap = cbar - energy_slack
+    cap = cbar - ENERGY_MARGIN * (cbar - c_inf)
 
     scan = RegionScan(
         delta1=math.nan, delta2=math.nan, rbar=math.nan, cbar=cbar,
@@ -296,10 +286,10 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
         return cache[key]
 
     def below(g):
-        return g < 0.5 - spec.gamma_margin
+        return g < 0.5 - GAMMA_MARGIN
 
     def above(g):
-        return g > 0.5 + spec.gamma_margin
+        return g > 0.5 + GAMMA_MARGIN
 
     def face_ok(d, rhos, gamma_ok):
         # lazy: stops at the first sample that fails either constraint
@@ -308,8 +298,8 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
 
     # inner dilation face: gamma < 1/2 and energy < cbar for every probed offset
     delta1 = None
-    for d in spec.delta1_candidates:
-        if d < 0.5 and face_ok(d, spec.y_probe, below):
+    for d in DELTA1_CANDIDATES:
+        if d < 0.5 and face_ok(d, Y_PROBE, below):
             delta1 = d
             break
     if delta1 is None:
@@ -317,21 +307,19 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
         scan.failure = "no inner dilation face with concentration below 1/2"
         return scan
 
-    nb = spec.boundary_samples
-    rbar_candidates = (rbar_override,) if rbar_override is not None else spec.rbar_candidates
+    nb = BOUNDARY_SAMPLES
 
     def offset_face_ok(rb, d2):
         ds = np.geomspace(delta1, d2, nb)
         return all(maps(d, rb)[4] < cap for d in ds)
 
     rbar = delta2 = None
-    for rb in rbar_candidates:
-        rb = float(rb)
+    for rb in RBAR_CANDIDATES:
         rhos = np.linspace(0.0, rb * 0.999, nb)
         if not face_ok(delta1, rhos, below):
             continue
         d2_found = None
-        for d2 in spec.delta2_candidates:
+        for d2 in DELTA2_CANDIDATES:
             if d2 <= 0.5:
                 continue
             if face_ok(float(d2), rhos, above):
@@ -363,8 +351,8 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
         record("outer_face", delta2, rho)
     for d in np.geomspace(delta1, delta2, nb):
         record("offset_face", d, rbar)
-    for d in np.geomspace(delta1, delta2, spec.interior_delta_samples):
-        for rho in np.linspace(0.0, rbar * 0.98, spec.interior_y_samples):
+    for d in np.geomspace(delta1, delta2, INTERIOR_DELTA_SAMPLES):
+        for rho in np.linspace(0.0, rbar * 0.98, INTERIOR_Y_SAMPLES):
             record("interior", d, rho)
 
     e0s = scan.samples.column("i0_hat")
@@ -379,19 +367,20 @@ def scan_region(profile: TrialProfile, prob: Problem, spec: ScanSpec | None = No
     return scan
 
 
-def homotopy_boundary_check(scan: RegionScan, s_samples=None) -> LemmaReport:
-    """Sampled non-vanishing of the boundary homotopy toward (1/2, 0).
+def homotopy_boundary_check(scan: RegionScan) -> LemmaReport:
+    """Non-vanishing of the boundary homotopy toward (1/2, 0).
 
     The straight-line homotopy between the identity and the
     (concentration, barycenter) map misses (1/2, 0) on each boundary piece
     through its own mechanism: first component below 1/2 on the inner face,
     above 1/2 on the outer face, and a positive inner product with the
-    offset axis on the offset face.  Sampled clearances support (do not
-    prove) a unit degree.
+    offset axis on the offset face.  Each clearance is affine in the
+    homotopy time s, so its minimum over s in [0, 1] sits at s = 0 (the
+    identity) or s = 1 (the map): the time direction is checked exactly.
+    The boundary is sampled, so the clearances support (do not prove) a
+    unit degree.
     """
     rep = LemmaReport("homotopy", "boundary homotopy clears the target point")
-    if s_samples is None:
-        s_samples = np.linspace(0.0, 1.0, 9)
     if not scan.found:
         rep.status = "fail"
         rep.add_note(f"region scan failed: {scan.failure}")
@@ -401,51 +390,39 @@ def homotopy_boundary_check(scan: RegionScan, s_samples=None) -> LemmaReport:
     outer = scan.boundary_rows("outer_face")
     offset = scan.boundary_rows("offset_face")
 
-    m1 = min(
-        0.5 - ((1.0 - s) * scan.delta1 + s * row["gamma"])
-        for row in inner for s in s_samples
-    )
-    m2 = min(
-        ((1.0 - s) * scan.delta2 + s * row["gamma"]) - 0.5
-        for row in outer for s in s_samples
-    )
-    m3 = min(
-        (1.0 - s) * scan.rbar**2 + s * row["xi_axial"] * scan.rbar
-        for row in offset for s in s_samples
-    )
-    # each clearance must be strictly positive at every sampled (y, s)
+    # the s = 0 term, then the s = 1 term at every boundary sample
+    m1 = min(0.5 - scan.delta1, *(0.5 - row["gamma"] for row in inner))
+    m2 = min(scan.delta2 - 0.5, *(row["gamma"] - 0.5 for row in outer))
+    m3 = min(scan.rbar**2, *(row["xi_axial"] * scan.rbar for row in offset))
+    # each clearance must be strictly positive at every sampled y and every s
     rep.lower_bound("inner face clearance (1/2 - first component)", m1, bound=0.0, tol=0.0)
     rep.lower_bound("outer face clearance (first component - 1/2)", m2, bound=0.0, tol=0.0)
     rep.lower_bound("offset face inner-product clearance", m3, bound=0.0, tol=0.0)
     rep.add_note(
-        "unit degree supported by sampled boundary non-vanishing "
-        f"({len(inner)} + {len(outer)} + {len(offset)} samples x {len(s_samples)} homotopy times); "
-        "not a proof"
+        "unit degree supported by boundary non-vanishing: exact in the homotopy time "
+        "(each clearance is affine in s and checked at s = 0 and s = 1), sampled on "
+        f"the boundary ({len(inner)} + {len(outer)} + {len(offset)} points); not a proof"
     )
     rep.info("identity-end clearance",
              min(0.5 - scan.delta1, scan.delta2 - 0.5, scan.rbar**2))
     return rep
 
 
-def lambda_sweep(profile: TrialProfile, prob: Problem, scan: RegionScan,
-                 lambdas=None) -> Table:
+def lambda_sweep(profile: TrialProfile, prob: Problem, scan: RegionScan) -> Table:
     """Empirical feasibility of the shifted caps as the mass shifts shrink.
 
-    For each lam the shifted projected energy is re-evaluated from the
-    recorded samples (only the shift term changes); feasible means the
-    boundary cap stays below cbar and the region cap below the scalar-level
-    threshold.
+    For each lam in SWEEP_LAMBDAS the shifted projected energy is
+    re-evaluated from the recorded samples (only the shift term changes);
+    feasible means the boundary cap stays below cbar and the region cap
+    below the scalar-level threshold.
     """
     cc = profile.cc
     if not scan.found or not scan.samples.rows:
         raise ParameterError("lambda sweep requires a successful region scan")
-    if lambdas is None:
-        lambdas = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5,
-                   3e-6, 1e-6, 3e-7, 1e-7, 3e-8, 1e-8)
     tbl = Table("lambda_sweep",
                 ["lam", "boundary_sup", "region_sup", "cap_ok", "threshold_ok", "feasible"])
     ksum_E = cc.k_sum * profile.energy
-    for lam in lambdas:
+    for lam in SWEEP_LAMBDAS:
         shift = (cc.k1 * lam + cc.k2 * lam) * profile.l2_mass
         b_sup, r_sup = 0.0, 0.0
         for row in scan.samples.rows:
@@ -612,11 +589,11 @@ def _check_nonlocal_splitting(ctx: VerifyContext) -> LemmaReport:
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
     bprof = make_bubble(1.0, 0.0, grid).profile_on(grid)
     fine = make_grid(grid.N, 640, grid.R_max, 1.025)
-    tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], [0.0, 0.0, 0.0], fine)
+    tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], fine)
     rep.tables.append(tbl)
     for col in ("self_error", "mixed_error"):
         rep.trend(f"{col} final/initial", tbl.column(col))
-    stat = brezis_lieb_check(gauss, bprof, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], fine)
+    stat = brezis_lieb_check(gauss, bprof, [1.0, 1.0, 1.0], fine)
     spread = max(stat.column("self_error")) - min(stat.column("self_error"))
     rep.require("stationary-sequence control stays constant", spread, tol=1e-10)
     return rep

@@ -82,6 +82,12 @@ class RunConfig:
         if not 1 <= self.moll_cells < profile_cells:
             raise ParameterError(f"[report] moll_cells must lie in [1, {profile_cells - 1}] "
                                  f"for profile_m = {self.profile_m}, got {self.moll_cells}")
+        # c_star_lower = (1 + margin) c_inf must sit above the limit level
+        if not self.c_star_margin > 0.0:
+            raise ParameterError(f"[report] c_star_margin must be > 0, got {self.c_star_margin}")
+        if not 0.0 < self.support_fraction < 1.0:
+            raise ParameterError("[report] support_fraction must lie in (0, 1), "
+                                 f"got {self.support_fraction}")
         # numpy's generators take only non-negative seeds
         if self.seed < 0:
             raise ParameterError(f"[report] seed must be >= 0, got {self.seed}")

@@ -407,7 +407,7 @@ def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
 
 
 def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
-                      sigma_seq, offset_seq, fine_grid: RadialGrid):
+                      sigma_seq, fine_grid: RadialGrid):
     """Splitting error of the nonlocal energy along a concentrating family.
 
     u_n = u0 + sigma_n^(-(N-2)/2) b(x / sigma_n); the self column reports
@@ -416,20 +416,12 @@ def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
     (u_n, v_n = u0/2 + bubble).  All three double energies are evaluated
     independently on one fine grid resolving both scales.
 
-    Only centered bubbles are supported: the discretization carries a single
-    translation center, and a background plus an offset bubble would need
-    two.
+    The bubbles sit at the origin, like the background: the discretization
+    carries a single translation center, and a background plus an offset
+    bubble would need two.
     """
     from .reporting import Table
 
-    sigma_seq = list(sigma_seq)
-    offset_seq = list(offset_seq)
-    if len(sigma_seq) != len(offset_seq):
-        raise ParameterError("sigma and offset sequences must have equal length")
-    if any(o != 0.0 for o in offset_seq):
-        raise ParameterError(
-            "nonzero bubble offsets are not representable with a single translation center"
-        )
     g = fine_grid
     N = g.N
 
@@ -443,10 +435,10 @@ def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
 
     table = Table(
         "nonlocal_splitting",
-        ["sigma", "offset", "self_error", "mixed_error", "d_full", "d_bubble", "d_background"],
+        ["sigma", "self_error", "mixed_error", "d_full", "d_bubble", "d_background"],
     )
     p = (N - 2) / 2.0
-    for sig, off in zip(sigma_seq, offset_seq):
+    for sig in sigma_seq:
         vals = bubble_profile(g.r / sig) * sig ** (-p)
         if _has_tail(bubble_profile):
             ct = bubble_profile.c_tail * sig ** (bubble_profile.p_tail - p)
@@ -460,7 +452,7 @@ def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
         d_un = double_energy(un.squared(), un.squared())
         d_mixed = double_energy(un.squared(), vn.squared())
         table.add(
-            sigma=float(sig), offset=float(off),
+            sigma=float(sig),
             self_error=abs(d_un - d_bn - d_u0),
             mixed_error=abs(d_mixed - d_bn - d_u0v0),
             d_full=d_un, d_bubble=d_bn, d_background=d_u0,

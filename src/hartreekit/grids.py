@@ -182,10 +182,10 @@ def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:
         raise ParameterError(f"dimension N must be an integer >= 5, got {N}")
     if not (isinstance(M, (int, np.integer)) and M >= 16):
         raise ParameterError(f"node count M must be an integer >= 16, got {M}")
-    if not (R_max > 0):
-        raise ParameterError(f"R_max must be positive, got {R_max}")
-    if not (stretch >= 1.0):
-        raise ParameterError(f"stretch must be >= 1, got {stretch}")
+    if not (math.isfinite(R_max) and R_max > 0):
+        raise ParameterError(f"R_max must be positive and finite, got {R_max}")
+    if not (math.isfinite(stretch) and stretch >= 1.0):
+        raise ParameterError(f"stretch must be finite and >= 1, got {stretch}")
 
     n_cells = max(1, M // NODES_PER_CELL)
     counts = np.full(n_cells, M // n_cells)

@@ -61,16 +61,18 @@ def _csv_cell(x) -> str:
 
 # a limit 'tends to zero' when the sequence ends below this fraction of its start
 TREND_FRACTION = 0.1
+# ... and no step rises by more than this fraction of the value before it
+TREND_JITTER = 0.05
 
 
-def limit_trend(values, jitter: float = 0.05) -> bool:
+def limit_trend(values) -> bool:
     """Desk-scale rendering of 'tends to zero' along a parameter sequence."""
     v = [abs(x) for x in values]
     if len(v) < 2 or v[0] == 0.0:
         return all(x == 0.0 for x in v)
     head = v[0]
     for prev, cur in zip(v[:-1], v[1:]):
-        if cur > prev * (1.0 + jitter):
+        if cur > prev * (1.0 + TREND_JITTER):
             return False
     return v[-1] <= TREND_FRACTION * head
 

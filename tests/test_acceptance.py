@@ -140,13 +140,13 @@ def test_criterion_08_nonlocal_splitting(grid):
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
     bprof = make_bubble(1.0, 0.0, grid).profile_on(grid)
     fine = make_grid(5, 640, 40.0, 1.025)
-    tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], [0.0] * 3, fine)
+    tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], fine)
     ok = True
     for col in ("self_error", "mixed_error"):
         vals = tbl.column(col)
         ok = ok and all(a > b for a, b in zip(vals[:-1], vals[1:]))
         ok = ok and vals[-1] < 0.1 * vals[0]
-    stat = brezis_lieb_check(gauss, bprof, [1.0] * 3, [0.0] * 3, fine)
+    stat = brezis_lieb_check(gauss, bprof, [1.0] * 3, fine)
     sv = stat.column("self_error")
     ok = ok and max(sv) - min(sv) <= 1e-10 * max(sv)
     record(8, "nonlocal splitting decays; stationary control constant", ok)
@@ -175,8 +175,8 @@ def test_criterion_09_barycenter_machinery(grid, cc, trial_profile):
     record(9, "barycenter maps: symmetry, invariance, limits, axis positivity", ok)
 
 
-def test_criterion_10_region_and_bounds(trial_profile, problem):
-    scan = scan_region(trial_profile, problem)
+def test_criterion_10_region_and_bounds(trial_profile, problem, c_star_lower):
+    scan = scan_region(trial_profile, problem, c_star_lower)
     ok = scan.found
     ok = ok and scan.boundary_sup_energy < scan.cbar
     ok = ok and scan.kappa < scan.threshold and (scan.threshold - scan.kappa) > 0

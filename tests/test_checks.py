@@ -16,7 +16,7 @@ from hartreekit import (
     verify_lemma,
 )
 from hartreekit import checks
-from hartreekit.checks import CHECK_IDS, ScanSpec, limit_trend
+from hartreekit.checks import CHECK_IDS, limit_trend
 
 
 def make_problem(grid, v0, lam=0.1):
@@ -66,10 +66,10 @@ def test_check_a3_conventions_equivalent(grid, constants):
         )
 
 
-def test_choose_a_matches_closed_form(grid, constants):
+def test_choose_a_matches_closed_form(grid, constants, c_star_lower):
     prob = make_problem(grid, 0.1)
     rep = check_A3(prob, constants)
-    a, cbar = choose_a_and_cbar(prob, constants)
+    a, cbar = choose_a_and_cbar(prob, constants, c_star_lower)
     mf = min(math.sqrt(7.0 / 3.0), math.sqrt(7.0 / 6.0), math.sqrt(2.0))
     a_closed = 1.0 + 2.0 * math.log(
         (rep.left_plain / constants.sobolev + 1.0) / mf
@@ -88,22 +88,22 @@ def test_choose_a_monotone_f(grid, constants):
     assert f[-1] > 0
 
 
-def test_choose_a_cap_window(grid, constants, cc):
+def test_choose_a_cap_window(grid, constants, cc, c_star_lower):
     prob = make_problem(grid, 0.1)
-    a, cbar = choose_a_and_cbar(prob, constants)
+    a, cbar = choose_a_and_cbar(prob, constants, c_star_lower)
     assert cc.c_inf < cbar
-    assert cbar <= min(0.5 * (1.02 * cc.c_inf + cc.c_inf), 2 ** (1 - a) * cc.c_inf)
+    assert cbar <= min(0.5 * (c_star_lower + cc.c_inf), 2 ** (1 - a) * cc.c_inf)
     assert 2 ** (1 - a) * cc.c_inf <= min(cc.m1_inf, cc.m2_inf, 2 * cc.c_inf) + 1e-12
 
 
-def test_choose_a_rejects_inadmissible(grid, constants):
+def test_choose_a_rejects_inadmissible(grid, constants, c_star_lower):
     with pytest.raises(AdmissibilityError):
-        choose_a_and_cbar(make_problem(grid, 100.0), constants)
+        choose_a_and_cbar(make_problem(grid, 100.0), constants, c_star_lower)
 
 
 @pytest.fixture(scope="module")
-def scan(trial_profile, problem):
-    return scan_region(trial_profile, problem)
+def scan(trial_profile, problem, c_star_lower):
+    return scan_region(trial_profile, problem, c_star_lower)
 
 
 def test_scan_finds_region(scan):
@@ -139,18 +139,23 @@ def test_scan_gamma_trend_matches_limits(scan, trial_profile, cc):
     assert all(a < b for a, b in zip(gammas[:-1], gammas[1:]))
 
 
-def test_scan_negative_control_shrunken_radius(trial_profile, problem, scan):
+def test_scan_negative_control_shrunken_radius(trial_profile, problem, c_star_lower, scan,
+                                               monkeypatch):
     # a radius below the certified one must fail the boundary constraints
-    bad = scan_region(trial_profile, problem, rbar_override=scan.rbar / 16.0)
+    monkeypatch.setattr(checks, "RBAR_CANDIDATES", (scan.rbar / 16.0,))
+    bad = scan_region(trial_profile, problem, c_star_lower)
     assert not bad.found
 
 
-def eager_scan(profile, prob, spec=None, rbar_override=None):
-    """Reference region scan: every face test evaluates all its rows, then decides."""
-    spec = spec or ScanSpec()
+def eager_scan(profile, prob):
+    """Reference region scan: every face test evaluates all its rows, then decides.
+
+    It reads the scan constants of `checks` when called, so a test that
+    patches them patches both scans."""
     cc = profile.cc
-    cap = profile.cbar - spec.energy_margin * (profile.cbar - cc.c_inf)
-    nb = spec.boundary_samples
+    margin = checks.GAMMA_MARGIN
+    cap = profile.cbar - checks.ENERGY_MARGIN * (profile.cbar - cc.c_inf)
+    nb = checks.BOUNDARY_SAMPLES
     cache = {}
 
     def maps(d, rho):
@@ -161,23 +166,23 @@ def eager_scan(profile, prob, spec=None, rbar_override=None):
 
     def face_ok(d, rhos, lo):
         rows = [maps(d, rho) for rho in rhos]
-        side = [g < 0.5 - spec.gamma_margin if lo else g > 0.5 + spec.gamma_margin
+        side = [g < 0.5 - margin if lo else g > 0.5 + margin
                 for g, *_ in rows]
         return all(side) and all([e0 < cap for *_, e0, _ in rows])
 
     out = {"found": False, "delta1": math.nan, "delta2": math.nan, "rbar": math.nan,
            "kappa": math.nan, "rows": []}
-    delta1 = next((d for d in spec.delta1_candidates
-                   if d < 0.5 and face_ok(d, spec.y_probe, True)), None)
+    delta1 = next((d for d in checks.DELTA1_CANDIDATES
+                   if d < 0.5 and face_ok(d, checks.Y_PROBE, True)), None)
     if delta1 is None:
         return dict(out, failure="no inner dilation face with concentration below 1/2")
     out["delta1"] = delta1
-    for rb in ((rbar_override,) if rbar_override is not None else spec.rbar_candidates):
+    for rb in checks.RBAR_CANDIDATES:
         rb = float(rb)
         rhos = np.linspace(0.0, rb * 0.999, nb)
         if not face_ok(delta1, rhos, True):
             continue
-        d2 = next((float(d) for d in spec.delta2_candidates
+        d2 = next((float(d) for d in checks.DELTA2_CANDIDATES
                    if d > 0.5 and face_ok(float(d), rhos, False)), None)
         if d2 is None:
             continue
@@ -189,8 +194,9 @@ def eager_scan(profile, prob, spec=None, rbar_override=None):
     lattice = [(piece, d, rho) for rho in np.linspace(0.0, rb * 0.999, nb)
                for piece, d in (("inner_face", delta1), ("outer_face", d2))]
     lattice += [("offset_face", d, rb) for d in np.geomspace(delta1, d2, nb)]
-    lattice += [("interior", d, rho) for d in np.geomspace(delta1, d2, spec.interior_delta_samples)
-                for rho in np.linspace(0.0, rb * 0.98, spec.interior_y_samples)]
+    lattice += [("interior", d, rho)
+                for d in np.geomspace(delta1, d2, checks.INTERIOR_DELTA_SAMPLES)
+                for rho in np.linspace(0.0, rb * 0.98, checks.INTERIOR_Y_SAMPLES)]
     names = ("gamma", "xi_axial", "t0", "t_lam", "i0_hat", "i_tilde")
     rows = [dict(piece=piece, delta=float(d), rho=float(rho), **dict(zip(names, maps(d, rho))))
             for piece, d, rho in lattice]
@@ -215,12 +221,14 @@ def count_maps(monkeypatch):
 
 
 @pytest.mark.parametrize("shrink", [None, 16.0])
-def test_scan_matches_the_eager_reference(trial_profile, problem, scan, count_maps, shrink):
-    # the default spec and the shrunken-radius negative control
-    rbar = None if shrink is None else scan.rbar / shrink
-    lazy = scan_region(trial_profile, problem, rbar_override=rbar)
+def test_scan_matches_the_eager_reference(trial_profile, problem, c_star_lower, scan,
+                                          count_maps, monkeypatch, shrink):
+    # the default constants and the shrunken-radius negative control
+    if shrink is not None:
+        monkeypatch.setattr(checks, "RBAR_CANDIDATES", (scan.rbar / shrink,))
+    lazy = scan_region(trial_profile, problem, c_star_lower)
     lazy_maps = len(count_maps)
-    ref = eager_scan(trial_profile, problem, rbar_override=rbar)
+    ref = eager_scan(trial_profile, problem)
     assert (lazy.found, lazy.failure) == (ref["found"], ref["failure"])
     for key in ("delta1", "delta2", "rbar", "kappa"):
         assert repr(getattr(lazy, key)) == repr(ref[key]), key
@@ -234,16 +242,18 @@ def test_scan_matches_the_eager_reference(trial_profile, problem, scan, count_ma
 
 
 def test_scan_face_test_stops_at_its_first_failing_sample(trial_profile, problem,
-                                                          count_maps):
+                                                          c_star_lower, count_maps,
+                                                          monkeypatch):
     # no concentration can sit below 1/2 - 1/2, so each inner-face candidate
     # fails at its first probed offset and costs exactly one member map
-    spec = ScanSpec(delta1_candidates=(0.4, 0.3), gamma_margin=0.5)
-    lazy = scan_region(trial_profile, problem, spec)
+    monkeypatch.setattr(checks, "DELTA1_CANDIDATES", (0.4, 0.3))
+    monkeypatch.setattr(checks, "GAMMA_MARGIN", 0.5)
+    lazy = scan_region(trial_profile, problem, c_star_lower)
     assert not lazy.found
     assert count_maps == [(0.4, 0.0), (0.3, 0.0)]
-    ref = eager_scan(trial_profile, problem, spec)
+    ref = eager_scan(trial_profile, problem)
     assert ref["failure"] == lazy.failure
-    assert len(count_maps) == 2 + 2 * len(spec.y_probe)
+    assert len(count_maps) == 2 + 2 * len(checks.Y_PROBE)
 
 
 def test_homotopy_clearances(scan):
@@ -253,11 +263,19 @@ def test_homotopy_clearances(scan):
         assert row.value > 0
 
 
-def test_homotopy_identity_end(scan):
-    rep = homotopy_boundary_check(scan, s_samples=[0.0])
-    assert rep.passed
-    clear = min(0.5 - scan.delta1, scan.delta2 - 0.5, scan.rbar**2)
-    assert clear > 0
+def test_homotopy_time_is_checked_exactly(scan):
+    # each clearance is affine in the homotopy time s, so the check's two ends
+    # give, bit for bit, its minimum over 1001 samples of s in [0, 1]
+    s = np.linspace(0.0, 1.0, 1001)
+    inner = min(np.min(0.5 - ((1.0 - s) * scan.delta1 + s * row["gamma"]))
+                for row in scan.boundary_rows("inner_face"))
+    outer = min(np.min(((1.0 - s) * scan.delta2 + s * row["gamma"]) - 0.5)
+                for row in scan.boundary_rows("outer_face"))
+    offset = min(np.min((1.0 - s) * scan.rbar**2 + s * row["xi_axial"] * scan.rbar)
+                 for row in scan.boundary_rows("offset_face"))
+    rep = homotopy_boundary_check(scan)
+    assert [row.value for row in rep.rows[:3]] == [inner, outer, offset]
+    assert min(inner, outer, offset) > 0.0
 
 
 def test_lambda_sweep_monotone(trial_profile, problem, scan):
@@ -300,8 +318,6 @@ def test_named_checks_pass(cid, context):
 def test_c_star_lower_follows_the_margin(monkeypatch):
     # the margin reaches the cap choice and the value the region scan records;
     # an empty inner-face candidate list keeps the scan to its set-up
-    from hartreekit import checks
-    from hartreekit.checks import ScanSpec
     from hartreekit.config import RunConfig
     from hartreekit.runner import build_context, ensure_profile
 
@@ -311,6 +327,6 @@ def test_c_star_lower_follows_the_margin(monkeypatch):
     ensure_profile(ctx, cfg)
     _, cbar = choose_a_and_cbar(ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower)
     assert ctx.profile.cbar == cbar
-    monkeypatch.setattr(checks, "ScanSpec", lambda: ScanSpec(delta1_candidates=()))
+    monkeypatch.setattr(checks, "DELTA1_CANDIDATES", ())
     verify_lemma("5.2", ctx)
     assert ctx.scan.to_dict()["c_star_lower"] == ctx.c_star_lower

@@ -224,6 +224,15 @@ def test_cli_grid_overrides(tmp_path):
     assert abs(d4 - grad) <= 1e-12 * grad
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_non_finite_r_max_is_a_usage_error(tmp_path, capsys, value):
+    # rejected by the grid, by name, before any numpy arithmetic can warn
+    code = run_cli("constants", "--out", str(tmp_path), "--r-max", value)
+    assert code == 2
+    assert "R_max" in capsys.readouterr().err
+
+
 def test_cli_solve_ground_writes_profiles(tmp_path):
     code = run_cli("solve-ground", "--out", str(tmp_path))
     assert code == 0
@@ -248,6 +257,10 @@ def test_cli_solve_ground_writes_profiles(tmp_path):
     ("[flow]\nresidual_tolerance = nan\n", "[flow] residual_tolerance"),
     ("[flow]\nstep_size = inf\n", "[flow] step_size"),
     ("[problem]\nlambda1 = nan\n", "[problem] lambda1"),
+    ("[report]\nc_star_margin = 0\n", "[report] c_star_margin"),
+    ("[report]\nc_star_margin = -0.5\n", "[report] c_star_margin"),
+    ("[report]\nsupport_fraction = 0\n", "[report] support_fraction"),
+    ("[report]\nsupport_fraction = 1.0\n", "[report] support_fraction"),
 ])
 def test_cli_malformed_config_exit_code(tmp_path, capsys, text, names):
     # a config that cannot be read is a usage error (2), never a failed check (1)

@@ -257,7 +257,7 @@ def splitting_inputs(grid):
 
 def test_splitting_error_decreases(splitting_inputs):
     gauss, bprof, fine = splitting_inputs
-    tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], [0.0, 0.0, 0.0], fine)
+    tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], fine)
     for col in ("self_error", "mixed_error"):
         vals = tbl.column(col)
         assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
@@ -266,23 +266,15 @@ def test_splitting_error_decreases(splitting_inputs):
 
 def test_splitting_zero_background_exact(splitting_inputs):
     _, bprof, fine = splitting_inputs
-    tbl = brezis_lieb_check(None, bprof, [1.0, 0.3], [0.0, 0.0], fine)
+    tbl = brezis_lieb_check(None, bprof, [1.0, 0.3], fine)
     assert all(v == 0.0 for v in tbl.column("self_error"))
 
 
 def test_splitting_stationary_control(splitting_inputs):
     gauss, bprof, fine = splitting_inputs
-    tbl = brezis_lieb_check(gauss, bprof, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], fine)
+    tbl = brezis_lieb_check(gauss, bprof, [1.0, 1.0, 1.0], fine)
     vals = tbl.column("self_error")
     assert max(vals) - min(vals) <= 1e-10 * max(vals)
-
-
-def test_splitting_rejects_offsets(splitting_inputs):
-    gauss, bprof, fine = splitting_inputs
-    with pytest.raises(ParameterError):
-        brezis_lieb_check(gauss, bprof, [1.0], [2.0], fine)
-    with pytest.raises(ParameterError):
-        brezis_lieb_check(gauss, bprof, [1.0, 0.3], [0.0], fine)
 
 
 def _mp_band_solve(L, B):

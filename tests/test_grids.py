@@ -87,11 +87,14 @@ def test_make_grid_rejects_low_dimension():
         make_grid(4, 400, 40.0, 1.02)
 
 
-@pytest.mark.parametrize("bad", [dict(M=8), dict(R_max=-1.0), dict(stretch=0.5)])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [dict(M=8), dict(R_max=-1.0), dict(stretch=0.5)] + [
+    {name: value} for name in ("R_max", "stretch") for value in (math.inf, -math.inf, math.nan)])
 def test_make_grid_rejects_bad_sizes(bad):
+    # the message names the rejected input
     kw = dict(N=5, M=400, R_max=40.0, stretch=1.02)
     kw.update(bad)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=next(iter(bad))):
         make_grid(**kw)
 
 
