@@ -62,7 +62,6 @@ from .flow import (
     vanishing_energy_limit,
 )
 from .grids import (
-    OffsetFn,
     Pair,
     RadialFn,
     RadialGrid,

@@ -35,7 +35,6 @@ from .errors import (
     ParameterError,
 )
 from .grids import (
-    OffsetFn,
     Pair,
     RadialFn,
     RadialGrid,
@@ -75,8 +74,8 @@ def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
 
     With u1 the unit-amplitude profile, C_N^2 = ||grad u1||^2 / D_4(u1^2, u1^2);
     any solution with this profile shape must satisfy the ray-stationarity
-    identity, and residual certification (see verify module) confirms the
-    shape.
+    identity, and residual certification (runner.bubble_certification)
+    confirms the shape.
 
     The amplitude is a property of the grid and is cached on it.  A
     `.scaled()` grid returns its root grid's amplitude, so dilated copies of
@@ -103,18 +102,15 @@ def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
 
 @dataclass(frozen=True)
 class Bubble:
-    """Extremal U_{delta}(x - z) with |z| = rho, in closed form."""
+    """Extremal U_delta, in closed form about its center."""
 
     delta: float
-    rho: float
     N: int
     c_N: float
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ParameterError(f"dilation must be positive, got {self.delta}")
-        if self.rho < 0:
-            raise ParameterError(f"offset must be >= 0, got {self.rho}")
 
     def __call__(self, dist):
         """Evaluate at distance `dist` from the center."""
@@ -127,9 +123,9 @@ class Bubble:
                         c_tail=self.c_N * self.delta**p)
 
 
-def make_bubble(delta: float, rho: float, grid: RadialGrid) -> Bubble:
+def make_bubble(delta: float, grid: RadialGrid) -> Bubble:
     """Bubble with the amplitude pinned on `grid` (or on its root grid)."""
-    return Bubble(delta=float(delta), rho=float(rho), N=grid.N,
+    return Bubble(delta=float(delta), N=grid.N,
                   c_N=bubble_constant(grid.N, grid))
 
 
@@ -239,14 +235,9 @@ def quotient_infimum(mu1: float, mu2: float, beta: float):
 
 def ground_pair(delta: float, rho: float, cc: CouplingConstants,
                 grid: RadialGrid) -> Pair:
-    """The coupled ground state (sqrt(k1) U_delta, sqrt(k2) U_delta)."""
-    prof = make_bubble(delta, rho, grid).profile_on(grid)
-    if rho == 0.0:
-        return Pair(math.sqrt(cc.k1) * prof, math.sqrt(cc.k2) * prof)
-    return Pair(
-        OffsetFn(math.sqrt(cc.k1) * prof, rho),
-        OffsetFn(math.sqrt(cc.k2) * prof, rho),
-    )
+    """The coupled ground state (sqrt(k1) U_delta, sqrt(k2) U_delta), offset by rho."""
+    prof = make_bubble(delta, grid).profile_on(grid)
+    return Pair(math.sqrt(cc.k1) * prof, math.sqrt(cc.k2) * prof, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +276,8 @@ class TrialProfile:
     def grid(self) -> RadialGrid:
         return self.profile.grid
 
-    def member(self, delta: float, rho: float) -> OffsetFn:
-        return trial_member(self, delta, rho)
-
     def member_square(self, delta: float) -> RadialFn:
-        """Square of the member profile at dilation delta, memoized per delta.
+        """Square of the member at dilation delta, memoized per delta.
 
         The square does not depend on the offset, so every offset at one
         dilation shares this object and the spline it builds on first
@@ -298,7 +286,7 @@ class TrialProfile:
         """
         key = float(delta)
         if key not in self._squares:
-            self._squares[key] = trial_member(self, key, 0.0).profile.squared()
+            self._squares[key] = trial_member(self, key).squared()
         return self._squares[key]
 
     def to_csv(self, path):
@@ -401,26 +389,21 @@ def _build_and_certify(grid, cn, delta0, w_moll, cc):
 
 
 def trial_pair(profile: TrialProfile, delta: float, rho: float) -> Pair:
-    """Proportional pair (sqrt(k1), sqrt(k2)) x member, sharing one member grid."""
-    m = trial_member(profile, delta, rho)
+    """Proportional pair (sqrt(k1), sqrt(k2)) x member at dilation delta, offset by rho."""
+    m = trial_member(profile, delta)
     cc = profile.cc
-    return Pair(
-        OffsetFn(math.sqrt(cc.k1) * m.profile, m.rho),
-        OffsetFn(math.sqrt(cc.k2) * m.profile, m.rho),
-    )
+    return Pair(math.sqrt(cc.k1) * m, math.sqrt(cc.k2) * m, float(rho))
 
 
-def trial_member(profile: TrialProfile, delta: float, rho: float) -> OffsetFn:
-    """Dilated and translated family member, supported in the delta-ball at the offset.
+def trial_member(profile: TrialProfile, delta: float) -> RadialFn:
+    """Dilated family member, supported in the delta-ball about its center.
 
     The critical-norm is preserved exactly: values scale by delta^(-(N-2)/2)
     on the delta-scaled copy of the profile grid.
     """
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    if rho < 0:
-        raise ParameterError(f"offset must be >= 0, got {rho}")
     g = profile.grid.scaled(delta)
     N = g.N
     vals = profile.profile.values * delta ** (-(N - 2) / 2.0)
-    return OffsetFn(RadialFn(g, vals), float(rho))
+    return RadialFn(g, vals)

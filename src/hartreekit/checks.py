@@ -37,6 +37,7 @@ from .energy import (
     energy_I,
     nehari_project,
     pohozaev_residual,
+    potential_mass,
     trial_projection_scalars,
     weak_residual,
 )
@@ -408,7 +409,7 @@ def homotopy_boundary_check(scan: RegionScan) -> LemmaReport:
     return rep
 
 
-def lambda_sweep(profile: TrialProfile, prob: Problem, scan: RegionScan) -> Table:
+def lambda_sweep(profile: TrialProfile, scan: RegionScan) -> Table:
     """Empirical feasibility of the shifted caps as the mass shifts shrink.
 
     For each lam in SWEEP_LAMBDAS the shifted projected energy is
@@ -492,7 +493,7 @@ def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
         )
         lam = ctx.prob.lam1 if j == 1 else ctx.prob.lam2
         if lam > 0:
-            u1 = make_bubble(1.0, 0.0, ctx.grid).profile_on(ctx.grid)
+            u1 = make_bubble(1.0, ctx.grid).profile_on(ctx.grid)
             l2_u1 = integrate(u1.squared())
             worst = 0.0
             for row in tbl.rows:
@@ -558,13 +559,10 @@ def _check_ground_level_limit(ctx: VerifyContext) -> LemmaReport:
     gaps = []
     for d in deltas:
         gd = ctx.grid.scaled(d)
-        prof = make_bubble(d, 0.0, gd).profile_on(gd)
+        prof = make_bubble(d, gd).profile_on(gd)
         sq = prof.squared()
-        pot = 0.0
-        for k, V, lam in ((cc.k1, ctx.prob.V1, ctx.prob.lam1),
-                          (cc.k2, ctx.prob.V2, ctx.prob.lam2)):
-            pot += k * ((integrate(V.resample(gd) * sq) if V is not None else 0.0)
-                        + lam * integrate(sq))
+        pot = (cc.k1 * potential_mass(ctx.prob.V1, ctx.prob.lam1, sq)
+               + cc.k2 * potential_mass(ctx.prob.V2, ctx.prob.lam2, sq))
         K = dirichlet_seminorm(prof)
         D = double_energy(sq, sq)
         t_sq = (cc.k_sum * K + pot) / (cc.k_sum * D)
@@ -587,7 +585,7 @@ def _check_nonlocal_splitting(ctx: VerifyContext) -> LemmaReport:
     from .grids import from_callable, make_grid
 
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
-    bprof = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    bprof = make_bubble(1.0, grid).profile_on(grid)
     fine = make_grid(grid.N, 640, grid.R_max, 1.025)
     tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], fine)
     rep.tables.append(tbl)

@@ -26,10 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bubbles import CouplingConstants, TrialProfile
+from .bubbles import CouplingConstants, TrialProfile, trial_member
 from .errors import DivergenceError, ParameterError, ProjectionError
 from .grids import (
-    OffsetFn,
     Pair,
     RadialFn,
     RadialGrid,
@@ -60,6 +59,7 @@ __all__ = [
     "weak_residual",
     "residual_fields",
     "default_test_set",
+    "potential_mass",
     "mollified_bump",
 ]
 
@@ -152,20 +152,19 @@ class EnergyBreakdown:
         }
 
 
-def _potential_term(V: RadialFn | None, lam: float, comp, rho: float) -> float:
-    """int (V + lam) comp^2 for a radial or offset component."""
+def potential_mass(V: RadialFn | None, lam: float, sq: RadialFn, rho: float = 0.0) -> float:
+    """int (V(x) + lam) sq(|x - y|) dx at |y| = rho: the lam term, then the V term.
+
+    At rho = 0, V is read on sq's grid (resampled unless it lives there).
+    """
     out = 0.0
-    sq = comp.squared()
     if lam > 0.0:
-        if _has_tail(sq) and sq.p_tail <= comp.grid.N:
+        if _has_tail(sq) and sq.p_tail <= sq.grid.N:
             raise DivergenceError("component lacks the L^2 decay required when lam > 0")
         out += lam * integrate(sq)
     if V is not None:
         if rho == 0.0:
-            if V.grid is comp.grid:
-                out += integrate(V * sq)
-            else:
-                out += integrate(V.resample(comp.grid) * sq)
+            out += integrate((V if V.grid is sq.grid else V.resample(sq.grid)) * sq)
         else:
             out += bicenter_integral(V, sq, rho)
     return out
@@ -173,12 +172,10 @@ def _potential_term(V: RadialFn | None, lam: float, comp, rho: float) -> float:
 
 def energy_I(p: Pair, prob: Problem) -> EnergyBreakdown:
     """Full breakdown of the coupled functional at a pair."""
-    u, v = p.components()
-    rho = p.offset
+    u, v = p.u, p.v
     kinetic = dirichlet_seminorm(u) + dirichlet_seminorm(v)
-    potential = _potential_term(prob.V1, prob.lam1, u, rho) + _potential_term(
-        prob.V2, prob.lam2, v, rho
-    )
+    potential = (potential_mass(prob.V1, prob.lam1, u.squared(), p.offset)
+                 + potential_mass(prob.V2, prob.lam2, v.squared(), p.offset))
     up2 = u.positive().squared()
     vp2 = v.positive().squared()
     return EnergyBreakdown(
@@ -241,7 +238,7 @@ def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
 
 def _pair_density(p: Pair, mu1: float, mu2: float, beta: float) -> RadialFn:
     """Radial profile of mu1 (u+)^{2*} + 2 beta (u+ v+)^{2*/2} + mu2 (v+)^{2*}."""
-    u, v = p.components()
+    u, v = p.u, p.v
     N = p.grid.N
     two_star = 2.0 * N / (N - 2.0)
     up = u.positive().power(two_star)
@@ -268,7 +265,7 @@ def barycenter_axis_sign(profile: TrialProfile, delta: float, rho: float) -> flo
     """<xi | y> for the proportional trial pair at the member (delta, rho); must be > 0."""
     if rho <= 0:
         raise ParameterError("axis sign is defined only for rho > 0")
-    prof = profile.member(delta, rho).profile
+    prof = trial_member(profile, delta)
     N = prof.grid.N
     mass, axial, _ = axis_moment_integrals(prof.power(2.0 * N / (N - 2.0)), rho)
     return (axial / mass) * rho
@@ -289,7 +286,7 @@ def pohozaev_residual(p: Pair, prob: Problem):
     """
     if prob.V1 is not None or prob.V2 is not None:
         raise ParameterError("dilation identity is implemented for V = 0 problems only")
-    u, v = p.components()
+    u, v = p.u, p.v
     N = prob.N
     K = dirichlet_seminorm(u) + dirichlet_seminorm(v)
     if K == 0.0:
@@ -336,7 +333,7 @@ def residual_fields(p: Pair, prob: Problem):
     """
     if p.offset != 0.0:
         raise ParameterError("residual fields are defined for centered pairs")
-    u, v = p.components()
+    u, v = p.u, p.v
     grid = u.grid
     kern = kernel_for(grid)
     L = grid.laplacian_matrix()
@@ -361,7 +358,7 @@ def mollified_bump(grid: RadialGrid, scale: float) -> RadialFn:
 
 
 def default_test_set(grid: RadialGrid) -> list:
-    """Mollified bumps at log-spaced scales and offsets 0, 1, 5 (20 functions)."""
+    """(bump, offset) pairs: mollified bumps at log-spaced scales, offsets 0, 1, 5 (20 in all)."""
     scales = np.geomspace(0.05, 20.0, 7)
     out = []
     for s in scales:
@@ -370,41 +367,41 @@ def default_test_set(grid: RadialGrid) -> list:
         for rho in (0.0, 1.0, 5.0):
             if len(out) >= 20:
                 break
-            out.append(OffsetFn(prof, rho))
+            out.append((prof, rho))
     return out[:20]
 
 
 def _pairing_matrix(bumps: list, grid: RadialGrid):
     """(W, ||grad phi||^2, ||phi||_2^2) over a test set, W[b] @ R.values pairing R with bump b.
 
-    The residual fields on `grid` carry no tail model, so each pairing
-    bicenter_integral(R, phi.profile, phi.rho) is a fixed row of W (see
-    bicenter_rows).  W and the norms are plain arrays: a resampled RadialFn
-    would point back at the grid whose cache holds them.
+    The residual fields on `grid` carry no tail model, so the pairing
+    bicenter_integral(R, phi, rho) with each bump (phi, rho) is a fixed row
+    of W (see bicenter_rows).  W and the norms are plain arrays: a
+    resampled RadialFn would point back at the grid whose cache holds them.
     """
     W = bicenter_rows(bumps, grid)
-    base = np.array([dirichlet_seminorm(phi.profile) for phi in bumps])
-    mass = np.array([integrate(phi.profile.squared()) for phi in bumps])
+    base = np.array([dirichlet_seminorm(phi) for phi, _ in bumps])
+    mass = np.array([integrate(phi.squared()) for phi, _ in bumps])
     return W, base, mass
 
 
 def weak_residual(p: Pair, prob: Problem) -> float:
     """Relative dual-norm estimate of I'(p) over the default mollified-bump test set.
 
-    Each test bump phi enters as (phi, 0) and (0, phi).  Pairings are the
-    translated-overlap quadrature bicenter_integral(R, phi.profile, phi.rho)
-    of each residual field R, normalized by ||phi|| ||p|| in the
-    lam-weighted norm.  A pairing is linear in R's nodal values, so the
-    test set becomes a pairing matrix W, one row per bump: W and the norms
-    are built once per grid and kept in the grid's cache, and a call is one
-    product of W with the two residual fields.
+    Each test bump (phi, rho) enters as (phi, 0) and (0, phi).  Pairings
+    are the translated-overlap quadrature bicenter_integral(R, phi, rho) of
+    each residual field R, normalized by ||phi|| ||p|| in the lam-weighted
+    norm.  A pairing is linear in R's nodal values, so the test set becomes
+    a pairing matrix W, one row per bump: W and the norms are built once per
+    grid and kept in the grid's cache, and a call is one product of W with
+    the two residual fields.
     """
     key = "weak_residual_pairing"
     if key not in p.grid._cache:
         p.grid._cache[key] = _pairing_matrix(default_test_set(p.grid), p.grid)
     W, base, mass = p.grid._cache[key]
     res_u, res_v = residual_fields(p, prob)
-    u, v = p.components()
+    u, v = p.u, p.v
 
     norm_p_sq = dirichlet_seminorm(u) + dirichlet_seminorm(v)
     if prob.lam1 > 0:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bubbles import CouplingConstants, bubble_constant, make_bubble
-from .energy import Problem, _coupling_matrix, weak_residual
+from .energy import Problem, _coupling_matrix, potential_mass, weak_residual
 from .errors import ParameterError
 from .grids import (
     Pair,
@@ -105,7 +105,7 @@ class FlowDiagnostics:
         out = Path(out_dir)
         self.trace_csv(out / "flow_trace.csv")
         if self.final is not None:
-            u, v = self.final.components()
+            u, v = self.final.u, self.final.v
             np.savetxt(out / "ground_state.csv",
                        np.column_stack([u.grid.r, u.values, v.values]),
                        delimiter=",", header="r,u,v", comments="")
@@ -264,7 +264,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     prob = Problem.limit(N, cc)
 
     if cfg.start == "bubble":
-        b = make_bubble(1.0, 0.0, grid)(grid.r)
+        b = make_bubble(1.0, grid)(grid.r)
         X = b[:, None] * np.sqrt([cc.k1, cc.k2])
     else:
         widths = np.asarray(cfg.start_widths, float)
@@ -390,13 +390,11 @@ def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
     )
     for d in delta_seq:
         gd = grid.scaled(float(d))
-        prof = make_bubble(float(d), 0.0, gd).profile_on(gd) * (1.0 / math.sqrt(mu))
+        prof = make_bubble(float(d), gd).profile_on(gd) * (1.0 / math.sqrt(mu))
         sq = prof.squared()
         l2 = integrate(sq)
         lam_mass = lam * l2
-        pot = lam_mass
-        if V is not None:
-            pot += integrate(V.resample(gd) * sq)
+        pot = potential_mass(V, lam, sq)
         K = dirichlet_seminorm(prof)
         D = double_energy(sq, sq)
         t_sq = (K + pot) / (mu * D)

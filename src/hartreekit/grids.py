@@ -6,9 +6,9 @@ f(r) ~ c_tail * r^(-p_tail) for r > R_max.  Volume weights satisfy
 
     sum_i w_i f(r_i) ~ int_{B_Rmax} f(|x|) dx = |S^{N-1}| int_0^Rmax f r^{N-1} dr.
 
-Translated objects are represented as a radial profile plus a single offset
-distance (OffsetFn); their integrals against radial weights reduce to a 2-D
-(s, theta) quadrature with the angular measure sin^{N-2}(theta) d(theta).
+A translated pair is its two radial components plus one offset distance
+(Pair.offset); integrals against radial weights reduce to a 2-D (s, theta)
+quadrature with the angular measure sin^{N-2}(theta) d(theta).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import DivergenceError, ParameterError
 __all__ = [
     "RadialGrid",
     "RadialFn",
-    "OffsetFn",
     "Pair",
     "sphere_area",
     "make_grid",
@@ -196,7 +195,16 @@ def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:
     if stretch == 1.0:
         widths = np.full(n_cells, R_max / n_cells)
     else:
-        w0 = R_max * (stretch - 1.0) / (stretch**n_cells - 1.0)
+        try:
+            growth = math.pow(stretch, n_cells)
+        except OverflowError:
+            raise ParameterError(
+                f"stretch={stretch} overflows over {n_cells} geometric cells") from None
+        w0 = R_max * (stretch - 1.0) / (growth - 1.0)
+        if w0 < np.finfo(float).eps * R_max:
+            raise ParameterError(
+                f"stretch={stretch} makes the innermost cell {w0:.3g} wide, "
+                f"below round-off of R_max={R_max}")
         widths = w0 * stretch ** np.arange(n_cells)
     edges = np.concatenate([[0.0], np.cumsum(widths)])
     edges[-1] = R_max
@@ -420,57 +428,25 @@ def from_callable(grid: RadialGrid, fn, p_tail=None, c_tail=0.0) -> RadialFn:
 
 
 @dataclass(frozen=True, eq=False)
-class OffsetFn:
-    """A radial profile translated by distance rho along a fixed axis."""
-
-    profile: RadialFn
-    rho: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rho) and self.rho >= 0):
-            raise ParameterError(f"offset distance must be finite and >= 0, got {self.rho}")
-
-    def __call__(self, dist):
-        """Evaluate at points given by their distance to the translation center."""
-        return self.profile(dist)
-
-
-@dataclass(frozen=True, eq=False)
 class Pair:
-    """Two-component state (u, v) on a shared grid / shared offset."""
+    """Two-component state (u, v) on one grid, translated as one by `offset`."""
 
-    u: RadialFn | OffsetFn
-    v: RadialFn | OffsetFn
+    u: RadialFn
+    v: RadialFn
+    offset: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.u, OffsetFn) != isinstance(self.v, OffsetFn):
-            raise ParameterError("mixed radial/offset pairs are not supported")
-        if isinstance(self.u, OffsetFn):
-            if self.u.profile.grid is not self.v.profile.grid:
-                raise ParameterError("pair components live on different grids")
-            if self.u.rho != self.v.rho:
-                raise ParameterError("pair components have different offsets")
-        elif self.u.grid is not self.v.grid:
+        if self.u.grid is not self.v.grid:
             raise ParameterError("pair components live on different grids")
-
-    @property
-    def offset(self) -> float:
-        return self.u.rho if isinstance(self.u, OffsetFn) else 0.0
+        if not (np.isfinite(self.offset) and self.offset >= 0):
+            raise ParameterError(f"offset distance must be finite and >= 0, got {self.offset}")
 
     @property
     def grid(self) -> RadialGrid:
-        return self.u.profile.grid if isinstance(self.u, OffsetFn) else self.u.grid
-
-    def components(self):
-        if isinstance(self.u, OffsetFn):
-            return self.u.profile, self.v.profile
-        return self.u, self.v
+        return self.u.grid
 
     def scale(self, t: float) -> "Pair":
-        if isinstance(self.u, OffsetFn):
-            return Pair(OffsetFn(t * self.u.profile, self.u.rho),
-                        OffsetFn(t * self.v.profile, self.v.rho))
-        return Pair(t * self.u, t * self.v)
+        return Pair(t * self.u, t * self.v, self.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +616,7 @@ def bicenter_integrals(f: RadialFn, gs: list, rho: float) -> list:
 
 
 def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
-    """Rows W with W[b] @ f.values = bicenter_integral(f, gs[b].profile, gs[b].rho).
+    """Rows W with W[b] @ f.values = bicenter_integral(f, *gs[b]), gs[b] = (g, rho).
 
     This holds for every f on `grid` without a tail model, to round-off,
     and every g without one (a tailed g raises ParameterError).  Both
@@ -654,8 +630,7 @@ def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
     t, a = _theta_rule(N, _THETA_NODES)
     W = np.empty((len(gs), grid.M))
     points, weights, owner = [], [], []
-    for b, h in enumerate(gs):
-        g, rho = h.profile, h.rho
+    for b, (g, rho) in enumerate(gs):
         if _has_tail(g):
             raise ParameterError("pairing rows take functions without a tail model")
         own = g.grid

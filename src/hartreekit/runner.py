@@ -68,7 +68,7 @@ def constants_report(ctx: VerifyContext) -> LemmaReport:
         tbl.s_hl_sq * tbl.hls - tbl.sobolev**2,
         tol=1e-12 * tbl.sobolev**2,
     )
-    U = make_bubble(1.0, 0.0, ctx.grid).profile_on(ctx.grid)
+    U = make_bubble(1.0, ctx.grid).profile_on(ctx.grid)
     grad = dirichlet_seminorm(U)
     d4 = double_energy(U.squared(), U.squared())
     rep.require("bubble Dirichlet energy vs s_hl^2", grad, target=tbl.s_hl_sq, tol=1e-3)
@@ -89,14 +89,14 @@ def bubble_certification(ctx: VerifyContext) -> LemmaReport:
                       "weak residual certification of the bubble amplitude")
     grid = ctx.grid
     prob_scalar = Problem(N=grid.N, mu1=1.0, mu2=1.0, beta=2.0)
-    U = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    U = make_bubble(1.0, grid).profile_on(grid)
     zero = RadialFn(grid, np.zeros(grid.M))
     res = weak_residual(Pair(U, zero), prob_scalar)
     rep.require("scalar-equation residual at the certified amplitude", res, tol=1e-3)
     res_bad = weak_residual(Pair(2.0 * U, zero), prob_scalar)
     rep.lower_bound("doubled amplitude is rejected", res_bad, bound=0.0, tol=0.1,
                     note="negative control; residual must exceed 0.1")
-    U2 = make_bubble(2.0, 0.0, grid).profile_on(grid)
+    U2 = make_bubble(2.0, grid).profile_on(grid)
     res2 = weak_residual(Pair(U2, zero), prob_scalar)
     rep.require("rescaled bubble keeps the residual", res2, tol=1e-3)
     gp = ground_pair(1.0, 0.0, ctx.cc, grid)
@@ -186,7 +186,7 @@ def run_all(cfg, out_dir) -> int:
         },
     }
     if ctx.scan is not None and ctx.scan.found:
-        sweep = lambda_sweep(ctx.profile, ctx.prob, ctx.scan)
+        sweep = lambda_sweep(ctx.profile, ctx.scan)
         feasible = [row["lam"] for row in sweep.rows if row["feasible"]]
         extras["lambda_sweep"] = sweep.to_dict()
         extras["empirical_lambda_threshold"] = max(feasible) if feasible else None

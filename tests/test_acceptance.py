@@ -47,7 +47,7 @@ def record(num, label, ok):
 def test_criterion_01_constants_chain(grid, constants):
     chain = abs(constants.s_hl_sq * constants.hls - constants.sobolev**2)
     ok = chain <= 1e-12 * constants.sobolev**2
-    U = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    U = make_bubble(1.0, grid).profile_on(grid)
     d4 = double_energy(U.squared(), U.squared())
     grad = dirichlet_seminorm(U)
     s2 = constants.s_hl_sq
@@ -129,7 +129,7 @@ def test_criterion_07_vanishing_limits(grid, problem, constants):
     # shift-only rows follow the dilation law
     lam_only = Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0, lam1=0.1, lam2=0.1)
     tbl = vanishing_energy_limit(lam_only, 1, deltas, grid)
-    l2 = integrate(make_bubble(1.0, 0.0, grid).profile_on(grid).squared())
+    l2 = integrate(make_bubble(1.0, grid).profile_on(grid).squared())
     for row in tbl.rows:
         law = 0.1 * row["delta"] ** 2 * l2
         ok = ok and abs(row["lambda_mass"] - law) <= 1e-6 * law
@@ -138,7 +138,7 @@ def test_criterion_07_vanishing_limits(grid, problem, constants):
 
 def test_criterion_08_nonlocal_splitting(grid):
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
-    bprof = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    bprof = make_bubble(1.0, grid).profile_on(grid)
     fine = make_grid(5, 640, 40.0, 1.025)
     tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], fine)
     ok = True

@@ -53,25 +53,25 @@ def test_bubble_constant_is_owned_by_each_grid(grid):
     # dilated copies carry their root grid's amplitude, bit for bit
     assert bubble_constant(5, coarse.scaled(0.3)) == c_coarse
     assert bubble_constant(5, grid.scaled(0.3).scaled(4.0)) == bubble_constant(5, grid)
-    assert make_bubble(2.0, 0.0, fine.scaled(0.3)).c_N == c_fine
+    assert make_bubble(2.0, fine.scaled(0.3)).c_N == c_fine
 
 
 def test_bubble_closed_form_values(grid):
-    b = make_bubble(1.0, 0.0, grid)
+    b = make_bubble(1.0, grid)
     assert abs(b(0.0) - b.c_N) == 0.0
     assert b.c_N == bubble_constant(5, grid)
     with pytest.raises(ParameterError):
-        make_bubble(-1.0, 0.0, grid)
+        make_bubble(-1.0, grid)
 
 
 def test_bubble_dirichlet_scale_invariance(grid):
-    vals = [dirichlet_seminorm(make_bubble(d, 0.0, grid).profile_on(grid))
+    vals = [dirichlet_seminorm(make_bubble(d, grid).profile_on(grid))
             for d in (0.5, 1.0, 2.0)]
     assert (max(vals) - min(vals)) / min(vals) <= 1e-4
 
 
 def test_bubble_double_energy_level(grid):
-    U = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    U = make_bubble(1.0, grid).profile_on(grid)
     d4 = double_energy(U.squared(), U.squared())
     assert abs(d4 - S_HL_SQ) <= 1e-3 * S_HL_SQ
 
@@ -81,8 +81,8 @@ def test_bubble_residual_certification(grid):
     # equation, so this is a direct certification of the amplitude
     prob = Problem(N=5, mu1=1.0, mu2=1.0, beta=2.0)
     zero = RadialFn(grid, np.zeros(grid.M))
-    U1 = make_bubble(1.0, 0.0, grid).profile_on(grid)
-    U2 = make_bubble(2.0, 0.0, grid).profile_on(grid)
+    U1 = make_bubble(1.0, grid).profile_on(grid)
+    U2 = make_bubble(2.0, grid).profile_on(grid)
     assert weak_residual(Pair(U1, zero), prob) < 1e-3
     assert weak_residual(Pair(U2, zero), prob) < 1e-3
 
@@ -90,14 +90,14 @@ def test_bubble_residual_certification(grid):
 def test_wrong_amplitude_rejected(grid):
     prob = Problem(N=5, mu1=1.0, mu2=1.0, beta=2.0)
     zero = RadialFn(grid, np.zeros(grid.M))
-    U1 = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    U1 = make_bubble(1.0, grid).profile_on(grid)
     assert weak_residual(Pair(2.0 * U1, zero), prob) > 0.1
 
 
 def test_bubble_critical_norm_oracle(grid):
     # per unit amplitude the critical norm is (pi^3/32)^(3/10); dividing out
     # the numerically pinned amplitude isolates the quadrature accuracy
-    b = make_bubble(1.0, 0.0, grid)
+    b = make_bubble(1.0, grid)
     U = b.profile_on(grid)
     oracle = 0.96894614625936938 ** 0.3
     assert abs(lp_norm(U, 10.0 / 3.0) / b.c_N - oracle) <= 1e-8 * oracle
@@ -198,9 +198,9 @@ def test_trial_profile_unattainable_window(cc, constants, profile_grid):
 
 
 def test_trial_member_identity(trial_profile):
-    m = trial_member(trial_profile, 1.0, 0.0)
-    assert np.array_equal(m.profile.values, trial_profile.profile.values)
-    assert m.rho == 0.0
+    m = trial_member(trial_profile, 1.0)
+    assert np.array_equal(m.values, trial_profile.profile.values)
+    assert trial_pair(trial_profile, 1.0, 0.0).offset == 0.0
 
 
 def test_trial_member_norm_preservation(trial_profile):
@@ -208,18 +208,17 @@ def test_trial_member_norm_preservation(trial_profile):
     base = trial_profile.lp_crit
     for _ in range(10):
         d = float(rng.uniform(0.05, 50.0))
-        rho = float(rng.uniform(0.0, 10.0))
-        m = trial_member(trial_profile, d, rho)
-        assert abs(lp_norm(m.profile, 10.0 / 3.0) - base) <= 1e-8 * base
+        m = trial_member(trial_profile, d)
+        assert abs(lp_norm(m, 10.0 / 3.0) - base) <= 1e-8 * base
 
 
 def test_trial_member_support(trial_profile):
-    m = trial_member(trial_profile, 2.0, 1.0)
-    assert m.profile(2.5) == 0.0
-    assert m.profile.grid.R_max == pytest.approx(2.0)
+    m = trial_member(trial_profile, 2.0)
+    assert m(2.5) == 0.0
+    assert m.grid.R_max == pytest.approx(2.0)
 
 
 def test_trial_pair_shares_grid(trial_profile):
     pair = trial_pair(trial_profile, 2.0, 1.0)
-    assert pair.u.profile.grid is pair.v.profile.grid
+    assert pair.u.grid is pair.v.grid
     assert pair.offset == 1.0

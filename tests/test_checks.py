@@ -278,21 +278,21 @@ def test_homotopy_time_is_checked_exactly(scan):
     assert min(inner, outer, offset) > 0.0
 
 
-def test_lambda_sweep_monotone(trial_profile, problem, scan):
-    tbl = lambda_sweep(trial_profile, problem, scan)
+def test_lambda_sweep_monotone(trial_profile, scan):
+    tbl = lambda_sweep(trial_profile, scan)
     flags = [bool(r["feasible"]) for r in tbl.rows]
     assert flags == sorted(flags)  # infeasible at large shifts, feasible at small
     assert any(flags), "expected a feasible shift at the bottom of the sweep"
 
 
-def test_lambda_sweep_requires_scan(trial_profile, problem):
+def test_lambda_sweep_requires_scan(trial_profile):
     from hartreekit import RegionScan
 
     empty = RegionScan(delta1=1, delta2=2, rbar=1, cbar=1.51, c_star_lower=1.53,
                        kappa=0, s_tilde=0, threshold=1.75,
                        boundary_sup_energy=0, found=False, failure="x")
     with pytest.raises(ParameterError):
-        lambda_sweep(trial_profile, problem, empty)
+        lambda_sweep(trial_profile, empty)
 
 
 def test_verify_lemma_unknown_id(context):

@@ -233,6 +233,17 @@ def test_cli_non_finite_r_max_is_a_usage_error(tmp_path, capsys, value):
     assert "R_max" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["1e6", "5.0"])
+def test_cli_grid_breaking_stretch_is_a_usage_error(tmp_path, capsys, value):
+    # 1e6 overflows stretch**n_cells; 5.0 puts the first node at ~1e-55
+    cfg = tmp_path / "stretch.cfg"
+    cfg.write_text(f"[grid]\nstretch = {value}\n")
+    code = run_cli("constants", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "stretch" in capsys.readouterr().err
+
+
 def test_cli_solve_ground_writes_profiles(tmp_path):
     code = run_cli("solve-ground", "--out", str(tmp_path))
     assert code == 0

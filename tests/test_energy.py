@@ -8,7 +8,6 @@ import pytest
 
 from hartreekit import (
     DivergenceError,
-    OffsetFn,
     Pair,
     ParameterError,
     Problem,
@@ -30,7 +29,12 @@ from hartreekit import (
     verify_lemma,
     weak_residual,
 )
-from hartreekit.energy import _pair_density, default_test_set, residual_fields
+from hartreekit.energy import (
+    _pair_density,
+    default_test_set,
+    potential_mass,
+    residual_fields,
+)
 from hartreekit.grids import (
     _tail_integral,
     _theta_rule,
@@ -161,8 +165,8 @@ def test_trial_projection_lambda_term_matches_quadrature(trial_profile, cc, grid
                    V1=potential, V2=potential)
     t0, t_lam = trial_projection_scalars(trial_profile, 1.0, 0.0, prob, cc)
     # direct quadrature of the shift term on the member grid
-    m = trial_profile.member(1.0, 0.0)
-    lam_term = (cc.k1 * 0.1 + cc.k2 * 0.1) * integrate(m.profile.squared())
+    m = trial_member(trial_profile, 1.0)
+    lam_term = (cc.k1 * 0.1 + cc.k2 * 0.1) * integrate(m.squared())
     pred = (t_lam**2 - t0**2) * cc.k_sum * trial_profile.energy
     assert abs(pred - lam_term) <= 1e-10 * lam_term
     assert t_lam > t0
@@ -265,13 +269,6 @@ def test_projection_ordering_fifty_random_pairs(grid, problem, free_problem):
     assert violations == 0
 
 
-def test_mixed_pair_representation_rejected(grid, trial_profile):
-    u = RadialFn(grid, np.exp(-grid.r**2))
-    m = trial_profile.member(1.0, 1.0)
-    with pytest.raises(ParameterError):
-        Pair(u, m)
-
-
 def test_offset_pair_energy_consistent_with_scalar_path(trial_profile, cc, problem):
     # projecting the translated trial pair through the full energy machinery
     # must reproduce the certified scalar quotients
@@ -309,7 +306,7 @@ def test_member_square_is_memoized_per_delta(trial_profile, cc, problem):
 @pytest.mark.parametrize("delta, rho", [(0.4, 0.0), (0.4, 1.3), (37.0, 2.0)])
 def test_trial_projection_scalars_match_a_fresh_square(trial_profile, cc, problem,
                                                        delta, rho):
-    sq = trial_member(trial_profile, delta, rho).profile.squared()
+    sq = trial_member(trial_profile, delta).squared()
     P = sum(k * bicenter_integral(V, sq, rho)
             for k, V in ((cc.k1, problem.V1), (cc.k2, problem.V2)))
     lam_term = ((cc.k1 * problem.lam1 + cc.k2 * problem.lam2)
@@ -364,25 +361,25 @@ def _slow_pair(grid):
 def _plain_weak_residual(p, prob, test_set):
     """weak_residual with every pairing a fresh bicenter_integral."""
     res_u, res_v = residual_fields(p, prob)
-    u, v = p.components()
+    u, v = p.u, p.v
     norm_p = math.sqrt(dirichlet_seminorm(u) + dirichlet_seminorm(v)
                        + prob.lam1 * integrate(u.squared())
                        + prob.lam2 * integrate(v.squared()))
     worst = 0.0
-    for phi in test_set:
-        base = dirichlet_seminorm(phi.profile)
-        mass = integrate(phi.profile.squared())
+    for phi, rho in test_set:
+        base = dirichlet_seminorm(phi)
+        mass = integrate(phi.squared())
         for res, lam in ((res_u, prob.lam1), (res_v, prob.lam2)):
-            val = bicenter_integral(res, phi.profile, phi.rho)
+            val = bicenter_integral(res, phi, rho)
             worst = max(worst, abs(val) / (math.sqrt(base + lam * mass) * norm_p))
     return worst
 
 
 def _assert_rows_pair_like_the_quadrature(W, test_set, fields):
     assert W.shape == (len(test_set), fields[0].grid.M)
-    for row, phi in zip(W, test_set):
+    for row, (phi, rho) in zip(W, test_set):
         for f in fields:
-            assert math.isclose(row @ f.values, bicenter_integral(f, phi.profile, phi.rho),
+            assert math.isclose(row @ f.values, bicenter_integral(f, phi, rho),
                                 rel_tol=1e-13, abs_tol=1e-15)
 
 
@@ -398,8 +395,8 @@ def test_pairing_matrix_rows_match_the_overlap_quadrature(free_problem):
     W, base, mass = g._cache["weak_residual_pairing"]
     test_set = default_test_set(g)
     _assert_rows_pair_like_the_quadrature(W, test_set, _unrelated_fields(g))
-    assert list(base) == [dirichlet_seminorm(phi.profile) for phi in test_set]
-    assert list(mass) == [integrate(phi.profile.squared()) for phi in test_set]
+    assert list(base) == [dirichlet_seminorm(phi) for phi, _ in test_set]
+    assert list(mass) == [integrate(phi.squared()) for phi, _ in test_set]
 
 
 def test_pairing_rows_of_an_explicit_test_set_match_the_overlap_quadrature():
@@ -407,8 +404,7 @@ def test_pairing_rows_of_an_explicit_test_set_match_the_overlap_quadrature():
     wide = make_grid(5, 80, 60.0, 1.0)        # reaches past the run grid's R_max
     broad = from_callable(wide, lambda r: np.exp(-((r / 25.0) ** 2)))
     local = from_callable(g, lambda r: np.exp(-(r**2)))   # lives on the run grid itself
-    test_set = [OffsetFn(broad, 0.0), OffsetFn(broad, 3.0),
-                OffsetFn(local, 0.0), OffsetFn(local, 1.5)]
+    test_set = [(broad, 0.0), (broad, 3.0), (local, 0.0), (local, 1.5)]
     W = bicenter_rows(test_set, g)
     _assert_rows_pair_like_the_quadrature(W, test_set, _unrelated_fields(g))
     # a bump with a tail model has no row form
@@ -416,7 +412,7 @@ def test_pairing_rows_of_an_explicit_test_set_match_the_overlap_quadrature():
     tailed = from_callable(own, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
     for rho in (0.0, 2.0):
         with pytest.raises(ParameterError):
-            bicenter_rows(test_set + [OffsetFn(tailed, rho)], g)
+            bicenter_rows(test_set + [(tailed, rho)], g)
 
 
 def test_weak_residual_cached_sides_match_the_plain_quadrature(problem):
@@ -476,7 +472,7 @@ def test_trial_projection_scalars_share_the_square_exactly(trial_profile, cc, pr
                                                            case, delta, rho):
     V1, V2 = _potential_pairs(grid)[case]
     prob = dataclasses.replace(problem, V1=V1, V2=V2, lam1=0.2, lam2=0.05)
-    sq = trial_member(trial_profile, delta, rho).profile.squared()
+    sq = trial_member(trial_profile, delta).squared()
     P = sum(k * bicenter_integral(V, sq, rho)
             for k, V in ((cc.k1, V1), (cc.k2, V2)) if V is not None)
     lam_term = (cc.k1 * 0.2 + cc.k2 * 0.05) * delta**2 * trial_profile.l2_mass
@@ -493,6 +489,19 @@ def test_potential_overlaps_equal_the_plain_quadrature(trial_profile, problem, g
     sq = trial_profile.member_square(0.4)
     expected = tuple(0.0 if V is None else bicenter_integral(V, sq, rho) for V in (V1, V2))
     assert prob.potential_overlaps(sq, rho) == expected
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.3])
+def test_potential_mass_is_the_lam_term_then_the_v_term(trial_profile, grid, rho):
+    V, _ = _potential_pairs(grid)["different-s"]
+    sq = trial_profile.member_square(0.4)       # lives on a scaled grid, not V's
+    v_term = (integrate(V.resample(sq.grid) * sq) if rho == 0.0
+              else bicenter_integral(V, sq, rho))
+    assert potential_mass(V, 0.2, sq, rho) == 0.2 * integrate(sq) + v_term
+    assert potential_mass(V, 0.0, sq, rho) == v_term
+    assert potential_mass(None, 0.2, sq, rho) == 0.2 * integrate(sq)
+    on_grid = V.squared()                        # shares V's grid: no resampling
+    assert potential_mass(V, 0.0, on_grid) == integrate(V * on_grid)
 
 
 def _axis_moments_at(dens, rho, xi):
@@ -528,7 +537,7 @@ def _two_pass_barycenter(p, mu1, mu2, beta):
 def test_barycenter_matches_the_two_pass_computation(trial_profile, cc, grid, rho):
     tailed = _slow_pair(grid)
     pairs = [trial_pair(trial_profile, 0.5, rho),
-             Pair(OffsetFn(tailed.u, rho), OffsetFn(tailed.v, rho))]
+             Pair(tailed.u, tailed.v, rho)]
     for p in pairs:
         assert barycenter(p, cc.mu1, cc.mu2, cc.beta) == \
             _two_pass_barycenter(p, cc.mu1, cc.mu2, cc.beta)

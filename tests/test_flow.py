@@ -74,7 +74,7 @@ def test_flow_symmetric_case_preserves_equality(grid, constants):
                      max_iterations=400)
     diag = solve_limit_ground_state(cc_sym, cfg, grid)
     assert diag.converged
-    u, v = diag.final.components()
+    u, v = diag.final.u, diag.final.v
     assert np.max(np.abs(u.values - v.values)) <= 1e-10 * np.max(u.values)
 
 
@@ -86,15 +86,15 @@ def test_flow_component_swap(diag_123, constants, grid):
     swapped = solve_limit_ground_state(cc_swap, cfg, grid)
     assert swapped.iterations == diag_123.iterations
     assert swapped.verdict == diag_123.verdict
-    u, v = diag_123.final.components()
-    su, sv = swapped.final.components()
+    u, v = diag_123.final.u, diag_123.final.v
+    su, sv = swapped.final.u, swapped.final.v
     scale = max(np.max(u.values), np.max(v.values))
     assert np.max(np.abs(u.values - sv.values)) <= 1e-12 * scale
     assert np.max(np.abs(v.values - su.values)) <= 1e-12 * scale
 
 
 def test_flow_not_semi_trivial(diag_123):
-    u, v = diag_123.final.components()
+    u, v = diag_123.final.u, diag_123.final.v
     assert u.values.max() > 0 and v.values.max() > 0
     assert diag_123.verdict != "semi-trivial attractor"
 
@@ -231,7 +231,7 @@ def test_vanishing_limit_free_case_energy_constant(free_problem, grid):
 def test_vanishing_limit_shift_mass_law(grid):
     prob = Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0, lam1=0.1, lam2=0.1)
     tbl = vanishing_energy_limit(prob, 1, [1.0, 0.3, 0.1, 0.03], grid)
-    u1 = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    u1 = make_bubble(1.0, grid).profile_on(grid)
     l2 = integrate(u1.squared())
     for row in tbl.rows:
         law = 0.1 * row["delta"] ** 2 * l2
@@ -250,7 +250,7 @@ def test_vanishing_limit_rejects_bad_index(problem, grid):
 @pytest.fixture(scope="module")
 def splitting_inputs(grid):
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
-    bprof = make_bubble(1.0, 0.0, grid).profile_on(grid)
+    bprof = make_bubble(1.0, grid).profile_on(grid)
     fine = make_grid(5, 640, 40.0, 1.025)
     return gauss, bprof, fine
 
@@ -374,7 +374,7 @@ def test_pinned_solver_makes_no_dense_lapack_call(monkeypatch):
 
 
 def test_bubble_dilation_fit_recovers_known_dilation(grid):
-    values = make_bubble(0.85, 0.0, grid)(grid.r)
+    values = make_bubble(0.85, grid)(grid.r)
     delta, err = _fit_bubble_dilation(grid, values, 1.0)
     assert abs(delta - 0.85) <= 1e-6
     assert err <= 1e-12

@@ -10,7 +10,7 @@ from scipy.special import roots_jacobi
 
 from hartreekit import (
     DivergenceError,
-    OffsetFn,
+    Pair,
     ParameterError,
     RadialFn,
     axis_moment_integrals,
@@ -89,7 +89,8 @@ def test_make_grid_rejects_low_dimension():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [dict(M=8), dict(R_max=-1.0), dict(stretch=0.5)] + [
-    {name: value} for name in ("R_max", "stretch") for value in (math.inf, -math.inf, math.nan)])
+    {name: value} for name in ("R_max", "stretch") for value in (math.inf, -math.inf, math.nan)]
+    + [dict(stretch=1e6), dict(stretch=5.0)])
 def test_make_grid_rejects_bad_sizes(bad):
     # the message names the rejected input
     kw = dict(N=5, M=400, R_max=40.0, stretch=1.02)
@@ -239,10 +240,13 @@ def test_axis_moments_point_mass_limit():
     assert abs(axial / mass - 0.75) <= 1e-2
 
 
-def test_offset_fn_rejects_negative_offset(grid):
+def test_pair_rejects_bad_offsets_and_split_grids(grid):
     prof = from_callable(grid, lambda r: np.exp(-(r**2)))
-    with pytest.raises(ParameterError):
-        OffsetFn(prof, -1.0)
+    for rho in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="offset"):
+            Pair(prof, prof, rho)
+    with pytest.raises(ParameterError, match="grids"):
+        Pair(prof, prof.resample(grid.scaled(2.0)))
     for rho in (-1.0, math.inf):
         with pytest.raises(ParameterError):
             axis_moment_integrals(prof, rho)
