@@ -130,7 +130,7 @@ def make_bubble(delta: float, grid: RadialGrid) -> Bubble:
 
 
 def make_constants_table(N: int, grid: RadialGrid) -> ConstantsTable:
-    S = sobolev_constant(N, grid)
+    S = sobolev_constant(grid)
     C = hls_constant(N, 4.0)
     return ConstantsTable(
         N=N,
@@ -269,7 +269,6 @@ class TrialProfile:
     cc: CouplingConstants
     cbar: float
     inner_scale: float         # dilation of the truncated bubble core
-    moll_width: float
     _squares: dict = field(default_factory=dict, init=False, repr=False)  # delta -> square
 
     @property
@@ -289,34 +288,31 @@ class TrialProfile:
             self._squares[key] = trial_member(self, key).squared()
         return self._squares[key]
 
-    def to_csv(self, path):
-        arr = np.column_stack([self.grid.r, self.profile.values])
-        np.savetxt(path, arr, delimiter=",", header="r,value", comments="")
-
 
 # the inner dilation shrinks by 0.9 per step for at most this many steps
 _SHRINK_STEPS = 60
+# share of the bubble's Dirichlet mass the first inner dilation keeps in the ball
+SUPPORT_FRACTION = 0.995
+# the cutoff spans the outermost MOLL_CELLS cells of the profile grid
+MOLL_CELLS = 5
 
 
-def make_trial_profile(support_fraction: float, cc: CouplingConstants, cbar: float,
-                       grid: RadialGrid, amplitude: float,
-                       moll_cells: int = 5) -> TrialProfile:
+def make_trial_profile(cc: CouplingConstants, cbar: float, grid: RadialGrid,
+                       amplitude: float) -> TrialProfile:
     """Build the certified trial profile on `grid` (the unit ball).
 
     A bubble of the given amplitude (the run grid's C_N) with inner dilation
     delta0 is cut off smoothly inside the unit ball and rescaled by the
     unique t > 0 with t^2 ||grad||^2 = t^4 D_4, enforcing the energy
-    equality exactly.  delta0 starts at the value keeping `support_fraction`
+    equality exactly.  delta0 starts at the value keeping SUPPORT_FRACTION
     of the bubble's Dirichlet mass inside the ball and shrinks geometrically
     until the certified coupled energy lands inside (c_inf, cbar); the
     target is the window midpoint.
     """
-    if not 0.0 < support_fraction < 1.0:
-        raise ParameterError("support_fraction must lie in (0, 1)")
     if not cbar > cc.c_inf:
         raise ParameterError(f"cbar={cbar} must exceed c_inf={cc.c_inf}")
     N = grid.N
-    w_moll = float(grid.edges[-1] - grid.edges[max(0, len(grid.edges) - 1 - moll_cells)])
+    w_moll = float(grid.edges[-1] - grid.edges[max(0, len(grid.edges) - 1 - MOLL_CELLS)])
     cn = amplitude
 
     # delta0 with the requested Dirichlet fraction inside the unit ball
@@ -331,7 +327,7 @@ def make_trial_profile(support_fraction: float, cc: CouplingConstants, cbar: flo
     lo, hi = 1e-4, 1.0
     for _ in range(80):
         mid = math.sqrt(lo * hi)
-        if inside_fraction(mid) > support_fraction:
+        if inside_fraction(mid) > SUPPORT_FRACTION:
             lo = mid
         else:
             hi = mid
@@ -368,7 +364,6 @@ def make_trial_profile(support_fraction: float, cc: CouplingConstants, cbar: flo
         cc=cc,
         cbar=cbar,
         inner_scale=delta0,
-        moll_width=w_moll,
     )
 
 

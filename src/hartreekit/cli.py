@@ -110,11 +110,11 @@ def main(argv=None) -> int:
             ctx.flow_diag.write_files(args.out)
             return code
         if args.command == "verify":
-            ensure_profile(ctx, cfg)
+            ensure_profile(ctx)
             rep = verify_lemma(args.check_id, ctx)
             return _emit(rep, args.out)
         if args.command == "scan-region":
-            ensure_profile(ctx, cfg)
+            ensure_profile(ctx)
             adm = admissibility_report(ctx)
             scan = ensure_scan(ctx)
             rep = verify_lemma("5.2", ctx)
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
             print(f"region: {scan.to_dict()}")
             return EXIT_PASS if payload["all_passed"] else EXIT_CHECK_FAILURE
         if args.command == "homotopy-check":
-            ensure_profile(ctx, cfg)
+            ensure_profile(ctx)
             return _emit(homotopy_boundary_check(ensure_scan(ctx)), args.out)
         parser.error(f"unknown command {args.command}")
     except ParameterError as exc:

@@ -1,5 +1,5 @@
-"""Run configuration: an INI-style key-value file mirroring the problem,
-grid, flow, and scan parameters.
+"""Run configuration: an INI-style key-value file holding the problem's
+parameters, the grid and the seed.
 
 Potentials come either from the built-in family v0 * (1 + r^2)^(-s) or from
 a CSV of (r, value) rows with power-law tail metadata.
@@ -16,8 +16,7 @@ import numpy as np
 
 from .energy import Problem
 from .errors import ParameterError
-from .flow import FlowConfig
-from .grids import NODES_PER_CELL, RadialFn, RadialGrid, from_callable, make_grid
+from .grids import RadialFn, RadialGrid, from_callable, make_grid
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,10 @@ class PotentialSpec:
             if data.shape[1] < 2:
                 raise ParameterError(f"potential file {p} must have (r, value) columns")
             r_in, v_in = data[:, 0], data[:, 1]
+            # np.interp reads unsorted abscissae without complaint
+            if not np.all(np.diff(r_in) > 0):
+                raise ParameterError(f"potential file {p}: the r column must be strictly "
+                                     "increasing")
             vals = np.interp(grid.r, r_in, v_in)
             beyond = grid.r > r_in[-1]
             if beyond.any():
@@ -65,11 +68,6 @@ class RunConfig:
     grid_m: int = 400
     r_max: float = 40.0
     stretch: float = 1.02
-    profile_m: int = 320
-    support_fraction: float = 0.995
-    moll_cells: int = 5
-    c_star_margin: float = 0.02
-    flow: FlowConfig = field(default_factory=FlowConfig)
     seed: int = 1234
 
     def __post_init__(self):
@@ -77,17 +75,6 @@ class RunConfig:
         # zero shifts, which the limit problems use
         if self.lam1 + self.lam2 == 0.0:
             raise ParameterError("[problem] lambda1/lambda2: lambda1 + lambda2 must be nonzero")
-        # the mollifier spans the outermost moll_cells cells of the profile grid
-        profile_cells = self.profile_m // NODES_PER_CELL
-        if not 1 <= self.moll_cells < profile_cells:
-            raise ParameterError(f"[report] moll_cells must lie in [1, {profile_cells - 1}] "
-                                 f"for profile_m = {self.profile_m}, got {self.moll_cells}")
-        # c_star_lower = (1 + margin) c_inf must sit above the limit level
-        if not self.c_star_margin > 0.0:
-            raise ParameterError(f"[report] c_star_margin must be > 0, got {self.c_star_margin}")
-        if not 0.0 < self.support_fraction < 1.0:
-            raise ParameterError("[report] support_fraction must lie in (0, 1), "
-                                 f"got {self.support_fraction}")
         # numpy's generators take only non-negative seeds
         if self.seed < 0:
             raise ParameterError(f"[report] seed must be >= 0, got {self.seed}")
@@ -105,7 +92,7 @@ class RunConfig:
 
 # section -> key -> (field, cast): every key a config file may set; anything
 # else is a config error.  A dotted field fills a nested spec: "v1.s" sets
-# RunConfig.v1.s and "flow.start" RunConfig.flow.start.
+# RunConfig.v1.s.
 _KEYS = {
     "problem": {
         "n": ("N", int),
@@ -122,17 +109,8 @@ _KEYS = {
         "m": ("grid_m", int),
         "r_max": ("r_max", float),
         "stretch": ("stretch", float),
-        "profile_m": ("profile_m", int),
     },
-    "flow": {k: (f"flow.{k}", cast) for k, cast in (
-        ("step_size", float), ("max_iterations", int), ("residual_tolerance", float),
-        ("recenter_every", int), ("check_every", int), ("start", str))},
-    "report": {
-        "seed": ("seed", int),
-        "support_fraction": ("support_fraction", float),
-        "moll_cells": ("moll_cells", int),
-        "c_star_margin": ("c_star_margin", float),
-    },
+    "report": {"seed": ("seed", int)},
 }
 
 
@@ -156,22 +134,27 @@ def load_config(path: str | Path | None) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
-    parser = configparser.ConfigParser()
+    # no header can name the empty section, so [DEFAULT] is an ordinary (and
+    # unknown) section whose keys cannot leak into the others
+    parser = configparser.ConfigParser(default_section="")
     try:
         parser.read_string(p.read_text(encoding="utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ParameterError(f"malformed config {p}: {exc}") from exc
-    kw = {"": {}, "v1": {}, "v2": {}, "flow": {}}
+    # one error names every unknown section and key, so a file that still
+    # sets several removed settings is mended in one pass
+    unknown = []
     for name in parser.sections():
-        if name not in _KEYS:
-            raise ParameterError(f"[{name}]: unknown section; known: {sorted(_KEYS)}")
+        keys = [f"[{name}] {key}" for key in parser[name] if key not in _KEYS.get(name, {})]
+        unknown += keys if keys or name in _KEYS else [f"[{name}]"]
+    if unknown:
+        known = "; ".join(f"[{name}] {', '.join(keys)}" for name, keys in _KEYS.items())
+        raise ParameterError(f"{', '.join(unknown)}: unknown section or key; known: {known}")
+    kw = {"": {}, "v1": {}, "v2": {}}
+    for name in parser.sections():
         sec = parser[name]
         for key in sec:
-            if key not in _KEYS[name]:
-                raise ParameterError(f"[{name}] {key}: unknown key; "
-                                     f"known: {sorted(_KEYS[name])}")
             dotted, cast = _KEYS[name][key]
             part, _, attr = dotted.rpartition(".")
             kw[part][attr] = _read(sec, key, cast)
-    return RunConfig(**kw[""], v1=PotentialSpec(**kw["v1"]), v2=PotentialSpec(**kw["v2"]),
-                     flow=FlowConfig(**kw["flow"]))
+    return RunConfig(**kw[""], v1=PotentialSpec(**kw["v1"]), v2=PotentialSpec(**kw["v2"]))

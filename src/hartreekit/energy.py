@@ -94,10 +94,6 @@ class Problem:
         """The limit system of cc's couplings: no potentials, no mass shifts."""
         return cls(N=N, mu1=cc.mu1, mu2=cc.mu2, beta=cc.beta)
 
-    @property
-    def lam(self) -> float:
-        return max(self.lam1, self.lam2)
-
     def with_lambda(self, lam1: float, lam2: float) -> "Problem":
         return replace(self, lam1=lam1, lam2=lam2)
 

@@ -50,28 +50,27 @@ __all__ = [
 ]
 
 
+# the flow's fixed settings
+STEP_SIZE = 1.0                  # largest Picard step; the line search halves it
+MAX_ITERATIONS = 5000            # iteration budget
+RECENTER_EVERY = 50              # iterations between dilation re-gauges
+CHECK_EVERY = 25                 # iterations between weak-residual checks
+START_AMPLITUDES = (1.0, 0.8)    # Gaussian start amplitudes of u and v
+RESIDUAL_TOLERANCE = 1e-3        # stopping tolerance, also the solve-ground gate
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    step_size: float = 1.0
-    max_iterations: int = 5000
-    residual_tolerance: float = 1e-3
-    recenter_every: int = 50
-    check_every: int = 25
-    start: str = "gaussian"   # gaussian | bubble
+    """What a caller may vary per solve: the Gaussian start widths, and a
+    residual tolerance no looser than RESIDUAL_TOLERANCE."""
+
+    residual_tolerance: float = RESIDUAL_TOLERANCE
     start_widths: tuple = (1.0, 1.2)
-    start_amplitudes: tuple = (1.0, 0.8)
 
     def __post_init__(self):
-        if not (0 < self.step_size < math.inf):
-            raise ParameterError(f"step size must be positive and finite, got {self.step_size}")
-        if not (0 < self.residual_tolerance < math.inf):
-            raise ParameterError("residual tolerance must be positive and finite, "
+        if not 0 < self.residual_tolerance <= RESIDUAL_TOLERANCE:
+            raise ParameterError(f"residual tolerance must lie in (0, {RESIDUAL_TOLERANCE}], "
                                  f"got {self.residual_tolerance}")
-        if self.start not in ("gaussian", "bubble"):
-            raise ParameterError(f"start must be gaussian or bubble, got {self.start!r}")
-        for name in ("max_iterations", "check_every", "recenter_every"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -263,13 +262,8 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     solve = _pinned_solver(grid)
     prob = Problem.limit(N, cc)
 
-    if cfg.start == "bubble":
-        b = make_bubble(1.0, grid)(grid.r)
-        X = b[:, None] * np.sqrt([cc.k1, cc.k2])
-    else:
-        widths = np.asarray(cfg.start_widths, float)
-        amps = np.asarray(cfg.start_amplitudes, float)
-        X = amps * np.exp(-(grid.r[:, None] / widths) ** 2)
+    widths = np.asarray(cfg.start_widths, float)
+    X = np.asarray(START_AMPLITUDES, float) * np.exp(-(grid.r[:, None] / widths) ** 2)
     coupling = _coupling_matrix(cc)
 
     def nonlocal_sum(Y, Z):
@@ -296,11 +290,11 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
 
     diag = FlowDiagnostics()
     X, energy, Z, Kx = project(X)
-    tau = cfg.step_size
+    tau = STEP_SIZE
     residual = math.inf
     it = 0
 
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         Xp = np.maximum(X, 0.0)
         pic = solve((Z @ coupling) * Xp)
 
@@ -323,15 +317,15 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
             break
         X, energy, Z, Kx = cand, cand_energy, cand_Z, cand_K
         diag.clamped_mass.append(clamped)
-        tau = min(cfg.step_size, tau * 1.3)
+        tau = min(STEP_SIZE, tau * 1.3)
 
-        if it % cfg.recenter_every == 0:
+        if it % RECENTER_EVERY == 0:
             d_hat = _half_height_scale(grid, X[:, 0])
             if np.isfinite(d_hat) and abs(d_hat - 1.0) > 0.2:
                 X = np.column_stack([_rescale_profile(grid, x, d_hat) for x in X.T])
                 X, energy, Z, Kx = project(X)
 
-        if it % cfg.check_every == 0 or it == cfg.max_iterations:
+        if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
             pair = Pair(RadialFn(grid, X[:, 0]), RadialFn(grid, X[:, 1]))
             residual = weak_residual(pair, prob)
             ku, kv = Kx

@@ -41,7 +41,6 @@ from .grids import (
     from_callable,
     integrate,
     lp_norm,
-    make_grid,
     sphere_area,
 )
 
@@ -78,29 +77,25 @@ def hls_constant(N: int, alpha: float) -> float:
     return math.exp(log_c)
 
 
-def sobolev_constant(N: int, grid: RadialGrid | None = None) -> float:
-    """Best constant in the embedding D^{1,2} -> L^{2*}.
+def sobolev_constant(grid: RadialGrid) -> float:
+    """Best constant in the embedding D^{1,2} -> L^{2*} in dimension grid.N.
 
     Closed form  N(N-2) pi (Gamma(N/2)/Gamma(N))^{2/N},  cross-checked against
-    the Rayleigh quotient of the discretized extremal profile
-    (1 + r^2)^(-(N-2)/2); disagreement beyond 0.1% raises NumericalError.
+    the Rayleigh quotient of the extremal profile (1 + r^2)^(-(N-2)/2) on
+    `grid`; disagreement beyond 0.1% raises NumericalError.
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 3):
-        raise ParameterError(f"N must be an integer >= 3, got {N}")
+    N = grid.N
     closed = N * (N - 2) * math.pi * math.exp(
         (2.0 / N) * (math.lgamma(N / 2.0) - math.lgamma(N))
     )
-    if grid is None:
-        grid = make_grid(max(N, 5), 240, 40.0, 1.02) if N >= 5 else None
-    if grid is not None:
-        p = (N - 2) / 2.0
-        prof = from_callable(grid, lambda r: (1.0 + r**2) ** (-p), p_tail=N - 2, c_tail=1.0)
-        two_star = 2.0 * N / (N - 2.0)
-        rayleigh = dirichlet_seminorm(prof) / lp_norm(prof, two_star) ** 2
-        if abs(rayleigh - closed) > 1e-3 * closed:
-            raise NumericalError(
-                f"Sobolev constant cross-check failed: closed={closed}, rayleigh={rayleigh}"
-            )
+    p = (N - 2) / 2.0
+    prof = from_callable(grid, lambda r: (1.0 + r**2) ** (-p), p_tail=N - 2, c_tail=1.0)
+    two_star = 2.0 * N / (N - 2.0)
+    rayleigh = dirichlet_seminorm(prof) / lp_norm(prof, two_star) ** 2
+    if abs(rayleigh - closed) > 1e-3 * closed:
+        raise NumericalError(
+            f"Sobolev constant cross-check failed: closed={closed}, rayleigh={rayleigh}"
+        )
     return closed
 
 

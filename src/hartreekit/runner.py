@@ -25,10 +25,16 @@ from .checks import (
     verify_lemma,
 )
 from .energy import Problem, pohozaev_residual, weak_residual
-from .flow import solve_limit_ground_state
+from .flow import MAX_ITERATIONS, solve_limit_ground_state
 from .grids import Pair, RadialFn, dirichlet_seminorm, make_grid
 from .reporting import LemmaReport, write_bundle
 from .riesz import double_energy
+
+# node count of the unit-ball grid that carries the trial profile
+PROFILE_M = 320
+# c_star_lower = (1 + C_STAR_MARGIN) c_inf, the lower estimate of the
+# compactness level; it must sit above the limit level
+C_STAR_MARGIN = 0.02
 
 
 def build_context(cfg) -> VerifyContext:
@@ -38,12 +44,11 @@ def build_context(cfg) -> VerifyContext:
     prob = cfg.build_problem(grid)
     return VerifyContext(
         grid=grid, constants=constants, cc=cc, prob=prob,
-        c_star_lower=(1.0 + cfg.c_star_margin) * cc.c_inf,
-        rng_seed=cfg.seed, flow=cfg.flow,
+        c_star_lower=(1.0 + C_STAR_MARGIN) * cc.c_inf, rng_seed=cfg.seed,
     )
 
 
-def ensure_profile(ctx: VerifyContext, cfg) -> None:
+def ensure_profile(ctx: VerifyContext) -> None:
     if ctx.profile is None:
         rep = check_A3(ctx.prob, ctx.constants)
         if rep.satisfied():
@@ -53,11 +58,9 @@ def ensure_profile(ctx: VerifyContext, cfg) -> None:
             # no admissible cap from the potentials; certify against the
             # default proxy window so the trial machinery stays usable
             cbar = ctx.cc.c_inf + 0.5 * (ctx.c_star_lower - ctx.cc.c_inf)
-        profile_grid = make_grid(cfg.N, cfg.profile_m, 1.0, 1.0)
-        ctx.profile = make_trial_profile(
-            cfg.support_fraction, ctx.cc, cbar, profile_grid,
-            ctx.constants.bubble_norm, moll_cells=cfg.moll_cells,
-        )
+        profile_grid = make_grid(ctx.grid.N, PROFILE_M, 1.0, 1.0)
+        ctx.profile = make_trial_profile(ctx.cc, cbar, profile_grid,
+                                         ctx.constants.bubble_norm)
 
 
 def constants_report(ctx: VerifyContext) -> LemmaReport:
@@ -111,7 +114,7 @@ def solver_report(ctx: VerifyContext) -> LemmaReport:
     rep.require("weak residual at the final iterate", diag.residual,
                 tol=ctx.flow.residual_tolerance)
     rep.require("iterations within budget", float(diag.iterations),
-                bound=float(ctx.flow.max_iterations) + 0.5, tol=0.0)
+                bound=MAX_ITERATIONS + 0.5, tol=0.0)
     rep.require("final energy vs the limit level", diag.energy,
                 target=ctx.cc.c_inf, tol=1e-3)
     ratio = math.sqrt(ctx.cc.k2 / ctx.cc.k1)
@@ -161,7 +164,7 @@ def run_all(cfg, out_dir) -> int:
     run_step(constants_report, ctx)
     run_step(bubble_certification, ctx)
     run_step(admissibility_report, ctx)
-    ensure_profile(ctx, cfg)
+    ensure_profile(ctx)
     for cid in CHECK_IDS:
         run_step(verify_lemma, cid, ctx)
     run_step(homotopy_boundary_check, ctx.scan)

@@ -10,7 +10,7 @@ from hartreekit import (
     make_trial_profile,
 )
 from hartreekit.checks import VerifyContext, choose_a_and_cbar
-from hartreekit.config import RunConfig
+from hartreekit.runner import C_STAR_MARGIN, PROFILE_M
 
 
 @pytest.fixture(scope="session")
@@ -52,18 +52,18 @@ def free_problem(grid):
 
 @pytest.fixture(scope="session")
 def c_star_lower(cc):
-    return (1.0 + RunConfig().c_star_margin) * cc.c_inf
+    return (1.0 + C_STAR_MARGIN) * cc.c_inf
 
 
 @pytest.fixture(scope="session")
 def profile_grid():
-    return make_grid(5, 320, 1.0, 1.0)
+    return make_grid(5, PROFILE_M, 1.0, 1.0)
 
 
 @pytest.fixture(scope="session")
 def trial_profile(constants, cc, problem, c_star_lower, profile_grid):
     _, cbar = choose_a_and_cbar(problem, constants, c_star_lower=c_star_lower)
-    return make_trial_profile(0.995, cc, cbar, profile_grid, constants.bubble_norm)
+    return make_trial_profile(cc, cbar, profile_grid, constants.bubble_norm)
 
 
 @pytest.fixture(scope="session")

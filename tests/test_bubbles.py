@@ -193,8 +193,7 @@ def test_trial_profile_certificates(trial_profile, cc):
 
 def test_trial_profile_unattainable_window(cc, constants, profile_grid):
     with pytest.raises(ConstructionError):
-        make_trial_profile(0.995, cc, cc.c_inf * (1.0 + 1e-9), profile_grid,
-                           constants.bubble_norm)
+        make_trial_profile(cc, cc.c_inf * (1.0 + 1e-9), profile_grid, constants.bubble_norm)
 
 
 def test_trial_member_identity(trial_profile):

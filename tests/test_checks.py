@@ -318,13 +318,13 @@ def test_named_checks_pass(cid, context):
 def test_c_star_lower_follows_the_margin(monkeypatch):
     # the margin reaches the cap choice and the value the region scan records;
     # an empty inner-face candidate list keeps the scan to its set-up
+    from hartreekit import runner
     from hartreekit.config import RunConfig
-    from hartreekit.runner import build_context, ensure_profile
 
-    cfg = RunConfig(c_star_margin=0.05)
-    ctx = build_context(cfg)
+    monkeypatch.setattr(runner, "C_STAR_MARGIN", 0.05)
+    ctx = runner.build_context(RunConfig())
     assert ctx.c_star_lower == pytest.approx(1.05 * ctx.cc.c_inf, rel=1e-15)
-    ensure_profile(ctx, cfg)
+    runner.ensure_profile(ctx)
     _, cbar = choose_a_and_cbar(ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower)
     assert ctx.profile.cbar == cbar
     monkeypatch.setattr(checks, "DELTA1_CANDIDATES", ())

@@ -35,14 +35,12 @@ def test_config_file_parsing(tmp_path):
         "v1.family = inverse_square\nv1.v0 = 0.2\nv1.s = 2.0\n"
         "v2.family = none\n"
         "[grid]\nm = 200\nr_max = 30.0\nstretch = 1.01\n"
-        "[flow]\nmax_iterations = 1000\nresidual_tolerance = 5e-4\n"
         "[report]\nseed = 99\n"
     )
     cfg = load_config(p)
     assert cfg.mu1 == 1.5 and cfg.beta == 4.0
     assert cfg.lam1 == 0.05 and cfg.lam2 == 0.0
     assert cfg.grid_m == 200 and cfg.r_max == 30.0
-    assert cfg.flow.max_iterations == 1000
     assert cfg.seed == 99
     grid = cfg.build_grid()
     prob = cfg.build_problem(grid)
@@ -69,6 +67,11 @@ def test_config_bad_convention(tmp_path):
     # no setting scales a tolerance or the trend fraction
     ("[report]\ntol_scale = 100\n", "[report] tol_scale"),
     ("[report]\ntrend_fraction = 1e9\n", "[report] trend_fraction"),
+    # nor loosens the ground-state gate; the flow's settings are constants
+    ("[flow]\nresidual_tolerance = 1.0\n", "[flow]"),
+    ("[flow]\nstart = bogus\n", "[flow] start"),
+    # configparser's [DEFAULT] would otherwise be dropped or copied into every section
+    ("[DEFAULT]\nstretch = 1.03\n", "[DEFAULT] stretch"),
 ])
 def test_cli_unknown_config_key_or_section_exit_code(tmp_path, capsys, text, names):
     # a misspelled key or section is a usage error, not a silently kept default
@@ -78,6 +81,30 @@ def test_cli_unknown_config_key_or_section_exit_code(tmp_path, capsys, text, nam
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and names in err
+    assert not (tmp_path / "out").exists()
+
+
+# every key of the earlier [flow] section and the trial-profile keys, at
+# their former default values
+_REMOVED_KEYS = {
+    "grid": {"profile_m": "320"},
+    "flow": {"step_size": "1.0", "max_iterations": "5000", "residual_tolerance": "1e-3",
+             "recenter_every": "50", "check_every": "25", "start": "gaussian"},
+    "report": {"support_fraction": "0.995", "moll_cells": "5", "c_star_margin": "0.02"},
+}
+
+
+def test_cli_names_every_removed_key_in_one_error(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for sec, keys in _REMOVED_KEYS.items()))
+    code = run_cli("run-all", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    for sec, keys in _REMOVED_KEYS.items():
+        for key in keys:
+            assert f"[{sec}] {key}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -115,6 +142,20 @@ def test_potential_csv_roundtrip(tmp_path, grid):
     V = spec.build(grid)
     assert abs(V(1.0) - 0.1 / 4.0) <= 1e-3
     assert V.p_tail == 4.0
+
+
+def test_potential_csv_rejects_unsorted_radii(tmp_path, grid):
+    # np.interp would read the swapped rows without complaint and return a
+    # wrong potential between them
+    r = np.linspace(0.01, 40.0, 200)
+    vals = 0.1 * (1 + r**2) ** -2.0
+    r[[60, 61]] = r[[61, 60]]
+    csv = tmp_path / "v.csv"
+    csv.write_text("r,value\n" + "\n".join(f"{a},{b}" for a, b in zip(r, vals)))
+    spec = PotentialSpec(family="csv", path=str(csv), tail_exponent=4.0, tail_coeff=0.1)
+    with pytest.raises(ParameterError, match="strictly increasing") as exc:
+        spec.build(grid)
+    assert str(csv) in str(exc.value)
 
 
 def test_potential_csv_missing_file(grid):
@@ -156,6 +197,17 @@ def test_cli_missing_potential_file_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert str(missing) in err
+
+
+def test_cli_unsorted_potential_file_exit_code(tmp_path, capsys):
+    csv = tmp_path / "v.csv"
+    csv.write_text("r,value\n0.0,0.1\n2.0,0.004\n1.0,0.025\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[problem]\nv1.family = csv\nv1.path = {csv}\n")
+    code = run_cli("run-all", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(csv) in err and "strictly increasing" in err
 
 
 _SCIPY_LOADED = ("import sys; print(sorted(m for m in sys.modules "
@@ -256,18 +308,20 @@ def test_cli_solve_ground_writes_profiles(tmp_path):
     ("[grid]\nm = abc\n", "[grid] m"),
     ("[report]\ntrend_fraction = x\n", "[report] trend_fraction"),
     ("[problem]\nv1.v0 = tiny\n", "[problem] v1.v0"),
+    ("[problem]\nlambda1 = 0.0\nlambda2 = 0.0\n", "[problem] lambda1/lambda2"),
+    ("[report]\nseed = -5\n", "[report] seed"),
+    ("[problem]\nlambda1 = nan\n", "[problem] lambda1"),
+    # the flow and trial-profile settings are constants in the code: a file
+    # that sets one, valid or not, is rejected as an unknown key before any
+    # value is read
     ("[flow]\ncheck_every = 0\n", "check_every"),
     ("[flow]\nrecenter_every = -1\n", "recenter_every"),
     ("[flow]\nmax_iterations = 0\n", "max_iterations"),
-    ("[flow]\nstart = bogus\n", "bogus"),
-    ("[problem]\nlambda1 = 0.0\nlambda2 = 0.0\n", "[problem] lambda1/lambda2"),
     ("[report]\nmoll_cells = 0\n", "[report] moll_cells"),
     ("[grid]\nprofile_m = 320\n[report]\nmoll_cells = 64\n", "[report] moll_cells"),
-    ("[report]\nseed = -5\n", "[report] seed"),
     ("[flow]\nresidual_tolerance = inf\n", "[flow] residual_tolerance"),
     ("[flow]\nresidual_tolerance = nan\n", "[flow] residual_tolerance"),
     ("[flow]\nstep_size = inf\n", "[flow] step_size"),
-    ("[problem]\nlambda1 = nan\n", "[problem] lambda1"),
     ("[report]\nc_star_margin = 0\n", "[report] c_star_margin"),
     ("[report]\nc_star_margin = -0.5\n", "[report] c_star_margin"),
     ("[report]\nsupport_fraction = 0\n", "[report] support_fraction"),

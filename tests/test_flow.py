@@ -20,6 +20,7 @@ from hartreekit import (
     solve_limit_ground_state,
     vanishing_energy_limit,
 )
+from hartreekit import flow
 from hartreekit.energy import _coupling_matrix
 from hartreekit.flow import _fit_bubble_dilation, _pinned_solver
 
@@ -58,32 +59,27 @@ def test_flow_energy_trace_nonincreasing(diag_123):
         assert b <= a * (1.0 + 1e-12)
 
 
-def test_flow_fixed_point_start(cc, grid):
-    cfg = FlowConfig(start="bubble", max_iterations=100, check_every=25)
-    diag = solve_limit_ground_state(cc, cfg, grid)
-    assert diag.converged
-    assert diag.residual < 1e-3
-    # no drift: energy stays at the level over the whole run
-    for _, energy, _, _ in diag.trace:
-        assert abs(energy - cc.c_inf) <= 1e-3 * cc.c_inf
+@pytest.fixture
+def equal_starts(monkeypatch):
+    monkeypatch.setattr(flow, "START_AMPLITUDES", (1.0, 1.0))
+    return FlowConfig(start_widths=(1.0, 1.0))
 
 
-def test_flow_symmetric_case_preserves_equality(grid, constants):
+def test_flow_symmetric_case_preserves_equality(grid, constants, equal_starts, monkeypatch):
     cc_sym = coupling_constants(1.0, 1.0, 2.0, constants.s_hl_sq)
-    cfg = FlowConfig(start_widths=(1.0, 1.0), start_amplitudes=(1.0, 1.0),
-                     max_iterations=400)
-    diag = solve_limit_ground_state(cc_sym, cfg, grid)
+    monkeypatch.setattr(flow, "MAX_ITERATIONS", 400)
+    diag = solve_limit_ground_state(cc_sym, equal_starts, grid)
     assert diag.converged
     u, v = diag.final.u, diag.final.v
     assert np.max(np.abs(u.values - v.values)) <= 1e-10 * np.max(u.values)
 
 
-def test_flow_component_swap(diag_123, constants, grid):
+def test_flow_component_swap(diag_123, constants, grid, monkeypatch):
     # swapping mu1 <-> mu2 with the start widths and amplitudes swaps the
     # components: a transposed coupling matrix or a mixed-up column breaks it
     cc_swap = coupling_constants(2.0, 1.0, 3.0, constants.s_hl_sq)
-    cfg = FlowConfig(start_widths=(1.2, 1.0), start_amplitudes=(0.8, 1.0))
-    swapped = solve_limit_ground_state(cc_swap, cfg, grid)
+    monkeypatch.setattr(flow, "START_AMPLITUDES", flow.START_AMPLITUDES[::-1])
+    swapped = solve_limit_ground_state(cc_swap, FlowConfig(start_widths=(1.2, 1.0)), grid)
     assert swapped.iterations == diag_123.iterations
     assert swapped.verdict == diag_123.verdict
     u, v = diag_123.final.u, diag_123.final.v
@@ -137,15 +133,18 @@ class _CountingKernel:
 
 
 @pytest.mark.parametrize("cfg", [
-    FlowConfig(step_size=4.0),                               # line-search halvings
-    FlowConfig(start_widths=(3.0, 4.0), recenter_every=10),  # a re-gauge
+    ({"STEP_SIZE": 4.0}, FlowConfig()),                              # line-search halvings
+    ({"RECENTER_EVERY": 10}, FlowConfig(start_widths=(3.0, 4.0))),  # a re-gauge
 ])
 def test_flow_convolves_once_per_projection_and_check(cc, grid, monkeypatch, cfg):
     # the projection's convolution feeds the next Picard step and the Nehari
     # defect; the only other product is the weak residual's at each check
+    patched, flow_cfg = cfg
+    for name, value in patched.items():
+        monkeypatch.setattr(flow, name, value)
     counter = _CountingKernel(kernel_for(grid))
     monkeypatch.setitem(grid._cache, "kernel", counter)
-    diag = solve_limit_ground_state(cc, cfg, grid)
+    diag = solve_limit_ground_state(cc, flow_cfg, grid)
     assert diag.converged
     assert counter.products == diag.projections + len(diag.trace)
     # the start projection, one per accepted step, and at least one more
@@ -160,19 +159,16 @@ def scalar_ground_state(mu, cfg, grid):
     return solve_limit_ground_state(cc, cfg, grid)
 
 
-SCALAR_START = FlowConfig(start_widths=(1.0, 1.0), start_amplitudes=(1.0, 1.0))
-
-
-def test_scalar_flow_level(grid):
-    diag = scalar_ground_state(1.0, SCALAR_START, grid)
+def test_scalar_flow_level(grid, equal_starts):
+    diag = scalar_ground_state(1.0, equal_starts, grid)
     assert diag.converged
     assert abs(diag.energy / 2.0 - S_HL_SQ / 4.0) <= 1e-3 * S_HL_SQ / 4.0
     assert diag.shape_error < 1e-3
 
 
-def test_scalar_flow_amplitude_scaling(grid):
-    d1 = scalar_ground_state(1.0, SCALAR_START, grid)
-    d4 = scalar_ground_state(4.0, SCALAR_START, grid)
+def test_scalar_flow_amplitude_scaling(grid, equal_starts):
+    d1 = scalar_ground_state(1.0, equal_starts, grid)
+    d4 = scalar_ground_state(4.0, equal_starts, grid)
     assert abs(d4.energy / 2.0 - S_HL_SQ / 16.0) <= 1e-3 * S_HL_SQ / 16.0
     # the Picard map commutes with the mu^(-1/2) amplitude scaling, so the
     # two runs track each other pointwise
@@ -182,28 +178,24 @@ def test_scalar_flow_amplitude_scaling(grid):
     assert np.max(np.abs(u4[bulk] / u1[bulk] - 0.5)) <= 1e-3
 
 
-def test_scalar_flow_cold_start(grid):
-    cfg = FlowConfig(start="bubble", max_iterations=100)
-    diag = scalar_ground_state(1.0, cfg, grid)
-    assert diag.converged
-    assert diag.iterations <= 25
-
-
 def test_scalar_flow_rejects_bad_mu(grid):
     with pytest.raises(ParameterError):
         scalar_ground_state(-1.0, FlowConfig(), grid)
 
 
 def test_flow_config_validation():
-    with pytest.raises(ParameterError):
-        FlowConfig(step_size=0.0)
-    with pytest.raises(ParameterError):
-        FlowConfig(residual_tolerance=-1.0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ParameterError):
-            FlowConfig(step_size=bad)
+    for bad in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             FlowConfig(residual_tolerance=bad)
+
+
+def test_flow_config_tightens_but_never_loosens_the_gate():
+    # the ground-state gate reads the flow's tolerance: a caller may ask for
+    # a stricter stop, never a looser one
+    assert FlowConfig(residual_tolerance=1e-4).residual_tolerance == 1e-4
+    assert FlowConfig().residual_tolerance == flow.RESIDUAL_TOLERANCE == 1e-3
+    with pytest.raises(ParameterError, match="residual tolerance"):
+        FlowConfig(residual_tolerance=2e-3)
 
 
 # ---------------------------------------------------------------------------

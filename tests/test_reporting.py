@@ -8,6 +8,7 @@ from hartreekit import (
     energy_I,
     solve_limit_ground_state,
 )
+from hartreekit import flow
 from hartreekit.reporting import LemmaReport, Table, write_bundle
 
 
@@ -21,16 +22,9 @@ def test_energy_breakdown_serializes(grid, cc, free_problem):
         assert key in back
 
 
-def test_trial_profile_csv_export(trial_profile, tmp_path):
-    path = tmp_path / "profile.csv"
-    trial_profile.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape[0] == trial_profile.grid.M
-    assert np.allclose(data[:, 1], trial_profile.profile.values)
-
-
-def test_flow_trace_csv(cc, grid, tmp_path):
-    diag = solve_limit_ground_state(cc, FlowConfig(max_iterations=60), grid)
+def test_flow_trace_csv(cc, grid, tmp_path, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_ITERATIONS", 60)
+    diag = solve_limit_ground_state(cc, FlowConfig(), grid)
     path = tmp_path / "trace.csv"
     diag.trace_csv(path)
     text = path.read_text().splitlines()

@@ -56,7 +56,7 @@ def test_hls_constant_rejects_bad_exponent():
 
 
 def test_sobolev_constant_closed_vs_rayleigh(grid):
-    val = sobolev_constant(5, grid)  # raises NumericalError if the quotient disagrees
+    val = sobolev_constant(grid)  # raises NumericalError if the quotient disagrees
     assert abs(val - SOBOLEV_5) <= 1e-12 * SOBOLEV_5
 
 
@@ -67,11 +67,6 @@ def test_sobolev_rayleigh_scale_invariance(grid):
                              p_tail=3.0, c_tail=d**1.5)
         q = dirichlet_seminorm(prof) / lp_norm(prof, 10.0 / 3.0) ** 2
         assert abs(q - SOBOLEV_5) <= 1e-3 * SOBOLEV_5
-
-
-def test_sobolev_constant_rejects_low_dimension():
-    with pytest.raises(ParameterError):
-        sobolev_constant(2)
 
 
 def test_angular_kernel_zero_radius_and_symmetry():
