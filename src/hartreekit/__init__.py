@@ -37,8 +37,6 @@ from .energy import (
     barycenter,
     barycenter_axis_sign,
     energy_I,
-    energy_I0,
-    energy_I_infty,
     nehari_project,
     pohozaev_residual,
     trial_projection_scalars,

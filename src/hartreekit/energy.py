@@ -33,6 +33,7 @@ from .grids import (
     RadialFn,
     RadialGrid,
     _has_tail,
+    apply_stencil,
     axis_moment_integrals,
     bicenter_integral,
     bicenter_integrals,
@@ -49,8 +50,6 @@ __all__ = [
     "Problem",
     "EnergyBreakdown",
     "energy_I",
-    "energy_I_infty",
-    "energy_I0",
     "nehari_project",
     "trial_projection_scalars",
     "barycenter",
@@ -183,16 +182,6 @@ def energy_I(p: Pair, prob: Problem) -> EnergyBreakdown:
     )
 
 
-def energy_I_infty(p: Pair, cc: CouplingConstants) -> EnergyBreakdown:
-    """Limit functional: no potentials, no mass shifts."""
-    return energy_I(p, Problem.limit(p.grid.N, cc))
-
-
-def energy_I0(p: Pair, prob: Problem) -> EnergyBreakdown:
-    """Functional with potentials kept but both mass shifts set to zero."""
-    return energy_I(p, prob.with_lambda(0.0, 0.0))
-
-
 def nehari_project(p: Pair, prob: Problem):
     """Unique t > 0 with t * p on the Nehari set of `prob`.
 
@@ -282,23 +271,13 @@ def pohozaev_residual(p: Pair, prob: Problem):
     """
     if prob.V1 is not None or prob.V2 is not None:
         raise ParameterError("dilation identity is implemented for V = 0 problems only")
-    u, v = p.u, p.v
     N = prob.N
-    K = dirichlet_seminorm(u) + dirichlet_seminorm(v)
+    br = energy_I(p, prob)
+    K = br.kinetic
     if K == 0.0:
         return 0.0, 0.0
-    lam_mass = 0.0
-    if prob.lam1 > 0:
-        lam_mass += prob.lam1 * integrate(u.squared())
-    if prob.lam2 > 0:
-        lam_mass += prob.lam2 * integrate(v.squared())
-    u2 = u.positive().squared()
-    v2 = v.positive().squared()
-    NL = (
-        prob.mu1 * double_energy(u2, u2)
-        + prob.mu2 * double_energy(v2, v2)
-        + 2.0 * prob.beta * double_energy(u2, v2)
-    )
+    lam_mass = br.potential   # with V = 0, only the mass shifts remain
+    NL = br.nonlocal_sum
     gap = abs(0.5 * (N - 2) * (K - NL) + 0.5 * N * lam_mass)
     scale = 0.5 * (N - 2) * max(K, NL) + 0.5 * N * lam_mass
     return lam_mass, gap / scale
@@ -322,7 +301,7 @@ def _nodal_potential(V, grid):
 def residual_fields(p: Pair, prob: Problem):
     """Pointwise nodal residuals (R_u, R_v) of the coupled system at a centered pair.
 
-    The Laplacian is the grid's collocation matrix, so the fields can be
+    The Laplacian is the grid's collocation stencil, so the fields can be
     interpolated and integrated against translated test functions.  Both
     components travel as the columns of one (M, 2) array, so the Laplacian
     and the convolution table are each applied once.
@@ -332,13 +311,12 @@ def residual_fields(p: Pair, prob: Problem):
     u, v = p.u, p.v
     grid = u.grid
     kern = kernel_for(grid)
-    L = grid.laplacian_matrix()
     X = np.column_stack([u.values, v.values])
     Xp = np.maximum(X, 0.0)
     rhs = (kern.convolve_values(Xp**2) @ _coupling_matrix(prob)) * Xp
     shift = np.stack(np.broadcast_arrays(_nodal_potential(prob.V1, grid) + prob.lam1,
                                          _nodal_potential(prob.V2, grid) + prob.lam2), axis=-1)
-    res_u, res_v = (-(L @ X) + shift * X - rhs).T
+    res_u, res_v = (-apply_stencil(grid.laplacian_matrix(), X) + shift * X - rhs).T
     return RadialFn(grid, res_u), RadialFn(grid, res_v)
 
 

@@ -10,14 +10,15 @@ mode is re-gauged to unit scale every few dozen iterations so the iterate
 cannot drift below grid resolution.
 
 The iterate is one (M, 2) array X = [u v], so each dense M x M table is
-applied once to both components.  A step applies three: the pinned inverse,
-the stiffness and the convolution table.  The projection is the only place
-the flow convolves: it forms Y = (X_+)^2 once, reads the nonlocal sum off
-the 2 x 2 matrix Y^T (w Z) with Z = C Y (against the symmetric coupling
-the same sum as the double energies, which take its symmetric part), and
-hands the rescaled Z on, so the next Picard step and the Nehari defect
-reuse it.  The coupling mixes the columns of Z through the 2 x 2 matrix
-[[mu1, beta], [beta, mu2]].
+applied once to both components.  A step applies two, the pinned inverse
+and the convolution table; the per-column Dirichlet sums w (D X)^2 come
+from the derivative's five-node windows, as in grids.dirichlet_seminorm.
+The projection is the only place the flow convolves: it forms
+Y = (X_+)^2 once, reads the nonlocal sum off the 2 x 2 matrix Y^T (w Z)
+with Z = C Y (against the symmetric coupling the same sum as the double
+energies, which take its symmetric part), and hands the rescaled Z on, so
+the next Picard step and the Nehari defect reuse it.  The coupling mixes
+the columns of Z through the 2 x 2 matrix [[mu1, beta], [beta, mu2]].
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .grids import (
     Pair,
     RadialFn,
     RadialGrid,
+    _dirichlet_sums,
     _has_tail,
+    _stencil_windows,
     dirichlet_seminorm,
     integrate,
 )
@@ -71,6 +74,10 @@ class FlowConfig:
         if not 0 < self.residual_tolerance <= RESIDUAL_TOLERANCE:
             raise ParameterError(f"residual tolerance must lie in (0, {RESIDUAL_TOLERANCE}], "
                                  f"got {self.residual_tolerance}")
+        widths = np.asarray(self.start_widths, dtype=float)
+        if widths.shape != (2,) or not np.all(np.isfinite(widths) & (widths > 0)):
+            raise ParameterError("start_widths must be two finite positive widths, "
+                                 f"got {self.start_widths}")
 
 
 @dataclass
@@ -145,27 +152,35 @@ def _block_tridiagonal_inverse(L: np.ndarray) -> np.ndarray:
     return X
 
 
+def _pinned_laplacian(grid: RadialGrid) -> np.ndarray:
+    """Dense -Lap scattered from its stencil windows, the last row pinned to u_M = 0."""
+    M = grid.M
+    L = np.zeros((M, M))
+    L[np.arange(M)[:, None], _stencil_windows(M)] = -grid.laplacian_matrix()
+    L[-1, :] = 0.0
+    L[-1, -1] = 1.0
+    return L
+
+
 def _pinned_solver(grid: RadialGrid):
     """Solve -Lap g = rhs with the outermost node pinned to zero.
 
     rhs is one (M,) vector or an (M, k) block of right-hand sides, one per
     column; the last row is pinned in every column.  Uses the collocation
     Laplacian (direct second-derivative stencils), whose inverse is built
-    by block-tridiagonal elimination and cached on the grid: each solve is
-    then one product of the inverse with rhs.  On the pinned matrix
-    (condition number about 7e6 at M = 400), smooth and rough right-hand
-    sides at M = 320..800 solve with normwise backward error below 2 eps and
-    within 1e-12 of the exact solution, relative to its largest entry, as
-    an LU solve with partial pivoting does.  The fixed point of the Picard map then satisfies
-    the same strong-form operator that the residual field is built from, so
+    by block-tridiagonal elimination and cached on the grid (the dense
+    pinned matrix is not kept): each solve is then one product of the
+    inverse with rhs.  On the pinned matrix (condition number about 7e6 at
+    M = 400), smooth and rough right-hand sides at M = 320..800 solve with
+    normwise backward error below 2 eps and within 1e-12 of the exact
+    solution, relative to its largest entry, as an LU solve with partial
+    pivoting does.  The fixed point of the Picard map then satisfies the
+    same strong-form operator that the residual field is built from, so
     converged flows report near-machine residuals.
     """
     key = "laplacian_inverse"
     if key not in grid._cache:
-        L = -grid.laplacian_matrix()
-        L[-1, :] = 0.0
-        L[-1, -1] = 1.0
-        grid._cache[key] = _block_tridiagonal_inverse(L)
+        grid._cache[key] = _block_tridiagonal_inverse(_pinned_laplacian(grid))
     inv = grid._cache[key]
 
     def solve(rhs):
@@ -257,7 +272,6 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     """
     N = grid.N
     kern = kernel_for(grid)
-    A = grid.stiffness()
     W = grid.w
     solve = _pinned_solver(grid)
     prob = Problem.limit(N, cc)
@@ -274,19 +288,19 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         """Rescale onto the Nehari set.
 
         Returns t XX, its energy, its convolution C (t XX)_+^2 and its
-        per-column Dirichlet sums (t x)^T A (t x).
+        per-column Dirichlet sums, as dirichlet_seminorm forms them.
         """
         Y = np.maximum(XX, 0.0) ** 2
         Z = kern.convolve_values(Y)
         diag.projections += 1
-        P = XX * (A @ XX)
-        K = float(P.sum())
+        Kx = _dirichlet_sums(grid, XX)
+        K = float(Kx.sum())
         NL = nonlocal_sum(Y, Z)
         if NL <= 0:
             raise ParameterError("pair has vanishing positive parts")
         t = math.sqrt(K / NL)
         # on-manifold energy = K/4
-        return t * XX, t**4 * 0.25 * NL, t**2 * Z, t**2 * P.sum(axis=0)
+        return t * XX, t**4 * 0.25 * NL, t**2 * Z, t**2 * Kx
 
     diag = FlowDiagnostics()
     X, energy, Z, Kx = project(X)

@@ -31,6 +31,7 @@ __all__ = [
     "integrate",
     "lp_norm",
     "dirichlet_seminorm",
+    "apply_stencil",
     "bicenter_integral",
     "bicenter_integrals",
     "bicenter_rows",
@@ -96,54 +97,36 @@ class RadialGrid:
         )
 
     def deriv_matrix(self) -> np.ndarray:
-        """Nodal differentiation matrix (degree-4 local polynomial stencils).
+        """Nodal first derivative as (M, 5) weights on the stencil windows.
 
-        Exact on polynomials up to degree 4, so the derivative is 4th-order
-        accurate on smooth profiles.
+        Degree-4 local polynomial fits, exact on polynomials up to degree 4,
+        so the derivative is 4th-order accurate on smooth profiles.  Apply
+        with `apply_stencil`.
         """
         key = "deriv_matrix"
         if key not in self._cache:
-            self._cache[key] = _stencil_matrix(self.r, 1)
-        return self._cache[key]
-
-    def stiffness(self) -> np.ndarray:
-        """Symmetric PSD matrix A with u^T A u ~ int |grad u|^2 over the ball.
-
-        A = sum_k w_k d_k d_k^T = D^T diag(w) D, with d_k the five-node window
-        of row k of the derivative matrix, so A has half-bandwidth 4.  The
-        outer products are scattered in window order and w_k (d_a d_b) is
-        symmetric in a, b, so A equals A^T exactly.  Accurate as a quadratic
-        form on smooth nodal vectors; nearly singular on sawtooth modes
-        (centered stencils), so it must not be inverted.
-        """
-        key = "stiffness"
-        if key not in self._cache:
-            cols = _stencil_windows(self.M)
-            d = self.deriv_matrix()[np.arange(self.M)[:, None], cols]
-            A = np.zeros((self.M, self.M))
-            np.add.at(A, (cols[:, :, None], cols[:, None, :]),
-                      self.w[:, None, None] * (d[:, :, None] * d[:, None, :]))
-            self._cache[key] = A
+            self._cache[key] = _stencil_weights(self.r, 1)
         return self._cache[key]
 
     def laplacian_matrix(self) -> np.ndarray:
-        """Radial Laplacian collocation matrix: u'' + (N-1) u'/r at the nodes.
+        """Radial Laplacian u'' + (N-1) u'/r at the nodes, as (M, 5) window weights.
 
         u'' comes from direct second-derivative stencils, not from the square
-        of the first-derivative matrix: they keep a large symbol at the grid's
-        highest frequency, so this matrix is safely invertible.
+        of the first-derivative operator: they keep a large symbol at the
+        grid's highest frequency, so the operator is safely invertible.
+        Apply with `apply_stencil`.
         """
         key = "laplacian_matrix"
         if key not in self._cache:
-            D2 = _stencil_matrix(self.r, 2)
+            D2 = _stencil_weights(self.r, 2)
             self._cache[key] = D2 + (self.N - 1) / self.r[:, None] * self.deriv_matrix()
         return self._cache[key]
 
 
-def _stencil_matrix(r: np.ndarray, k: int) -> np.ndarray:
-    """Nodal k-th derivative matrix from five-node polynomial fits.
+def _stencil_weights(r: np.ndarray, k: int) -> np.ndarray:
+    """(M, 5) k-th derivative weights from five-node polynomial fits on `_stencil_windows`.
 
-    Sliding windows centred on each node, one-sided at both ends; exact on
+    Windows are centred on each node, one-sided at both ends; exact on
     polynomials up to degree 4.  All M window systems go to one batched solve.
     """
     M = len(r)
@@ -158,16 +141,30 @@ def _stencil_matrix(r: np.ndarray, k: int) -> np.ndarray:
     np.multiply.accumulate(Vt[:, 1:, :], axis=1, out=Vt[:, 1:, :])
     rhs = math.factorial(k) * np.eye(width)[k]  # d^k/dx^k at 0 of the monomials
     weights = np.linalg.solve(Vt, np.broadcast_to(rhs[:, None], (M, width, 1)))[..., 0]
-    D = np.zeros((M, M))
-    D[np.arange(M)[:, None], cols] = weights / h[:, None] ** k
-    return D
+    return weights / h[:, None] ** k
 
 
+@lru_cache(maxsize=None)
 def _stencil_windows(M: int) -> np.ndarray:
-    """(M, 5) node indices of each row's stencil window: centred, one-sided at the ends."""
+    """(M, 5) node indices of each row's stencil window: centred, one-sided at the ends.
+
+    Memoized, so the array is read-only.
+    """
     width = min(5, M)
     lo = np.clip(np.arange(M) - width // 2, 0, M - width)
-    return lo[:, None] + np.arange(width)
+    cols = lo[:, None] + np.arange(width)
+    cols.flags.writeable = False
+    return cols
+
+
+def apply_stencil(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply (M, 5) window weights to an (M,) vector, or to each column of an (M, k) block.
+
+    Row i is sum_j weights[i, j] x[window_i[j]].  einsum without `optimize`
+    makes no BLAS call, so the result does not depend on the thread count.
+    """
+    cols = _stencil_windows(len(weights))
+    return np.einsum("ij,ij...->i...", weights, x.take(cols, axis=0))
 
 
 def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:
@@ -480,11 +477,15 @@ def lp_norm(f: RadialFn, p: float) -> float:
     return (core + _tail_integral(f, power=p)) ** (1.0 / p)
 
 
+def _dirichlet_sums(grid: RadialGrid, X: np.ndarray) -> np.ndarray:
+    """sum_i w_i (D x)_i^2, the ball part of int |grad x|^2, for each column x of X (M, k)."""
+    return (grid.w[:, None] * apply_stencil(grid.deriv_matrix(), X) ** 2).sum(axis=0)
+
+
 def dirichlet_seminorm(f: RadialFn) -> float:
     """int |grad f|^2 for radial f, via 4th-order nodal differentiation."""
     g = f.grid
-    df = g.deriv_matrix() @ f.values
-    core = float(g.w @ df**2)
+    core = float(_dirichlet_sums(g, f.values[:, None])[0])
     tail = 0.0
     if _has_tail(f):
         p = f.p_tail

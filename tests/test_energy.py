@@ -17,8 +17,6 @@ from hartreekit import (
     barycenter_axis_sign,
     bicenter_integral,
     energy_I,
-    energy_I0,
-    energy_I_infty,
     from_callable,
     ground_pair,
     nehari_project,
@@ -58,7 +56,7 @@ def test_energy_ground_pair_level(grid, cc, free_problem):
     br = energy_I(gp, free_problem)
     assert abs(br.total - C_INF_123) <= 1e-3 * C_INF_123
     assert abs(br.defect) / br.kinetic <= 1e-3
-    br2 = energy_I_infty(gp, cc)
+    br2 = energy_I(gp, Problem.limit(5, cc))
     assert br2.total == br.total
 
 
@@ -72,16 +70,16 @@ def test_energy_negative_pair_has_no_nonlocal_part(grid, cc, free_problem):
 
 def test_energy_homogeneity(grid, cc):
     gp = ground_pair(1.0, 0.0, cc, grid)
-    base = energy_I_infty(gp, cc)
+    base = energy_I(gp, Problem.limit(5, cc))
     for t in (0.5, 1.0, 2.0):
-        br = energy_I_infty(gp.scale(t), cc)
+        br = energy_I(gp.scale(t), Problem.limit(5, cc))
         pred = 0.5 * t**2 * base.kinetic - 0.25 * t**4 * base.nonlocal_sum
         assert abs(br.total - pred) <= 1e-12 * max(abs(pred), 1.0)
 
 
 def test_energy_trial_pair_in_window(trial_profile, cc):
     pair = trial_pair(trial_profile, 1.0, 0.0)
-    br = energy_I_infty(pair, cc)
+    br = energy_I(pair, Problem.limit(5, cc))
     assert cc.c_inf < br.total < trial_profile.cbar
     assert abs(br.total - trial_profile.sigma) <= 1e-6 * trial_profile.sigma
 
@@ -278,7 +276,7 @@ def test_offset_pair_energy_consistent_with_scalar_path(trial_profile, cc, probl
                                             problem.with_lambda(0.0, 0.0), cc)
     t_full, proj = nehari_project(pair, problem.with_lambda(0.0, 0.0))
     assert abs(t_full - t0_scalar) <= 1e-6 * t0_scalar
-    br = energy_I0(proj, problem)
+    br = energy_I(proj, problem.with_lambda(0.0, 0.0))
     assert abs(br.total - t0_scalar**4 * trial_profile.sigma) \
         <= 1e-6 * trial_profile.sigma
 

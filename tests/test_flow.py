@@ -9,8 +9,11 @@ from hartreekit import (
     FlowConfig,
     ParameterError,
     Problem,
+    RadialFn,
+    VerifyContext,
     brezis_lieb_check,
     coupling_constants,
+    dirichlet_seminorm,
     from_callable,
     integrate,
     kernel_for,
@@ -22,7 +25,8 @@ from hartreekit import (
 )
 from hartreekit import flow
 from hartreekit.energy import _coupling_matrix
-from hartreekit.flow import _fit_bubble_dilation, _pinned_solver
+from hartreekit.flow import _fit_bubble_dilation, _pinned_laplacian, _pinned_solver
+from hartreekit.runner import solver_report
 
 S_HL_SQ = 225.0 / 16.0
 C_INF_123 = 675.0 / 448.0
@@ -120,6 +124,55 @@ def test_nonlocal_sum_reads_off_the_convolution(grid, constants, widths, mus):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def test_projection_dirichlet_sums_are_the_seminorm_per_column(cc, grid, monkeypatch):
+    # the projection's per-column Dirichlet sums are dirichlet_seminorm of
+    # each component (no tail model), on every iterate the flow projects
+    seen = []
+
+    def recording(g, X):
+        sums = flow_sums(g, X)
+        seen.append((X.copy(), sums))
+        return sums
+
+    flow_sums = flow._dirichlet_sums
+    monkeypatch.setattr(flow, "_dirichlet_sums", recording)
+    monkeypatch.setattr(flow, "MAX_ITERATIONS", 5)
+    diag = solve_limit_ground_state(cc, FlowConfig(), grid)
+    assert len(seen) > 5
+    for X, sums in seen:
+        assert sums.shape == (2,)
+        for j in range(2):
+            want = dirichlet_seminorm(RadialFn(grid, X[:, j]))
+            assert abs(sums[j] - want) <= 1e-14 * want
+    # on the Nehari set the energy is a quarter of the final iterate's sums
+    final = [RadialFn(grid, f.values) for f in (diag.final.u, diag.final.v)]
+    K = sum(dirichlet_seminorm(f) for f in final)
+    assert abs(diag.energy - 0.25 * K) <= 1e-14 * K
+
+
+def test_run_grid_caches_no_dense_stencil_operator(constants, cc, free_problem, c_star_lower):
+    # the derivative and the Laplacian are kept as their five-node windows:
+    # after the ground-state solve and its residual checks, the only M x M
+    # arrays on the run grid are the convolution table and the pinned inverse
+    g = make_grid(5, 400, 40.0, 1.02)
+    ctx = VerifyContext(grid=g, constants=constants, cc=cc, prob=free_problem,
+                        c_star_lower=c_star_lower)
+    solver_report(ctx)
+
+    def square(obj):
+        if isinstance(obj, np.ndarray):
+            return [obj] if obj.shape == (g.M, g.M) else []
+        if isinstance(obj, (tuple, list)):
+            return [a for x in obj for a in square(x)]
+        if hasattr(obj, "__dict__"):
+            return square(list(vars(obj).values()))
+        return []
+
+    dense = {key: len(square(value)) for key, value in g._cache.items()}
+    assert {key: n for key, n in dense.items() if n} == {"kernel": 1, "laplacian_inverse": 1}
+    assert g._cache["deriv_matrix"].shape == g._cache["laplacian_matrix"].shape == (g.M, 5)
+
+
 class _CountingKernel:
     """Stands in for a grid's kernel tables and counts what the caller applies."""
 
@@ -187,6 +240,14 @@ def test_flow_config_validation():
     for bad in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ParameterError):
             FlowConfig(residual_tolerance=bad)
+
+
+@pytest.mark.parametrize("widths", [(0.0, 1.0), (1.0,), (-1.0, 1.0), (math.nan, 1.0)])
+def test_flow_config_rejects_bad_start_widths(widths):
+    # a zero width divided by zero in the Gaussian start, a single width was
+    # broadcast to both components, a negative one ran as its absolute value
+    with pytest.raises(ParameterError, match="start_widths"):
+        FlowConfig(start_widths=widths)
 
 
 def test_flow_config_tightens_but_never_loosens_the_gate():
@@ -322,9 +383,7 @@ def test_pinned_solver_matches_lu_solve(M):
     # from each other by up to 6.9e-13 of the largest entry: round-off in
     # either, so neither is an oracle for the other.
     g = make_grid(5, M, 40.0, 1.02)
-    L = -g.laplacian_matrix()
-    L[-1, :] = 0.0
-    L[-1, -1] = 1.0
+    L = _pinned_laplacian(g)
     rhs = (1.0 + g.r**2) ** -2.0 * (1.0 + np.random.default_rng(M).uniform(-0.1, 0.1, M))
     # a two-column right-hand side: each column solved, each last row pinned
     rhs2 = np.column_stack([rhs, rhs[::-1] * g.r / g.R_max])
