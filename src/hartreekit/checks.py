@@ -244,14 +244,18 @@ class RegionScan:
         }
 
 
-def _member_maps(profile: TrialProfile, prob: Problem, cc: CouplingConstants,
+def _shape_maps(profile: TrialProfile, cc: CouplingConstants, delta: float, rho: float):
+    """(gamma, xi_axial) of the trial member at one (delta, rho)."""
+    xi, gamma = barycenter(trial_pair(profile, delta, rho), cc.mu1, cc.mu2, cc.beta)
+    return gamma, xi
+
+
+def _energy_maps(profile: TrialProfile, prob: Problem, cc: CouplingConstants,
                  delta: float, rho: float):
-    """(gamma, xi_axial, t0, t_lam, i0_hat, i_tilde) at one (delta, rho)."""
-    pair = trial_pair(profile, delta, rho)
-    xi, gamma = barycenter(pair, cc.mu1, cc.mu2, cc.beta)
+    """(t0, t_lam, i0_hat, i_tilde) of the trial member at one (delta, rho)."""
     t0, t_lam = trial_projection_scalars(profile, delta, rho, prob, cc)
     sigma = profile.sigma
-    return gamma, xi, t0, t_lam, t0**4 * sigma, t_lam**4 * sigma
+    return t0, t_lam, t0**4 * sigma, t_lam**4 * sigma
 
 
 def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> RegionScan:
@@ -263,9 +267,11 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> Re
     candidate (rbar, delta2) combination is verified on the same dense
     boundary lattice that the final report carries, so an accepted region is
     consistent with its own evidence.  Each face test stops at its first
-    failing sample; the recorded lattice (three boundary faces plus the
-    interior) is still evaluated in full once a region is accepted.  kappa
-    (region supremum) is then compared against the scalar-level threshold.
+    failing sample and reads a sample's energy maps only once its
+    concentration passed; the offset face reads only energies.  The
+    recorded lattice (three boundary faces plus the interior) is still
+    evaluated in full once a region is accepted.  kappa (region supremum)
+    is then compared against the scalar-level threshold.
     """
     cc = profile.cc
     cbar = profile.cbar
@@ -280,11 +286,16 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> Re
     )
     cache: dict = {}
 
-    def maps(d, rho):
-        key = (round(float(d), 12), round(float(rho), 12))
-        if key not in cache:
-            cache[key] = _member_maps(profile, prob, cc, float(d), float(rho))
-        return cache[key]
+    def memo(maps, *args):
+        def get(d, rho):
+            key = (maps, round(float(d), 12), round(float(rho), 12))
+            if key not in cache:
+                cache[key] = maps(*args, float(d), float(rho))
+            return cache[key]
+        return get
+
+    shape = memo(_shape_maps, profile, cc)
+    energy = memo(_energy_maps, profile, prob, cc)
 
     def below(g):
         return g < 0.5 - GAMMA_MARGIN
@@ -293,9 +304,9 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> Re
         return g > 0.5 + GAMMA_MARGIN
 
     def face_ok(d, rhos, gamma_ok):
-        # lazy: stops at the first sample that fails either constraint
-        return all(gamma_ok(g) and e0 < cap
-                   for g, *_, e0, _ in (maps(d, rho) for rho in rhos))
+        # lazy: stops at the first sample that fails either constraint, and
+        # reads a sample's energy only once its concentration passed
+        return all(gamma_ok(shape(d, rho)[0]) and energy(d, rho)[2] < cap for rho in rhos)
 
     # inner dilation face: gamma < 1/2 and energy < cbar for every probed offset
     delta1 = None
@@ -312,7 +323,7 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> Re
 
     def offset_face_ok(rb, d2):
         ds = np.geomspace(delta1, d2, nb)
-        return all(maps(d, rb)[4] < cap for d in ds)
+        return all(energy(d, rb)[2] < cap for d in ds)
 
     rbar = delta2 = None
     for rb in RBAR_CANDIDATES:
@@ -342,7 +353,7 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> Re
 
     # record the verified lattice: three boundary pieces plus the interior
     def record(piece, d, rho):
-        g, xi, t0, tl, e0, et = maps(d, rho)
+        (g, xi), (t0, tl, e0, et) = shape(d, rho), energy(d, rho)
         scan.samples.add(piece=piece, delta=float(d), rho=float(rho), gamma=g,
                          xi_axial=xi, t0=t0, t_lam=tl, i0_hat=e0, i_tilde=et)
 

@@ -312,11 +312,26 @@ def _spline_interval(knots: np.ndarray, x: np.ndarray):
     return i, x - knots.take(i)
 
 
-def _eval_spline(knots: np.ndarray, coefs, x: np.ndarray) -> np.ndarray:
-    """Evaluate a `_cubic_spline` at x."""
-    i, z = _spline_interval(knots, x)
+def _horner(coefs, i: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A `_cubic_spline` at the points of `_spline_interval`'s (i, z)."""
     c3, c2, c1, c0 = (c.take(i) for c in coefs)
     return ((c3 * z + c2) * z + c1) * z + c0
+
+
+def _evaluate(fs: list, r: np.ndarray) -> list:
+    """[f(r) for f in fs], all on one grid, from one inside/tail split and one cell search."""
+    inside = r <= fs[0].grid.R_max
+    if not inside.any():
+        return [f._tail_values(r) for f in fs]
+    whole = inside.all()
+    i, z = _spline_interval(fs[0]._spline()[0], r if whole else r[inside])
+    if whole:
+        return [_horner(f._spline()[1], i, z) for f in fs]
+    outs = [np.empty_like(r) for _ in fs]
+    for out, f in zip(outs, fs):
+        out[inside] = _horner(f._spline()[1], i, z)
+        out[~inside] = f._tail_values(r[~inside])
+    return outs
 
 
 def _origin_design(r: np.ndarray) -> np.ndarray:
@@ -357,16 +372,7 @@ class RadialFn:
         return self._cache["spline"]
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = r <= self.grid.R_max
-        if inside.all():
-            out = _eval_spline(*self._spline(), r)
-        elif not inside.any():
-            out = self._tail_values(r)
-        else:
-            out = np.empty_like(r)
-            out[inside] = _eval_spline(*self._spline(), r[inside])
-            out[~inside] = self._tail_values(r[~inside])
+        out = _evaluate([self], np.asarray(r, dtype=float))[0]
         return out if out.ndim else float(out)
 
     def _tail_values(self, r: np.ndarray) -> np.ndarray:
@@ -540,24 +546,38 @@ def _offset_distance(s: np.ndarray, rho: float, t: np.ndarray) -> np.ndarray:
     return np.sqrt(rho**2 + s**2 + 2.0 * rho * s * t[None, :])
 
 
-def _side(f: RadialFn, grid: RadialGrid, rho: float, with_tail: bool):
-    """f's side (values, tail) of int f(|x|) g(|x - y|) dx, |y| = rho, for any g on `grid`.
+def _lattice_sums(fs: list, s: np.ndarray, rho: float, N: int) -> np.ndarray:
+    """Rows sum_k a_k f(|x|) over the spheres |x - y| = s_i, |y| = rho, for each f (one grid).
 
-    For rho > 0, values[i] = sum_k a_k f(|x|) over the angular nodes of the
+    Row i has |x| >= |s_i - rho|; past R_max a tail-free f is 0 on the whole
+    sphere, so the row is exactly 0.0 and is not evaluated.  einsum without
+    `optimize` sums each row alone with no BLAS call, so a row depends
+    neither on which other rows were evaluated nor on the thread count.
+    """
+    t, a = _theta_rule(N, _THETA_NODES)
+    out = np.zeros((len(fs), len(s)))
+    keep = slice(None) if any(map(_has_tail, fs)) else np.abs(s - rho) <= fs[0].grid.R_max
+    for row, v in zip(out, _evaluate(fs, _offset_distance(s[keep], rho, t))):
+        row[keep] = np.einsum("ik,k->i", v, a)
+    return out
+
+
+def _sides(fs: list, grid: RadialGrid, rho: float, with_tail: bool) -> list:
+    """Each f's side (values, tail) of int f(|x|) g(|x - y|) dx, |y| = rho, for any g on `grid`.
+
+    fs share one grid, so they share one lattice and one cell search.  For
+    rho > 0, values[i] = sum_k a_k f(|x|) over the angular nodes of the
     sphere |x - y| = r_i (f's angular means over the grid's (s, theta)
     lattice), and with_tail adds the same sums at the tail nodes that a g
     with a tail model needs.  For rho = 0, values are f's nodal values.
     """
-    if rho < 0:
-        raise ParameterError("offset must be >= 0")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ParameterError(f"offset distance must be finite and >= 0, got {rho}")
     if rho == 0.0:
-        return f(grid.r), None
-    t, a = _theta_rule(grid.N, _THETA_NODES)
-    tail = None
-    if with_tail:
-        x, _ = _tail_rule(_TAIL_NODES)
-        tail = f(_offset_distance(grid.R_max / x, rho, t)) @ a
-    return f(_offset_distance(grid.r, rho, t)) @ a, tail
+        return [(v, None) for v in _evaluate(fs, grid.r)]
+    values = _lattice_sums(fs, grid.r, rho, grid.N)
+    tails = _lattice_sums(fs, _tail_nodes(grid)[0], rho, grid.N) if with_tail else [None] * len(fs)
+    return list(zip(values, tails))
 
 
 def _tail_nodes(grid: RadialGrid):
@@ -599,20 +619,19 @@ def bicenter_integral(f: RadialFn, g: RadialFn, rho: float) -> float:
 def bicenter_integrals(f: RadialFn, gs: list, rho: float) -> list:
     """[bicenter_integral(f, g, rho) for g in gs], bit for bit.
 
-    f's side is evaluated once per distinct grid among gs, so functions
-    that share a grid (two potentials against one member square) share it.
+    Functions that share a grid (two potentials against one member square)
+    share f's side over it and one lattice for their sides over f's grid.
     """
-    sides = {}
-    out = []
-    for g in gs:
-        if rho == 0.0 and g.grid is f.grid:
-            out.append(integrate(f * g))
+    out = [None] * len(gs)
+    for grid in dict.fromkeys(g.grid for g in gs):
+        idx, group = zip(*[(j, g) for j, g in enumerate(gs) if g.grid is grid])
+        if rho == 0.0 and grid is f.grid:
+            for j, g in zip(idx, group):
+                out[j] = integrate(f * g)
             continue
-        if g.grid not in sides:
-            with_tail = any(_has_tail(h) for h in gs if h.grid is g.grid)
-            sides[g.grid] = _side(f, g.grid, rho, with_tail)
-        g_side = _side(g, f.grid, rho, _has_tail(f))
-        out.append(0.5 * (_weigh(sides[g.grid], f, g, rho) + _weigh(g_side, g, f, rho)))
+        (f_side,) = _sides([f], grid, rho, any(map(_has_tail, group)))
+        for j, g, g_side in zip(idx, group, _sides(group, f.grid, rho, _has_tail(f))):
+            out[j] = 0.5 * (_weigh(f_side, f, g, rho) + _weigh(g_side, g, f, rho))
     return out
 
 
@@ -635,7 +654,7 @@ def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
         if _has_tail(g):
             raise ParameterError("pairing rows take functions without a tail model")
         own = g.grid
-        values, _ = _side(g, grid, rho, False)
+        ((values, _),) = _sides([g], grid, rho, False)
         if rho == 0.0:
             W[b] = 0.5 * grid.w * values
             x, wx = own.r, 0.5 * own.w * g.values

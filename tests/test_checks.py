@@ -161,7 +161,8 @@ def eager_scan(profile, prob):
     def maps(d, rho):
         key = (round(float(d), 12), round(float(rho), 12))
         if key not in cache:
-            cache[key] = checks._member_maps(profile, prob, cc, float(d), float(rho))
+            cache[key] = (checks._shape_maps(profile, cc, float(d), float(rho))
+                          + checks._energy_maps(profile, prob, cc, float(d), float(rho)))
         return cache[key]
 
     def face_ok(d, rhos, lo):
@@ -209,15 +210,22 @@ def eager_scan(profile, prob):
 
 @pytest.fixture
 def count_maps(monkeypatch):
-    calls = []
-    inner = checks._member_maps
+    """The (delta, rho) of every shape-map and every energy-map call, in call order.
 
-    def counted(*args):
-        calls.append(args[3:])
-        return inner(*args)
+    A hook that is never called fails the test, so the counts cannot go
+    vacuous if the scan stops reaching the maps by these names."""
+    calls = {"shape": [], "energy": []}
+    for kind in calls:
+        name = f"_{kind}_maps"
+        inner = getattr(checks, name)
 
-    monkeypatch.setattr(checks, "_member_maps", counted)
-    return calls
+        def counted(*args, inner=inner, log=calls[kind]):
+            log.append(args[-2:])
+            return inner(*args)
+
+        monkeypatch.setattr(checks, name, counted)
+    yield calls
+    assert all(calls.values()), {kind: len(log) for kind, log in calls.items()}
 
 
 @pytest.mark.parametrize("shrink", [None, 16.0])
@@ -227,7 +235,7 @@ def test_scan_matches_the_eager_reference(trial_profile, problem, c_star_lower, 
     if shrink is not None:
         monkeypatch.setattr(checks, "RBAR_CANDIDATES", (scan.rbar / shrink,))
     lazy = scan_region(trial_profile, problem, c_star_lower)
-    lazy_maps = len(count_maps)
+    lazy_maps = {kind: len(log) for kind, log in count_maps.items()}
     ref = eager_scan(trial_profile, problem)
     assert (lazy.found, lazy.failure) == (ref["found"], ref["failure"])
     for key in ("delta1", "delta2", "rbar", "kappa"):
@@ -235,25 +243,29 @@ def test_scan_matches_the_eager_reference(trial_profile, problem, c_star_lower, 
     assert lazy.samples.rows == ref["rows"]
     assert lazy.found == (shrink is None)
     # the early stop evaluates fewer members than the eager reference; the
-    # default scan records 131 samples from at most 270 maps (722 when eager)
-    assert lazy_maps < len(count_maps) - lazy_maps
+    # default scan records 131 samples from at most 212 shape maps and 255
+    # energy maps (722 of each when eager)
+    for kind, log in count_maps.items():
+        assert 0 < lazy_maps[kind] < len(log) - lazy_maps[kind], kind
     if shrink is None:
-        assert len(lazy.samples.rows) == 131 and lazy_maps <= 270
+        assert len(lazy.samples.rows) == 131
+        assert lazy_maps["shape"] <= 212 and lazy_maps["energy"] <= 255
 
 
 def test_scan_face_test_stops_at_its_first_failing_sample(trial_profile, problem,
                                                           c_star_lower, count_maps,
                                                           monkeypatch):
     # no concentration can sit below 1/2 - 1/2, so each inner-face candidate
-    # fails at its first probed offset and costs exactly one member map
+    # fails at its first probed offset: one shape map and no energy map
     monkeypatch.setattr(checks, "DELTA1_CANDIDATES", (0.4, 0.3))
     monkeypatch.setattr(checks, "GAMMA_MARGIN", 0.5)
     lazy = scan_region(trial_profile, problem, c_star_lower)
     assert not lazy.found
-    assert count_maps == [(0.4, 0.0), (0.3, 0.0)]
+    assert count_maps == {"shape": [(0.4, 0.0), (0.3, 0.0)], "energy": []}
     ref = eager_scan(trial_profile, problem)
     assert ref["failure"] == lazy.failure
-    assert len(count_maps) == 2 + 2 * len(checks.Y_PROBE)
+    assert len(count_maps["shape"]) == 2 + 2 * len(checks.Y_PROBE)
+    assert len(count_maps["energy"]) == 2 * len(checks.Y_PROBE)
 
 
 def test_homotopy_clearances(scan):

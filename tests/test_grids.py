@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,14 +25,20 @@ from hartreekit import (
 )
 from hartreekit.grids import (
     _TAIL_NODES,
+    _THETA_NODES,
     _cubic_spline,
-    _eval_spline,
     _gauss_legendre,
+    _horner,
+    _offset_distance,
+    _sides,
+    _spline_interval,
+    _tail_nodes,
     _stencil_weights,
     _tail_rule,
     _theta_rule,
     apply_stencil,
     bicenter_integrals,
+    bicenter_rows,
 )
 
 # frozen oracle values (30-digit Gamma/quadrature evaluation)
@@ -212,6 +219,63 @@ def test_bicenter_integrals_match_the_single_pair_form(grid):
         assert bicenter_integrals(f, gs, rho) == [bicenter_integral(f, g, rho) for g in gs]
 
 
+def _full_lattice_side(f, grid, rho):
+    """f's side over every row of grid's node and tail-node lattices, each row summed by einsum."""
+    t, a = _theta_rule(grid.N, _THETA_NODES)
+    return [np.einsum("ik,k->i", f(_offset_distance(s, rho, t)), a)
+            for s in (grid.r, _tail_nodes(grid)[0])]
+
+
+@pytest.mark.parametrize("support", [0.05, 0.4, 2.0, 20.0])
+def test_side_skips_exactly_the_rows_outside_the_support(grid, monkeypatch, support):
+    # a row whose sphere stays beyond a tail-free f's R_max is exactly 0.0 and
+    # is never evaluated; every other row equals the full-lattice sum bit for
+    # bit, and a tail model keeps every row
+    from hartreekit import grids
+
+    own = make_grid(5, 80, support, 1.0)
+    bump = from_callable(own, lambda r: np.exp(1 - 1 / np.clip(1 - (r / support) ** 2, 1e-12, None)))
+    tailed = RadialFn(own, bump.values, p_tail=6.0, c_tail=1e-3)
+    evaluated, skipped = [], 0
+    inner = grids._evaluate
+
+    def spy(fs, r):
+        evaluated.append(len(r))
+        return inner(fs, r)
+
+    for rho in (0.5, 2.0, 5.0, 30.0):
+        for f in (bump, tailed):
+            full = _full_lattice_side(f, grid, rho)
+            evaluated.clear()
+            monkeypatch.setattr(grids, "_evaluate", spy)
+            side = _sides([f], grid, rho, True)[0]
+            monkeypatch.undo()
+            for got, want, s, n in zip(side, full, (grid.r, _tail_nodes(grid)[0]), evaluated):
+                assert np.array_equal(got, want), (rho, f is bump)
+                outside = np.abs(s - rho) > support
+                if f is bump:
+                    assert np.all(want[outside] == 0.0)
+                    assert n == np.count_nonzero(~outside)
+                    skipped += np.count_nonzero(outside)
+                else:
+                    assert n == len(s)
+    assert skipped > 0
+
+
+def test_overlaps_reject_offsets_that_are_not_finite_and_nonnegative(grid):
+    # a nan offset must not read as a far one whose overlap is zero
+    f = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
+    bump = from_callable(make_grid(5, 80, 1.0, 1.0), lambda r: np.exp(-((4.0 * r) ** 2)))
+    for rho in (math.nan, math.inf, -1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: bicenter_integral(f, bump, rho),
+                        lambda: bicenter_integrals(bump, [f, f], rho),
+                        lambda: bicenter_rows([(bump, rho)], grid)):
+                with pytest.raises(ParameterError, match="offset"):
+                    run()
+
+
 def test_bicenter_disjoint_supports(grid):
     gf = make_grid(5, 80, 1.0, 1.0)
     bump = from_callable(gf, lambda r: np.exp(1 - 1 / np.clip(1 - r**2, 1e-12, None)) * (r < 1))
@@ -313,7 +377,8 @@ def test_cubic_spline_matches_scipy(grid, end_slope):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     x = np.concatenate([[0.0], knots, [grid.R_max], rng.uniform(0.0, grid.R_max, 2000)])
     want = ref(x)
-    assert np.max(np.abs(_eval_spline(knots, coefs, x) - want)) <= 1e-15 * np.max(np.abs(want))
+    got = _horner(coefs, *_spline_interval(knots, x))
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_radial_fn_spline_honours_the_tail_slope(grid):
