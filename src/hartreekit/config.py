@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,9 +40,14 @@ class PotentialSpec:
             p = Path(self.path)
             if not p.exists():
                 raise FileNotFoundError(f"potential file not found: {p}")
-            data = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
-            if data.shape[1] < 2:
-                raise ParameterError(f"potential file {p} must have (r, value) columns")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # numpy warns on a file without rows
+                    data = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+            except (ValueError, UserWarning) as exc:  # a non-numeric cell, ragged or no rows
+                raise ParameterError(f"potential file {p}: {exc}") from None
+            if data.shape[1] < 2 or not np.all(np.isfinite(data)):
+                raise ParameterError(f"potential file {p} must hold finite (r, value) rows")
             r_in, v_in = data[:, 0], data[:, 1]
             # np.interp reads unsorted abscissae without complaint
             if not np.all(np.diff(r_in) > 0):

@@ -1,30 +1,25 @@
 """Nonlocal engine: angular-averaged Riesz kernels and the double energy.
 
-The system convolves with |x|^-4 in every dimension N >= 5 (the
-Hardy-Littlewood-Sobolev critical case, where u^2 is exactly the critical
-power), so every grid table here has that exponent.  For a radial density f
-the convolution (|x|^-4 * f)(x) reduces to
+The system convolves with |x|^-4 in every dimension N >= 5 (the HLS-critical
+case, where u^2 is exactly the critical power).  For radial f,
 
-    g(r) = int_0^inf K_4(r, s) s^(N-1) f(s) ds,
-    K_alpha(r, s) = int_{S^{N-1}} |r e1 - s w|^(-alpha) dw.
+    (|x|^-4 * f)(r) = int_0^inf K_4(r, s) s^(N-1) f(s) ds,
+    K_4(r, s) = int_{S^{N-1}} |r e1 - s w|^-4 dw
+              = |S^{N-1}| R^-4 2F1(2, 3 - N/2; N/2; (rho/R)^2)
 
-For N = 5 the angular integral is elementary:
-
-    K_4(r, s) = pi^2 [ (r^2 + s^2) ln((r+s)/|r-s|) - 2 r s ] / (r^3 s^3),
-
-which carries a logarithmic singularity on the diagonal (alpha = N - 1 is
-exactly the borderline where the angular average stops being finite at
-r = s).  The s-integral is still absolutely convergent; the quadrature
-matrix therefore treats the cells nearest the diagonal with exact
-log-weighted moments of the local polynomial interpolant instead of plain
-nodal weights.  `angular_kernel` and `hls_constant` keep a general alpha as
-pointwise oracles.
+with R = max(r, s), rho = min(r, s) (Funk-Hecke; DLMF 15.2), one evaluator
+for every N and every table.  At even N the series terminates and
+K_4 s^(N-1) is a polynomial in s on each side of r (a kink on the diagonal);
+at odd N it is P(s) ln((r+s)/|r-s|) + Q(s), log-singular on the diagonal at
+N = 5.  The cells nearest the diagonal are therefore integrated exactly
+against each cell's Lagrange interpolant (product integration).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -58,6 +53,8 @@ __all__ = [
 
 _ALPHA = 4.0  # the Riesz exponent of every grid table
 _NEAR_CELL_REACH = 1  # cells on each side of the diagonal handled by exact moments
+_SERIES_BELOW = 0.01  # odd N: the Gauss series where x^p < this (the closed form cancels)
+_BLOCK_ENTRIES = 2**15  # table entries evaluated per block in `_build_conv_matrix`
 
 
 def hls_constant(N: int, alpha: float) -> float:
@@ -100,135 +97,160 @@ def sobolev_constant(grid: RadialGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pointwise angular kernel
+# the angular kernel
 # ---------------------------------------------------------------------------
 
-def _kernel_closed_n5a4(r, s):
-    """Exact angular average for N = 5, alpha = 4 (vectorized; inf at r = s)."""
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
+@lru_cache(maxsize=None)
+def _gauss_series(N: int, n: int) -> tuple[Fraction, ...]:
+    """First n coefficients of 2F1(2, 3 - N/2; N/2; x), exact (0 from N/2 - 2 on at even N)."""
+    f = [Fraction(1)]
+    for k in range(n - 1):
+        f.append(f[-1] * (2 + k) * (Fraction(6 - N, 2) + k) / ((Fraction(N, 2) + k) * (k + 1)))
+    return tuple(f)
+
+
+@lru_cache(maxsize=None)
+def _log_form(N: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Odd N: A_N, B_N (coefficients in x) with, t = sqrt(x), p = (N - 3)/2,
+    x^p 2F1(2, 3 - N/2; N/2; x) = A_N(x) atanh(t)/t + B_N(x).  A_N = a_N (1 + x)(1 - x)^(N-5),
+    a_N = (-1)^m m (m-1) C(2m, m) / 2^(4m-4) for N = 2m + 1, is the u^-1 term of the
+    partial fractions of int (1 - tau^2)^p (1 + x - 2 t tau)^-2 dtau; B_N, of
+    degree N - 5, is the rest of the Gauss series (both exact, then rounded).
+    """
+    m, p = (N - 1) // 2, (N - 3) // 2
+    a_N = Fraction((-1) ** m * m * (m - 1) * math.comb(2 * m, m), 2 ** (4 * m - 4))
+    A = [a_N * (-1) ** k * Fraction(math.comb(N - 4, k) * (N - 4 - 2 * k), N - 4)
+         for k in range(N - 3)]
+    f = _gauss_series(N, N - 4 - p)
+    B = [(f[n - p] if n >= p else 0) - sum(A[j] / (2 * (n - j) + 1) for j in range(n + 1))
+         for n in range(N - 4)]
+    return tuple(map(float, A)), tuple(map(float, B))
+
+
+def _reduced_kernel(N: int, t: np.ndarray) -> np.ndarray:
+    """k(t) = t^2 2F1(2, 3 - N/2; N/2; t^2) for t in (0, 1], so that
+    K_4(r, s) = |S^{N-1}| k(t) / (r^2 s^2) with t = min(r, s)/max(r, s).
+
+    Even N sums the terminating series.  Odd N takes `_log_form` (not finite
+    at t = 1), except where x^p < _SERIES_BELOW: the form cancels by about
+    x^-p, so there the Gauss series is summed to its first term under 1e-17.
+    """
+    x = t * t
+    if N % 2 == 0:
+        return x * np.polyval(np.array(_gauss_series(N, N // 2 - 2)[::-1], dtype=float), x)
+    x_cut = _SERIES_BELOW ** (2 / (N - 3))  # where x^p = _SERIES_BELOW
+    A, B = _log_form(N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = (r**2 + s**2) * np.log((r + s) / np.abs(r - s)) - 2.0 * r * s
-        out = math.pi**2 * num / (r**3 * s**3)
-    return out
+        k = np.polyval(A[::-1], x) * (np.arctanh(t) / t) + np.polyval(B[::-1], x)
+    k /= x ** ((N - 5) // 2)
+    small = x < x_cut
+    series = np.array(_gauss_series(N, math.ceil(17 / -math.log10(x_cut)))[::-1], dtype=float)
+    k[small] = x[small] * np.polyval(series, x[small])
+    return k
+
+
+def _kernel_table(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """K_4 on an r x s product of positive radii (not finite at r = s for odd N);
+    t = min/max is the same float either way round, so K is symmetric."""
+    t = np.minimum(np.divide.outer(r, s), np.divide.outer(s, r).T)
+    return sphere_area(N) * _reduced_kernel(N, t) / np.multiply.outer(r**2, s**2)
 
 
 def angular_kernel(alpha: float, r: float, s: float, N: int) -> float:
-    """K_alpha(r, s) = int_{S^{N-1}} |r e1 - s w|^(-alpha) dw.
+    """K_alpha(r, s) = int_{S^{N-1}} |r e1 - s w|^(-alpha) dw, for alpha = 4 only.
 
-    Finite for r != s; on the diagonal finite only for alpha < N - 1
-    (returns inf at the alpha = N - 1 borderline, where the singularity
-    is logarithmic and only cell-integrated quantities are finite).
+    Funk-Hecke (DLMF 15.2), as in every grid table.  On the diagonal Gauss's
+    sum 2F1(2, 3 - N/2; N/2; 1) = (N - 2) / (4 (N - 5)) is infinite at N = 5,
+    where the singularity is logarithmic (only cell integrals are finite).
     """
-    if r < 0 or s < 0 or (r == 0 and s == 0):
-        raise ParameterError("radii must be nonnegative and not both zero")
-    if alpha >= N:
-        raise ParameterError(f"alpha must be < N for an integrable kernel, got {alpha}")
-    if s == 0.0:
-        return sphere_area(N) * r ** (-alpha)
-    if r == 0.0:
-        return sphere_area(N) * s ** (-alpha)
-    if r == s and alpha >= N - 1:
-        return math.inf
-    if N == 5 and alpha == 4:
-        return float(_kernel_closed_n5a4(r, s))
-    # generic path: t = cos(theta), then t = 1 - u^2 to absorb the near-
-    # diagonal singularity; weight (1 - t^2)^((N-3)/2).  No run path calls
-    # this oracle, so scipy is imported only here.
-    from scipy.integrate import quad
-
-    a, b = r * r + s * s, 2.0 * r * s
-    pw = (N - 3) / 2.0
-    area = sphere_area(N - 1)
-
-    def integrand(u):
-        t = 1.0 - u * u
-        return 2.0 * u * (1.0 - t * t) ** pw * (a - b * t) ** (-alpha / 2.0)
-
-    # quad's default epsabs (1.49e-8) is looser than the acceptance test below
-    val, err = quad(integrand, 0.0, math.sqrt(2.0), limit=200, epsabs=0.0, epsrel=1e-11)
-    if not np.isfinite(val) or err > 1e-8 * max(abs(val), 1.0):
-        raise NumericalError(f"angular kernel quadrature failed at (r={r}, s={s})")
-    return area * val
+    if alpha != _ALPHA or N < 5 or r < 0 or s < 0 or r == s == 0:
+        raise ParameterError(f"need alpha = 4, N >= 5 and radii >= 0, not both zero; got "
+                             f"alpha={alpha}, N={N}, r={r}, s={s}")
+    if r == s or 0 in (r, s):  # the diagonal, or 2F1(...; 0) = 1
+        with np.errstate(divide="ignore"):
+            value = np.float64(N - 2) / (4 * (N - 5)) if r == s else 1.0
+        return float(sphere_area(N) * max(r, s) ** -_ALPHA * value)
+    return float(_kernel_table(N, np.array([r]), np.array([s]))[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # quadrature matrices
 # ---------------------------------------------------------------------------
 
-def _log_moments(k_max: int, lo: float, hi: float, c) -> np.ndarray:
-    """I_k(c) = int_lo^hi sigma^k ln|sigma - c| d(sigma), k = 0..k_max, per centre c.
+def _log_moments(k_max: int, c) -> np.ndarray:
+    """I_k(c) = int_-1^1 sigma^k ln|sigma - c| d(sigma), k = 0..k_max, shape c.shape + (k_max + 1,).
 
-    Returns an array of shape c.shape + (k_max + 1,).  Exact for |c| <= 3 via
-    shifted monomial antiderivatives; series in 1/c otherwise (the integrand
-    is then analytic on [lo, hi]).  Each centre's row depends on that centre
-    alone, bit for bit, whatever else the call holds.
+    |c| <= 1.25: by parts against (sigma^(k+1) - c^(k+1))/(k+1), which vanishes
+    at c (about 1.25^k ulps lost).  Beyond, ln|c| m_k plus ln(1 - sigma/c),
+    analytic on [-1, 1], by a 32-node Gauss-Legendre rule.  Each centre's row
+    is bit for bit its own, whatever else the call holds.
     """
-    c = np.asarray(c, dtype=float)
-    flat = c.reshape(-1)
-    ks = np.arange(k_max + 1)
+    flat = np.asarray(c, dtype=float).reshape(-1)
+    ks, m = np.arange(k_max + 1), _plain_moments(k_max, -1.0, 1.0)
     out = np.empty((flat.size, k_max + 1))
-    exact = np.abs(flat) <= 3.0
-    if exact.any():
-        ce = flat[exact]
+    near = np.abs(flat) <= 1.25
+    cn, cf = flat[near, None], flat[~near, None]
+    cpow = cn ** (ks + 1)
 
-        def F(x):  # int_0^x y^m ln|y| dy, m = 0..k_max
-            logx = np.log(np.abs(np.where(x == 0.0, 1.0, x)))[:, None]
-            return x[:, None] ** (ks + 1) * (logx - 1.0 / (ks + 1)) / (ks + 1)
+    def bound(end):  # (end^(k+1) - c^(k+1)) ln|end - c|, which is 0 at c = end
+        return (end ** (ks + 1) - cpow) * np.log(np.abs(np.where(cn == end, 1.0, end - cn)))
 
-        base = F(hi - ce) - F(lo - ce)
-        # sigma^k = sum_m C(k, m) c^(k-m) (sigma - c)^m
-        expo = np.clip(ks[:, None] - ks[None, :], 0, None)
-        shift = _binomials(k_max + 1) * ce[:, None, None] ** expo
-        out[exact] = np.einsum("ckm,cm->ck", shift, base)
-    if not exact.all():
-        # ln|sigma - c| = ln|c| - sum_m (sigma/c)^m / m, |sigma/c| < 1 on [lo, hi];
-        # a centre's sum stops at its first term with |1/(m c^m)| < 1e-18, and
-        # the loop ends with the last centre's stop (about 35 terms at |c| = 3)
-        cs = flat[~exact]
-        inv = 1.0 / cs
-        power = np.ones_like(cs)       # 1/c^m by cumulative product
-        live = np.ones(cs.size, dtype=bool)
-        tail = np.zeros((cs.size, k_max + 1))
-        m = 0
-        while live.any():
-            m += 1
-            power *= inv
-            coef = power / m
-            live &= np.abs(coef) >= 1e-18
-            tail += np.where(live, coef, 0.0)[:, None] * _plain_moments(k_max + m, lo, hi)[m:]
-        out[~exact] = np.log(np.abs(cs))[:, None] * _plain_moments(k_max, lo, hi) - tail
-    return out.reshape(c.shape + (k_max + 1,))
+    out[near] = bound(1.0) - bound(-1.0)
+    acc = np.zeros(len(cn))
+    for k in ks:  # - sum_i c^(k-i) m_i
+        acc = acc * cn[:, 0] + m[k]
+        out[near, k] -= acc
+    out[near] /= ks + 1
+    x, w = _gauss_legendre(32)
+    out[~near] = np.log(np.abs(cf)) * m + np.einsum(
+        "cg,gk->ck", np.log1p(-x / cf), w[:, None] * x[:, None] ** ks)
+    return out.reshape(np.shape(c) + (k_max + 1,))
 
 
-@lru_cache(maxsize=None)
-def _binomials(n: int) -> np.ndarray:
-    """C(k, m) for 0 <= k, m < n as floats (0 for m > k); read-only, memoized."""
-    out = np.array([[math.comb(k, m) for m in range(n)] for k in range(n)], dtype=float)
-    out.flags.writeable = False
-    return out
+def _plain_moments(k_max: int, lo, hi) -> np.ndarray:
+    """int_lo^hi sigma^k d(sigma), k = 0..k_max; limits scalars or per-pair arrays."""
+    ks = np.arange(1, k_max + 2)
+    return (np.power.outer(hi, ks) - np.power.outer(lo, ks)) / ks
 
 
-def _plain_moments(k_max: int, lo: float, hi: float) -> np.ndarray:
-    ks = np.arange(k_max + 1)
-    return (hi ** (ks + 1) - lo ** (ks + 1)) / (ks + 1)
+def _kernel_pieces(N: int, ri: np.ndarray, c_minus: np.ndarray, c_plus: np.ndarray,
+                   k_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """K_4(r_i, s) s^(N-1) on each pair's cell as [(coefficients of s^0..s^(2N-7),
+    moments k = 0..k_max of the piece's weight in sigma)]; sigma(+-r_i) = c_minus/c_plus.
+    Odd N: P ln((r_i + s)/|r_i - s|) + Q, P = |S|/2 sum a_k r_i^(N-6-2k) s^(2k+1),
+    Q = |S| sum b_k r_i^(N-7-2k) s^(2k+2) (`_log_form`).  Even N: |S| sum f_k
+    r_i^(-4-2k) s^(N-1+2k) below r_i and |S| sum f_k r_i^(2k) s^(N-5-2k) above.
+    """
+    area, r = sphere_area(N), ri[:, None]
+    coef = np.zeros((2, len(ri), 2 * N - 6))
+    if N % 2:
+        A, B = (np.array(v, dtype=float) for v in _log_form(N))
+        coef[0, :, 1::2] = area / 2 * A * r ** (N - 6 - 2 * np.arange(N - 3))
+        coef[1, :, 2::2] = area * B * r ** (N - 7 - 2 * np.arange(N - 4))
+        mom_plus, mom_minus = _log_moments(k_max, np.stack([c_plus, c_minus]))
+        return [(coef[0], mom_plus - mom_minus),
+                (coef[1], _plain_moments(k_max, -1.0, np.ones_like(ri)))]
+    f = np.array(_gauss_series(N, N // 2 - 2), dtype=float)
+    coef[0, :, N - 1::2] = area * f * r ** (-4 - 2 * np.arange(len(f)))
+    coef[1, :, N - 5::-2] = area * f * r ** (2 * np.arange(len(f)))
+    split = np.clip(c_minus, -1.0, 1.0)
+    return [(coef[0], _plain_moments(k_max, -1.0, split)),
+            (coef[1], _plain_moments(k_max, split, 1.0))]
 
 
 def _near_cell_weights(grid: RadialGrid, C: np.ndarray) -> None:
-    """Overwrite C's near-diagonal blocks with exact weights (N = 5, alpha = 4).
-
-    Each (row i, cell) pair within _NEAR_CELL_REACH cells of the diagonal
-    gets the weights of int_cell K(r_i, s) s^{N-1} f(s) ds, with f replaced
-    by its Lagrange interpolant on the cell's own nodes; the kernel factor
-    splits into low-degree polynomials times ln(s + r_i), ln|s - r_i| and 1,
-    all of whose moments are exact.  Every pair of one cell node count is
-    handled in one batched pass.
+    """Overwrite C's near-diagonal blocks with product-integration weights
+    (Atkinson 1997, sec. 4.2): each (row i, cell) pair within _NEAR_CELL_REACH
+    cells of the diagonal gets the exact int_cell K(r_i, s) s^{N-1} f(s) ds of
+    the cell's Lagrange interpolant f, since `_kernel_pieces` are polynomials
+    times 1 or a log.  Every pair of one cell node count is one batched pass.
     """
     counts = np.bincount(grid.node_cell)
     first = np.cumsum(counts) - counts
     mids = 0.5 * (grid.edges[1:] + grid.edges[:-1])
     hs = 0.5 * (grid.edges[1:] - grid.edges[:-1])
-    n = np.arange(4)
+    n = np.arange(2 * grid.N - 6)  # powers of s in every piece
+    binomials = np.array([[math.comb(a, b) for b in n] for a in n], dtype=float)
     for q in np.unique(counts):
         cells = np.flatnonzero(counts == q)
         nodes = first[cells][:, None] + np.arange(q)   # (cell, node) grid indices
@@ -243,58 +265,30 @@ def _near_cell_weights(grid: RadialGrid, C: np.ndarray) -> None:
         # column j = monomial coeffs (in sigma) of Lagrange basis j, per cell
         x = (grid.r[nodes] - mid[:, None]) / h[:, None]
         Linv = np.linalg.inv(x[:, :, None] ** np.arange(q))
-
-        # P(r,s) s^4 = pi^2 (r^2 s + s^3) / r^3  and  Q(r,s) s^4 = -2 pi^2 s^2 / r^2
-        # expanded in sigma with s = mid + h sigma: s^n = sum_m shift[n, m] sigma^m.
-        # The innermost rows' weights on the next cell cancel by about (s/r)^4,
-        # so P's last bit shows in C: keep its rounding as written.
-        shift = (_binomials(4) * mid[:, None, None] ** np.clip(n[:, None] - n, 0, None)
+        # s^n = sum_m shift[n, m] sigma^m with s = mid + h sigma, per pair
+        shift = (binomials * mid[:, None, None] ** np.clip(n[:, None] - n, 0, None)
                  * h[:, None, None] ** n)[k]
-        P = ((math.pi**2 * ri**2 / ri**3)[:, None] * shift[:, 1]
-             + (math.pi**2 / ri**3)[:, None] * shift[:, 3])
-        Q = (-2.0 * math.pi**2 / ri**2)[:, None] * shift[:, 2, :3]
-
-        # ln(s + r_i) = ln h + ln|sigma - sigma_+| with sigma_+ = -(r_i + mid)/h;
-        # the ln h terms cancel against ln|s - r_i| = ln h + ln|sigma - sigma_i|
-        centres = np.stack([-(ri + mid[k]) / h[k], (ri - mid[k]) / h[k]])
-        mom_plus, mom_minus = _log_moments(q + 2, -1.0, 1.0, centres)
-        hankel = n[:, None] + np.arange(q)  # (P L_j)_k pairs P_a with L_b at k = a + b
-        G = (np.einsum("pa,pab->pb", P, (mom_plus - mom_minus)[:, hankel])
-             + Q @ _plain_moments(q + 1, -1.0, 1.0)[hankel[:3]])
+        hankel = n[:, None] + np.arange(q)  # (piece L_j)_k pairs piece_a with L_b at k = a + b
+        pieces = _kernel_pieces(grid.N, ri, (ri - mid[k]) / h[k], -(ri + mid[k]) / h[k],
+                                len(n) + q - 2)
+        G = sum(np.einsum("pa,pab->pb", np.einsum("pn,pnm->pm", coef, shift), mom[:, hankel])
+                for coef, mom in pieces)
         C[rows[:, None], nodes[k]] = h[k, None] * np.einsum("pb,pbj->pj", G, Linv[k])
 
 
 def _build_conv_matrix(grid: RadialGrid) -> np.ndarray:
-    """Matrix C with (C f)_i ~ int K_4(r_i, s) s^{N-1} f(s) ds."""
-    r = grid.r
-    C = _kernel_table(grid.N, r, r) * (grid.w1 * r ** (grid.N - 1))[None, :]
-    if grid.N == 5:
-        # the log-singular diagonal (inf in the table) and its neighbours
-        _near_cell_weights(grid, C)
-    return C
+    """Matrix C with (C f)_i ~ int K_4(r_i, s) s^{N-1} f(s) ds.
 
-
-def _kernel_table(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """K_4 on an r x s product: closed form at N = 5, else a fixed high-order rule.
-
-    For N >= 6 the diagonal is integrable; the rule in u = sqrt(1 - t) is
-    accumulated node by node so peak memory stays at one (len(r), len(s))
-    block.
+    The table K_4(r_i, r_j) w1_j r_j^(N-1) is built in blocks of about
+    _BLOCK_ENTRIES entries, so no temporary outgrows a block; then the
+    near-diagonal blocks are overwritten.
     """
-    if N == 5:
-        return _kernel_closed_n5a4(r[:, None], s[None, :])
-    u, wu = _gauss_legendre(96)
-    u = 0.5 * math.sqrt(2.0) * (u + 1.0)
-    wu = 0.5 * math.sqrt(2.0) * wu
-    t = 1.0 - u * u
-    pw = (N - 3) / 2.0
-    ang_w = 2.0 * u * (1.0 - t * t) ** pw * wu * sphere_area(N - 1)
-    a = r[:, None] ** 2 + s[None, :] ** 2
-    b = 2.0 * r[:, None] * s[None, :]
-    K = np.zeros_like(a)
-    for tk, wk in zip(t, ang_w):
-        K += wk * (a - b * tk) ** (-_ALPHA / 2.0)
-    return K
+    r, step = grid.r, max(1, _BLOCK_ENTRIES // grid.M)
+    C = np.empty((grid.M, grid.M))
+    for i in range(0, grid.M, step):
+        C[i:i + step] = _kernel_table(grid.N, r[i:i + step], r) * (grid.w1 * r ** (grid.N - 1))
+    _near_cell_weights(grid, C)
+    return C
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,6 +210,35 @@ def test_cli_unsorted_potential_file_exit_code(tmp_path, capsys):
     assert str(csv) in err and "strictly increasing" in err
 
 
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH, for child runs."""
+    import hartreekit
+
+    src = str(Path(hartreekit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.mark.parametrize("body", [
+    "r,value\n0.0,0.1\n0.5,abc\n",
+    "r,value\n0.0,0.1\n0.5,0.05,1.0\n",
+    "r,value\n",
+], ids=["non-numeric", "ragged", "header-only"])
+def test_cli_malformed_potential_file_exit_code(tmp_path, body):
+    # a usage error that names the file, with no traceback and no numpy warning
+    csv = tmp_path / "v.csv"
+    csv.write_text(body)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[problem]\nv1.family = csv\nv1.path = {csv}\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hartreekit", "constants", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 2, proc.stderr
+    assert str(csv) in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 _SCIPY_LOADED = ("import sys; print(sorted(m for m in sys.modules "
                  "if m.split('.')[0] == 'scipy'))")
 
@@ -221,29 +250,19 @@ _SCIPY_LOADED = ("import sys; print(sorted(m for m in sys.modules "
 ], ids=["import", "run-all"])
 def test_run_path_imports_no_scipy(tmp_path, command):
     # scipy is an oracle for the tests only: the run path is numpy alone
-    import hartreekit
-
     cfg = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
-    src = str(Path(hartreekit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = command.format(cfg=str(cfg), out=str(tmp_path / "out")) + "; " + _SCIPY_LOADED
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+                          env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the thread count is set in the children's environment only
-    import hartreekit
-
-    src = str(Path(hartreekit.__file__).resolve().parents[1])
-    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     reports = []
     for threads in ("1", "2"):
-        env = dict(base, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    MKL_NUM_THREADS=threads)
         out = tmp_path / f"threads{threads}"
         proc = subprocess.run([sys.executable, "-m", "hartreekit", "run-all", "--out", str(out)],
