@@ -7,13 +7,12 @@ lemma-by-lemma verification harness with a CLI.
 """
 
 from .bubbles import (
-    Bubble,
     CouplingConstants,
     TrialProfile,
     bubble_constant,
+    bubble_profile,
     coupling_constants,
     ground_pair,
-    make_bubble,
     make_constants_table,
     make_trial_profile,
     quotient_infimum,
@@ -24,11 +23,13 @@ from .checks import (
     AdmissibilityReport,
     RegionScan,
     VerifyContext,
+    brezis_lieb_check,
     check_A3,
     choose_a_and_cbar,
     homotopy_boundary_check,
     lambda_sweep,
     scan_region,
+    vanishing_energy_limit,
     verify_lemma,
 )
 from .energy import (
@@ -55,9 +56,7 @@ from .errors import (
 from .flow import (
     FlowConfig,
     FlowDiagnostics,
-    brezis_lieb_check,
     solve_limit_ground_state,
-    vanishing_energy_limit,
 )
 from .grids import (
     Pair,

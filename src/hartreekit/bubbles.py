@@ -48,11 +48,10 @@ from .grids import (
 from .riesz import ConstantsTable, double_energy, hls_constant, sobolev_constant
 
 __all__ = [
-    "Bubble",
     "CouplingConstants",
     "TrialProfile",
     "bubble_constant",
-    "make_bubble",
+    "bubble_profile",
     "make_constants_table",
     "coupling_constants",
     "quotient_infimum",
@@ -100,36 +99,20 @@ def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
     return root._cache[key]
 
 
-@dataclass(frozen=True)
-class Bubble:
-    """Extremal U_delta, in closed form about its center."""
-
-    delta: float
-    N: int
-    c_N: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ParameterError(f"dilation must be positive, got {self.delta}")
-
-    def __call__(self, dist):
-        """Evaluate at distance `dist` from the center."""
-        d = self.delta
-        return self.c_N * (d / (d**2 + np.asarray(dist, float) ** 2)) ** ((self.N - 2) / 2.0)
-
-    def profile_on(self, grid: RadialGrid) -> RadialFn:
-        p = (self.N - 2) / 2.0
-        return RadialFn(grid, self(grid.r), p_tail=self.N - 2,
-                        c_tail=self.c_N * self.delta**p)
+def bubble_profile(delta: float, grid: RadialGrid) -> RadialFn:
+    """Extremal U_delta on `grid`, with the amplitude C_N pinned on the grid
+    (or on its root grid) and the tail C_N delta^((N-2)/2) r^-(N-2)."""
+    c_N = bubble_constant(grid.N, grid)
+    if delta <= 0:
+        raise ParameterError(f"dilation must be positive, got {delta}")
+    d = float(delta)
+    p = (grid.N - 2) / 2.0
+    return RadialFn(grid, c_N * (d / (d**2 + grid.r**2)) ** p,
+                    p_tail=grid.N - 2, c_tail=c_N * d**p)
 
 
-def make_bubble(delta: float, grid: RadialGrid) -> Bubble:
-    """Bubble with the amplitude pinned on `grid` (or on its root grid)."""
-    return Bubble(delta=float(delta), N=grid.N,
-                  c_N=bubble_constant(grid.N, grid))
-
-
-def make_constants_table(N: int, grid: RadialGrid) -> ConstantsTable:
+def make_constants_table(grid: RadialGrid) -> ConstantsTable:
+    N = grid.N
     S = sobolev_constant(grid)
     C = hls_constant(N, 4.0)
     return ConstantsTable(
@@ -236,7 +219,7 @@ def quotient_infimum(mu1: float, mu2: float, beta: float):
 def ground_pair(delta: float, rho: float, cc: CouplingConstants,
                 grid: RadialGrid) -> Pair:
     """The coupled ground state (sqrt(k1) U_delta, sqrt(k2) U_delta), offset by rho."""
-    prof = make_bubble(delta, grid).profile_on(grid)
+    prof = bubble_profile(delta, grid)
     return Pair(math.sqrt(cc.k1) * prof, math.sqrt(cc.k2) * prof, rho)
 
 

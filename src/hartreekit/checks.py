@@ -1,4 +1,5 @@
-"""Named verification checks, the linking-region scan, and the homotopy test.
+"""Named verification checks, their bubble-family tables, the linking-region
+scan, and the homotopy test.
 
 Every check returns a LemmaReport whose rows each carry an explicit
 tolerance.  Limit statements are rendered at desk scale: along a geometric
@@ -25,9 +26,9 @@ import numpy as np
 from .bubbles import (
     CouplingConstants,
     TrialProfile,
+    bubble_profile,
     coupling_constants,
     ground_pair,
-    make_bubble,
     trial_pair,
 )
 from .energy import (
@@ -37,13 +38,12 @@ from .energy import (
     energy_I,
     nehari_project,
     pohozaev_residual,
-    potential_mass,
     trial_projection_scalars,
     weak_residual,
 )
 from .errors import AdmissibilityError, DomainError, NumericalError, ParameterError
-from .flow import FlowConfig, FlowDiagnostics, brezis_lieb_check, vanishing_energy_limit
-from .grids import Pair, RadialFn, dirichlet_seminorm, integrate
+from .flow import FlowConfig, FlowDiagnostics
+from .grids import Pair, RadialFn, RadialGrid, _has_tail, integrate
 from .reporting import LemmaReport, Table, limit_trend
 from .riesz import ConstantsTable, double_energy
 
@@ -57,6 +57,8 @@ __all__ = [
     "homotopy_boundary_check",
     "lambda_sweep",
     "limit_trend",
+    "vanishing_energy_limit",
+    "brezis_lieb_check",
     "CHECK_IDS",
     "VerifyContext",
     "verify_lemma",
@@ -147,8 +149,8 @@ def choose_a_and_cbar(prob: Problem, constants: ConstantsTable, c_star_lower: fl
     """Exponent a in (0, 1) and the energy cap cbar.
 
     a solves f(a) = left where f(t) = 2^(-(1-t)/2) * minfactor * S - S is
-    continuous and increasing on [0, 1] (bisection, cross-checkable against
-    the closed form); cbar is the midpoint of
+    continuous and increasing on [0, 1], so a = 1 + 2 log2((left + S) /
+    (minfactor * S)); cbar is the midpoint of
     (c_inf, min((c_star_lower + c_inf)/2, 2^(1-a) c_inf)).  The implied chain
     2^(1-a) c_inf <= min(scalar levels, 2 c_inf) is verified.
     """
@@ -162,21 +164,11 @@ def choose_a_and_cbar(prob: Problem, constants: ConstantsTable, c_star_lower: fl
     S = constants.sobolev
     left = rep.left_plain
 
-    def f(t):
-        return 2.0 ** (-(1.0 - t) / 2.0) * mf * S - S
-
-    lo, hi = 0.0, 1.0
-    if f(lo) >= left:
-        # degenerate: even t = 0 clears the left side; keep a interior
+    if 2.0 ** -0.5 * mf * S - S >= left:
+        # degenerate: even f(0) clears the left side; keep a interior
         a = 1e-9
     else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < left:
-                lo = mid
-            else:
-                hi = mid
-        a = 0.5 * (lo + hi)
+        a = 1.0 + 2.0 * math.log2((left + S) / (mf * S))
     if not 0.0 < a < 1.0:
         raise AdmissibilityError(f"exponent landed outside (0, 1): a={a}")
 
@@ -451,6 +443,95 @@ def lambda_sweep(profile: TrialProfile, scan: RegionScan) -> Table:
 
 
 # ---------------------------------------------------------------------------
+# bubble-family sequences
+# ---------------------------------------------------------------------------
+
+def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
+                           grid: RadialGrid):
+    """Scalar concentration family mu_j^(-1/2) U_delta: potential mass and
+    constrained energy per dilation.
+
+    Each row evaluates energy_I at the pair with mu_j^(-1/2) U_delta in
+    component j and zero in the other, on the delta-scaled copy of the base
+    grid, so the dilation covariances (L^2 mass ~ delta^2, Dirichlet and
+    double energies constant) hold to machine precision and only the
+    potential term carries delta dependence.  t_n and the energy are the
+    pair's Nehari ray scaling and level.
+    """
+    if mu_index not in (1, 2):
+        raise ParameterError("mu_index must be 1 or 2")
+    mu = prob.mu1 if mu_index == 1 else prob.mu2
+    lam = prob.lam1 if mu_index == 1 else prob.lam2
+
+    table = Table(
+        "vanishing_limits",
+        ["delta", "l2_mass", "lambda_mass", "potential_mass", "t_n", "energy"],
+    )
+    for d in delta_seq:
+        gd = grid.scaled(float(d))
+        prof = bubble_profile(d, gd) * (1.0 / math.sqrt(mu))
+        zero = RadialFn(gd, np.zeros(gd.M))
+        br = energy_I(Pair(prof, zero) if mu_index == 1 else Pair(zero, prof), prob)
+        l2 = integrate(prof.squared())
+        table.add(delta=float(d), l2_mass=l2, lambda_mass=lam * l2,
+                  potential_mass=br.potential, t_n=math.sqrt(br.ray_scale_sq),
+                  energy=br.nehari_level)
+    return table
+
+
+def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
+                      sigma_seq, fine_grid: RadialGrid):
+    """Splitting error of the nonlocal energy along a concentrating family.
+
+    u_n = u0 + sigma_n^(-(N-2)/2) b(x / sigma_n); the self column reports
+    | D(u_n^2, u_n^2) - D((u_n - u0)^2, (u_n - u0)^2) - D(u0^2, u0^2) |
+    and the mixed column the analogous quantity for the pair
+    (u_n, v_n = u0/2 + bubble).  All three double energies are evaluated
+    independently on one fine grid resolving both scales.
+
+    The bubbles sit at the origin, like the background: the discretization
+    carries a single translation center, and a background plus an offset
+    bubble would need two.
+    """
+    g = fine_grid
+    N = g.N
+
+    if u0 is None:
+        u0f = RadialFn(g, np.zeros(g.M))
+    else:
+        u0f = u0.resample(g).positive()
+    v0f = 0.5 * u0f
+    d_u0 = double_energy(u0f.squared(), u0f.squared())
+    d_u0v0 = double_energy(u0f.squared(), v0f.squared())
+
+    table = Table(
+        "nonlocal_splitting",
+        ["sigma", "self_error", "mixed_error", "d_full", "d_bubble", "d_background"],
+    )
+    p = (N - 2) / 2.0
+    for sig in sigma_seq:
+        vals = bubble_profile(g.r / sig) * sig ** (-p)
+        if _has_tail(bubble_profile):
+            ct = bubble_profile.c_tail * sig ** (bubble_profile.p_tail - p)
+            bn = RadialFn(g, vals, p_tail=bubble_profile.p_tail, c_tail=ct)
+        else:
+            bn = RadialFn(g, vals)
+        bn = bn.positive()
+        un = (u0f + bn).positive()
+        vn = (v0f + bn).positive()
+        d_bn = double_energy(bn.squared(), bn.squared())
+        d_un = double_energy(un.squared(), un.squared())
+        d_mixed = double_energy(un.squared(), vn.squared())
+        table.add(
+            sigma=float(sig),
+            self_error=abs(d_un - d_bn - d_u0),
+            mixed_error=abs(d_mixed - d_bn - d_u0v0),
+            d_full=d_un, d_bubble=d_bn, d_background=d_u0,
+        )
+    return table
+
+
+# ---------------------------------------------------------------------------
 # named checks
 # ---------------------------------------------------------------------------
 
@@ -504,7 +585,7 @@ def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
         )
         lam = ctx.prob.lam1 if j == 1 else ctx.prob.lam2
         if lam > 0:
-            u1 = make_bubble(1.0, ctx.grid).profile_on(ctx.grid)
+            u1 = bubble_profile(1.0, ctx.grid)
             l2_u1 = integrate(u1.squared())
             worst = 0.0
             for row in tbl.rows:
@@ -569,18 +650,11 @@ def _check_ground_level_limit(ctx: VerifyContext) -> LemmaReport:
     tbl = Table("level_limit", ["delta", "potential_mass", "t_n", "energy_gap"])
     gaps = []
     for d in deltas:
-        gd = ctx.grid.scaled(d)
-        prof = make_bubble(d, gd).profile_on(gd)
-        sq = prof.squared()
-        pot = (cc.k1 * potential_mass(ctx.prob.V1, ctx.prob.lam1, sq)
-               + cc.k2 * potential_mass(ctx.prob.V2, ctx.prob.lam2, sq))
-        K = dirichlet_seminorm(prof)
-        D = double_energy(sq, sq)
-        t_sq = (cc.k_sum * K + pot) / (cc.k_sum * D)
-        energy = 0.25 * t_sq * (cc.k_sum * K + pot)
-        gaps.append(abs(energy - cc.c_inf))
-        tbl.add(delta=d, potential_mass=pot, t_n=math.sqrt(t_sq),
-                energy_gap=energy - cc.c_inf)
+        br = energy_I(ground_pair(d, 0.0, cc, ctx.grid.scaled(d)), ctx.prob)
+        gap = br.nehari_level - cc.c_inf
+        gaps.append(abs(gap))
+        tbl.add(delta=d, potential_mass=br.potential, t_n=math.sqrt(br.ray_scale_sq),
+                energy_gap=gap)
     rep.tables.append(tbl)
     rep.trend("energy gap to the limit level: final/initial", gaps)
     rep.require("energy at the smallest dilation", gaps[-1] + cc.c_inf,
@@ -596,7 +670,7 @@ def _check_nonlocal_splitting(ctx: VerifyContext) -> LemmaReport:
     from .grids import from_callable, make_grid
 
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
-    bprof = make_bubble(1.0, grid).profile_on(grid)
+    bprof = bubble_profile(1.0, grid)
     fine = make_grid(grid.N, 640, grid.R_max, 1.025)
     tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], fine)
     rep.tables.append(tbl)
@@ -608,6 +682,28 @@ def _check_nonlocal_splitting(ctx: VerifyContext) -> LemmaReport:
     return rep
 
 
+# offsets probed at each dilation of the concentration and spreading limits
+_OFFSET_PROBES = (0.0, 1.0, 3.0, 10.0)
+# the trial family's three parameter limits, which 4.4 and 5.1 both sample:
+# (label, the parameter's sequence, the probes each sup runs over, whether
+# the parameter is the offset).  The spreading overlap with the potential
+# bulk peaks near dilation ~ 1 / inner scale; its sequence starts beyond
+# that hump, where the vanishing statement applies.
+TRIAL_LIMITS = (
+    ("concentration", (1.0, 0.3, 0.1, 0.03), _OFFSET_PROBES, False),
+    ("spreading", (100.0, 300.0, 1000.0, 3000.0), _OFFSET_PROBES, False),
+    ("far offset", (1.0, 4.0, 16.0, 64.0), (0.3, 1.0, 3.0, 10.0), True),
+)
+
+
+def _limit_sups(quantity):
+    """(label, sequence, sups) per trial limit: the sup of quantity(delta, rho)
+    over the limit's probes at each parameter of its sequence."""
+    return [(label, seq, [max(quantity(q, p) if offset else quantity(p, q) for q in probes)
+                          for p in seq])
+            for label, seq, probes, offset in TRIAL_LIMITS]
+
+
 def _check_potential_vanishing(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("4.4", "potential mass of the trial family vanishes in all "
                              "three parameter limits")
@@ -616,26 +712,15 @@ def _check_potential_vanishing(ctx: VerifyContext) -> LemmaReport:
     def pot_mass(delta, rho):
         return max(0.0, *ctx.prob.potential_overlaps(prof.member_square(delta), rho))
 
-    probes = (0.0, 1.0, 3.0, 10.0)
-    seq_small = [1.0, 0.3, 0.1, 0.03]
-    # the overlap with the potential bulk peaks near dilation ~ 1 / inner scale;
-    # the vanishing statement concerns the regime beyond the hump
-    seq_large = [100.0, 300.0, 1000.0, 3000.0]
-    seq_radius = [1.0, 4.0, 16.0, 64.0]
-    sup_small = [max(pot_mass(d, rho) for rho in probes) for d in seq_small]
-    sup_large = [max(pot_mass(d, rho) for rho in probes) for d in seq_large]
-    sup_far = [max(pot_mass(d, r) for d in (0.3, 1.0, 3.0, 10.0)) for r in seq_radius]
+    sups = _limit_sups(pot_mass)
     pre_hump = Table("spreading_prehump", ["parameter", "sup_potential_mass"])
     for d in (1.0, 10.0):
-        pre_hump.add(parameter=d, sup_potential_mass=max(pot_mass(d, rho) for rho in probes))
+        pre_hump.add(parameter=d,
+                     sup_potential_mass=max(pot_mass(d, rho) for rho in _OFFSET_PROBES))
     rep.tables.append(pre_hump)
     rep.add_note("spreading overlap first rises while the family still sits on the "
                  "potential bulk; the trend gate samples the decaying regime")
-    for label, seq, sup in (
-        ("concentration", seq_small, sup_small),
-        ("spreading", seq_large, sup_large),
-        ("far offset", seq_radius, sup_far),
-    ):
+    for label, seq, sup in sups:
         t = Table(f"{label.replace(' ', '_')}_limit", ["parameter", "sup_potential_mass"])
         for p, s in zip(seq, sup):
             t.add(parameter=p, sup_potential_mass=s)
@@ -681,16 +766,8 @@ def _check_projection_scalars(ctx: VerifyContext) -> LemmaReport:
         t0, _ = trial_projection_scalars(prof, delta, rho, ctx.prob, cc)
         return abs(t0 - 1.0)
 
-    probes = (0.0, 1.0, 3.0, 10.0)
-    for label, seq, rho_set in (
-        ("concentration", [1.0, 0.3, 0.1, 0.03], probes),
-        ("spreading", [100.0, 300.0, 1000.0, 3000.0], probes),
-    ):
-        sup = [max(t0_dev(d, rho) for rho in rho_set) for d in seq]
-        rep.trend(f"{label} limit of |t0 - 1|: final/initial", sup)
-    sup_far = [max(t0_dev(d, r) for d in (0.3, 1.0, 3.0, 10.0))
-               for r in [1.0, 4.0, 16.0, 64.0]]
-    rep.trend("far-offset limit of |t0 - 1|: final/initial", sup_far)
+    for label, _, sup in _limit_sups(t0_dev):
+        rep.trend(f"{label.replace(' ', '-')} limit of |t0 - 1|: final/initial", sup)
     return rep
 
 

@@ -135,6 +135,16 @@ class EnergyBreakdown:
         """Nehari defect <I'(u,v), (u,v)>."""
         return (self.kinetic + self.potential) - self.nonlocal_sum
 
+    @property
+    def ray_scale_sq(self) -> float:
+        """t^2 of the one t > 0 that puts t (u, v) on the Nehari set."""
+        return (self.kinetic + self.potential) / self.nonlocal_sum
+
+    @property
+    def nehari_level(self) -> float:
+        """The functional at t (u, v): a quarter of t^2 (kinetic + potential)."""
+        return 0.25 * self.ray_scale_sq * (self.kinetic + self.potential)
+
     def to_dict(self) -> dict:
         return {
             "kinetic": self.kinetic,
@@ -185,13 +195,13 @@ def energy_I(p: Pair, prob: Problem) -> EnergyBreakdown:
 def nehari_project(p: Pair, prob: Problem):
     """Unique t > 0 with t * p on the Nehari set of `prob`.
 
-    t^2 = (kinetic + potential) / (nonlocal sum); the projected pair has
-    zero defect up to roundoff by construction.
+    t^2 is EnergyBreakdown.ray_scale_sq; the projected pair has zero defect
+    up to roundoff by construction.
     """
     br = energy_I(p, prob)
     if br.nonlocal_sum <= 0.0:
         raise ProjectionError("pair has vanishing positive part; projection undefined")
-    t = math.sqrt((br.kinetic + br.potential) / br.nonlocal_sum)
+    t = math.sqrt(br.ray_scale_sq)
     return t, p.scale(t)
 
 

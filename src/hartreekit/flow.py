@@ -1,4 +1,4 @@
-"""Ground-state flows and sequence bookkeeping checks.
+"""Projected ground-state flow of the coupled limit system.
 
 The limit system has no potentials; restricted to its Nehari set the
 functional equals a quarter of the Dirichlet norm, so the coupled ground
@@ -29,27 +29,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .bubbles import CouplingConstants, bubble_constant, make_bubble
-from .energy import Problem, _coupling_matrix, potential_mass, weak_residual
+from .bubbles import CouplingConstants, bubble_constant
+from .energy import Problem, _coupling_matrix, weak_residual
 from .errors import ParameterError
-from .grids import (
-    Pair,
-    RadialFn,
-    RadialGrid,
-    _dirichlet_sums,
-    _has_tail,
-    _stencil_windows,
-    dirichlet_seminorm,
-    integrate,
-)
-from .riesz import double_energy, kernel_for
+from .grids import Pair, RadialFn, RadialGrid, _dirichlet_sums, _stencil_windows
+from .riesz import kernel_for
 
 __all__ = [
     "FlowConfig",
     "FlowDiagnostics",
     "solve_limit_ground_state",
-    "vanishing_energy_limit",
-    "brezis_lieb_check",
 ]
 
 
@@ -369,98 +358,3 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     )
     return diag
 
-
-# ---------------------------------------------------------------------------
-# sequence bookkeeping
-# ---------------------------------------------------------------------------
-
-def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
-                           grid: RadialGrid):
-    """Scalar concentration family mu_j^(-1/2) U_delta: potential mass and
-    constrained energy per dilation.
-
-    Each row is computed on the delta-scaled copy of the base grid, so the
-    dilation covariances (L^2 mass ~ delta^2, Dirichlet and double energies
-    constant) hold to machine precision and only the potential term carries
-    delta dependence.
-    """
-    from .reporting import Table
-
-    if mu_index not in (1, 2):
-        raise ParameterError("mu_index must be 1 or 2")
-    mu = prob.mu1 if mu_index == 1 else prob.mu2
-    lam = prob.lam1 if mu_index == 1 else prob.lam2
-    V = prob.potential(mu_index)
-
-    table = Table(
-        "vanishing_limits",
-        ["delta", "l2_mass", "lambda_mass", "potential_mass", "t_n", "energy"],
-    )
-    for d in delta_seq:
-        gd = grid.scaled(float(d))
-        prof = make_bubble(float(d), gd).profile_on(gd) * (1.0 / math.sqrt(mu))
-        sq = prof.squared()
-        l2 = integrate(sq)
-        lam_mass = lam * l2
-        pot = potential_mass(V, lam, sq)
-        K = dirichlet_seminorm(prof)
-        D = double_energy(sq, sq)
-        t_sq = (K + pot) / (mu * D)
-        energy = 0.25 * t_sq * (K + pot)
-        table.add(delta=float(d), l2_mass=l2, lambda_mass=lam_mass,
-                  potential_mass=pot, t_n=math.sqrt(t_sq), energy=energy)
-    return table
-
-
-def brezis_lieb_check(u0: RadialFn | None, bubble_profile: RadialFn,
-                      sigma_seq, fine_grid: RadialGrid):
-    """Splitting error of the nonlocal energy along a concentrating family.
-
-    u_n = u0 + sigma_n^(-(N-2)/2) b(x / sigma_n); the self column reports
-    | D(u_n^2, u_n^2) - D((u_n - u0)^2, (u_n - u0)^2) - D(u0^2, u0^2) |
-    and the mixed column the analogous quantity for the pair
-    (u_n, v_n = u0/2 + bubble).  All three double energies are evaluated
-    independently on one fine grid resolving both scales.
-
-    The bubbles sit at the origin, like the background: the discretization
-    carries a single translation center, and a background plus an offset
-    bubble would need two.
-    """
-    from .reporting import Table
-
-    g = fine_grid
-    N = g.N
-
-    if u0 is None:
-        u0f = RadialFn(g, np.zeros(g.M))
-    else:
-        u0f = u0.resample(g).positive()
-    v0f = 0.5 * u0f
-    d_u0 = double_energy(u0f.squared(), u0f.squared())
-    d_u0v0 = double_energy(u0f.squared(), v0f.squared())
-
-    table = Table(
-        "nonlocal_splitting",
-        ["sigma", "self_error", "mixed_error", "d_full", "d_bubble", "d_background"],
-    )
-    p = (N - 2) / 2.0
-    for sig in sigma_seq:
-        vals = bubble_profile(g.r / sig) * sig ** (-p)
-        if _has_tail(bubble_profile):
-            ct = bubble_profile.c_tail * sig ** (bubble_profile.p_tail - p)
-            bn = RadialFn(g, vals, p_tail=bubble_profile.p_tail, c_tail=ct)
-        else:
-            bn = RadialFn(g, vals)
-        bn = bn.positive()
-        un = (u0f + bn).positive()
-        vn = (v0f + bn).positive()
-        d_bn = double_energy(bn.squared(), bn.squared())
-        d_un = double_energy(un.squared(), un.squared())
-        d_mixed = double_energy(un.squared(), vn.squared())
-        table.add(
-            sigma=float(sig),
-            self_error=abs(d_un - d_bn - d_u0),
-            mixed_error=abs(d_mixed - d_bn - d_u0v0),
-            d_full=d_un, d_bubble=d_bn, d_background=d_u0,
-        )
-    return table

@@ -47,7 +47,6 @@ __all__ = [
     "kernel_for",
     "riesz_convolve",
     "double_energy",
-    "double_energy_info",
     "ConstantsTable",
 ]
 
@@ -296,7 +295,7 @@ class AngularKernel:
     """Cached quadrature table of the |x|^-4 convolution on one grid.
 
     C is the row-form convolution matrix, pointwise accurate everywhere; the
-    double energy reads off it as well (`double_energy_info`).
+    double energy reads off it as well (`double_energy`).
     """
 
     C: np.ndarray   # nodal convolution weights
@@ -371,8 +370,8 @@ def _tail_cross(f: RadialFn, g: RadialFn) -> float:
     return out
 
 
-def double_energy_info(f: RadialFn, g: RadialFn):
-    """D(f, g) = int int f(x) g(y) |x-y|^-4, plus tail fraction.
+def double_energy(f: RadialFn, g: RadialFn) -> float:
+    """D(f, g) = int int f(x) g(y) |x-y|^-4.
 
     The core is the symmetric form 0.5 [(w f).(C g) + (w g).(C f)], read off
     one product of C with the block [f g] (with f alone when g is f), so
@@ -387,14 +386,7 @@ def double_energy_info(f: RadialFn, g: RadialFn):
     else:
         Cf, Cg = kern.convolve_values(np.stack([f.values, g.values], axis=1)).T
         core = 0.5 * (float((w * f.values) @ Cg) + float((w * g.values) @ Cf))
-    tails = 0.5 * (_tail_cross(f, g) + _tail_cross(g, f))
-    total = core + tails
-    frac = abs(tails) / abs(total) if total != 0.0 else 0.0
-    return total, frac
-
-
-def double_energy(f: RadialFn, g: RadialFn) -> float:
-    return double_energy_info(f, g)[0]
+    return core + 0.5 * (_tail_cross(f, g) + _tail_cross(g, f))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from .bubbles import (
+    bubble_profile,
     coupling_constants,
     ground_pair,
-    make_bubble,
     make_constants_table,
     make_trial_profile,
 )
@@ -39,7 +39,7 @@ C_STAR_MARGIN = 0.02
 
 def build_context(cfg) -> VerifyContext:
     grid = cfg.build_grid()
-    constants = make_constants_table(cfg.N, grid)
+    constants = make_constants_table(grid)
     cc = coupling_constants(cfg.mu1, cfg.mu2, cfg.beta, constants.s_hl_sq)
     prob = cfg.build_problem(grid)
     return VerifyContext(
@@ -71,7 +71,7 @@ def constants_report(ctx: VerifyContext) -> LemmaReport:
         tbl.s_hl_sq * tbl.hls - tbl.sobolev**2,
         tol=1e-12 * tbl.sobolev**2,
     )
-    U = make_bubble(1.0, ctx.grid).profile_on(ctx.grid)
+    U = bubble_profile(1.0, ctx.grid)
     grad = dirichlet_seminorm(U)
     d4 = double_energy(U.squared(), U.squared())
     rep.require("bubble Dirichlet energy vs s_hl^2", grad, target=tbl.s_hl_sq, tol=1e-3)
@@ -92,14 +92,14 @@ def bubble_certification(ctx: VerifyContext) -> LemmaReport:
                       "weak residual certification of the bubble amplitude")
     grid = ctx.grid
     prob_scalar = Problem(N=grid.N, mu1=1.0, mu2=1.0, beta=2.0)
-    U = make_bubble(1.0, grid).profile_on(grid)
+    U = bubble_profile(1.0, grid)
     zero = RadialFn(grid, np.zeros(grid.M))
     res = weak_residual(Pair(U, zero), prob_scalar)
     rep.require("scalar-equation residual at the certified amplitude", res, tol=1e-3)
     res_bad = weak_residual(Pair(2.0 * U, zero), prob_scalar)
     rep.lower_bound("doubled amplitude is rejected", res_bad, bound=0.0, tol=0.1,
                     note="negative control; residual must exceed 0.1")
-    U2 = make_bubble(2.0, grid).profile_on(grid)
+    U2 = bubble_profile(2.0, grid)
     res2 = weak_residual(Pair(U2, zero), prob_scalar)
     rep.require("rescaled bubble keeps the residual", res2, tol=1e-3)
     gp = ground_pair(1.0, 0.0, ctx.cc, grid)

@@ -25,7 +25,7 @@ def fine_grid():
 
 @pytest.fixture(scope="session")
 def constants(grid):
-    return make_constants_table(5, grid)
+    return make_constants_table(grid)
 
 
 @pytest.fixture(scope="session")

@@ -13,12 +13,12 @@ from hartreekit import (
     Problem,
     RadialFn,
     bubble_constant,
+    bubble_profile,
     coupling_constants,
     dirichlet_seminorm,
     double_energy,
     ground_pair,
     lp_norm,
-    make_bubble,
     make_grid,
     make_trial_profile,
     quotient_infimum,
@@ -53,25 +53,28 @@ def test_bubble_constant_is_owned_by_each_grid(grid):
     # dilated copies carry their root grid's amplitude, bit for bit
     assert bubble_constant(5, coarse.scaled(0.3)) == c_coarse
     assert bubble_constant(5, grid.scaled(0.3).scaled(4.0)) == bubble_constant(5, grid)
-    assert make_bubble(2.0, fine.scaled(0.3)).c_N == c_fine
+    assert bubble_profile(1.0, fine.scaled(0.3)).c_tail == c_fine
 
 
 def test_bubble_closed_form_values(grid):
-    b = make_bubble(1.0, grid)
-    assert abs(b(0.0) - b.c_N) == 0.0
-    assert b.c_N == bubble_constant(5, grid)
-    with pytest.raises(ParameterError):
-        make_bubble(-1.0, grid)
+    c5 = bubble_constant(5, grid)
+    for d in (0.5, 2.0):
+        U = bubble_profile(d, grid)
+        assert np.array_equal(U.values, c5 * (d / (d**2 + grid.r**2)) ** 1.5)
+        assert U.p_tail == 3 and U.c_tail == c5 * d**1.5
+    for d in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            bubble_profile(d, grid)
 
 
 def test_bubble_dirichlet_scale_invariance(grid):
-    vals = [dirichlet_seminorm(make_bubble(d, grid).profile_on(grid))
+    vals = [dirichlet_seminorm(bubble_profile(d, grid))
             for d in (0.5, 1.0, 2.0)]
     assert (max(vals) - min(vals)) / min(vals) <= 1e-4
 
 
 def test_bubble_double_energy_level(grid):
-    U = make_bubble(1.0, grid).profile_on(grid)
+    U = bubble_profile(1.0, grid)
     d4 = double_energy(U.squared(), U.squared())
     assert abs(d4 - S_HL_SQ) <= 1e-3 * S_HL_SQ
 
@@ -81,8 +84,8 @@ def test_bubble_residual_certification(grid):
     # equation, so this is a direct certification of the amplitude
     prob = Problem(N=5, mu1=1.0, mu2=1.0, beta=2.0)
     zero = RadialFn(grid, np.zeros(grid.M))
-    U1 = make_bubble(1.0, grid).profile_on(grid)
-    U2 = make_bubble(2.0, grid).profile_on(grid)
+    U1 = bubble_profile(1.0, grid)
+    U2 = bubble_profile(2.0, grid)
     assert weak_residual(Pair(U1, zero), prob) < 1e-3
     assert weak_residual(Pair(U2, zero), prob) < 1e-3
 
@@ -90,17 +93,16 @@ def test_bubble_residual_certification(grid):
 def test_wrong_amplitude_rejected(grid):
     prob = Problem(N=5, mu1=1.0, mu2=1.0, beta=2.0)
     zero = RadialFn(grid, np.zeros(grid.M))
-    U1 = make_bubble(1.0, grid).profile_on(grid)
+    U1 = bubble_profile(1.0, grid)
     assert weak_residual(Pair(2.0 * U1, zero), prob) > 0.1
 
 
 def test_bubble_critical_norm_oracle(grid):
     # per unit amplitude the critical norm is (pi^3/32)^(3/10); dividing out
     # the numerically pinned amplitude isolates the quadrature accuracy
-    b = make_bubble(1.0, grid)
-    U = b.profile_on(grid)
+    U = bubble_profile(1.0, grid)
     oracle = 0.96894614625936938 ** 0.3
-    assert abs(lp_norm(U, 10.0 / 3.0) / b.c_N - oracle) <= 1e-8 * oracle
+    assert abs(lp_norm(U, 10.0 / 3.0) / bubble_constant(5, grid) - oracle) <= 1e-8 * oracle
 
 
 def test_coupling_constants_exact_fractions():

@@ -12,12 +12,12 @@ from hartreekit import (
     RadialFn,
     VerifyContext,
     brezis_lieb_check,
+    bubble_profile,
     coupling_constants,
     dirichlet_seminorm,
     from_callable,
     integrate,
     kernel_for,
-    make_bubble,
     make_grid,
     pohozaev_residual,
     solve_limit_ground_state,
@@ -284,7 +284,7 @@ def test_vanishing_limit_free_case_energy_constant(free_problem, grid):
 def test_vanishing_limit_shift_mass_law(grid):
     prob = Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0, lam1=0.1, lam2=0.1)
     tbl = vanishing_energy_limit(prob, 1, [1.0, 0.3, 0.1, 0.03], grid)
-    u1 = make_bubble(1.0, grid).profile_on(grid)
+    u1 = bubble_profile(1.0, grid)
     l2 = integrate(u1.squared())
     for row in tbl.rows:
         law = 0.1 * row["delta"] ** 2 * l2
@@ -303,7 +303,7 @@ def test_vanishing_limit_rejects_bad_index(problem, grid):
 @pytest.fixture(scope="module")
 def splitting_inputs(grid):
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
-    bprof = make_bubble(1.0, grid).profile_on(grid)
+    bprof = bubble_profile(1.0, grid)
     fine = make_grid(5, 640, 40.0, 1.025)
     return gauss, bprof, fine
 
@@ -425,7 +425,7 @@ def test_pinned_solver_makes_no_dense_lapack_call(monkeypatch):
 
 
 def test_bubble_dilation_fit_recovers_known_dilation(grid):
-    values = make_bubble(0.85, grid)(grid.r)
+    values = bubble_profile(0.85, grid).values
     delta, err = _fit_bubble_dilation(grid, values, 1.0)
     assert abs(delta - 0.85) <= 1e-6
     assert err <= 1e-12
