@@ -39,13 +39,12 @@ from .grids import (
     RadialFn,
     RadialGrid,
     dirichlet_seminorm,
-    from_callable,
     integrate,
     lp_norm,
     make_grid,
     sphere_area,
 )
-from .riesz import ConstantsTable, double_energy, hls_constant, sobolev_constant
+from .riesz import ConstantsTable, double_energy, hls_constant, sobolev_constant, unit_extremal
 
 __all__ = [
     "CouplingConstants",
@@ -60,12 +59,6 @@ __all__ = [
     "trial_member",
     "trial_pair",
 ]
-
-
-def _unit_profile(grid: RadialGrid) -> RadialFn:
-    p = (grid.N - 2) / 2.0
-    return from_callable(grid, lambda r: (1.0 + r**2) ** (-p),
-                         p_tail=grid.N - 2, c_tail=1.0)
 
 
 def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
@@ -90,7 +83,7 @@ def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
     root = grid.parent if grid.parent is not None else grid
     key = "bubble_amplitude"
     if key not in root._cache:
-        u1 = _unit_profile(root)
+        u1 = unit_extremal(root)
         num = dirichlet_seminorm(u1)
         den = double_energy(u1.squared(), u1.squared())
         if not (num > 0 and den > 0):
@@ -177,6 +170,29 @@ def coupling_constants(mu1: float, mu2: float, beta: float,
     )
 
 
+# passes of `golden_section_min`; each shrinks the bracket by the golden ratio
+GOLDEN_PASSES = 80
+
+
+def golden_section_min(f, a: float, b: float) -> float:
+    """Minimizer of a unimodal f on [a, b]: the bracket's midpoint after
+    GOLDEN_PASSES golden-section passes, one new evaluation per pass."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c1, c2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(GOLDEN_PASSES):
+        # the surviving interior point keeps its value
+        if f1 < f2:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - phi * (b - a)
+            f1 = f(c1)
+        else:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + phi * (b - a)
+            f2 = f(c2)
+    return 0.5 * (a + b)
+
+
 def quotient_infimum(mu1: float, mu2: float, beta: float):
     """inf over t >= 0 of (1 + t)^2 / (mu1 t^2 + 2 beta t + mu2).
 
@@ -195,20 +211,7 @@ def quotient_infimum(mu1: float, mu2: float, beta: float):
 
     ts = np.linspace(0.0, 1000.0, 4001)
     i = int(np.argmin(q(ts)))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1, c2 = b - phi * (b - a), a + phi * (b - a)
-    for _ in range(200):
-        if q(c1) < q(c2):
-            b, c2 = c2, c1
-            c1 = b - phi * (b - a)
-        else:
-            a, c1 = c1, c2
-            c2 = a + phi * (b - a)
-        if b - a < 1e-13 * max(1.0, b):
-            break
-    t_bf = 0.5 * (a + b)
+    t_bf = golden_section_min(q, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)])
     if abs(q(t_bf) - value) > 1e-10 * value:
         raise NumericalError(
             f"quotient infimum cross-check failed: closed={value}, brute={q(t_bf)}"

@@ -551,20 +551,20 @@ class VerifyContext:
     flow: FlowConfig = field(default_factory=FlowConfig)
 
 
+def resolve_check(check_id: str) -> str:
+    """The numeric id of a check given by its id or its name (see CHECK_IDS)."""
+    for cid, name in CHECK_IDS.items():
+        if check_id in (cid, name):
+            return cid
+    raise ParameterError(
+        f"unknown check id {check_id!r}; known: {sorted(CHECK_IDS)} "
+        f"or names {sorted(CHECK_IDS.values())}"
+    )
+
+
 def verify_lemma(check_id: str, ctx: VerifyContext) -> LemmaReport:
     """Dispatch a named check (numeric aliases listed in CHECK_IDS)."""
-    cid = check_id if check_id in CHECK_IDS else None
-    if cid is None:
-        for k, v in CHECK_IDS.items():
-            if v == check_id:
-                cid = k
-                break
-    if cid is None:
-        raise ParameterError(
-            f"unknown check id {check_id!r}; known: {sorted(CHECK_IDS)} "
-            f"or names {sorted(CHECK_IDS.values())}"
-        )
-    return _CHECKS[cid][1](ctx)
+    return _CHECKS[resolve_check(check_id)][1](ctx)
 
 
 def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
@@ -733,18 +733,14 @@ def _check_concentration_maps(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("4.5", "concentration map limits and barycenter axis positivity")
     prof = ctx.profile
     cc = ctx.cc
-
-    def gamma_of(delta, rho):
-        pair = trial_pair(prof, delta, rho)
-        return barycenter(pair, cc.mu1, cc.mu2, cc.beta)[1]
-
     seq_small = [1.0, 0.3, 0.1, 0.03]
-    sup_small = [max(gamma_of(d, rho) for rho in (0.0, 1.0, 3.0)) for d in seq_small]
+    sup_small = [max(_shape_maps(prof, cc, d, rho)[0] for rho in (0.0, 1.0, 3.0))
+                 for d in seq_small]
     rep.trend("concentration limit gamma -> 0: final/initial", sup_small)
-    worst_bound = max(gamma_of(0.01, rho) / 0.04 for rho in (0.0, 1.0, 3.0))
+    worst_bound = max(_shape_maps(prof, cc, 0.01, rho)[0] / 0.04 for rho in (0.0, 1.0, 3.0))
     rep.require("four-dilations bound at delta = 0.01 (gamma / 4 delta)",
                 worst_bound, bound=1.0, tol=0.0)
-    far = [abs(1.0 - gamma_of(1000.0, rho)) for rho in (0.0, 1.5, 3.0)]
+    far = [abs(1.0 - _shape_maps(prof, cc, 1000.0, rho)[0]) for rho in (0.0, 1.5, 3.0)]
     rep.require("spreading limit: max |1 - gamma| at delta = 1000, |y| <= 3",
                 max(far), tol=0.05, note="absolute tolerance 0.05")
     worst_sign = math.inf

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bubbles import CouplingConstants, bubble_constant
+from .bubbles import CouplingConstants, bubble_constant, golden_section_min
 from .energy import Problem, _coupling_matrix, weak_residual
 from .errors import ParameterError
 from .grids import Pair, RadialFn, RadialGrid, _dirichlet_sums, _stencil_windows
@@ -213,21 +213,7 @@ def _fit_bubble_dilation(grid: RadialGrid, values: np.ndarray, amplitude: float)
         model = amplitude * cn * (d / (d**2 + grid.r[bulk] ** 2)) ** p
         return float(w @ (values[bulk] - model) ** 2)
 
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = d0 / 1.5, d0 * 1.5
-    c1, c2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = misfit(c1), misfit(c2)
-    for _ in range(80):
-        # the surviving interior point keeps its misfit; one new evaluation per pass
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = misfit(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = misfit(c2)
-    d_fit = 0.5 * (a + b)
+    d_fit = golden_section_min(misfit, d0 / 1.5, d0 * 1.5)
     model = amplitude * cn * (d_fit / (d_fit**2 + grid.r[bulk] ** 2)) ** p
     err = float(np.max(np.abs(values[bulk] - model)) / values.max())
     return d_fit, err

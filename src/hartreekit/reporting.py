@@ -171,8 +171,9 @@ class LemmaReport:
         }
 
 
-def write_bundle(out_dir, reports: list, extras: dict, runtimes: dict) -> dict:
-    """Write report.json (deterministic), report.md, and one CSV per table."""
+def write_bundle(out_dir, reports: list, extras: dict) -> dict:
+    """Write report.json (deterministic), report.md (with each report's
+    runtime), and one CSV per table."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = _native({
@@ -189,9 +190,8 @@ def write_bundle(out_dir, reports: list, extras: dict, runtimes: dict) -> dict:
     lines.append(f"Overall: **{overall}**")
     lines.append("")
     for rep in reports:
-        rt = runtimes.get(rep.check_id, rep.runtime)
         lines.append(f"## {rep.check_id}: {rep.title}")
-        lines.append(f"status: {rep.status} (runtime {rt:.2f}s)")
+        lines.append(f"status: {rep.status} (runtime {rep.runtime:.2f}s)")
         lines.append("")
         if rep.rows:
             lines.append("| check | value | reference | tol | pass |")

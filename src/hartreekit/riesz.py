@@ -73,6 +73,13 @@ def hls_constant(N: int, alpha: float) -> float:
     return math.exp(log_c)
 
 
+def unit_extremal(grid: RadialGrid) -> RadialFn:
+    """The unit-amplitude extremal profile (1 + r^2)^(-(N-2)/2) on `grid`."""
+    p = (grid.N - 2) / 2.0
+    return from_callable(grid, lambda r: (1.0 + r**2) ** (-p),
+                         p_tail=grid.N - 2, c_tail=1.0)
+
+
 def sobolev_constant(grid: RadialGrid) -> float:
     """Best constant in the embedding D^{1,2} -> L^{2*} in dimension grid.N.
 
@@ -84,8 +91,7 @@ def sobolev_constant(grid: RadialGrid) -> float:
     closed = N * (N - 2) * math.pi * math.exp(
         (2.0 / N) * (math.lgamma(N / 2.0) - math.lgamma(N))
     )
-    p = (N - 2) / 2.0
-    prof = from_callable(grid, lambda r: (1.0 + r**2) ** (-p), p_tail=N - 2, c_tail=1.0)
+    prof = unit_extremal(grid)
     two_star = 2.0 * N / (N - 2.0)
     rayleigh = dirichlet_seminorm(prof) / lp_norm(prof, two_star) ** 2
     if abs(rayleigh - closed) > 1e-3 * closed:

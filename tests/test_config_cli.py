@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartreekit import runner
 from hartreekit.bubbles import bubble_constant
 from hartreekit.cli import main
 from hartreekit.config import _KEYS, PotentialSpec, load_config
 from hartreekit.errors import ParameterError
 from hartreekit.grids import make_grid
+from hartreekit.runner import COMMANDS, OWN_STEPS
 
 
 def run_cli(*args):
@@ -379,3 +382,54 @@ def test_load_config_fuzz_raises_only_config_errors(entries):
             load_config(path)
         except (ParameterError, FileNotFoundError):
             pass
+
+
+# every subcommand but run-all (covered above), and verify at one check
+_COMMAND_ARGV = [[name] for name in COMMANDS if name != "run-all"] + [["verify", "5.2"]]
+_EXTRAS = {"constants", "couplings", "admissibility", "trial_profile", "region", "config"}
+
+
+@pytest.mark.parametrize("argv", _COMMAND_ARGV, ids=" ".join)
+def test_every_command_writes_the_one_bundle_layout(tmp_path, capsys, argv):
+    code = run_cli(*argv, "--out", str(tmp_path))
+    assert code == 0
+    steps = COMMANDS.get(argv[0], tuple(argv[1:]))
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{s}: pass" for s in steps] + [
+        f"bundle written to {tmp_path}; all checks passed"]
+    blob = json.loads((tmp_path / "report.json").read_text())
+    assert [rep["check_id"] for rep in blob["reports"]] == list(steps)
+    extras = blob["extras"]
+    found = extras["region"] is not None and extras["region"]["found"]
+    assert set(extras) == _EXTRAS | ({"lambda_sweep", "empirical_lambda_threshold"}
+                                     if found else set())
+    # the trial profile is built only for a step that reads it
+    reads_profile = any(s not in OWN_STEPS or s == "homotopy" for s in steps)
+    assert (extras["trial_profile"] is not None) == reads_profile
+    assert extras["constants"] == json.loads((tmp_path / "constants.json").read_text())
+    md = (tmp_path / "report.md").read_text()
+    for heavy in {"5.2", "homotopy", "solve-ground"} & set(steps):
+        runtime = re.search(rf"## {re.escape(heavy)}: .*\nstatus: pass \(runtime ([0-9.]+)s\)",
+                            md)
+        assert float(runtime.group(1)) > 0.0, md
+    assert "total wall time:" in md
+
+
+def test_run_all_calls_each_step_function_once(tmp_path, monkeypatch):
+    # wrap every module attribute bound to the function, as the benchmark's
+    # layer trace does: a step that keeps its own reference is not counted
+    calls = {}
+    for fn in (runner.solver_report, runner.bubble_certification):
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "hartreekit" or name.startswith("hartreekit."):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, counted)
+    assert run_cli("run-all", "--out", str(tmp_path)) == 0
+    assert calls == {"solver_report": 1, "bubble_certification": 1}

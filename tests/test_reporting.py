@@ -44,8 +44,8 @@ def test_write_bundle_layout(tmp_path):
     t = Table("numbers", ["x", "y"])
     t.add(x=1.0, y=np.float64(2.0))
     rep.tables.append(t)
-    payload = write_bundle(tmp_path, [rep], extras={"flag": np.bool_(True)},
-                           runtimes={"demo": 0.1})
+    rep.runtime = 0.1
+    payload = write_bundle(tmp_path, [rep], extras={"flag": np.bool_(True)})
     assert payload["all_passed"]
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "report.md").exists()
@@ -53,6 +53,7 @@ def test_write_bundle_layout(tmp_path):
     blob = json.loads((tmp_path / "report.json").read_text())
     assert blob["extras"]["flag"] is True
     assert "runtime" not in json.dumps(blob)  # wall times stay out of the machine report
+    assert "status: pass (runtime 0.10s)" in (tmp_path / "report.md").read_text()
 
 
 def test_trend_and_lower_bound_rows(tmp_path):
@@ -64,7 +65,7 @@ def test_trend_and_lower_bound_rows(tmp_path):
     assert rep.rows[-1].value == 0.3 and rep.rows[-1].side == "lower"
     assert not rep.lower_bound("too close", 0.05, bound=0.0, tol=0.1)
     assert rep.status == "fail"
-    write_bundle(tmp_path, [rep], extras={}, runtimes={})
+    write_bundle(tmp_path, [rep], extras={})
     md = (tmp_path / "report.md").read_text()
     assert "| decays | 0.05 | < 0.1 | 0 | yes |" in md
     assert "| clearance | 0.3 | > 0 | 0.1 | yes |" in md
