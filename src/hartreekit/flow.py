@@ -32,7 +32,7 @@ import numpy as np
 from .bubbles import CouplingConstants, bubble_constant, golden_section_min
 from .energy import Problem, _coupling_matrix, weak_residual
 from .errors import ParameterError
-from .grids import Pair, RadialFn, RadialGrid, _dirichlet_sums, _stencil_windows
+from .grids import Pair, RadialFn, RadialGrid, _dirichlet_sums, _evaluate, _stencil_windows
 from .riesz import kernel_for
 
 __all__ = [
@@ -225,15 +225,19 @@ def _decay_amplitude(grid: RadialGrid, values: np.ndarray) -> float:
     return float(np.mean(values[sel] * grid.r[sel] ** (grid.N - 2)))
 
 
-def _rescale_profile(grid: RadialGrid, values: np.ndarray, scale: float) -> np.ndarray:
-    """values(r) -> scale^((N-2)/2) values(scale r), power-law beyond the grid."""
-    f = RadialFn(grid, values)
+def _rescale_profile(grid: RadialGrid, X: np.ndarray, scale: float) -> np.ndarray:
+    """Each column x(r) of X -> scale^((N-2)/2) x(scale r), power-law beyond the grid.
+
+    The columns share one cell lookup and one factorization of the spline
+    slope system.
+    """
     r_out = grid.r * scale
-    out = np.empty_like(values)
+    out = np.empty_like(X)
     inside = r_out <= grid.R_max
-    out[inside] = f(r_out[inside])
+    out[inside] = np.column_stack(_evaluate([RadialFn(grid, x) for x in X.T], r_out[inside]))
     if (~inside).any():
-        out[~inside] = _decay_amplitude(grid, values) * r_out[~inside] ** (-(grid.N - 2))
+        amplitudes = [_decay_amplitude(grid, x) for x in X.T]
+        out[~inside] = np.outer(r_out[~inside] ** (-(grid.N - 2)), amplitudes)
     return out * scale ** ((grid.N - 2) / 2.0)
 
 
@@ -311,7 +315,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         if it % RECENTER_EVERY == 0:
             d_hat = _half_height_scale(grid, X[:, 0])
             if np.isfinite(d_hat) and abs(d_hat - 1.0) > 0.2:
-                X = np.column_stack([_rescale_profile(grid, x, d_hat) for x in X.T])
+                X = _rescale_profile(grid, X, d_hat)
                 X, energy, Z, Kx = project(X)
 
         if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:

@@ -40,6 +40,7 @@ __all__ = [
 
 NODES_PER_CELL = 5
 _THETA_NODES = 64
+_BUCKETS_PER_NODE = 8   # narrower than the smallest node gap past 0 on the run and profile grids
 _TAIL_NODES = 32
 
 
@@ -263,73 +264,154 @@ def _spline_system(dx: np.ndarray, natural_end: bool):
     return sub, diag.tolist(), sup
 
 
-def _thomas(sub, diag, sup, b):
-    """Solve a tridiagonal system by Thomas elimination, in place in b.
+def _thomas_factors(sub, diag, sup):
+    """Multipliers, pivots and superdiagonal of Thomas elimination of a tridiagonal matrix.
 
-    b is a list of floats, or an array whose rows are the entries of several
-    right-hand sides.  No pivoting: the spline's slope system and its
-    transpose factor stably as they are.
+    No pivoting: the spline's slope system and its transpose factor stably
+    as they are.
     """
     d = list(diag)
+    fact = []
     for i in range(len(d) - 1):
-        fact = sub[i] / d[i]
-        d[i + 1] -= fact * sup[i]
-        b[i + 1] -= fact * b[i]
+        fact.append(sub[i] / d[i])
+        d[i + 1] -= fact[i] * sup[i]
+    return fact, d, sup
+
+
+def _thomas(factors, b):
+    """Solve the factored tridiagonal system of `_thomas_factors`, in place in b.
+
+    b is a list of floats, or an array whose rows are the entries of several
+    right-hand sides.
+    """
+    fact, d, sup = factors
+    for i, f in enumerate(fact):
+        b[i + 1] -= f * b[i]
     b[-1] /= d[-1]
     for i in range(len(d) - 2, -1, -1):
         b[i] = (b[i] - sup[i] * b[i + 1]) / d[i]
     return b
 
 
-def _cubic_spline(x: np.ndarray, y: np.ndarray, end_slope: float | None):
-    """C2 cubic spline through (x_i, y_i) with slope 0 at x_0.
+def _spline_knots(grid: RadialGrid) -> np.ndarray:
+    """Knots 0, r_1, ..., r_M of the splines on `grid` (memoized on the grid)."""
+    if "spline_knots" not in grid._cache:
+        grid._cache["spline_knots"] = np.concatenate([[0.0], grid.r])
+    return grid._cache["spline_knots"]
 
-    At x_-1 the slope is `end_slope`, or the second derivative is 0 when it is
-    None.  The slopes s_i solve the tridiagonal system of `_spline_system`
-    by Thomas elimination.  Returns the columns (c3, c2, c1, c0) of
-    y = c3 z^3 + c2 z^2 + c1 z + c0 on [x_i, x_i+1], z = x - x_i.
+
+def _cubic_splines(grid: RadialGrid, ys: list, end_slopes: list) -> list:
+    """C2 cubic splines through (x_i, y_i) for each y in ys, x = `_spline_knots(grid)`.
+
+    Each has slope 0 at x_0.  At x_-1 the slope is its `end_slope`, or the
+    second derivative is 0 when that is None.  The slopes s_i solve the
+    tridiagonal system of `_spline_system`; splines with one end condition
+    share its factors.  Returns for each y the (intervals, 4) rows
+    (c3, c2, c1, c0) of y = c3 z^3 + c2 z^2 + c1 z + c0 on [x_i, x_i+1],
+    z = x - x_i.
     """
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    rhs = np.empty(len(x))
-    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    rhs[0] = 0.0
-    rhs[-1] = 3 * (y[-1] - y[-2]) if end_slope is None else end_slope
-    s = np.array(_thomas(*_spline_system(dx, end_slope is None), rhs.tolist()))
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+    dx = np.diff(_spline_knots(grid))
+    factors, out = {}, []
+    for y, end_slope in zip(ys, end_slopes):
+        natural = end_slope is None
+        if natural not in factors:
+            factors[natural] = _thomas_factors(*_spline_system(dx, natural))
+        slope = np.diff(y) / dx
+        rhs = np.empty(len(y))
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[0] = 0.0
+        rhs[-1] = 3 * (y[-1] - y[-2]) if natural else end_slope
+        s = np.array(_thomas(factors[natural], rhs.tolist()))
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        out.append(np.column_stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]))
+    return out
 
 
-def _spline_interval(knots: np.ndarray, x: np.ndarray):
-    """Interval index i and offset z = x - knots[i] of each point (end intervals extend).
+def _cell_lookup(grid: RadialGrid):
+    """Bucket table of the spline intervals on `grid` (memoized on the grid).
 
-    The index is the integer part of x's fractional position, read off
-    np.interp; where that rounds up to the next knot, the neighbouring
-    cubic agrees there to round-off, because the spline is C2.
+    The buckets split [0, R_max] into _BUCKETS_PER_NODE * M equal cells; a
+    point x falls in bucket int(x * inv).  first[b] is the last interval
+    that starts in a lower bucket (0 for bucket 0), so it starts at or below every x in
+    bucket b, and the interval of x lies at most `steps` bisection halvings
+    above it.  The interval starts are padded with +inf, so that a halving
+    never lands past the last interval.  The bucket map is monotone in x,
+    so the table needs no slack for round-off; its size is a fixed multiple
+    of M on every grid, while `steps` grows where the cells crowd near 0.
     """
-    pos = np.interp(x, knots, np.arange(len(knots), dtype=float))
-    i = np.minimum(pos.astype(np.intp), len(knots) - 2)
-    return i, x - knots.take(i)
+    if "cell_lookup" not in grid._cache:
+        starts = _spline_knots(grid)[:-1]
+        n_buckets = _BUCKETS_PER_NODE * grid.M
+        inv = n_buckets / grid.R_max
+        below = np.searchsorted((starts * inv).astype(np.intp), np.arange(n_buckets + 2))
+        first = np.maximum(below[:-1] - 1, 0)
+        steps = int((below[1:] - 1 - first).max()).bit_length()
+        padded = np.concatenate([starts, np.full(2**steps, np.inf)])
+        grid._cache["cell_lookup"] = padded, first.astype(np.int32), inv, steps
+    return grid._cache["cell_lookup"]
 
 
-def _horner(coefs, i: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A `_cubic_spline` at the points of `_spline_interval`'s (i, z)."""
-    c3, c2, c1, c0 = (c.take(i) for c in coefs)
-    return ((c3 * z + c2) * z + c1) * z + c0
+def _spline_interval(grid: RadialGrid, x: np.ndarray):
+    """Interval index i and offset z = x - knots[i] of each point 0 <= x <= R_max.
+
+    i is searchsorted(knots, x, "right") - 1 clamped to the last interval,
+    read off `_cell_lookup`'s bucket table and a bisection within the bucket
+    (one compare on the default grids).
+    """
+    starts, first, inv, steps = _cell_lookup(grid)
+    i = first.take((x * inv).astype(np.intp))
+    for step in (1 << k for k in reversed(range(steps))):
+        above = starts.take(i + step) <= x
+        i += step * above if step > 1 else above
+    return i, x - starts.take(i)
+
+
+def _horner(coefs: np.ndarray, i: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A `_cubic_splines` spline at the points of `_spline_interval`'s (i, z), from one gather."""
+    c = coefs.take(i, axis=0)
+    out = c[..., 0] * z
+    out += c[..., 1]
+    out *= z
+    out += c[..., 2]
+    out *= z
+    out += c[..., 3]
+    return out
+
+
+def _splines(fs: list) -> list:
+    """(intervals, 4) `_cubic_splines` coefficients of each f in fs (one grid), memoized on f.
+
+    Each spline runs through the even extension (0, f(0)), (r_i, f_i), f(0)
+    fitted from a + b r^2 through the first three nodes, and ends clamped to
+    a tail model's slope at R_max, or natural without one.  The ones not yet
+    memoized are built together.
+    """
+    todo = [f for f in fs if "spline" not in f._cache]
+    if todo:
+        grid = fs[0].grid
+        ys, end_slopes = [], []
+        for f in todo:
+            ab, *_ = np.linalg.lstsq(_origin_design(grid.r), f.values[:3], rcond=None)
+            ys.append(np.concatenate([[ab[0]], f.values]))
+            end_slopes.append(-f.p_tail * f.c_tail * grid.R_max ** (-f.p_tail - 1)
+                              if _has_tail(f) else None)
+        for f, coefs in zip(todo, _cubic_splines(grid, ys, end_slopes)):
+            f._cache["spline"] = coefs
+    return [f._cache["spline"] for f in fs]
 
 
 def _evaluate(fs: list, r: np.ndarray) -> list:
-    """[f(r) for f in fs], all on one grid, from one inside/tail split and one cell search."""
+    """[f(r) for f in fs], all on one grid, from one inside/tail split and one cell lookup."""
     inside = r <= fs[0].grid.R_max
     if not inside.any():
         return [f._tail_values(r) for f in fs]
     whole = inside.all()
-    i, z = _spline_interval(fs[0]._spline()[0], r if whole else r[inside])
+    i, z = _spline_interval(fs[0].grid, r if whole else r[inside])
     if whole:
-        return [_horner(f._spline()[1], i, z) for f in fs]
+        return [_horner(coefs, i, z) for coefs in _splines(fs)]
     outs = [np.empty_like(r) for _ in fs]
-    for out, f in zip(outs, fs):
-        out[inside] = _horner(f._spline()[1], i, z)
+    for out, f, coefs in zip(outs, fs, _splines(fs)):
+        out[inside] = _horner(coefs, i, z)
         out[~inside] = f._tail_values(r[~inside])
     return outs
 
@@ -358,21 +440,11 @@ class RadialFn:
         object.__setattr__(self, "values", v)
 
     # -- evaluation ---------------------------------------------------------
-    def _spline(self):
-        """Knots and coefficient columns of the C2 cubic spline through (0, f(0)), (r_i, f_i)."""
-        if "spline" not in self._cache:
-            r = np.concatenate([[0.0], self.grid.r])
-            # even extension: fit f(0) from a + b r^2 through the first nodes
-            ab, *_ = np.linalg.lstsq(_origin_design(self.grid.r), self.values[:3], rcond=None)
-            v = np.concatenate([[ab[0]], self.values])
-            end_slope = None
-            if _has_tail(self):
-                end_slope = -self.p_tail * self.c_tail * self.grid.R_max ** (-self.p_tail - 1)
-            self._cache["spline"] = (r, _cubic_spline(r, v, end_slope))
-        return self._cache["spline"]
-
     def __call__(self, r):
-        out = _evaluate([self], np.asarray(r, dtype=float))[0]
+        r = np.asarray(r, dtype=float)
+        if not np.all(r >= 0):
+            raise ParameterError("radius must be >= 0 and not nan")
+        out = _evaluate([self], r)[0]
         return out if out.ndim else float(out)
 
     def _tail_values(self, r: np.ndarray) -> np.ndarray:
@@ -524,26 +596,32 @@ def _tail_rule(n: int):
 def _theta_rule(N: int, n: int):
     """Angular rule: int_{S^{N-1}} F(w . e1) dw = sum a_k F(t_k) (read-only, memoized).
 
-    Gauss rule for the weight (1 - t^2)^a, a = (N - 3)/2, by Golub-Welsch: the
-    nodes are the eigenvalues of the Gegenbauer Jacobi matrix and the weights
-    mu_0 v_0^2 from the first eigenvector components.
+    Gauss rule for the weight (1 - t^2)^a, a = (N - 3)/2: the nodes are the
+    eigenvalues of the Gegenbauer Jacobi matrix, and the weights the
+    Christoffel numbers mu_0 / sum_j p_j(t)^2 of the orthonormal recurrence
+    b_j+1 p_j+1 = t p_j - b_j p_j-1, p_0 = 1.
     """
     a = (N - 3) / 2.0
     k = np.arange(1, n)
     off = np.sqrt(k * (k + 2.0 * a) / (4.0 * (k + a) ** 2 - 1.0))
-    t, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
-    wt = mu0 * vecs[0] ** 2
-    # the rule is even: symmetrize away the eigensolver's round-off
+    t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # the rule is even: symmetrize away the eigensolver's round-off; the
+    # recurrence is odd or even in t, so the weights come out symmetric
     t = 0.5 * (t - t[::-1])
-    wt = 0.5 * (wt + wt[::-1])
+    p_prev, p, norm = np.zeros(n), np.ones(n), np.ones(n)
+    for b_prev, b in zip([0.0, *off[:-1]], off):
+        p_prev, p = p, (t * p - b_prev * p_prev) / b
+        norm += p**2
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    wt = mu0 / norm
     return _read_only(t, wt * sphere_area(N - 1))
 
 
 def _offset_distance(s: np.ndarray, rho: float, t: np.ndarray) -> np.ndarray:
     """|x| on the lattice |x - y| = s_i, angle cosine t_k to y, |y| = rho."""
-    s = s[:, None]
-    return np.sqrt(rho**2 + s**2 + 2.0 * rho * s * t[None, :])
+    out = (2.0 * rho * s)[:, None] * t
+    out += (rho**2 + s**2)[:, None]
+    return np.sqrt(out, out=out)
 
 
 def _lattice_sums(fs: list, s: np.ndarray, rho: float, N: int) -> np.ndarray:
@@ -681,11 +759,10 @@ def _spline_pullback(grid: RadialGrid, x: np.ndarray, wx: np.ndarray, owner: np.
     interval and power of z, then pulled back through the coefficient
     formulas, the slope system's transpose and the f(0) fit.
     """
-    knots = np.concatenate([[0.0], grid.r])
-    dx = np.diff(knots)
+    dx = np.diff(_spline_knots(grid))
     n_int = len(dx)
     inside = x <= grid.R_max
-    i, z = _spline_interval(knots, x[inside])
+    i, z = _spline_interval(grid, x[inside])
     bins = owner[inside] * n_int + i
     # B[m][b, j] = sum of wx z^m over row b's points in interval j
     B, wz = [], wx[inside]
@@ -704,7 +781,7 @@ def _spline_pullback(grid: RadialGrid, x: np.ndarray, wx: np.ndarray, owner: np.
     g_y[:, :-1] = B[0]
     # s = T^-1 rhs(y): solve with T's transpose, whose sub and sup swap
     sub, diag, sup = _spline_system(dx, natural_end=True)
-    lam = _thomas(sup, diag, sub, g_s).T
+    lam = _thomas(_thomas_factors(sup, diag, sub), g_s).T
     # rhs_0 = 0, rhs_i = 3 (dx_i m_i-1 + dx_i-1 m_i), rhs_-1 = 3 (y_-1 - y_-2)
     g_m[:, :-1] += 3 * dx[1:] * lam[:, 1:-1]
     g_m[:, 1:] += 3 * dx[:-1] * lam[:, 1:-1]

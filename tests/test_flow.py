@@ -424,6 +424,38 @@ def test_pinned_solver_makes_no_dense_lapack_call(monkeypatch):
         np.linalg.inv(np.eye(g.M))
 
 
+def _rescale_column(grid, values, scale):
+    """Per-column reference re-gauge: one RadialFn call per component."""
+    r_out = grid.r * scale
+    out = np.empty_like(values)
+    inside = r_out <= grid.R_max
+    out[inside] = RadialFn(grid, values)(r_out[inside])
+    if (~inside).any():
+        out[~inside] = flow._decay_amplitude(grid, values) * r_out[~inside] ** (-(grid.N - 2))
+    return out * scale ** ((grid.N - 2) / 2.0)
+
+
+@pytest.mark.parametrize("scale", [0.6, 1.7])
+def test_rescale_profile_matches_per_column_reference(grid, scale, monkeypatch):
+    # both components are re-gauged from one cell lookup and one factored
+    # slope system, bit for bit as one RadialFn call per column
+    from hartreekit import grids
+
+    X = np.column_stack([bubble_profile(0.8, grid).values, 0.5 * np.exp(-((grid.r / 2.0) ** 2))])
+    want = np.column_stack([_rescale_column(grid, x, scale) for x in X.T])
+    factorizations = []
+    inner = grids._thomas_factors
+
+    def spy(*args):
+        factorizations.append(len(args[0]))
+        return inner(*args)
+
+    monkeypatch.setattr(grids, "_thomas_factors", spy)
+    got = flow._rescale_profile(grid, X, scale)
+    assert np.array_equal(got, want)
+    assert factorizations == [grid.M]
+
+
 def test_bubble_dilation_fit_recovers_known_dilation(grid):
     values = bubble_profile(0.85, grid).values
     delta, err = _fit_bubble_dilation(grid, values, 1.0)

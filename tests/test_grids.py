@@ -24,14 +24,18 @@ from hartreekit import (
     sphere_area,
 )
 from hartreekit.grids import (
+    _BUCKETS_PER_NODE,
     _TAIL_NODES,
     _THETA_NODES,
-    _cubic_spline,
+    _cell_lookup,
+    _cubic_splines,
     _gauss_legendre,
     _horner,
     _offset_distance,
     _sides,
     _spline_interval,
+    _spline_knots,
+    _splines,
     _tail_nodes,
     _stencil_weights,
     _tail_rule,
@@ -386,16 +390,16 @@ def test_cubic_spline_matches_scipy(grid, end_slope):
     # the run path's spline must be the one scipy builds with
     # bc_type=((1, 0), (2, 0)) or ((1, 0), (1, end_slope))
     rng = np.random.default_rng(7)
-    knots = np.concatenate([[0.0], grid.r])
+    knots = _spline_knots(grid)
     y = (1.0 + knots**2) ** -1.5 * (1.0 + 0.01 * rng.standard_normal(len(knots)))
     right = (2, 0.0) if end_slope is None else (1, end_slope)
     ref = CubicSpline(knots, y, bc_type=((1, 0.0), right))
-    coefs = _cubic_spline(knots, y, end_slope)
-    for got, want in zip(coefs, ref.c):
+    (coefs,) = _cubic_splines(grid, [y], [end_slope])
+    for got, want in zip(coefs.T, ref.c):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     x = np.concatenate([[0.0], knots, [grid.R_max], rng.uniform(0.0, grid.R_max, 2000)])
     want = ref(x)
-    got = _horner(coefs, *_spline_interval(knots, x))
+    got = _horner(coefs, *_spline_interval(grid, x))
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -406,11 +410,76 @@ def test_radial_fn_spline_honours_the_tail_slope(grid):
     tailed = RadialFn(grid, vals, p_tail=3.0, c_tail=1.0)
     bare = RadialFn(grid, vals)
     for fn, right in ((tailed, (1, -3.0 * grid.R_max**-4.0)), (bare, (2, 0.0))):
-        knots, coefs = fn._spline()
-        ref = CubicSpline(knots, np.concatenate([[coefs[3][0]], vals]),
+        (coefs,) = _splines([fn])
+        ref = CubicSpline(_spline_knots(grid), np.concatenate([[coefs[0, 3]], vals]),
                           bc_type=((1, 0.0), right))
         x = np.linspace(0.0, grid.R_max, 777)
         assert np.max(np.abs(fn(x) - ref(x))) <= 1e-15
+
+
+def _lookup_grids():
+    """The run, profile and a member grid, the smallest grid, and steep grids at M = 400."""
+    run = make_grid(5, 400, 40.0, 1.02)
+    yield "run", run
+    yield "profile", make_grid(5, 320, 1.0, 1.0)
+    yield "member", run.scaled(0.37)
+    yield "M16", make_grid(5, 16, 40.0, 1.02)
+    for stretch in (1.1, 1.3, 1.5):
+        yield f"stretch{stretch}", make_grid(5, 400, 40.0, stretch)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _lookup_grids()])
+def test_spline_interval_matches_searchsorted(name):
+    # the bucket lookup must give searchsorted's interval, clamped to the last
+    # one, at 0, at every knot, at R_max and at random points, with a table
+    # whose size is a fixed multiple of M even where the inner cells are
+    # 2e-13 wide (stretch 1.5)
+    grid = dict(_lookup_grids())[name]
+    knots = _spline_knots(grid)
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[0.0], knots, [grid.R_max], rng.uniform(0.0, grid.R_max, 5000),
+                        grid.R_max * rng.uniform(0.0, 1.0, 5000) ** 8])
+    want = np.minimum(np.searchsorted(knots, x, side="right") - 1, len(knots) - 2)
+    i, z = _spline_interval(grid, x)
+    assert np.array_equal(i, want)
+    assert np.array_equal(z, x - knots[want])
+    starts, first, _, steps = _cell_lookup(grid)
+    assert first.size == _BUCKETS_PER_NODE * grid.M + 1
+    assert starts.size <= 3 * grid.M
+    if name in ("run", "profile"):
+        assert steps == 1
+
+
+def test_radial_fn_rejects_negative_and_nan_radii(grid):
+    # a negative or nan radius must raise, not read a reflected cubic or a
+    # silent zero; an infinite one is the tail value
+    gauss = from_callable(grid, lambda r: np.exp(-(r**2)))
+    tailed = from_callable(grid, lambda r: (1.0 + r**2) ** -1.5, p_tail=3.0, c_tail=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (gauss, tailed):
+            for r in (-0.5, -50.0, math.nan, np.array([0.5, -1e-300]), np.array([1.0, math.nan])):
+                with pytest.raises(ParameterError, match="radius"):
+                    f(r)
+            assert f(math.inf) == 0.0
+            assert np.array_equal(f(np.array([0.0, math.inf])), [f(0.0), 0.0])
+
+
+def test_theta_rule_needs_no_eigenvectors(monkeypatch):
+    # the rule takes its nodes from eigvalsh and its weights from the
+    # recurrence: a full eigh costs 45-52 ms under two OpenBLAS threads
+    t, a = _theta_rule(5, _THETA_NODES)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    _theta_rule.cache_clear()
+    try:
+        again = _theta_rule(5, _THETA_NODES)
+    finally:
+        _theta_rule.cache_clear()
+    assert np.array_equal(again[0], t) and np.array_equal(again[1], a)
 
 
 @pytest.mark.parametrize("n", [16, 64])
