@@ -96,9 +96,7 @@ def bubble_profile(delta: float, grid: RadialGrid) -> RadialFn:
     """Extremal U_delta on `grid`, with the amplitude C_N pinned on the grid
     (or on its root grid) and the tail C_N delta^((N-2)/2) r^-(N-2)."""
     c_N = bubble_constant(grid.N, grid)
-    if delta <= 0:
-        raise ParameterError(f"dilation must be positive, got {delta}")
-    d = float(delta)
+    d = _dilation(delta)
     p = (grid.N - 2) / 2.0
     return RadialFn(grid, c_N * (d / (d**2 + grid.r**2)) ** p,
                     p_tail=grid.N - 2, c_tail=c_N * d**p)
@@ -256,6 +254,8 @@ class TrialProfile:
     cbar: float
     inner_scale: float         # dilation of the truncated bubble core
     _squares: dict = field(default_factory=dict, init=False, repr=False)  # delta -> square
+    # delta -> critical density of the trial pair, on its square's grid
+    _densities: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def grid(self) -> RadialGrid:
@@ -266,13 +266,31 @@ class TrialProfile:
 
         The square does not depend on the offset, so every offset at one
         dilation shares this object and the spline it builds on first
-        evaluation.  Only squares are kept: a memoized member or pair would
-        also keep the kernel tables that energies build on its grid.
+        evaluation.  Only squares and densities are kept: a memoized member
+        or pair would also keep the kernel tables that energies build on its
+        grid.
         """
-        key = float(delta)
+        return self._squares[self._remember(delta)]
+
+    def member_density(self, delta: float) -> RadialFn:
+        """Critical density of the trial pair at dilation delta, memoized per delta.
+
+        The density of trial_pair(self, delta, rho) under the profile's
+        couplings (_pair_density), bit for bit; it does not depend on the
+        offset.  It lives on the grid of member_square(delta).
+        """
+        return self._densities[self._remember(delta)]
+
+    def _remember(self, delta: float) -> float:
+        """The memo key of a dilation, after building its square and density once."""
+        key = _dilation(delta)
         if key not in self._squares:
-            self._squares[key] = trial_member(self, key).squared()
-        return self._squares[key]
+            cc = self.cc
+            m = trial_member(self, key)
+            pair = Pair(math.sqrt(cc.k1) * m, math.sqrt(cc.k2) * m)
+            self._squares[key] = m.squared()
+            self._densities[key] = _pair_density(pair, cc.mu1, cc.mu2, cc.beta)
+        return key
 
 
 # the inner dilation shrinks by 0.9 per step for at most this many steps
@@ -369,6 +387,25 @@ def _build_and_certify(grid, cn, delta0, w_moll, cc):
     return prof, E, sigma
 
 
+def _dilation(delta: float) -> float:
+    """delta as a float; a dilation that is not finite and positive is a ParameterError."""
+    d = float(delta)
+    if not (math.isfinite(d) and d > 0):
+        raise ParameterError(f"delta must be finite and positive, got {delta}")
+    return d
+
+
+def _pair_density(p: Pair, mu1: float, mu2: float, beta: float) -> RadialFn:
+    """Radial profile of mu1 (u+)^{2*} + 2 beta (u+ v+)^{2*/2} + mu2 (v+)^{2*}."""
+    u, v = p.u, p.v
+    N = p.grid.N
+    two_star = 2.0 * N / (N - 2.0)
+    up = u.positive().power(two_star)
+    vp = v.positive().power(two_star)
+    cross = u.positive().power(two_star / 2.0) * v.positive().power(two_star / 2.0)
+    return mu1 * up + 2.0 * beta * cross + mu2 * vp
+
+
 def trial_pair(profile: TrialProfile, delta: float, rho: float) -> Pair:
     """Proportional pair (sqrt(k1), sqrt(k2)) x member at dilation delta, offset by rho."""
     m = trial_member(profile, delta)
@@ -382,8 +419,7 @@ def trial_member(profile: TrialProfile, delta: float) -> RadialFn:
     The critical-norm is preserved exactly: values scale by delta^(-(N-2)/2)
     on the delta-scaled copy of the profile grid.
     """
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    delta = _dilation(delta)
     g = profile.grid.scaled(delta)
     N = g.N
     vals = profile.profile.values * delta ** (-(N - 2) / 2.0)

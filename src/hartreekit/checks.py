@@ -19,7 +19,7 @@ conclusion is reported as supported, never as proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,14 +29,12 @@ from .bubbles import (
     bubble_profile,
     coupling_constants,
     ground_pair,
-    trial_pair,
 )
 from .energy import (
     Problem,
     barycenter,
     barycenter_axis_sign,
     energy_I,
-    nehari_project,
     pohozaev_residual,
     trial_projection_scalars,
     weak_residual,
@@ -50,10 +48,12 @@ from .riesz import ConstantsTable, double_energy
 __all__ = [
     "AdmissibilityReport",
     "RegionScan",
+    "TrialSamples",
     "check_A3",
     "choose_a_and_cbar",
     "scan_region",
     "ensure_scan",
+    "trial_samples",
     "homotopy_boundary_check",
     "lambda_sweep",
     "limit_trend",
@@ -236,21 +236,61 @@ class RegionScan:
         }
 
 
-def _shape_maps(profile: TrialProfile, cc: CouplingConstants, delta: float, rho: float):
+@dataclass(eq=False)
+class TrialSamples:
+    """The trial family's maps at each sample (delta, rho), each computed once.
+
+    One memo per run: the region scan, 4.4, 4.5 and 5.1 read a member's
+    potential overlaps, its shape maps (gamma, xi) and its energy maps
+    (t0, t_lam and the two energies) here.  A sample's key rounds delta and
+    rho to 12 digits, so a lattice point reached by two different sums is
+    one sample; its maps are those of the first (delta, rho) read.
+    """
+
+    profile: TrialProfile
+    prob: Problem
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _read(self, kind: str, maps, delta, rho):
+        key = (kind, round(float(delta), 12), round(float(rho), 12))
+        if key not in self._memo:
+            self._memo[key] = maps(self, float(delta), float(rho))
+        return self._memo[key]
+
+    # each map is read from the module when it is computed, so a hook on
+    # checks._shape_maps or checks._energy_maps sees every computation
+    def overlaps(self, delta: float, rho: float) -> tuple[float, float]:
+        return self._read("overlaps", _overlaps, delta, rho)
+
+    def shape(self, delta: float, rho: float) -> tuple[float, float]:
+        return self._read("shape", _shape_maps, delta, rho)
+
+    def energy(self, delta: float, rho: float) -> tuple[float, float, float, float]:
+        return self._read("energy", _energy_maps, delta, rho)
+
+
+def _overlaps(samples: TrialSamples, delta: float, rho: float):
+    """(V1, V2) overlaps of the trial member's square at one (delta, rho)."""
+    return samples.prob.potential_overlaps(samples.profile.member_square(delta), rho)
+
+
+def _shape_maps(samples: TrialSamples, delta: float, rho: float):
     """(gamma, xi_axial) of the trial member at one (delta, rho)."""
-    xi, gamma = barycenter(trial_pair(profile, delta, rho), cc.mu1, cc.mu2, cc.beta)
+    xi, gamma = barycenter(samples.profile.member_density(delta), rho=rho)
     return gamma, xi
 
 
-def _energy_maps(profile: TrialProfile, prob: Problem, cc: CouplingConstants,
-                 delta: float, rho: float):
+def _energy_maps(samples: TrialSamples, delta: float, rho: float):
     """(t0, t_lam, i0_hat, i_tilde) of the trial member at one (delta, rho)."""
-    t0, t_lam = trial_projection_scalars(profile, delta, rho, prob, cc)
-    sigma = profile.sigma
+    prof = samples.profile
+    t0, t_lam = trial_projection_scalars(prof, delta, rho, samples.prob, prof.cc,
+                                         overlaps=samples.overlaps(delta, rho))
+    sigma = prof.sigma
     return t0, t_lam, t0**4 * sigma, t_lam**4 * sigma
 
 
-def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> RegionScan:
+def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
+                samples: TrialSamples | None = None) -> RegionScan:
     """Search for the linking region and evaluate the energy caps on it.
 
     Constraints: concentration below 1/2 on the inner dilation face for all
@@ -263,8 +303,13 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> Re
     concentration passed; the offset face reads only energies.  The
     recorded lattice (three boundary faces plus the interior) is still
     evaluated in full once a region is accepted.  kappa (region supremum)
-    is then compared against the scalar-level threshold.
+    is then compared against the scalar-level threshold.  The maps come from
+    `samples`, the run's memo (a fresh one if None).
     """
+    if samples is None:
+        samples = TrialSamples(profile, prob)
+    elif samples.profile is not profile or samples.prob is not prob:
+        raise ParameterError("the sample memo belongs to another profile or problem")
     cc = profile.cc
     cbar = profile.cbar
     c_inf = cc.c_inf
@@ -276,18 +321,7 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float) -> Re
         c_star_lower=c_star_lower, kappa=math.nan, s_tilde=math.nan,
         threshold=threshold, boundary_sup_energy=math.nan,
     )
-    cache: dict = {}
-
-    def memo(maps, *args):
-        def get(d, rho):
-            key = (maps, round(float(d), 12), round(float(rho), 12))
-            if key not in cache:
-                cache[key] = maps(*args, float(d), float(rho))
-            return cache[key]
-        return get
-
-    shape = memo(_shape_maps, profile, cc)
-    energy = memo(_energy_maps, profile, prob, cc)
+    shape, energy = samples.shape, samples.energy
 
     def below(g):
         return g < 0.5 - GAMMA_MARGIN
@@ -549,6 +583,8 @@ class VerifyContext:
     flow_diag: FlowDiagnostics | None = None   # set by the ground-state solve
     rng_seed: int = 1234
     flow: FlowConfig = field(default_factory=FlowConfig)
+    # the trial family's sample memo (trial_samples); a replaced context starts a new one
+    samples: TrialSamples | None = field(default=None, init=False, repr=False)
 
 
 def resolve_check(check_id: str) -> str:
@@ -595,25 +631,38 @@ def _check_vanishing_limits(ctx: VerifyContext) -> LemmaReport:
     return rep
 
 
-def _check_projection_ordering(ctx: VerifyContext) -> LemmaReport:
-    rep = LemmaReport("2.2", "free projection never exceeds the potential-weighted one")
-    rng = np.random.default_rng(ctx.rng_seed)
-    grid = ctx.grid
-    violations = 0
-    min_gap = math.inf
-    strict_expected = 0
-    for _ in range(50):
+def _ordering_pairs(grid: RadialGrid, seed: int, count: int = 50):
+    """The seeded random positive Gaussian pairs of the projection-ordering check."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         a1, a2 = rng.uniform(0.3, 2.0, 2)
         w1, w2 = rng.uniform(0.5, 3.0, 2)
         u = RadialFn(grid, a1 * np.exp(-((grid.r / w1) ** 2)))
         v = RadialFn(grid, a2 * np.exp(-((grid.r / w2) ** 2)))
-        pair = Pair(u, v)
-        tau, _ = nehari_project(pair, Problem.limit(grid.N, ctx.cc))
-        t, _ = nehari_project(pair, ctx.prob)
+        yield Pair(u, v)
+
+
+def _ordering_scales(pair: Pair, prob: Problem):
+    """(tau, t, breakdown): the Nehari ray scalings of `pair` under the limit system
+    of prob's couplings and under prob, from one breakdown under prob.
+
+    The limit system's breakdown is prob's with the potential term 0: the
+    kinetic and nonlocal terms do not read the potentials or the shifts.
+    """
+    br = energy_I(pair, prob)
+    return replace(br, potential=0.0).ray_scale, br.ray_scale, br
+
+
+def _check_projection_ordering(ctx: VerifyContext) -> LemmaReport:
+    rep = LemmaReport("2.2", "free projection never exceeds the potential-weighted one")
+    violations = 0
+    min_gap = math.inf
+    strict_expected = 0
+    for pair in _ordering_pairs(ctx.grid, ctx.rng_seed):
+        tau, t, br = _ordering_scales(pair, ctx.prob)
         if tau > t * (1.0 + 1e-14):
             violations += 1
         min_gap = min(min_gap, t - tau)
-        br = energy_I(pair, ctx.prob)
         if br.potential > 0:
             strict_expected += 1
     rep.require("ordering violations over 50 random positive pairs", float(violations),
@@ -707,10 +756,10 @@ def _limit_sups(quantity):
 def _check_potential_vanishing(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("4.4", "potential mass of the trial family vanishes in all "
                              "three parameter limits")
-    prof = ctx.profile
+    samples = trial_samples(ctx)
 
     def pot_mass(delta, rho):
-        return max(0.0, *ctx.prob.potential_overlaps(prof.member_square(delta), rho))
+        return max(0.0, *samples.overlaps(delta, rho))
 
     sups = _limit_sups(pot_mass)
     pre_hump = Table("spreading_prehump", ["parameter", "sup_potential_mass"])
@@ -732,15 +781,15 @@ def _check_potential_vanishing(ctx: VerifyContext) -> LemmaReport:
 def _check_concentration_maps(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("4.5", "concentration map limits and barycenter axis positivity")
     prof = ctx.profile
-    cc = ctx.cc
+    samples = trial_samples(ctx)
     seq_small = [1.0, 0.3, 0.1, 0.03]
-    sup_small = [max(_shape_maps(prof, cc, d, rho)[0] for rho in (0.0, 1.0, 3.0))
+    sup_small = [max(samples.shape(d, rho)[0] for rho in (0.0, 1.0, 3.0))
                  for d in seq_small]
     rep.trend("concentration limit gamma -> 0: final/initial", sup_small)
-    worst_bound = max(_shape_maps(prof, cc, 0.01, rho)[0] / 0.04 for rho in (0.0, 1.0, 3.0))
+    worst_bound = max(samples.shape(0.01, rho)[0] / 0.04 for rho in (0.0, 1.0, 3.0))
     rep.require("four-dilations bound at delta = 0.01 (gamma / 4 delta)",
                 worst_bound, bound=1.0, tol=0.0)
-    far = [abs(1.0 - _shape_maps(prof, cc, 1000.0, rho)[0]) for rho in (0.0, 1.5, 3.0)]
+    far = [abs(1.0 - samples.shape(1000.0, rho)[0]) for rho in (0.0, 1.5, 3.0)]
     rep.require("spreading limit: max |1 - gamma| at delta = 1000, |y| <= 3",
                 max(far), tol=0.05, note="absolute tolerance 0.05")
     worst_sign = math.inf
@@ -755,22 +804,28 @@ def _check_concentration_maps(ctx: VerifyContext) -> LemmaReport:
 
 def _check_projection_scalars(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("5.1", "shift-free projection scalar tends to 1 in all limits")
-    prof = ctx.profile
-    cc = ctx.cc
+    samples = trial_samples(ctx)
 
     def t0_dev(delta, rho):
-        t0, _ = trial_projection_scalars(prof, delta, rho, ctx.prob, cc)
-        return abs(t0 - 1.0)
+        return abs(samples.energy(delta, rho)[0] - 1.0)
 
     for label, _, sup in _limit_sups(t0_dev):
         rep.trend(f"{label.replace(' ', '-')} limit of |t0 - 1|: final/initial", sup)
     return rep
 
 
+def trial_samples(ctx: VerifyContext) -> TrialSamples:
+    """The context's sample memo of its trial profile under its problem, made once."""
+    if ctx.samples is None:
+        ctx.samples = TrialSamples(ctx.profile, ctx.prob)
+    return ctx.samples
+
+
 def ensure_scan(ctx: VerifyContext) -> RegionScan:
     """The context's region scan, run once against the context's c_star_lower."""
     if ctx.scan is None:
-        ctx.scan = scan_region(ctx.profile, ctx.prob, c_star_lower=ctx.c_star_lower)
+        ctx.scan = scan_region(ctx.profile, ctx.prob, c_star_lower=ctx.c_star_lower,
+                               samples=trial_samples(ctx))
     return ctx.scan
 
 

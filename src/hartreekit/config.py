@@ -89,10 +89,12 @@ class RunConfig:
         return make_grid(self.N, self.grid_m, self.r_max, self.stretch)
 
     def build_problem(self, grid: RadialGrid) -> Problem:
+        """The problem on `grid`; equal potential specs build one potential for both."""
+        V1 = self.v1.build(grid)
+        V2 = V1 if self.v2 == self.v1 else self.v2.build(grid)
         return Problem(
             N=self.N, mu1=self.mu1, mu2=self.mu2, beta=self.beta,
-            lam1=self.lam1, lam2=self.lam2,
-            V1=self.v1.build(grid), V2=self.v2.build(grid),
+            lam1=self.lam1, lam2=self.lam2, V1=V1, V2=V2,
         )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bubbles import CouplingConstants, TrialProfile, trial_member
+from .bubbles import CouplingConstants, TrialProfile, _pair_density, trial_member
 from .errors import DivergenceError, ParameterError, ProjectionError
 from .grids import (
     Pair,
@@ -102,11 +102,13 @@ class Problem:
     def potential_overlaps(self, sq: RadialFn, rho: float) -> tuple[float, float]:
         """(int V1(x) sq(|x - y|) dx, the same for V2) at |y| = rho; 0 for an absent V.
 
-        Two potentials on one grid share sq's side of the overlap.
+        Two potentials on one grid share sq's side of the overlap, and one
+        potential object standing for both (V1 is V2) is integrated once.
         """
         potentials = (self.V1, self.V2)
-        over = iter(bicenter_integrals(sq, [V for V in potentials if V is not None], rho))
-        return tuple(0.0 if V is None else next(over) for V in potentials)
+        distinct = list(dict.fromkeys(V for V in potentials if V is not None))
+        over = dict(zip(distinct, bicenter_integrals(sq, distinct, rho)))
+        return tuple(0.0 if V is None else over[V] for V in potentials)
 
     def potential_norms(self) -> tuple[float, float]:
         n1 = lp_norm(self.V1, self.N / 2.0) if self.V1 is not None else 0.0
@@ -139,6 +141,13 @@ class EnergyBreakdown:
     def ray_scale_sq(self) -> float:
         """t^2 of the one t > 0 that puts t (u, v) on the Nehari set."""
         return (self.kinetic + self.potential) / self.nonlocal_sum
+
+    @property
+    def ray_scale(self) -> float:
+        """That t; ProjectionError if the pair has no positive part to scale."""
+        if self.nonlocal_sum <= 0.0:
+            raise ProjectionError("pair has vanishing positive part; projection undefined")
+        return math.sqrt(self.ray_scale_sq)
 
     @property
     def nehari_level(self) -> float:
@@ -198,28 +207,28 @@ def nehari_project(p: Pair, prob: Problem):
     t^2 is EnergyBreakdown.ray_scale_sq; the projected pair has zero defect
     up to roundoff by construction.
     """
-    br = energy_I(p, prob)
-    if br.nonlocal_sum <= 0.0:
-        raise ProjectionError("pair has vanishing positive part; projection undefined")
-    t = math.sqrt(br.ray_scale_sq)
+    t = energy_I(p, prob).ray_scale
     return t, p.scale(t)
 
 
 def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
-                             prob: Problem, cc: CouplingConstants):
+                             prob: Problem, cc: CouplingConstants, overlaps=None):
     """Ray scalings t0 (no mass shifts) and t_lam (with them) of a trial member.
 
     Both follow from the profile's certified energy equality and the exact
     dilation covariances: the Dirichlet and double energies of every member
     equal the profile's, and the L^2 mass scales as delta^2.  The member's
     square comes from the profile's per-delta memo, and both potentials
-    share its side of the overlap (Problem.potential_overlaps).
+    share its side of the overlap (Problem.potential_overlaps).  `overlaps`,
+    if given, are those two overlaps, already computed for this member.
     """
     if rho < 0:
         raise ParameterError(f"offset must be >= 0, got {rho}")
     E = profile.energy
     ksum = cc.k_sum
-    over1, over2 = prob.potential_overlaps(profile.member_square(delta), rho)
+    if overlaps is None:
+        overlaps = prob.potential_overlaps(profile.member_square(delta), rho)
+    over1, over2 = overlaps
     P = cc.k1 * over1 + cc.k2 * over2
     lam_term = (cc.k1 * prob.lam1 + cc.k2 * prob.lam2) * delta**2 * profile.l2_mass
     t0 = math.sqrt(1.0 + P / (ksum * E))
@@ -231,28 +240,24 @@ def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
 # barycenter and concentration maps
 # ---------------------------------------------------------------------------
 
-def _pair_density(p: Pair, mu1: float, mu2: float, beta: float) -> RadialFn:
-    """Radial profile of mu1 (u+)^{2*} + 2 beta (u+ v+)^{2*/2} + mu2 (v+)^{2*}."""
-    u, v = p.u, p.v
-    N = p.grid.N
-    two_star = 2.0 * N / (N - 2.0)
-    up = u.positive().power(two_star)
-    vp = v.positive().power(two_star)
-    cross = u.positive().power(two_star / 2.0) * v.positive().power(two_star / 2.0)
-    return mu1 * up + 2.0 * beta * cross + mu2 * vp
-
-
-def barycenter(p: Pair, mu1: float = 1.0, mu2: float = 1.0, beta: float = 1.0):
+def barycenter(p: Pair | RadialFn, mu1: float = 1.0, mu2: float = 1.0, beta: float = 1.0,
+               *, rho: float = 0.0):
     """Barycenter axial component xi and concentration gamma of a pair.
 
-    Both maps weigh the critical-density combination of the positive parts;
-    they are invariant under positive scalar multiples of the pair.  For
-    centered pairs xi = 0 exactly by symmetry.
+    Both maps weigh the critical-density combination of the positive parts
+    (_pair_density); they are invariant under positive scalar multiples of
+    the pair.  For centered pairs xi = 0 exactly by symmetry.  A density
+    built beforehand (TrialProfile.member_density) may stand in for its
+    pair: `p` is then that RadialFn, translated by `rho`, and it already
+    carries its couplings.
     """
-    dens = _pair_density(p, mu1, mu2, beta)
+    if isinstance(p, Pair):
+        dens, rho = _pair_density(p, mu1, mu2, beta), p.offset
+    else:
+        dens = p
     if np.all(dens.values == 0.0) and dens.c_tail == 0.0:
         raise ProjectionError("zero critical density; barycenter undefined")
-    mass, axial, spread = axis_moment_integrals(dens, p.offset)
+    mass, axial, spread = axis_moment_integrals(dens, rho)
     return axial / mass, spread / mass
 
 

@@ -82,8 +82,8 @@ class RadialGrid:
 
     def scaled(self, c: float) -> "RadialGrid":
         """Grid with all radii multiplied by c > 0 (volume weights scale by c^N)."""
-        if c <= 0:
-            raise ParameterError("scale factor must be positive")
+        if not (math.isfinite(c) and c > 0):
+            raise ParameterError(f"scale factor must be finite and positive, got {c}")
         root = self.parent if self.parent is not None else self
         return RadialGrid(
             N=self.N,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from hartreekit import (
     from_callable,
     homotopy_boundary_check,
     lambda_sweep,
+    nehari_project,
     scan_region,
     verify_lemma,
 )
@@ -156,13 +158,14 @@ def eager_scan(profile, prob):
     margin = checks.GAMMA_MARGIN
     cap = profile.cbar - checks.ENERGY_MARGIN * (profile.cbar - cc.c_inf)
     nb = checks.BOUNDARY_SAMPLES
+    samples = checks.TrialSamples(profile, prob)   # shared by the maps for the overlaps only
     cache = {}
 
     def maps(d, rho):
         key = (round(float(d), 12), round(float(rho), 12))
         if key not in cache:
-            cache[key] = (checks._shape_maps(profile, cc, float(d), float(rho))
-                          + checks._energy_maps(profile, prob, cc, float(d), float(rho)))
+            cache[key] = (checks._shape_maps(samples, float(d), float(rho))
+                          + checks._energy_maps(samples, float(d), float(rho)))
         return cache[key]
 
     def face_ok(d, rhos, lo):
@@ -266,6 +269,43 @@ def test_scan_face_test_stops_at_its_first_failing_sample(trial_profile, problem
     assert ref["failure"] == lazy.failure
     assert len(count_maps["shape"]) == 2 + 2 * len(checks.Y_PROBE)
     assert len(count_maps["energy"]) == 2 * len(checks.Y_PROBE)
+
+
+def test_run_memo_scan_matches_a_fresh_scan(context, scan, count_maps):
+    # the context's memo already holds 4.4's, 4.5's and 5.1's samples when
+    # the scan runs; the scan reads them and computes only the missing ones
+    ctx = dataclasses.replace(context, scan=None)
+    for cid in ("4.4", "4.5", "5.1"):
+        verify_lemma(cid, ctx)
+    before = {kind: len(log) for kind, log in count_maps.items()}
+    shared = checks.ensure_scan(ctx)
+    assert ctx.samples is checks.trial_samples(ctx)
+    assert shared.samples.rows == scan.samples.rows
+    assert shared.to_dict() == scan.to_dict()
+    # no sample is computed twice, and the scan computes at most its own maps
+    for kind, log in count_maps.items():
+        keys = [(round(d, 12), round(rho, 12)) for d, rho in log]
+        assert len(set(keys)) == len(keys), kind
+    assert len(count_maps["shape"]) - before["shape"] <= 212
+    assert len(count_maps["energy"]) - before["energy"] <= 255
+
+
+def test_scan_rejects_a_memo_of_another_problem(trial_profile, problem, c_star_lower, grid):
+    other = checks.TrialSamples(trial_profile, make_problem(grid, 0.1))
+    with pytest.raises(ParameterError, match="memo"):
+        scan_region(trial_profile, problem, c_star_lower, samples=other)
+
+
+def test_projection_ordering_reads_one_breakdown_per_pair(context):
+    # tau and t from the one breakdown are nehari_project's, bit for bit
+    free = Problem.limit(context.grid.N, context.cc)
+    pairs = list(checks._ordering_pairs(context.grid, context.rng_seed))
+    assert len(pairs) == 50
+    for pair in pairs:
+        tau, t, br = checks._ordering_scales(pair, context.prob)
+        assert tau == nehari_project(pair, free)[0]
+        assert t == nehari_project(pair, context.prob)[0]
+        assert br.potential > 0.0
 
 
 def test_homotopy_clearances(scan):

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartreekit import runner
+from hartreekit import grids, runner
 from hartreekit.bubbles import bubble_constant
+from hartreekit.checks import verify_lemma
 from hartreekit.cli import main
 from hartreekit.config import _KEYS, PotentialSpec, load_config
 from hartreekit.errors import ParameterError
@@ -415,21 +416,66 @@ def test_every_command_writes_the_one_bundle_layout(tmp_path, capsys, argv):
     assert "total wall time:" in md
 
 
+def _count_calls(monkeypatch, fn):
+    """Wrap every package attribute bound to fn, as the benchmark's layer trace
+    does; returns the list that each call appends its positional arguments to."""
+    log = []
+
+    def counted(*args, **kwargs):
+        log.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hartreekit" or name.startswith("hartreekit."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return log
+
+
 def test_run_all_calls_each_step_function_once(tmp_path, monkeypatch):
-    # wrap every module attribute bound to the function, as the benchmark's
-    # layer trace does: a step that keeps its own reference is not counted
-    calls = {}
-    for fn in (runner.solver_report, runner.bubble_certification):
-        calls[fn.__name__] = 0
-
-        def counted(*args, _fn=fn, **kwargs):
-            calls[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name == "hartreekit" or name.startswith("hartreekit."):
-                for key, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, key, counted)
+    # a step that keeps its own reference to its function is not counted
+    logs = {fn.__name__: _count_calls(monkeypatch, fn)
+            for fn in (runner.solver_report, runner.bubble_certification)}
     assert run_cli("run-all", "--out", str(tmp_path)) == 0
-    assert calls == {"solver_report": 1, "bubble_certification": 1}
+    assert {name: len(log) for name, log in logs.items()} == \
+        {"solver_report": 1, "bubble_certification": 1}
+
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+
+def test_equal_potential_specs_build_one_potential(grid):
+    # default.cfg sets equal v1 and v2: one RadialFn stands for both, so every
+    # trial overlap evaluates its spline once
+    cfg = load_config(DEFAULT_CFG)
+    assert cfg.v1 == cfg.v2
+    prob = cfg.build_problem(grid)
+    assert prob.V1 is prob.V2
+    other = dataclasses.replace(cfg, v2=dataclasses.replace(cfg.v2, v0=0.2))
+    prob2 = other.build_problem(grid)
+    assert prob2.V1 is not prob2.V2
+    assert np.array_equal(prob2.V1.values, prob.V1.values)
+    assert np.array_equal(prob2.V2.values, 2.0 * prob.V1.values)
+
+
+def test_run_all_integrates_each_trial_sample_once(tmp_path, monkeypatch):
+    log = _count_calls(monkeypatch, grids.bicenter_integrals)
+    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path) == 0
+    # every call is a trial member's square (on a dilated copy of the profile
+    # grid) against the potentials; 359 calls before the run shared one memo
+    samples = [(sq.grid.scale_factor, rho) for sq, _, rho in log]
+    assert all(sq.grid.parent is not None for sq, _, _ in log)
+    assert len(log) <= 304
+    assert len(set(samples)) == len(samples)
+
+
+def test_projection_scalars_after_potential_vanishing_add_no_quadrature(monkeypatch):
+    ctx = runner.build_context(load_config(DEFAULT_CFG))
+    runner.ensure_profile(ctx)
+    log = _count_calls(monkeypatch, grids.bicenter_integrals)
+    assert verify_lemma("4.4", ctx).passed
+    assert len(log) > 0
+    del log[:]
+    assert verify_lemma("5.1", ctx).passed
+    assert log == []

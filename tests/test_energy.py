@@ -16,6 +16,7 @@ from hartreekit import (
     barycenter,
     barycenter_axis_sign,
     bicenter_integral,
+    bubble_profile,
     energy_I,
     from_callable,
     ground_pair,
@@ -36,6 +37,7 @@ from hartreekit.energy import (
 from hartreekit.grids import (
     _tail_integral,
     _theta_rule,
+    bicenter_integrals,
     bicenter_rows,
     dirichlet_seminorm,
     integrate,
@@ -489,6 +491,28 @@ def test_potential_overlaps_equal_the_plain_quadrature(trial_profile, problem, g
     assert prob.potential_overlaps(sq, rho) == expected
 
 
+@pytest.mark.parametrize("rho", [0.0, 1.3, 7.0])
+def test_one_potential_for_both_is_integrated_once(trial_profile, problem, monkeypatch, rho):
+    # V1 is V2 (as default.cfg builds it): one overlap, the same bits as two equal copies
+    from hartreekit import energy
+
+    V = problem.V1
+    copy = RadialFn(V.grid, V.values.copy(), V.p_tail, V.c_tail)
+    sq = trial_profile.member_square(0.7)
+    two = dataclasses.replace(problem, V1=V, V2=copy).potential_overlaps(sq, rho)
+    seen = []
+
+    def counted(f, gs, r):
+        seen.append(len(gs))
+        return bicenter_integrals(f, gs, r)
+
+    monkeypatch.setattr(energy, "bicenter_integrals", counted)
+    one = dataclasses.replace(problem, V1=V, V2=V).potential_overlaps(sq, rho)
+    assert one == two
+    assert one[0] == one[1]
+    assert seen == [1]
+
+
 @pytest.mark.parametrize("rho", [0.0, 1.3])
 def test_potential_mass_is_the_lam_term_then_the_v_term(trial_profile, grid, rho):
     V, _ = _potential_pairs(grid)["different-s"]
@@ -539,3 +563,47 @@ def test_barycenter_matches_the_two_pass_computation(trial_profile, cc, grid, rh
     for p in pairs:
         assert barycenter(p, cc.mu1, cc.mu2, cc.beta) == \
             _two_pass_barycenter(p, cc.mu1, cc.mu2, cc.beta)
+
+
+# ---------------------------------------------------------------------------
+# the member memo: one square and one critical density per dilation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("delta", [0.05, 0.7, 40.0])
+def test_member_density_is_the_trial_pairs_density(trial_profile, cc, delta):
+    dens = trial_profile.member_density(delta)
+    assert dens.grid is trial_profile.member_square(delta).grid
+    assert trial_profile.member_density(np.float64(delta)) is dens
+    for rho in (0.0, 1.0, 3.5):
+        pair = trial_pair(trial_profile, delta, rho)
+        fresh = _pair_density(pair, cc.mu1, cc.mu2, cc.beta)
+        assert np.array_equal(dens.values, fresh.values)
+        assert (dens.p_tail, dens.c_tail) == (fresh.p_tail, fresh.c_tail)
+        assert barycenter(dens, rho=rho) == barycenter(pair, cc.mu1, cc.mu2, cc.beta)
+
+
+def test_barycenter_of_a_zero_density_is_a_projection_error(grid):
+    with pytest.raises(ProjectionError):
+        barycenter(RadialFn(grid, np.zeros(grid.M)), rho=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_non_finite_or_non_positive_dilations_are_rejected(trial_profile, cc, problem,
+                                                          capfd, bad):
+    # before, inf built an all-zero member on an infinite grid (and memoized
+    # its square), and the projection scalars failed inside LAPACK
+    prof = dataclasses.replace(trial_profile)
+    with pytest.raises(ParameterError, match="scale factor"):
+        prof.grid.scaled(bad)
+    with pytest.raises(ParameterError, match="delta"):
+        trial_member(prof, bad)
+    with pytest.raises(ParameterError, match="delta"):
+        prof.member_square(bad)
+    with pytest.raises(ParameterError, match="delta"):
+        prof.member_density(bad)
+    with pytest.raises(ParameterError, match="delta"):
+        trial_projection_scalars(prof, bad, 1.0, problem, cc)
+    with pytest.raises(ParameterError, match="delta"):
+        bubble_profile(bad, prof.grid)
+    assert prof._squares == {} and prof._densities == {}
+    assert capfd.readouterr().err == ""
