@@ -69,10 +69,9 @@ def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
     identity, and residual certification (runner.bubble_certification)
     confirms the shape.
 
-    The amplitude is a property of the grid and is cached on it.  A
-    `.scaled()` grid returns its root grid's amplitude, so dilated copies of
-    a profile keep the same amplitude bit for bit.  Without a grid, a fresh
-    reference grid (M=400, R=40, stretch 1.02) is built and discarded.
+    The amplitude is a property of the grid and is cached on it.  Without a
+    grid, a fresh reference grid (M=400, R=40, stretch 1.02) is built and
+    discarded.
     """
     if not (isinstance(N, (int, np.integer)) and N >= 5):
         raise ParameterError(f"N must be an integer >= 5, got {N}")
@@ -80,21 +79,20 @@ def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
         grid = make_grid(N, 400, 40.0, 1.02)
     if grid.N != N:
         raise ParameterError(f"grid dimension {grid.N} does not match N={N}")
-    root = grid.parent if grid.parent is not None else grid
     key = "bubble_amplitude"
-    if key not in root._cache:
-        u1 = unit_extremal(root)
+    if key not in grid._cache:
+        u1 = unit_extremal(grid)
         num = dirichlet_seminorm(u1)
         den = double_energy(u1.squared(), u1.squared())
         if not (num > 0 and den > 0):
             raise NumericalError("homogeneity relation failed to bracket a positive amplitude")
-        root._cache[key] = math.sqrt(num / den)
-    return root._cache[key]
+        grid._cache[key] = math.sqrt(num / den)
+    return grid._cache[key]
 
 
 def bubble_profile(delta: float, grid: RadialGrid) -> RadialFn:
     """Extremal U_delta on `grid`, with the amplitude C_N pinned on the grid
-    (or on its root grid) and the tail C_N delta^((N-2)/2) r^-(N-2)."""
+    and the tail C_N delta^((N-2)/2) r^-(N-2)."""
     c_N = bubble_constant(grid.N, grid)
     d = _dilation(delta, grid.N)
     p = (grid.N - 2) / 2.0

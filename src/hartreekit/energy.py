@@ -21,12 +21,13 @@ and discretized continuum solutions expose only their truncation error.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bubbles import CouplingConstants, TrialProfile, _pair_density
+from .bubbles import CouplingConstants, TrialProfile, _dilation, _pair_density
 from .errors import DivergenceError, ParameterError, ProjectionError
 from .grids import (
     Pair,
@@ -95,8 +96,30 @@ class Problem:
     def with_lambda(self, lam1: float, lam2: float) -> "Problem":
         return replace(self, lam1=lam1, lam2=lam2)
 
-    def potential(self, j: int) -> RadialFn | None:
-        return self.V1 if j == 1 else self.V2
+    def dilated(self, delta: float, grid: RadialGrid) -> "Problem":
+        """The problem whose energy_I at a pair on `grid` is this problem's at the
+        pair dilated by delta, u -> delta^(-(N-2)/2) u(x / delta).
+
+        The dilation leaves the Dirichlet and double energies unchanged and
+        turns int (V + lam) u^2 into int delta^2 (V(delta x) + lam) u^2.  So
+        the shifts become delta^2 lam_j and the potentials delta^2 V_j(delta x),
+        read on `grid`, with tails c delta^(2 - p) r^-p.  One potential object
+        standing for both stays one.  No check reruns: this problem passed them,
+        and a spline read between the nodes of a V with a step can dip below 0.
+        """
+        d = _dilation(delta, self.N)
+
+        def dilate(V):
+            if V is None:
+                return None
+            c = V.c_tail * d ** (2.0 - V.p_tail) if _has_tail(V) else V.c_tail
+            return RadialFn(grid, d**2 * V(d * grid.r), V.p_tail, c)
+
+        V1 = dilate(self.V1)
+        V2 = V1 if self.V2 is self.V1 else dilate(self.V2)
+        out = copy.copy(self)  # not replace(), which reruns __post_init__
+        out.__dict__.update(lam1=d**2 * self.lam1, lam2=d**2 * self.lam2, V1=V1, V2=V2)
+        return out
 
     def potential_overlaps(self, sq: RadialFn, rho: float) -> tuple[float, float]:
         """(int V1(x) sq(|x - y|) dx, the same for V2) at |y| = rho; 0 for an absent V.

@@ -60,8 +60,6 @@ class RadialGrid:
     node_cell: np.ndarray  # macro-cell index of each node
     R_max: float
     stretch: float
-    parent: "RadialGrid | None" = None   # set when built via .scaled()
-    scale_factor: float = 1.0
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -84,7 +82,6 @@ class RadialGrid:
         """Grid with all radii multiplied by c > 0 (volume weights scale by c^N)."""
         if not (math.isfinite(c) and c > 0):
             raise ParameterError(f"scale factor must be finite and positive, got {c}")
-        root = self.parent if self.parent is not None else self
         return RadialGrid(
             N=self.N,
             r=self.r * c,
@@ -93,8 +90,6 @@ class RadialGrid:
             node_cell=self.node_cell,
             R_max=self.R_max * c,
             stretch=self.stretch,
-            parent=root,
-            scale_factor=self.scale_factor * c,
         )
 
     def deriv_matrix(self) -> np.ndarray:

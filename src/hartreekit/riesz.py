@@ -312,20 +312,11 @@ class AngularKernel:
 
 
 def kernel_for(grid: RadialGrid) -> AngularKernel:
-    """Build (or fetch from the grid's cache) the convolution table of a grid.
-
-    A root grid builds its own table, the one M x M array the grid caches for
-    the kernel.  A `.scaled(c)` grid derives it from its root's:
-    K(cr, cs) = c^-4 K(r, s), hence C scales by c^(N - 4).
-    """
-    if "kernel" in grid._cache:
-        return grid._cache["kernel"]
-    if grid.parent is not None:
-        C = kernel_for(grid.parent).C * grid.scale_factor ** (grid.N - _ALPHA)
-    else:
-        C = _build_conv_matrix(grid)
-    kern = grid._cache["kernel"] = AngularKernel(C=C)
-    return kern
+    """Build (or fetch from the grid's cache) the convolution table of a grid,
+    the one M x M array the grid caches for the kernel."""
+    if "kernel" not in grid._cache:
+        grid._cache["kernel"] = AngularKernel(C=_build_conv_matrix(grid))
+    return grid._cache["kernel"]
 
 
 def _tail_in_vector(grid: RadialGrid, p_tail: float, c_tail: float) -> np.ndarray:

@@ -463,9 +463,9 @@ def test_run_all_integrates_each_trial_sample_once(tmp_path, monkeypatch):
     log = _count_calls(monkeypatch, grids.bicenter_integrals)
     assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path) == 0
     # every call is a trial member's square (on a dilated copy of the profile
-    # grid) against the potentials; 359 calls before the run shared one memo
-    samples = [(sq.grid.scale_factor, rho) for sq, _, rho in log]
-    assert all(sq.grid.parent is not None for sq, _, _ in log)
+    # grid, whose R_max = 1 makes R_max the dilation) against the potentials;
+    # 359 calls before the run shared one memo
+    samples = [(sq.grid.R_max, rho) for sq, _, rho in log]
     assert len(log) <= 304
     assert len(set(samples)) == len(samples)
 

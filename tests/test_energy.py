@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hartreekit import (
     barycenter,
     bicenter_integral,
     bubble_profile,
+    coupling_constants,
     energy_I,
     from_callable,
     ground_pair,
@@ -28,6 +30,7 @@ from hartreekit import (
     weak_residual,
 )
 from hartreekit.checks import TrialSamples
+from hartreekit.config import PotentialSpec, load_config
 from hartreekit.energy import (
     _pair_density,
     default_test_set,
@@ -45,6 +48,7 @@ from hartreekit.grids import (
 )
 
 C_INF_123 = 675.0 / 448.0
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 
 def test_energy_zero_state(grid, free_problem):
@@ -583,6 +587,82 @@ def test_barycenter_of_a_zero_density_is_a_projection_error(grid):
         barycenter(RadialFn(grid, np.zeros(grid.M)), rho=1.0)
 
 
+def _dilate(f, gd, d):
+    """delta^(-(N-2)/2) f(x / delta) on gd = f.grid.scaled(delta), with its tail scaled."""
+    p = (gd.N - 2) / 2.0
+    return RadialFn(gd, f.values * d**-p, f.p_tail, f.c_tail * d ** (f.p_tail - p))
+
+
+def _step_potential(tmp_path, grid):
+    # 0.1 for r < 2, then 0 with no tail: accepted, compactly supported, and its
+    # spline dips below zero between nodes next to the step
+    table = tmp_path / "step.csv"
+    table.write_text("r,value\n" + "\n".join(f"{a},{0.1 if a < 2 else 0.0}"
+                                             for a in np.linspace(0.0, 10.0, 41)))
+    return PotentialSpec(family="csv", path=str(table), tail_exponent=4.0,
+                         tail_coeff=0.0).build(grid)
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_dilated_problem_gives_the_energy_of_the_dilated_pair(tmp_path, N):
+    # the dilation law 2.1 and 2.6 rest on, against an explicit dilate
+    grid = make_grid(N, 400, 40.0, 1.02)
+    cfg = dataclasses.replace(load_config(DEFAULT_CFG), N=N)
+    prob = cfg.build_problem(grid)
+    r = np.linspace(0.0, 10.0, 41)
+    table = tmp_path / "v.csv"
+    table.write_text("r,value\n" + "\n".join(f"{a},{0.2 * math.exp(-a)}" for a in r))
+    # the tail c r^-4 meets the table's last row at r = 10
+    csv = PotentialSpec(family="csv", path=str(table), tail_exponent=4.0,
+                        tail_coeff=0.2 * math.exp(-10.0) * 1e4).build(grid)
+    step = _step_potential(tmp_path, grid)
+    assert step(grid.r[1:] * 0.3).min() < 0.0
+    cc = coupling_constants(prob.mu1, prob.mu2, prob.beta, 1.0)
+    unit = bubble_profile(1.0, grid)
+    zero = RadialFn(grid, np.zeros(grid.M))
+    a, b = math.sqrt(cc.k1), math.sqrt(cc.k2)
+    assert prob.lam1 > 0 and prob.lam2 > 0
+    for V1 in (prob.V1, csv, step):
+        pb = dataclasses.replace(prob, V1=V1)
+        for d in (3.0, 1.0, 0.3, 0.1, 0.03):
+            gd = grid.scaled(d)
+            U = _dilate(unit, gd, d)
+            zd = RadialFn(gd, np.zeros(gd.M))
+            dilated = pb.dilated(d, grid)
+            for explicit, pair in ((Pair(U, zd), Pair(unit, zero)),
+                                   (Pair(a * U, b * U), Pair(a * unit, b * unit))):
+                want = dataclasses.asdict(energy_I(explicit, pb))
+                got = dataclasses.asdict(energy_I(pair, dilated))
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (d, V1 is csv)
+
+
+def test_vanishing_and_ground_limits_accept_a_compactly_supported_potential(
+        tmp_path, context):
+    # 2.1 and 2.6 read the step's spline between nodes, where it dips below
+    # zero; their rows are still the energies of the explicitly dilated pairs
+    grid = context.grid
+    step = _step_potential(tmp_path, grid)
+    ctx = dataclasses.replace(context, prob=dataclasses.replace(context.prob, V1=step,
+                                                                V2=step))
+    rep21, rep26 = verify_lemma("2.1", ctx), verify_lemma("2.6", ctx)
+    assert rep21.passed and rep26.passed
+    gp = ground_pair(1.0, 0.0, ctx.cc, grid)
+    for row in rep26.tables[0].rows:
+        d = row["delta"]
+        gd = grid.scaled(d)
+        br = energy_I(Pair(_dilate(gp.u, gd, d), _dilate(gp.v, gd, d)), ctx.prob)
+        assert row["potential_mass"] == pytest.approx(br.potential, rel=1e-12, abs=0.0)
+        assert row["energy_gap"] + ctx.cc.c_inf == pytest.approx(br.nehari_level,
+                                                                  rel=1e-12, abs=0.0)
+    U1 = bubble_profile(1.0, grid) * (1.0 / math.sqrt(ctx.prob.mu1))
+    for row in rep21.tables[0].rows:
+        d = row["delta"]
+        gd = grid.scaled(d)
+        br = energy_I(Pair(_dilate(U1, gd, d), RadialFn(gd, np.zeros(gd.M))), ctx.prob)
+        assert row["potential_mass"] == pytest.approx(br.potential, rel=1e-12, abs=0.0)
+        assert row["energy"] == pytest.approx(br.nehari_level, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, 1e-320, 1e300, 1e200])
 def test_non_finite_or_non_positive_dilations_are_rejected(trial_profile, cc, problem,
                                                           capfd, bad):
@@ -603,5 +683,7 @@ def test_non_finite_or_non_positive_dilations_are_rejected(trial_profile, cc, pr
         trial_projection_scalars(prof, bad, 1.0, problem, cc)
     with pytest.raises(ParameterError, match="delta"):
         bubble_profile(bad, prof.grid)
+    with pytest.raises(ParameterError, match="delta"):
+        problem.dilated(bad, prof.grid)
     assert prof._squares == {} and prof._densities == {}
     assert capfd.readouterr().err == ""

@@ -282,13 +282,15 @@ def test_vanishing_limit_free_case_energy_constant(free_problem, grid):
 
 
 def test_vanishing_limit_shift_mass_law(grid):
+    # with no V, the potential term energy_I computes under the dilated
+    # problem is the shift mass lam delta^2 ||U_1||_2^2
     prob = Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0, lam1=0.1, lam2=0.1)
     tbl = vanishing_energy_limit(prob, 1, [1.0, 0.3, 0.1, 0.03], grid)
     u1 = bubble_profile(1.0, grid)
     l2 = integrate(u1.squared())
     for row in tbl.rows:
         law = 0.1 * row["delta"] ** 2 * l2
-        assert abs(row["lambda_mass"] - law) <= 1e-6 * law
+        assert abs(row["potential_mass"] - law) <= 1e-6 * law
 
 
 def test_vanishing_limit_rejects_bad_index(problem, grid):

@@ -184,23 +184,6 @@ def test_bubble_amplitude_matches_gamma_closed_form(N, M):
     assert abs(c - exact) <= 1e-5 * exact
 
 
-@pytest.mark.parametrize("n", [5, 6])
-def test_scaled_grid_tables_derive_from_its_root(n):
-    # a scaled grid asked first still builds on its root and scales C by
-    # c^(N-4); the root's table is that of a fresh equal grid
-    c = 2.5
-    root = make_grid(n, 40, 10.0, 1.02)
-    child = root.scaled(c)
-    kc = kernel_for(child)
-    kr = kernel_for(root)
-    assert np.array_equal(kc.C, kr.C * c ** (n - 4))
-    fresh = kernel_for(make_grid(n, 40, 10.0, 1.02))
-    assert np.array_equal(kr.C, fresh.C)
-    grand = child.scaled(2.0)
-    assert grand.parent is root
-    assert np.array_equal(kernel_for(grand).C, kr.C * 5.0 ** (n - 4))
-
-
 def test_convolution_far_field(grid):
     gf = make_grid(5, 120, 1.0, 1.0)
     bump = from_callable(gf, lambda r: np.exp(1 - 1 / np.clip(1 - r**2, 1e-12, None)) * (r < 1))
