@@ -16,8 +16,6 @@ from .bubbles import (
     make_constants_table,
     make_trial_profile,
     quotient_infimum,
-    trial_member,
-    trial_pair,
 )
 from .checks import (
     AdmissibilityReport,

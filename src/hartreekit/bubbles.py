@@ -24,7 +24,7 @@ just above the coupled ground level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .grids import (
     Pair,
     RadialFn,
     RadialGrid,
+    _dilation,
     dirichlet_seminorm,
     integrate,
     lp_norm,
@@ -56,8 +57,6 @@ __all__ = [
     "quotient_infimum",
     "ground_pair",
     "make_trial_profile",
-    "trial_member",
-    "trial_pair",
 ]
 
 
@@ -244,7 +243,14 @@ def _smoothstep(x):
 
 @dataclass(frozen=True, eq=False)
 class TrialProfile:
-    """Compactly supported trial profile on the unit ball plus its certificates."""
+    """Compactly supported trial profile on the unit ball plus its certificates.
+
+    The family member at dilation delta is delta^(-(N-2)/2) profile(x / delta),
+    and the trial pair is (sqrt(k1), sqrt(k2)) times it.  No member is built:
+    by the dilation law its square is delta^(2-N) square(x / delta) and the
+    pair's critical density delta^(-N) density(x / delta), so the trial maps
+    read these two unit functions on the profile grid at dilation delta.
+    """
 
     profile: RadialFn          # supported in [0, 1], radially nonincreasing
     energy: float              # ||grad||^2 = D_4(profile^2, profile^2), > S_HL^2
@@ -254,44 +260,12 @@ class TrialProfile:
     cc: CouplingConstants
     cbar: float
     inner_scale: float         # dilation of the truncated bubble core
-    _squares: dict = field(default_factory=dict, init=False, repr=False)  # delta -> square
-    # delta -> critical density of the trial pair, on its square's grid
-    _densities: dict = field(default_factory=dict, init=False, repr=False)
+    square: RadialFn           # profile^2
+    density: RadialFn          # critical density of the unit trial pair (_pair_density)
 
     @property
     def grid(self) -> RadialGrid:
         return self.profile.grid
-
-    def member_square(self, delta: float) -> RadialFn:
-        """Square of the member at dilation delta, memoized per delta.
-
-        The square does not depend on the offset, so every offset at one
-        dilation shares this object and the spline it builds on first
-        evaluation.  Only squares and densities are kept: a memoized member
-        or pair would also keep the kernel tables that energies build on its
-        grid.
-        """
-        return self._squares[self._remember(delta)]
-
-    def member_density(self, delta: float) -> RadialFn:
-        """Critical density of the trial pair at dilation delta, memoized per delta.
-
-        The density of trial_pair(self, delta, rho) under the profile's
-        couplings (_pair_density), bit for bit; it does not depend on the
-        offset.  It lives on the grid of member_square(delta).
-        """
-        return self._densities[self._remember(delta)]
-
-    def _remember(self, delta: float) -> float:
-        """The memo key of a dilation, after building its square and density once."""
-        key = _dilation(delta, self.grid.N)
-        if key not in self._squares:
-            cc = self.cc
-            m = trial_member(self, key)
-            pair = Pair(math.sqrt(cc.k1) * m, math.sqrt(cc.k2) * m)
-            self._squares[key] = m.squared()
-            self._densities[key] = _pair_density(pair, cc.mu1, cc.mu2, cc.beta)
-        return key
 
 
 # the inner dilation shrinks by 0.9 per step for at most this many steps
@@ -360,15 +334,19 @@ def make_trial_profile(cc: CouplingConstants, cbar: float, grid: RadialGrid,
             f"achieved sigma={achieved:.6f} (window too tight for this grid)"
         )
     prof, E, sigma, delta0 = best
+    square = prof.squared()
+    pair = Pair(math.sqrt(cc.k1) * prof, math.sqrt(cc.k2) * prof)
     return TrialProfile(
         profile=prof,
         energy=E,
         sigma=sigma,
-        l2_mass=integrate(prof.squared()),
+        l2_mass=integrate(square),
         lp_crit=lp_norm(prof, 2.0 * N / (N - 2.0)),
         cc=cc,
         cbar=cbar,
         inner_scale=delta0,
+        square=square,
+        density=_pair_density(pair, cc.mu1, cc.mu2, cc.beta),
     )
 
 
@@ -388,21 +366,6 @@ def _build_and_certify(grid, cn, delta0, w_moll, cc):
     return prof, E, sigma
 
 
-def _dilation(delta: float, N: int) -> float:
-    """delta as a float; a dilation that is not finite and positive, or whose
-    square scales delta^(+-(N-2)) (those of a member's or a bubble's square)
-    are not finite and nonzero, is a ParameterError."""
-    d = float(delta)
-    try:
-        ok = math.isfinite(d) and d > 0 and all(0.0 < d**e < math.inf for e in (N - 2, 2 - N))
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ParameterError(f"delta must be finite and positive, with delta^(+-(N-2)) "
-                             f"finite and nonzero at N={N}, got {delta}")
-    return d
-
-
 def _pair_density(p: Pair, mu1: float, mu2: float, beta: float) -> RadialFn:
     """Radial profile of mu1 (u+)^{2*} + 2 beta (u+ v+)^{2*/2} + mu2 (v+)^{2*}."""
     u, v = p.u, p.v
@@ -412,23 +375,3 @@ def _pair_density(p: Pair, mu1: float, mu2: float, beta: float) -> RadialFn:
     vp = v.positive().power(two_star)
     cross = u.positive().power(two_star / 2.0) * v.positive().power(two_star / 2.0)
     return mu1 * up + 2.0 * beta * cross + mu2 * vp
-
-
-def trial_pair(profile: TrialProfile, delta: float, rho: float) -> Pair:
-    """Proportional pair (sqrt(k1), sqrt(k2)) x member at dilation delta, offset by rho."""
-    m = trial_member(profile, delta)
-    cc = profile.cc
-    return Pair(math.sqrt(cc.k1) * m, math.sqrt(cc.k2) * m, float(rho))
-
-
-def trial_member(profile: TrialProfile, delta: float) -> RadialFn:
-    """Dilated family member, supported in the delta-ball about its center.
-
-    The critical-norm is preserved exactly: values scale by delta^(-(N-2)/2)
-    on the delta-scaled copy of the profile grid.
-    """
-    delta = _dilation(delta, profile.grid.N)
-    g = profile.grid.scaled(delta)
-    N = g.N
-    vals = profile.profile.values * delta ** (-(N - 2) / 2.0)
-    return RadialFn(g, vals)

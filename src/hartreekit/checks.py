@@ -19,7 +19,7 @@ conclusion is reported as supported, never as proved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,15 +32,16 @@ from .bubbles import (
 )
 from .energy import (
     Problem,
-    barycenter,
     energy_I,
     pohozaev_residual,
+    potential_energy,
+    trial_overlaps,
     trial_projection_scalars,
     weak_residual,
 )
 from .errors import AdmissibilityError, DomainError, NumericalError, ParameterError
 from .flow import FlowConfig, FlowDiagnostics
-from .grids import Pair, RadialFn, RadialGrid, _has_tail, integrate
+from .grids import Pair, RadialFn, RadialGrid, _has_tail, axis_moment_integrals, integrate
 from .reporting import LemmaReport, Table, limit_trend
 from .riesz import ConstantsTable, double_energy
 
@@ -241,9 +242,11 @@ class TrialSamples:
 
     One memo per run: the region scan, 4.4, 4.5 and 5.1 read a member's
     potential overlaps, its shape maps (gamma, xi) and its energy maps
-    (t0, t_lam and the two energies) here.  A sample's key rounds delta and
-    rho to 12 digits, so a lattice point reached by two different sums is
-    one sample; its maps are those of the first (delta, rho) read.
+    (t0, t_lam and the two energies) here.  No member is built: each map
+    reads the profile's unit square or unit density on the profile grid
+    at dilation delta.  A sample's key rounds delta and rho to 12 digits,
+    so a lattice point reached by two different sums is one sample; its
+    maps are those of the first (delta, rho) read.
     """
 
     profile: TrialProfile
@@ -270,13 +273,18 @@ class TrialSamples:
 
 def _overlaps(samples: TrialSamples, delta: float, rho: float):
     """(V1, V2) overlaps of the trial member's square at one (delta, rho)."""
-    return samples.prob.potential_overlaps(samples.profile.member_square(delta), rho)
+    return trial_overlaps(samples.profile, samples.prob, delta, rho)
 
 
 def _shape_maps(samples: TrialSamples, delta: float, rho: float):
-    """(gamma, xi_axial) of the trial member at one (delta, rho)."""
-    xi, gamma = barycenter(samples.profile.member_density(delta), rho=rho)
-    return gamma, xi
+    """(gamma, xi_axial) of the trial member at one (delta, rho).
+
+    The moments of the unit density read at dilation delta; the member's
+    density is delta^(-N) times it, a factor that gamma and xi, ratios to
+    the mass, do not see.
+    """
+    mass, axial, spread = axis_moment_integrals(samples.profile.density, rho, delta)
+    return spread / mass, axial / mass
 
 
 def _energy_maps(samples: TrialSamples, delta: float, rho: float):
@@ -481,11 +489,11 @@ def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
     """Scalar concentration family mu_j^(-1/2) U_delta: potential mass and
     constrained energy per dilation.
 
-    Each row evaluates energy_I at the unit pair, mu_j^(-1/2) U_1 in
-    component j and zero in the other, under prob.dilated(delta, grid): by
-    the dilation law that is the energy of the pair with U_delta, its
-    Dirichlet and double energies are the unit pair's, and only the
-    potential term carries delta dependence.  The L^2 mass is delta^2 times
+    Each row is energy_I at the unit pair, mu_j^(-1/2) U_1 in component j
+    and zero in the other, under prob.dilated(delta, grid): by the dilation
+    law that is the energy of the pair with U_delta.  Its Dirichlet and
+    double energies are the unit pair's, computed once, and only the
+    potential term is computed per dilation.  The L^2 mass is delta^2 times
     the unit pair's.  t_n and the energy are the pair's Nehari ray scaling
     and level.
     """
@@ -502,8 +510,9 @@ def vanishing_energy_limit(prob: Problem, mu_index: int, delta_seq,
     zero = RadialFn(grid, np.zeros(grid.M))
     pair = Pair(prof, zero) if mu_index == 1 else Pair(zero, prof)
     l2_unit = integrate(prof.squared())
+    unit = energy_I(pair, prob)
     for d in delta_seq:
-        br = energy_I(pair, prob.dilated(d, grid))
+        br = replace(unit, potential=potential_energy(pair, prob.dilated(d, grid)))
         l2 = float(d) ** 2 * l2_unit
         table.add(delta=float(d), l2_mass=l2, lambda_mass=lam * l2,
                   potential_mass=br.potential, t_n=math.sqrt(br.ray_scale_sq),
@@ -659,8 +668,9 @@ def _check_ground_level_limit(ctx: VerifyContext) -> LemmaReport:
     tbl = Table("level_limit", ["delta", "potential_mass", "t_n", "energy_gap"])
     gaps = []
     gp = ground_pair(1.0, 0.0, cc, ctx.grid)
+    unit = energy_I(gp, ctx.prob)   # its Dirichlet and double energies hold at every dilation
     for d in deltas:
-        br = energy_I(gp, ctx.prob.dilated(d, ctx.grid))
+        br = replace(unit, potential=potential_energy(gp, ctx.prob.dilated(d, ctx.grid)))
         gap = br.nehari_level - cc.c_inf
         gaps.append(abs(gap))
         tbl.add(delta=d, potential_mass=br.potential, t_n=math.sqrt(br.ray_scale_sq),

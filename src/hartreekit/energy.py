@@ -27,12 +27,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bubbles import CouplingConstants, TrialProfile, _dilation, _pair_density
+from .bubbles import CouplingConstants, TrialProfile, _pair_density
 from .errors import DivergenceError, ParameterError, ProjectionError
 from .grids import (
     Pair,
     RadialFn,
     RadialGrid,
+    _dilation,
     _has_tail,
     apply_stencil,
     axis_moment_integrals,
@@ -51,7 +52,9 @@ __all__ = [
     "Problem",
     "EnergyBreakdown",
     "energy_I",
+    "potential_energy",
     "nehari_project",
+    "trial_overlaps",
     "trial_projection_scalars",
     "barycenter",
     "pohozaev_residual",
@@ -121,15 +124,17 @@ class Problem:
         out.__dict__.update(lam1=d**2 * self.lam1, lam2=d**2 * self.lam2, V1=V1, V2=V2)
         return out
 
-    def potential_overlaps(self, sq: RadialFn, rho: float) -> tuple[float, float]:
-        """(int V1(x) sq(|x - y|) dx, the same for V2) at |y| = rho; 0 for an absent V.
+    def potential_overlaps(self, sq: RadialFn, rho: float,
+                           dilation: float = 1.0) -> tuple[float, float]:
+        """(int V1(x) sq(|x - y| / dilation) dx, the same for V2) at |y| = rho; 0 for
+        an absent V.
 
         Two potentials on one grid share sq's side of the overlap, and one
         potential object standing for both (V1 is V2) is integrated once.
         """
         potentials = (self.V1, self.V2)
         distinct = list(dict.fromkeys(V for V in potentials if V is not None))
-        over = dict(zip(distinct, bicenter_integrals(sq, distinct, rho)))
+        over = dict(zip(distinct, bicenter_integrals(sq, distinct, rho, dilation)))
         return tuple(0.0 if V is None else over[V] for V in potentials)
 
     def potential_norms(self) -> tuple[float, float]:
@@ -206,17 +211,21 @@ def potential_mass(V: RadialFn | None, lam: float, sq: RadialFn, rho: float = 0.
     return out
 
 
+def potential_energy(p: Pair, prob: Problem) -> float:
+    """int (V1 + lam1) u^2 + (V2 + lam2) v^2 at a pair: energy_I's potential term."""
+    return (potential_mass(prob.V1, prob.lam1, p.u.squared(), p.offset)
+            + potential_mass(prob.V2, prob.lam2, p.v.squared(), p.offset))
+
+
 def energy_I(p: Pair, prob: Problem) -> EnergyBreakdown:
     """Full breakdown of the coupled functional at a pair."""
     u, v = p.u, p.v
     kinetic = dirichlet_seminorm(u) + dirichlet_seminorm(v)
-    potential = (potential_mass(prob.V1, prob.lam1, u.squared(), p.offset)
-                 + potential_mass(prob.V2, prob.lam2, v.squared(), p.offset))
     up2 = u.positive().squared()
     vp2 = v.positive().squared()
     return EnergyBreakdown(
         kinetic=kinetic,
-        potential=potential,
+        potential=potential_energy(p, prob),
         nonlocal_11=prob.mu1 * double_energy(up2, up2),
         nonlocal_22=prob.mu2 * double_energy(vp2, vp2),
         nonlocal_12=2.0 * prob.beta * double_energy(up2, vp2),
@@ -233,23 +242,35 @@ def nehari_project(p: Pair, prob: Problem):
     return t, p.scale(t)
 
 
+def trial_overlaps(profile: TrialProfile, prob: Problem, delta: float,
+                   rho: float) -> tuple[float, float]:
+    """(V1, V2) overlaps of the square of the trial member at dilation delta, offset rho.
+
+    By the dilation law they are delta^(2-N) times the overlaps of the unit
+    square read at dilation delta (Problem.potential_overlaps), on the
+    profile grid.
+    """
+    over = prob.potential_overlaps(profile.square, rho, delta)
+    scale = float(delta) ** (2 - profile.grid.N)   # delta is checked by the overlaps
+    return scale * over[0], scale * over[1]
+
+
 def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
                              prob: Problem, cc: CouplingConstants, overlaps=None):
     """Ray scalings t0 (no mass shifts) and t_lam (with them) of a trial member.
 
     Both follow from the profile's certified energy equality and the exact
     dilation covariances: the Dirichlet and double energies of every member
-    equal the profile's, and the L^2 mass scales as delta^2.  The member's
-    square comes from the profile's per-delta memo, and both potentials
-    share its side of the overlap (Problem.potential_overlaps).  `overlaps`,
-    if given, are those two overlaps, already computed for this member.
+    equal the profile's, and the L^2 mass scales as delta^2.  The potential
+    overlaps are trial_overlaps, read off the profile's one unit square;
+    `overlaps`, if given, are those two, already computed for this member.
     """
     if rho < 0:
         raise ParameterError(f"offset must be >= 0, got {rho}")
     E = profile.energy
     ksum = cc.k_sum
     if overlaps is None:
-        overlaps = prob.potential_overlaps(profile.member_square(delta), rho)
+        overlaps = trial_overlaps(profile, prob, delta, rho)
     over1, over2 = overlaps
     P = cc.k1 * over1 + cc.k2 * over2
     lam_term = (cc.k1 * prob.lam1 + cc.k2 * prob.lam2) * delta**2 * profile.l2_mass
@@ -262,24 +283,19 @@ def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
 # barycenter and concentration maps
 # ---------------------------------------------------------------------------
 
-def barycenter(p: Pair | RadialFn, mu1: float = 1.0, mu2: float = 1.0, beta: float = 1.0,
-               *, rho: float = 0.0):
+def barycenter(p: Pair, mu1: float = 1.0, mu2: float = 1.0, beta: float = 1.0):
     """Barycenter axial component xi and concentration gamma of a pair.
 
     Both maps weigh the critical-density combination of the positive parts
     (_pair_density); they are invariant under positive scalar multiples of
-    the pair.  For centered pairs xi = 0 exactly by symmetry.  A density
-    built beforehand (TrialProfile.member_density) may stand in for its
-    pair: `p` is then that RadialFn, translated by `rho`, and it already
-    carries its couplings.
+    the pair.  For centered pairs xi = 0 exactly by symmetry.  The trial
+    family's maps read the moments of TrialProfile.density at a dilation
+    instead (checks.TrialSamples).
     """
-    if isinstance(p, Pair):
-        dens, rho = _pair_density(p, mu1, mu2, beta), p.offset
-    else:
-        dens = p
+    dens = _pair_density(p, mu1, mu2, beta)
     if np.all(dens.values == 0.0) and dens.c_tail == 0.0:
         raise ProjectionError("zero critical density; barycenter undefined")
-    mass, axial, spread = axis_moment_integrals(dens, rho)
+    mass, axial, spread = axis_moment_integrals(dens, p.offset)
     return axial / mass, spread / mass
 
 

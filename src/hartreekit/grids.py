@@ -78,20 +78,6 @@ class RadialGrid:
             self._cache[key] = self.omega * self.r ** (self.N - 1) * self.w1
         return self._cache[key]
 
-    def scaled(self, c: float) -> "RadialGrid":
-        """Grid with all radii multiplied by c > 0 (volume weights scale by c^N)."""
-        if not (math.isfinite(c) and c > 0):
-            raise ParameterError(f"scale factor must be finite and positive, got {c}")
-        return RadialGrid(
-            N=self.N,
-            r=self.r * c,
-            w1=self.w1 * c,
-            edges=self.edges * c,
-            node_cell=self.node_cell,
-            R_max=self.R_max * c,
-            stretch=self.stretch,
-        )
-
     def deriv_matrix(self) -> np.ndarray:
         """Nodal first derivative as (M, 5) weights on the stencil windows.
 
@@ -217,6 +203,21 @@ def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:
         N=int(N), r=r, w1=w1, edges=edges, node_cell=node_cell,
         R_max=float(R_max), stretch=float(stretch),
     )
+
+
+def _dilation(delta: float, N: int) -> float:
+    """delta as a float; a dilation that is not finite and positive, or at which a
+    power the dilation law forms (delta^N for volumes, delta^(+-(N-2)) for a
+    member's or a bubble's square) is not finite and nonzero, is a ParameterError."""
+    d = float(delta)
+    try:
+        ok = math.isfinite(d) and d > 0 and all(0.0 < d**e < math.inf for e in (N, N - 2, 2 - N))
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ParameterError(f"delta must be finite and positive, with delta^N and "
+                             f"delta^(+-(N-2)) finite and nonzero at N={N}, got {delta}")
+    return d
 
 
 def _has_tail(f) -> bool:
@@ -635,21 +636,22 @@ def _lattice_sums(fs: list, s: np.ndarray, rho: float, N: int) -> np.ndarray:
     return out
 
 
-def _sides(fs: list, grid: RadialGrid, rho: float, with_tail: bool) -> list:
-    """Each f's side (values, tail) of int f(|x|) g(|x - y|) dx, |y| = rho, for any g on `grid`.
+def _sides(fs: list, s: np.ndarray, s_tail: np.ndarray | None, rho: float) -> list:
+    """Each f's side (values, tail) of int f(|x|) g(|x - y|) dx, |y| = rho, over g's nodes s.
 
     fs share one grid, so they share one lattice and one cell search.  For
     rho > 0, values[i] = sum_k a_k f(|x|) over the angular nodes of the
-    sphere |x - y| = r_i (f's angular means over the grid's (s, theta)
-    lattice), and with_tail adds the same sums at the tail nodes that a g
-    with a tail model needs.  For rho = 0, values are f's nodal values.
+    sphere |x - y| = s_i (f's angular means over the (s, theta) lattice),
+    and tail holds the same sums at the tail nodes s_tail that a g with a
+    tail model needs (None without them).  For rho = 0, values are f at s.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ParameterError(f"offset distance must be finite and >= 0, got {rho}")
     if rho == 0.0:
-        return [(v, None) for v in _evaluate(fs, grid.r)]
-    values = _lattice_sums(fs, grid.r, rho, grid.N)
-    tails = _lattice_sums(fs, _tail_nodes(grid)[0], rho, grid.N) if with_tail else [None] * len(fs)
+        return [(v, None) for v in _evaluate(fs, s)]
+    N = fs[0].grid.N
+    values = _lattice_sums(fs, s, rho, N)
+    tails = _lattice_sums(fs, s_tail, rho, N) if s_tail is not None else [None] * len(fs)
     return list(zip(values, tails))
 
 
@@ -689,22 +691,34 @@ def bicenter_integral(f: RadialFn, g: RadialFn, rho: float) -> float:
     return bicenter_integrals(f, [g], rho)[0]
 
 
-def bicenter_integrals(f: RadialFn, gs: list, rho: float) -> list:
-    """[bicenter_integral(f, g, rho) for g in gs], bit for bit.
+def bicenter_integrals(f: RadialFn, gs: list, rho: float, dilation: float = 1.0) -> list:
+    """[bicenter_integral(f, g, rho) for g in gs], bit for bit, with f read as f(|x| / dilation).
 
+    The dilation law gives both halves of the mean on the grids f and g
+    already have: f's side over g's grid is f's lattice sums at the nodes
+    s / dilation and the offset rho / dilation, and g's side over f's grid
+    is g's lattice sums at the physical nodes dilation * r, weighed by
+    dilation^N times f's unit quadrature.  A dilation is checked as
+    `_dilation` does, and one other than 1 takes a tail-free f.
     Functions that share a grid (two potentials against one member square)
     share f's side over it and one lattice for their sides over f's grid.
     """
+    N = f.grid.N
+    d = _dilation(dilation, N)
+    if d != 1.0 and _has_tail(f):
+        raise ParameterError("a dilated overlap takes a function without a tail model")
+    f_tail = _tail_nodes(f.grid)[0] * d if _has_tail(f) else None
     out = [None] * len(gs)
     for grid in dict.fromkeys(g.grid for g in gs):
         idx, group = zip(*[(j, g) for j, g in enumerate(gs) if g.grid is grid])
-        if rho == 0.0 and grid is f.grid:
+        if rho == 0.0 and grid is f.grid and d == 1.0:
             for j, g in zip(idx, group):
                 out[j] = integrate(f * g)
             continue
-        (f_side,) = _sides([f], grid, rho, any(map(_has_tail, group)))
-        for j, g, g_side in zip(idx, group, _sides(group, f.grid, rho, _has_tail(f))):
-            out[j] = 0.5 * (_weigh(f_side, f, g, rho) + _weigh(g_side, g, f, rho))
+        g_tail = _tail_nodes(grid)[0] / d if any(map(_has_tail, group)) else None
+        (f_side,) = _sides([f], grid.r / d, g_tail, rho / d)
+        for j, g, g_side in zip(idx, group, _sides(group, d * f.grid.r, f_tail, rho)):
+            out[j] = 0.5 * (_weigh(f_side, f, g, rho) + d**N * _weigh(g_side, g, f, rho))
     return out
 
 
@@ -727,7 +741,7 @@ def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
         if _has_tail(g):
             raise ParameterError("pairing rows take functions without a tail model")
         own = g.grid
-        ((values, _),) = _sides([g], grid, rho, False)
+        ((values, _),) = _sides([g], grid.r, None, rho)
         if rho == 0.0:
             W[b] = 0.5 * grid.w * values
             x, wx = own.r, 0.5 * own.w * g.values
@@ -791,7 +805,7 @@ def _spline_pullback(grid: RadialGrid, x: np.ndarray, wx: np.ndarray, owner: np.
     return L
 
 
-def axis_moment_integrals(dens: RadialFn, rho: float):
+def axis_moment_integrals(dens: RadialFn, rho: float, dilation: float = 1.0):
     """Weighted integrals of a density translated by rho, in one lattice pass.
 
     Returns (mass, axial_first_moment, spread):
@@ -799,37 +813,43 @@ def axis_moment_integrals(dens: RadialFn, rho: float):
       axial  = int (x . yhat)/(1 + |x|) dens dx      (0 exactly when rho = 0)
       spread = int |x/(1+|x|) - xi * yhat| dens dx,  xi = axial / mass,
     so spread / mass is the concentration about the barycenter's axial
-    component xi.  The tail model's mass counts in mass and in xi.
+    component xi.  The tail model's mass counts in mass and in xi.  The
+    density is read as dens(|x| / dilation): its nodes sit at dilation * r
+    and its unit quadrature weighs dilation^N more.  A dilation is checked
+    as `_dilation` does, and one other than 1 takes a tail-free density.
     """
     if not (np.isfinite(rho) and rho >= 0):
         raise ParameterError(f"offset distance must be finite and >= 0, got {rho}")
     grid = dens.grid
     N = grid.N
+    d = _dilation(dilation, N)
+    if d != 1.0 and _has_tail(dens):
+        raise ParameterError("a dilated density takes no tail model")
     if _has_tail(dens) and dens.p_tail <= N:
         raise DivergenceError("density is not integrable under its tail model")
+    r = d * grid.r
 
     if rho == 0.0:
         # xi = 0, and the tail weight tends to 1 at large radii
-        r = grid.r
-        spread = float(grid.w @ (dens.values * (r / (1.0 + r)))) + _tail_integral(dens)
-        return integrate(dens), 0.0, spread
+        spread = d**N * float(grid.w @ (dens.values * (r / (1.0 + r)))) + _tail_integral(dens)
+        return d**N * integrate(dens), 0.0, spread
 
     t, a = _theta_rule(N, _THETA_NODES)
-    absx = _offset_distance(grid.r, rho, t)
+    absx = _offset_distance(r, rho, t)
     one_absx = 1.0 + absx
-    axial_comp = rho + grid.r[:, None] * t[None, :]
-    radial_weight = grid.w1 * grid.r ** (N - 1) * dens.values
+    axial_comp = rho + r[:, None] * t[None, :]
+    radial_weight = d**N * grid.w1 * grid.r ** (N - 1) * dens.values
 
     mass = float(a.sum() * radial_weight.sum())
     axial = float(radial_weight @ ((axial_comp / one_absx) @ a))
     tail_mass = _tail_integral(dens)
     mass += tail_mass
     xi = axial / mass if mass != 0.0 else 0.0   # a zero density has zero moments
-    spread_kernel = np.sqrt(
-        (absx / one_absx) ** 2
-        - 2.0 * xi * axial_comp / one_absx
-        + xi**2
-    )
+    # |x/(1+|x|) - xi * yhat| from its axial and transverse parts: where a
+    # density concentrates near y both are small, and the expanded square
+    # |x/(1+|x|)|^2 - 2 xi x.yhat/(1+|x|) + xi^2 would cancel away their digits
+    transverse = r[:, None] * np.sqrt(1.0 - t**2)
+    spread_kernel = np.sqrt((axial_comp / one_absx - xi) ** 2 + (transverse / one_absx) ** 2)
     # at |x| -> inf the axial weight averages to 0 and the spread weight to
     # the unit-vector distance ~ sqrt(1 + xi^2); first-order tail model
     spread = float(radial_weight @ (spread_kernel @ a)) + tail_mass * math.hypot(1.0, xi)

@@ -1,8 +1,12 @@
+import math
+
 import pytest
 
 from hartreekit import (
     FlowConfig,
+    Pair,
     Problem,
+    RadialFn,
     coupling_constants,
     from_callable,
     make_constants_table,
@@ -71,3 +75,29 @@ def context(grid, constants, cc, problem, c_star_lower, trial_profile):
     return VerifyContext(grid=grid, constants=constants, cc=cc, prob=problem,
                          c_star_lower=c_star_lower, profile=trial_profile,
                          flow=FlowConfig())
+
+
+# ---------------------------------------------------------------------------
+# explicit dilates: the trial maps apply the dilation law on the profile grid,
+# and tests hold them against members built on a dilated grid of their own
+# ---------------------------------------------------------------------------
+
+def dilated_grid(grid, c):
+    """`grid` with every radius times c: the same nodes as scaling them, to round-off."""
+    return make_grid(grid.N, grid.M, c * grid.R_max, grid.stretch)
+
+
+def dilate(f, d, gd=None):
+    """delta^(-(N-2)/2) f(x / delta) on gd (dilated_grid(f.grid, d) by default),
+    with its tail scaled."""
+    gd = dilated_grid(f.grid, d) if gd is None else gd
+    p = (gd.N - 2) / 2.0
+    c = f.c_tail * d ** (f.p_tail - p) if f.p_tail is not None else f.c_tail
+    return RadialFn(gd, f.values * d**-p, f.p_tail, c)
+
+
+def explicit_trial_pair(profile, delta, rho):
+    """(sqrt(k1), sqrt(k2)) x the member at dilation delta, offset by rho, on its own grid."""
+    m = dilate(profile.profile, delta)
+    cc = profile.cc
+    return Pair(math.sqrt(cc.k1) * m, math.sqrt(cc.k2) * m, float(rho))

@@ -32,10 +32,11 @@ from hartreekit import (
     quotient_infimum,
     scan_region,
     solve_limit_ground_state,
-    trial_pair,
     vanishing_energy_limit,
 )
 from hartreekit.runner import bubble_certification
+
+from conftest import explicit_trial_pair
 
 
 def record(num, label, ok):
@@ -156,22 +157,22 @@ def test_criterion_09_barycenter_machinery(grid, cc, trial_profile):
     gp = ground_pair(1.0, 0.0, cc, grid)
     xi0, _ = barycenter(gp, cc.mu1, cc.mu2, cc.beta)
     ok = xi0 == 0.0
-    pair = trial_pair(trial_profile, 0.5, 2.0)
+    pair = explicit_trial_pair(trial_profile, 0.5, 2.0)
     xi, gamma = barycenter(pair, cc.mu1, cc.mu2, cc.beta)
     for t in (0.5, 2.0):
         xi_t, gamma_t = barycenter(pair.scale(t), cc.mu1, cc.mu2, cc.beta)
         ok = ok and abs(xi_t - xi) <= 1e-12 * max(abs(xi), 1.0)
         ok = ok and abs(gamma_t - gamma) <= 1e-12 * max(gamma, 1.0)
     for rho in (0.0, 1.0, 3.0):
-        g_small = barycenter(trial_pair(trial_profile, 0.01, rho),
+        g_small = barycenter(explicit_trial_pair(trial_profile, 0.01, rho),
                              cc.mu1, cc.mu2, cc.beta)[1]
         ok = ok and g_small < 0.04
-        g_large = barycenter(trial_pair(trial_profile, 1000.0, rho),
+        g_large = barycenter(explicit_trial_pair(trial_profile, 1000.0, rho),
                              cc.mu1, cc.mu2, cc.beta)[1]
         ok = ok and abs(1.0 - g_large) < 0.05
     for d in (0.1, 0.3, 1.0, 3.0, 10.0, 30.0):
         for rho in (0.5, 1.0, 2.0, 4.0, 8.0):
-            xi, _ = barycenter(trial_pair(trial_profile, d, rho), cc.mu1, cc.mu2, cc.beta)
+            xi, _ = barycenter(explicit_trial_pair(trial_profile, d, rho), cc.mu1, cc.mu2, cc.beta)
             ok = ok and xi * rho > 0
     record(9, "barycenter maps: symmetry, invariance, limits, axis positivity", ok)
 

@@ -22,10 +22,11 @@ from hartreekit import (
     make_grid,
     make_trial_profile,
     quotient_infimum,
-    trial_member,
-    trial_pair,
     weak_residual,
 )
+from hartreekit.bubbles import _pair_density
+
+from conftest import dilate, explicit_trial_pair
 
 C5 = 0.9836391782538883  # sqrt(30 / pi^3), independent closed-form evaluation
 S_HL_SQ = 225.0 / 16.0
@@ -195,9 +196,14 @@ def test_trial_profile_unattainable_window(cc, constants, profile_grid):
 
 
 def test_trial_member_identity(trial_profile):
-    m = trial_member(trial_profile, 1.0)
-    assert np.array_equal(m.values, trial_profile.profile.values)
-    assert trial_pair(trial_profile, 1.0, 0.0).offset == 0.0
+    # the unit member is the profile: the trial maps read its square and the
+    # unit pair's critical density, bit for bit
+    prof, cc = trial_profile.profile, trial_profile.cc
+    assert np.array_equal(trial_profile.square.values, prof.values**2)
+    unit = Pair(math.sqrt(cc.k1) * prof, math.sqrt(cc.k2) * prof)
+    dens = _pair_density(unit, cc.mu1, cc.mu2, cc.beta)
+    assert np.array_equal(trial_profile.density.values, dens.values)
+    assert trial_profile.density.c_tail == trial_profile.square.c_tail == 0.0
 
 
 def test_trial_member_norm_preservation(trial_profile):
@@ -205,17 +211,22 @@ def test_trial_member_norm_preservation(trial_profile):
     base = trial_profile.lp_crit
     for _ in range(10):
         d = float(rng.uniform(0.05, 50.0))
-        m = trial_member(trial_profile, d)
+        m = dilate(trial_profile.profile, d)
         assert abs(lp_norm(m, 10.0 / 3.0) - base) <= 1e-8 * base
 
 
 def test_trial_member_support(trial_profile):
-    m = trial_member(trial_profile, 2.0)
+    # the unit square vanishes past the unit ball, so the member read at
+    # dilation delta vanishes past the delta-ball
+    assert trial_profile.square(1.5) == 0.0
+    m = dilate(trial_profile.profile, 2.0)
     assert m(2.5) == 0.0
     assert m.grid.R_max == pytest.approx(2.0)
 
 
 def test_trial_pair_shares_grid(trial_profile):
-    pair = trial_pair(trial_profile, 2.0, 1.0)
+    # the unit square and density live on the profile grid: no dilated copy
+    assert trial_profile.square.grid is trial_profile.density.grid is trial_profile.grid
+    pair = explicit_trial_pair(trial_profile, 2.0, 1.0)
     assert pair.u.grid is pair.v.grid
     assert pair.offset == 1.0

@@ -20,6 +20,8 @@ from hartreekit import (
 from hartreekit import checks
 from hartreekit.checks import CHECK_IDS, limit_trend
 
+from conftest import explicit_trial_pair
+
 
 def make_problem(grid, v0, lam=0.1):
     if v0 == 0.0:
@@ -132,9 +134,9 @@ def test_scan_kappa_below_threshold(scan):
 
 def test_scan_gamma_trend_matches_limits(scan, trial_profile, cc):
     # concentration map rises from the inner to the outer dilation face
-    from hartreekit import barycenter, trial_pair
+    from hartreekit import barycenter
 
-    gammas = [barycenter(trial_pair(trial_profile, d, 0.0),
+    gammas = [barycenter(explicit_trial_pair(trial_profile, d, 0.0),
                          cc.mu1, cc.mu2, cc.beta)[1]
               for d in np.geomspace(scan.delta1, scan.delta2, 6)]
     assert gammas[0] < 0.5 < gammas[-1]

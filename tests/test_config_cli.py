@@ -462,12 +462,28 @@ def test_equal_potential_specs_build_one_potential(grid):
 def test_run_all_integrates_each_trial_sample_once(tmp_path, monkeypatch):
     log = _count_calls(monkeypatch, grids.bicenter_integrals)
     assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path) == 0
-    # every call is a trial member's square (on a dilated copy of the profile
-    # grid, whose R_max = 1 makes R_max the dilation) against the potentials;
-    # 359 calls before the run shared one memo
-    samples = [(sq.grid.R_max, rho) for sq, _, rho in log]
+    # every call is the profile's unit square, read at a trial member's
+    # dilation, against the potentials; 359 calls before the run shared one memo
+    samples = [(delta, rho) for _, _, rho, delta in log]
     assert len(log) <= 304
     assert len(set(samples)) == len(samples)
+
+
+def test_run_all_builds_few_cell_lookups(tmp_path, monkeypatch):
+    # the trial family reads its unit functions on the profile grid: no
+    # dilated grid builds its own spline cell table (57 tables, one per
+    # dilation, before)
+    built = []
+    lookup = grids._cell_lookup
+
+    def counted(grid):
+        if "cell_lookup" not in grid._cache:
+            built.append(grid.M)
+        return lookup(grid)
+
+    monkeypatch.setattr(grids, "_cell_lookup", counted)
+    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path) == 0
+    assert len(built) <= 9, built
 
 
 def test_projection_scalars_after_potential_vanishing_add_no_quadrature(monkeypatch):

@@ -23,12 +23,11 @@ from hartreekit import (
     ground_pair,
     nehari_project,
     pohozaev_residual,
-    trial_member,
-    trial_pair,
     trial_projection_scalars,
     verify_lemma,
     weak_residual,
 )
+from hartreekit import runner
 from hartreekit.checks import TrialSamples
 from hartreekit.config import PotentialSpec, load_config
 from hartreekit.energy import (
@@ -36,16 +35,20 @@ from hartreekit.energy import (
     default_test_set,
     potential_mass,
     residual_fields,
+    trial_overlaps,
 )
 from hartreekit.grids import (
     _tail_integral,
     _theta_rule,
+    axis_moment_integrals,
     bicenter_integrals,
     bicenter_rows,
     dirichlet_seminorm,
     integrate,
     make_grid,
 )
+
+from conftest import dilate, dilated_grid, explicit_trial_pair
 
 C_INF_123 = 675.0 / 448.0
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -84,7 +87,7 @@ def test_energy_homogeneity(grid, cc):
 
 
 def test_energy_trial_pair_in_window(trial_profile, cc):
-    pair = trial_pair(trial_profile, 1.0, 0.0)
+    pair = explicit_trial_pair(trial_profile, 1.0, 0.0)
     br = energy_I(pair, Problem.limit(5, cc))
     assert cc.c_inf < br.total < trial_profile.cbar
     assert abs(br.total - trial_profile.sigma) <= 1e-6 * trial_profile.sigma
@@ -168,9 +171,8 @@ def test_trial_projection_lambda_term_matches_quadrature(trial_profile, cc, grid
     prob = Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0, lam1=0.1, lam2=0.1,
                    V1=potential, V2=potential)
     t0, t_lam = trial_projection_scalars(trial_profile, 1.0, 0.0, prob, cc)
-    # direct quadrature of the shift term on the member grid
-    m = trial_member(trial_profile, 1.0)
-    lam_term = (cc.k1 * 0.1 + cc.k2 * 0.1) * integrate(m.squared())
+    # direct quadrature of the shift term on the unit member's grid
+    lam_term = (cc.k1 * 0.1 + cc.k2 * 0.1) * integrate(trial_profile.square)
     pred = (t_lam**2 - t0**2) * cc.k_sum * trial_profile.energy
     assert abs(pred - lam_term) <= 1e-10 * lam_term
     assert t_lam > t0
@@ -184,7 +186,7 @@ def test_barycenter_centered_exact_zero(grid, cc):
 
 
 def test_barycenter_scale_invariance(trial_profile, cc):
-    pair = trial_pair(trial_profile, 0.5, 2.0)
+    pair = explicit_trial_pair(trial_profile, 0.5, 2.0)
     xi, gamma = barycenter(pair, cc.mu1, cc.mu2, cc.beta)
     for t in (0.5, 2.0):
         xi_t, gamma_t = barycenter(pair.scale(t), cc.mu1, cc.mu2, cc.beta)
@@ -194,7 +196,7 @@ def test_barycenter_scale_invariance(trial_profile, cc):
 
 def test_barycenter_small_dilation_bound(trial_profile, cc):
     for rho in (0.0, 1.0, 3.0):
-        pair = trial_pair(trial_profile, 0.01, rho)
+        pair = explicit_trial_pair(trial_profile, 0.01, rho)
         _, gamma = barycenter(pair, cc.mu1, cc.mu2, cc.beta)
         assert gamma < 4 * 0.01
 
@@ -273,7 +275,7 @@ def test_offset_pair_energy_consistent_with_scalar_path(trial_profile, cc, probl
     # projecting the translated trial pair through the full energy machinery
     # must reproduce the certified scalar quotients
     delta, rho = 2.0, 1.5
-    pair = trial_pair(trial_profile, delta, rho)
+    pair = explicit_trial_pair(trial_profile, delta, rho)
     t0_scalar, _ = trial_projection_scalars(trial_profile, delta, rho,
                                             problem.with_lambda(0.0, 0.0), cc)
     t_full, proj = nehari_project(pair, problem.with_lambda(0.0, 0.0))
@@ -291,62 +293,25 @@ def test_axis_moments_divergent_profile_rejected(grid):
         axis_moment_integrals(slow.power(10.0 / 3.0), 1.0)
 
 
-def test_member_square_is_memoized_per_delta(trial_profile, cc, problem):
-    # both offsets at one dilation read the same square and its one spline
-    d = 2.5
-    trial_projection_scalars(trial_profile, d, 1.0, problem, cc)
-    sq = trial_profile.member_square(d)
-    spline = sq._cache["spline"]
-    trial_projection_scalars(trial_profile, d, 3.0, problem, cc)
-    assert trial_profile.member_square(d) is sq
-    assert sq._cache["spline"] is spline
-    assert trial_profile.member_square(np.float64(d)) is sq
-
-
 @pytest.mark.parametrize("delta, rho", [(0.4, 0.0), (0.4, 1.3), (37.0, 2.0)])
 def test_trial_projection_scalars_match_a_fresh_square(trial_profile, cc, problem,
                                                        delta, rho):
-    sq = trial_member(trial_profile, delta).squared()
+    # the square of the member built on its own dilated grid, against the
+    # dilation law on the unit square
+    sq = dilate(trial_profile.profile, delta).squared()
     P = sum(k * bicenter_integral(V, sq, rho)
             for k, V in ((cc.k1, problem.V1), (cc.k2, problem.V2)))
     lam_term = ((cc.k1 * problem.lam1 + cc.k2 * problem.lam2)
                 * delta**2 * trial_profile.l2_mass)
     ksum_E = cc.k_sum * trial_profile.energy
     expected = (math.sqrt(1.0 + P / ksum_E), math.sqrt(1.0 + (P + lam_term) / ksum_E))
-    assert trial_projection_scalars(trial_profile, delta, rho, problem, cc) == expected
+    got = trial_projection_scalars(trial_profile, delta, rho, problem, cc)
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_trial_projection_scalars_reject_negative_offset(trial_profile, cc, problem):
     with pytest.raises(ParameterError):
         trial_projection_scalars(trial_profile, 1.0, -0.5, problem, cc)
-
-
-def test_member_square_memo_holds_no_kernel_tables(context, trial_profile):
-    # the memo keeps squares only; a memoized grid with kernel tables would
-    # keep 2.5 MB per dilation alive with the profile
-    fresh = dataclasses.replace(trial_profile)
-    ctx = dataclasses.replace(context, profile=fresh, scan=None)
-    for cid in ("4.4", "5.1", "5.2"):
-        assert verify_lemma(cid, ctx).passed
-    assert fresh._squares
-    kernel_keys = [k for sq in fresh._squares.values() for k in sq.grid._cache
-                   if k in ("kernel", "tail_kernel")]
-    assert kernel_keys == []
-
-
-def test_member_square_memo_frees_with_its_profile(trial_profile):
-    gc.collect()
-    gc.disable()
-    try:
-        prof = dataclasses.replace(trial_profile)
-        sq = prof.member_square(3.0)
-        sq(np.array([0.5, 1.5]))  # builds the spline the memo carries
-        assert "spline" in sq._cache
-        refs = [weakref.ref(prof), weakref.ref(sq), weakref.ref(sq.grid)]
-        del prof, sq
-        assert [r() for r in refs] == [None, None, None]
-    finally:
-        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +437,8 @@ def test_trial_projection_scalars_share_the_square_exactly(trial_profile, cc, pr
                                                            case, delta, rho):
     V1, V2 = _potential_pairs(grid)[case]
     prob = dataclasses.replace(problem, V1=V1, V2=V2, lam1=0.2, lam2=0.05)
-    sq = trial_member(trial_profile, delta).squared()
-    P = sum(k * bicenter_integral(V, sq, rho)
+    sq = trial_profile.square
+    P = sum(k * (delta ** (2 - grid.N) * bicenter_integrals(sq, [V], rho, delta)[0])
             for k, V in ((cc.k1, V1), (cc.k2, V2)) if V is not None)
     lam_term = (cc.k1 * 0.2 + cc.k2 * 0.05) * delta**2 * trial_profile.l2_mass
     ksum_E = cc.k_sum * trial_profile.energy
@@ -486,9 +451,10 @@ def test_trial_projection_scalars_share_the_square_exactly(trial_profile, cc, pr
 def test_potential_overlaps_equal_the_plain_quadrature(trial_profile, problem, grid, case, rho):
     V1, V2 = _potential_pairs(grid)[case]
     prob = dataclasses.replace(problem, V1=V1, V2=V2)
-    sq = trial_profile.member_square(0.4)
-    expected = tuple(0.0 if V is None else bicenter_integral(V, sq, rho) for V in (V1, V2))
-    assert prob.potential_overlaps(sq, rho) == expected
+    sq = trial_profile.square
+    expected = tuple(0.0 if V is None else bicenter_integrals(sq, [V], rho, 0.4)[0]
+                     for V in (V1, V2))
+    assert prob.potential_overlaps(sq, rho, 0.4) == expected
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.3, 7.0])
@@ -498,16 +464,16 @@ def test_one_potential_for_both_is_integrated_once(trial_profile, problem, monke
 
     V = problem.V1
     copy = RadialFn(V.grid, V.values.copy(), V.p_tail, V.c_tail)
-    sq = trial_profile.member_square(0.7)
-    two = dataclasses.replace(problem, V1=V, V2=copy).potential_overlaps(sq, rho)
+    sq = trial_profile.square
+    two = dataclasses.replace(problem, V1=V, V2=copy).potential_overlaps(sq, rho, 0.7)
     seen = []
 
-    def counted(f, gs, r):
+    def counted(f, gs, r, dilation):
         seen.append(len(gs))
-        return bicenter_integrals(f, gs, r)
+        return bicenter_integrals(f, gs, r, dilation)
 
     monkeypatch.setattr(energy, "bicenter_integrals", counted)
-    one = dataclasses.replace(problem, V1=V, V2=V).potential_overlaps(sq, rho)
+    one = dataclasses.replace(problem, V1=V, V2=V).potential_overlaps(sq, rho, 0.7)
     assert one == two
     assert one[0] == one[1]
     assert seen == [1]
@@ -516,7 +482,7 @@ def test_one_potential_for_both_is_integrated_once(trial_profile, problem, monke
 @pytest.mark.parametrize("rho", [0.0, 1.3])
 def test_potential_mass_is_the_lam_term_then_the_v_term(trial_profile, grid, rho):
     V, _ = _potential_pairs(grid)["different-s"]
-    sq = trial_profile.member_square(0.4)       # lives on a scaled grid, not V's
+    sq = dilate(trial_profile.profile, 0.4).squared()   # lives on a dilated grid, not V's
     v_term = (integrate(V.resample(sq.grid) * sq) if rho == 0.0
               else bicenter_integral(V, sq, rho))
     assert potential_mass(V, 0.2, sq, rho) == 0.2 * integrate(sq) + v_term
@@ -537,7 +503,9 @@ def _axis_moments_at(dens, rho, xi):
     radial_weight = grid.w1 * grid.r ** (N - 1) * dens.values
     mass = float(a.sum() * radial_weight.sum())
     axial = float(radial_weight @ ((axial_comp / (1.0 + absx)) @ a))
-    kernel = np.sqrt((absx / (1.0 + absx)) ** 2 - 2.0 * xi * axial_comp / (1.0 + absx) + xi**2)
+    # |x/(1+|x|) - xi * yhat| from its axial and transverse parts
+    kernel = np.sqrt((axial_comp / (1.0 + absx) - xi) ** 2
+                     + (s * np.sqrt(1.0 - t**2) / (1.0 + absx)) ** 2)
     spread = float(radial_weight @ (kernel @ a))
     if dens.c_tail != 0.0:
         tail_mass = _tail_integral(dens)
@@ -558,7 +526,7 @@ def _two_pass_barycenter(p, mu1, mu2, beta):
 @pytest.mark.parametrize("rho", [0.7, 3.0])
 def test_barycenter_matches_the_two_pass_computation(trial_profile, cc, grid, rho):
     tailed = _slow_pair(grid)
-    pairs = [trial_pair(trial_profile, 0.5, rho),
+    pairs = [explicit_trial_pair(trial_profile, 0.5, rho),
              Pair(tailed.u, tailed.v, rho)]
     for p in pairs:
         assert barycenter(p, cc.mu1, cc.mu2, cc.beta) == \
@@ -566,31 +534,48 @@ def test_barycenter_matches_the_two_pass_computation(trial_profile, cc, grid, rh
 
 
 # ---------------------------------------------------------------------------
-# the member memo: one square and one critical density per dilation
+# the trial family on the profile grid: the dilation law against explicit dilates
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("delta", [0.05, 0.7, 40.0])
-def test_member_density_is_the_trial_pairs_density(trial_profile, cc, delta):
-    dens = trial_profile.member_density(delta)
-    assert dens.grid is trial_profile.member_square(delta).grid
-    assert trial_profile.member_density(np.float64(delta)) is dens
+def test_member_density_is_the_trial_pairs_density(trial_profile, cc, problem, delta):
+    # the member pair's density is delta^-N times the unit density at x / delta,
+    # and the shape maps read the unit density at dilation delta
+    samples = TrialSamples(trial_profile, problem)
     for rho in (0.0, 1.0, 3.5):
-        pair = trial_pair(trial_profile, delta, rho)
+        pair = explicit_trial_pair(trial_profile, delta, rho)
         fresh = _pair_density(pair, cc.mu1, cc.mu2, cc.beta)
-        assert np.array_equal(dens.values, fresh.values)
-        assert (dens.p_tail, dens.c_tail) == (fresh.p_tail, fresh.c_tail)
-        assert barycenter(dens, rho=rho) == barycenter(pair, cc.mu1, cc.mu2, cc.beta)
+        assert fresh.values == pytest.approx(delta**-5 * trial_profile.density.values,
+                                              rel=1e-13, abs=0.0)
+        assert (fresh.p_tail, fresh.c_tail) == (None, 0.0)
+        xi, gamma = barycenter(pair, cc.mu1, cc.mu2, cc.beta)
+        assert samples.shape(delta, rho) == pytest.approx((gamma, xi), rel=1e-10, abs=0.0)
 
 
-def test_barycenter_of_a_zero_density_is_a_projection_error(grid):
-    with pytest.raises(ProjectionError):
-        barycenter(RadialFn(grid, np.zeros(grid.M)), rho=1.0)
-
-
-def _dilate(f, gd, d):
-    """delta^(-(N-2)/2) f(x / delta) on gd = f.grid.scaled(delta), with its tail scaled."""
-    p = (gd.N - 2) / 2.0
-    return RadialFn(gd, f.values * d**-p, f.p_tail, f.c_tail * d ** (f.p_tail - p))
+@pytest.mark.parametrize("N", [5, 6])
+def test_trial_maps_follow_the_dilation_law(tmp_path, N):
+    # both overlaps, gamma and xi of the run's sample maps against those of the
+    # member built on make_grid(N, 320, delta, 1.0), at default.cfg's potentials
+    # and at a step potential, across the scan's range and past it
+    ctx = runner.build_context(dataclasses.replace(load_config(DEFAULT_CFG), N=N))
+    runner.ensure_profile(ctx)
+    profile, cc = ctx.profile, ctx.cc
+    assert profile.grid.M == 320 and profile.grid.R_max == 1.0 and profile.grid.stretch == 1.0
+    step = _step_potential(tmp_path, ctx.grid)
+    for prob in (ctx.prob, dataclasses.replace(ctx.prob, V1=step, V2=step)):
+        samples = TrialSamples(profile, prob)
+        for delta in (1e-3, 0.03, 0.4, 1.0, 36.0, 256.0, 1000.0):
+            for rho in (0.0, 0.5, 3.92):
+                m = dilate(profile.profile, delta)
+                assert m.grid.R_max == pytest.approx(delta, rel=1e-15)
+                pair = Pair(math.sqrt(cc.k1) * m, math.sqrt(cc.k2) * m, rho)
+                over = prob.potential_overlaps(m.squared(), rho)
+                xi, gamma = barycenter(pair, cc.mu1, cc.mu2, cc.beta)
+                where = (N, prob.V1 is step, delta, rho)
+                assert samples.overlaps(delta, rho) == pytest.approx(over, rel=1e-10,
+                                                                     abs=0.0), where
+                assert samples.shape(delta, rho) == pytest.approx((gamma, xi), rel=1e-10,
+                                                                  abs=0.0), where
 
 
 def _step_potential(tmp_path, grid):
@@ -625,8 +610,8 @@ def test_dilated_problem_gives_the_energy_of_the_dilated_pair(tmp_path, N):
     for V1 in (prob.V1, csv, step):
         pb = dataclasses.replace(prob, V1=V1)
         for d in (3.0, 1.0, 0.3, 0.1, 0.03):
-            gd = grid.scaled(d)
-            U = _dilate(unit, gd, d)
+            gd = dilated_grid(grid, d)
+            U = dilate(unit, d, gd)
             zd = RadialFn(gd, np.zeros(gd.M))
             dilated = pb.dilated(d, grid)
             for explicit, pair in ((Pair(U, zd), Pair(unit, zero)),
@@ -649,16 +634,16 @@ def test_vanishing_and_ground_limits_accept_a_compactly_supported_potential(
     gp = ground_pair(1.0, 0.0, ctx.cc, grid)
     for row in rep26.tables[0].rows:
         d = row["delta"]
-        gd = grid.scaled(d)
-        br = energy_I(Pair(_dilate(gp.u, gd, d), _dilate(gp.v, gd, d)), ctx.prob)
+        gd = dilated_grid(grid, d)
+        br = energy_I(Pair(dilate(gp.u, d, gd), dilate(gp.v, d, gd)), ctx.prob)
         assert row["potential_mass"] == pytest.approx(br.potential, rel=1e-12, abs=0.0)
         assert row["energy_gap"] + ctx.cc.c_inf == pytest.approx(br.nehari_level,
                                                                   rel=1e-12, abs=0.0)
     U1 = bubble_profile(1.0, grid) * (1.0 / math.sqrt(ctx.prob.mu1))
     for row in rep21.tables[0].rows:
         d = row["delta"]
-        gd = grid.scaled(d)
-        br = energy_I(Pair(_dilate(U1, gd, d), RadialFn(gd, np.zeros(gd.M))), ctx.prob)
+        gd = dilated_grid(grid, d)
+        br = energy_I(Pair(dilate(U1, d, gd), RadialFn(gd, np.zeros(gd.M))), ctx.prob)
         assert row["potential_mass"] == pytest.approx(br.potential, rel=1e-12, abs=0.0)
         assert row["energy"] == pytest.approx(br.nehari_level, rel=1e-12, abs=0.0)
 
@@ -666,24 +651,41 @@ def test_vanishing_and_ground_limits_accept_a_compactly_supported_potential(
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, 1e-320, 1e300, 1e200])
 def test_non_finite_or_non_positive_dilations_are_rejected(trial_profile, cc, problem,
                                                           capfd, bad):
-    # before, inf built an all-zero member on an infinite grid (and memoized
-    # its square), and the projection scalars failed inside LAPACK; 1e-320,
-    # 1e300 and 1e200 overflowed a power of delta or built an all-zero profile
-    prof = dataclasses.replace(trial_profile)
-    if not 0.0 < bad < math.inf:
-        with pytest.raises(ParameterError, match="scale factor"):
-            prof.grid.scaled(bad)
-    with pytest.raises(ParameterError, match="delta"):
-        trial_member(prof, bad)
-    with pytest.raises(ParameterError, match="delta"):
-        prof.member_square(bad)
-    with pytest.raises(ParameterError, match="delta"):
-        prof.member_density(bad)
-    with pytest.raises(ParameterError, match="delta"):
-        trial_projection_scalars(prof, bad, 1.0, problem, cc)
-    with pytest.raises(ParameterError, match="delta"):
-        bubble_profile(bad, prof.grid)
-    with pytest.raises(ParameterError, match="delta"):
-        problem.dilated(bad, prof.grid)
-    assert prof._squares == {} and prof._densities == {}
+    # every entry point that takes a dilation checks it with grids._dilation:
+    # inf would read the unit functions at 0 and 1e-320, 1e300 and 1e200
+    # overflow delta^N or delta^(+-(N-2)), and none of them may escape as a
+    # bare OverflowError or a numpy warning
+    prof = trial_profile
+    samples = TrialSamples(prof, problem)
+    calls = [
+        lambda: bicenter_integrals(prof.square, [problem.V1], 1.0, bad),
+        lambda: bicenter_integrals(prof.square, [], 1.0, bad),
+        lambda: axis_moment_integrals(prof.density, 1.0, bad),
+        lambda: axis_moment_integrals(prof.density, 0.0, bad),
+        lambda: problem.potential_overlaps(prof.square, 1.0, bad),
+        lambda: trial_overlaps(prof, problem, bad, 1.0),
+        lambda: trial_overlaps(prof, Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0), bad, 1.0),
+        lambda: trial_projection_scalars(prof, bad, 1.0, problem, cc),
+        lambda: samples.shape(bad, 1.0),
+        lambda: samples.energy(bad, 1.0),
+        lambda: bubble_profile(bad, prof.grid),
+        lambda: problem.dilated(bad, prof.grid),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="delta"):
+            call()
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_a_dilated_quadrature_takes_no_tail_model(grid, potential, rho):
+    # the dilation law reads f(|x| / delta) only where f is its nodal values
+    dens = potential.squared()
+    with pytest.raises(ParameterError, match="tail"):
+        bicenter_integrals(potential, [potential], rho, 2.0)
+    with pytest.raises(ParameterError, match="tail"):
+        axis_moment_integrals(dens, rho, 2.0)
+    # a dilation of 1 is the plain quadrature, bit for bit
+    assert bicenter_integrals(potential, [potential], rho, 1.0) == \
+        bicenter_integrals(potential, [potential], rho)
+    assert axis_moment_integrals(dens, rho, 1.0) == axis_moment_integrals(dens, rho)

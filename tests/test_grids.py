@@ -186,14 +186,15 @@ def test_bicenter_gaussian_closed_form(grid):
 @pytest.mark.xfail(strict=True, reason="the symmetric mean reads a narrow translated "
                    "function over the wide one's grid, where it is under-resolved")
 def test_bicenter_gaussian_oracle_for_narrow_widths(grid):
-    # exp(-|x|^2) against exp(-|x|^2/w^2), the narrow one on its own scaled
+    # exp(-|x|^2) against exp(-|x|^2/w^2), the narrow one on its own dilated
     # grid: (pi / (1 + w^-2))^(N/2) exp(-rho^2 / (1 + w^2)); the symmetric mean
     # is off by up to 0.5 here, so this fails until the overlaps are
     # integrated one-sided over the narrow function's grid
     f = from_callable(grid, lambda r: np.exp(-(r**2)))
     errors = {}
     for w in (0.05, 0.1, 0.2):
-        narrow = from_callable(grid.scaled(w), lambda r, w=w: np.exp(-((r / w) ** 2)))
+        own = make_grid(grid.N, grid.M, w * grid.R_max, grid.stretch)
+        narrow = from_callable(own, lambda r, w=w: np.exp(-((r / w) ** 2)))
         for rho in (2.0, 4.0):
             exact = (math.pi / (1.0 + w**-2)) ** 2.5 * math.exp(-(rho**2) / (1.0 + w**2))
             for a, b in ((f, narrow), (narrow, f)):
@@ -270,7 +271,7 @@ def test_side_skips_exactly_the_rows_outside_the_support(grid, monkeypatch, supp
             full = _full_lattice_side(f, grid, rho)
             evaluated.clear()
             monkeypatch.setattr(grids, "_evaluate", spy)
-            side = _sides([f], grid, rho, True)[0]
+            side = _sides([f], grid.r, _tail_nodes(grid)[0], rho)[0]
             monkeypatch.undo()
             for got, want, s, n in zip(side, full, (grid.r, _tail_nodes(grid)[0]), evaluated):
                 assert np.array_equal(got, want), (rho, f is bump)
@@ -333,7 +334,7 @@ def test_pair_rejects_bad_offsets_and_split_grids(grid):
         with pytest.raises(ParameterError, match="offset"):
             Pair(prof, prof, rho)
     with pytest.raises(ParameterError, match="grids"):
-        Pair(prof, prof.resample(grid.scaled(2.0)))
+        Pair(prof, prof.resample(make_grid(grid.N, grid.M, 2.0 * grid.R_max, grid.stretch)))
     for rho in (-1.0, math.inf):
         with pytest.raises(ParameterError):
             axis_moment_integrals(prof, rho)
@@ -418,11 +419,10 @@ def test_radial_fn_spline_honours_the_tail_slope(grid):
 
 
 def _lookup_grids():
-    """The run, profile and a member grid, the smallest grid, and steep grids at M = 400."""
-    run = make_grid(5, 400, 40.0, 1.02)
-    yield "run", run
+    """The run and profile grids, a dilated run grid, the smallest grid, and steep grids at M = 400."""
+    yield "run", make_grid(5, 400, 40.0, 1.02)
     yield "profile", make_grid(5, 320, 1.0, 1.0)
-    yield "member", run.scaled(0.37)
+    yield "member", make_grid(5, 400, 0.37 * 40.0, 1.02)
     yield "M16", make_grid(5, 16, 40.0, 1.02)
     for stretch in (1.1, 1.3, 1.5):
         yield f"stretch{stretch}", make_grid(5, 400, 40.0, stretch)

@@ -460,7 +460,7 @@ def test_kernel_tables_free_with_their_grid(child_first):
     gc.disable()
     try:
         base = make_grid(5, 40, 10.0, 1.02)
-        child = base.scaled(2.0)
+        child = make_grid(5, 40, 2.0 * 10.0, 1.02)
         for g in ((child, base) if child_first else (base, child)):
             kernel_for(g)
         refs = [weakref.ref(base), weakref.ref(child)]
@@ -471,10 +471,10 @@ def test_kernel_tables_free_with_their_grid(child_first):
 
 
 def test_tail_kernel_table_is_cached_per_grid():
-    # the table against the tail nodes depends on the grid only; a scaled
+    # the table against the tail nodes depends on the grid only; a dilated
     # grid keeps its own, and a warm call gives the cold call's numbers
     base = make_grid(5, 60, 10.0, 1.02)
-    child = base.scaled(2.0)
+    child = make_grid(5, 60, 2.0 * 10.0, 1.02)
     for g in (base, child):
         f = from_callable(g, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
         cold = riesz_convolve(f).values
