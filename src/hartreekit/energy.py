@@ -35,6 +35,7 @@ from .grids import (
     RadialGrid,
     _dilation,
     _has_tail,
+    _offset,
     apply_stencil,
     axis_moment_integrals,
     bicenter_integral,
@@ -265,8 +266,7 @@ def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
     overlaps are trial_overlaps, read off the profile's one unit square;
     `overlaps`, if given, are those two, already computed for this member.
     """
-    if rho < 0:
-        raise ParameterError(f"offset must be >= 0, got {rho}")
+    _offset(rho)
     E = profile.energy
     ksum = cc.k_sum
     if overlaps is None:

@@ -6,8 +6,13 @@ state is the constrained minimizer and projected descent is the natural
 solver.  Each step is a damped Picard step that solves with the collocation
 Laplacian (outermost node pinned to zero), clamps negative values, rescales
 back onto the Nehari set, and backtracks on the energy.  The dilation zero
-mode is re-gauged to unit scale every few dozen iterations so the iterate
-cannot drift below grid resolution.
+mode is re-gauged to unit scale after each residual check that does not
+stop the flow, so the iterate cannot drift below grid resolution and no
+check reads a freshly rescaled iterate.  From the second check on, the flow
+also waits for the bulk amplitude ratio v/u to settle: near beta -> max mu
+a soft mode lets the weak residual pass while the ratio still moves.  A
+common dilation leaves the ratio unchanged, so it compares across a
+re-gauge.
 
 The iterate is one (M, 2) array X = [u v], so each dense M x M table is
 applied once to both components.  A step applies two, the pinned inverse
@@ -45,8 +50,8 @@ __all__ = [
 # the flow's fixed settings
 STEP_SIZE = 1.0                  # largest Picard step; the line search halves it
 MAX_ITERATIONS = 5000            # iteration budget
-RECENTER_EVERY = 50              # iterations between dilation re-gauges
-CHECK_EVERY = 25                 # iterations between weak-residual checks
+CHECK_EVERY = 25                 # iterations between weak-residual checks, each
+                                 # followed by a dilation re-gauge unless it stops the flow
 START_AMPLITUDES = (1.0, 0.8)    # Gaussian start amplitudes of u and v
 RESIDUAL_TOLERANCE = 1e-3        # stopping tolerance, also the solve-ground gate
 
@@ -82,6 +87,7 @@ class FlowDiagnostics:
     shape_error: float = math.nan
     clamped_mass: list = field(default_factory=list)
     projections: int = 0   # Nehari projections, one convolution-table product each
+    regauges: int = 0      # dilation rescalings after a residual check
 
     @property
     def converged(self) -> bool:
@@ -225,6 +231,15 @@ def _decay_amplitude(grid: RadialGrid, values: np.ndarray) -> float:
     return float(np.mean(values[sel] * grid.r[sel] ** (grid.N - 2)))
 
 
+def _amplitude_ratio(X: np.ndarray) -> float:
+    """Bulk amplitude ratio of X = [u v]: the median of v/u where u > 0.01 max u."""
+    u, v = X.T
+    bulk = u > 0.01 * u.max()
+    if bulk.any() and np.all(u[bulk] > 0):
+        return float(np.median(v[bulk] / u[bulk]))
+    return math.nan
+
+
 def _rescale_profile(grid: RadialGrid, X: np.ndarray, scale: float) -> np.ndarray:
     """Each column x(r) of X -> scale^((N-2)/2) x(scale r), power-law beyond the grid.
 
@@ -285,6 +300,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     X, energy, Z, Kx = project(X)
     tau = STEP_SIZE
     residual = math.inf
+    ratio = math.nan
     it = 0
 
     for it in range(1, MAX_ITERATIONS + 1):
@@ -312,12 +328,6 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         diag.clamped_mass.append(clamped)
         tau = min(STEP_SIZE, tau * 1.3)
 
-        if it % RECENTER_EVERY == 0:
-            d_hat = _half_height_scale(grid, X[:, 0])
-            if np.isfinite(d_hat) and abs(d_hat - 1.0) > 0.2:
-                X = _rescale_profile(grid, X, d_hat)
-                X, energy, Z, Kx = project(X)
-
         if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
             pair = Pair(RadialFn(grid, X[:, 0]), RadialFn(grid, X[:, 1]))
             residual = weak_residual(pair, prob)
@@ -328,9 +338,18 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
             if min(ku, kv) < 1e-12 * max(ku, kv):
                 diag.verdict = "semi-trivial attractor"
                 break
-            if residual < cfg.residual_tolerance:
+            last_ratio, ratio = ratio, _amplitude_ratio(X)
+            settled = (len(diag.trace) == 1
+                       or abs(ratio - last_ratio) <= cfg.residual_tolerance * abs(last_ratio))
+            if residual < cfg.residual_tolerance and settled:
                 diag.verdict = "converged"
                 break
+            if it < MAX_ITERATIONS:
+                d_hat = _half_height_scale(grid, X[:, 0])
+                if np.isfinite(d_hat) and abs(d_hat - 1.0) > 0.2:
+                    X = _rescale_profile(grid, X, d_hat)
+                    X, energy, Z, Kx = project(X)
+                    diag.regauges += 1
 
     u, v = X.T.copy()
     diag.iterations = it
@@ -340,9 +359,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
     diag.final = Pair(fu, fv)
     diag.energy = energy
 
-    bulk = u > 0.01 * u.max()
-    if bulk.any() and np.all(u[bulk] > 0):
-        diag.amplitude_ratio = float(np.median(v[bulk] / u[bulk]))
+    diag.amplitude_ratio = _amplitude_ratio(X)
     diag.fitted_delta, diag.shape_error = _fit_bubble_dilation(
         grid, u, math.sqrt(cc.k1)
     )

@@ -220,6 +220,16 @@ def _dilation(delta: float, N: int) -> float:
     return d
 
 
+def _offset(rho: float) -> float:
+    """rho as a float; an offset distance that is not finite and >= 0, or whose
+    square (the lattice's |x|^2 holds rho^2) is not finite, is a ParameterError."""
+    y = float(rho)
+    if not (math.isfinite(y) and y >= 0 and math.isfinite(y * y)):
+        raise ParameterError(f"offset distance must be finite and >= 0, with a finite "
+                             f"square, got {rho}")
+    return y
+
+
 def _has_tail(f) -> bool:
     """Whether the power-law tail model (p_tail, c_tail) of f is active."""
     return f.c_tail != 0.0 and f.p_tail is not None
@@ -509,8 +519,7 @@ class Pair:
     def __post_init__(self):
         if self.u.grid is not self.v.grid:
             raise ParameterError("pair components live on different grids")
-        if not (np.isfinite(self.offset) and self.offset >= 0):
-            raise ParameterError(f"offset distance must be finite and >= 0, got {self.offset}")
+        _offset(self.offset)
 
     @property
     def grid(self) -> RadialGrid:
@@ -645,8 +654,7 @@ def _sides(fs: list, s: np.ndarray, s_tail: np.ndarray | None, rho: float) -> li
     and tail holds the same sums at the tail nodes s_tail that a g with a
     tail model needs (None without them).  For rho = 0, values are f at s.
     """
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ParameterError(f"offset distance must be finite and >= 0, got {rho}")
+    rho = _offset(rho)
     if rho == 0.0:
         return [(v, None) for v in _evaluate(fs, s)]
     N = fs[0].grid.N
@@ -818,8 +826,7 @@ def axis_moment_integrals(dens: RadialFn, rho: float, dilation: float = 1.0):
     and its unit quadrature weighs dilation^N more.  A dilation is checked
     as `_dilation` does, and one other than 1 takes a tail-free density.
     """
-    if not (np.isfinite(rho) and rho >= 0):
-        raise ParameterError(f"offset distance must be finite and >= 0, got {rho}")
+    rho = _offset(rho)
     grid = dens.grid
     N = grid.N
     d = _dilation(dilation, N)

@@ -7,6 +7,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from hartreekit import (
     FlowConfig,
+    Pair,
     ParameterError,
     Problem,
     RadialFn,
@@ -22,6 +23,7 @@ from hartreekit import (
     pohozaev_residual,
     solve_limit_ground_state,
     vanishing_energy_limit,
+    weak_residual,
 )
 from hartreekit import flow
 from hartreekit.energy import _coupling_matrix
@@ -186,22 +188,69 @@ class _CountingKernel:
 
 
 @pytest.mark.parametrize("cfg", [
-    ({"STEP_SIZE": 4.0}, FlowConfig()),                              # line-search halvings
-    ({"RECENTER_EVERY": 10}, FlowConfig(start_widths=(3.0, 4.0))),  # a re-gauge
+    ({"STEP_SIZE": 4.0}, FlowConfig(), 0),                  # line-search halvings
+    ({}, FlowConfig(start_widths=(3.0, 4.0)), 1),           # a re-gauge after the first check
 ])
 def test_flow_convolves_once_per_projection_and_check(cc, grid, monkeypatch, cfg):
     # the projection's convolution feeds the next Picard step and the Nehari
     # defect; the only other product is the weak residual's at each check
-    patched, flow_cfg = cfg
+    patched, flow_cfg, regauges = cfg
     for name, value in patched.items():
         monkeypatch.setattr(flow, name, value)
     counter = _CountingKernel(kernel_for(grid))
     monkeypatch.setitem(grid._cache, "kernel", counter)
     diag = solve_limit_ground_state(cc, flow_cfg, grid)
     assert diag.converged
+    assert diag.regauges == regauges
     assert counter.products == diag.projections + len(diag.trace)
     # the start projection, one per accepted step, and at least one more
     assert diag.projections > diag.iterations + 1
+
+
+def sweep_report(constants, grid, mus, beta, widths):
+    """solver_report at one ground-sweep draw: residual tolerance 1e-4 on the run grid."""
+    ctx = VerifyContext(grid=grid, constants=constants,
+                        cc=coupling_constants(*mus, beta, constants.s_hl_sq),
+                        prob=Problem(N=5, mu1=mus[0], mu2=mus[1], beta=beta), c_star_lower=0.0,
+                        flow=FlowConfig(residual_tolerance=1e-4, start_widths=widths))
+    rep = solver_report(ctx)
+    assert [row.label for row in rep.rows if not row.passed] == []
+    return ctx.flow_diag
+
+
+def test_flow_regauges_after_a_failed_check(constants, grid):
+    # the first check fails on an iterate settled off scale; the re-gauge
+    # right after it gives the rescaled iterate a whole interval, so the
+    # second check converges (on the old 50-iteration clock it read a
+    # freshly rescaled iterate and the flow ran to 75)
+    diag = sweep_report(constants, grid, (0.7015463661686019, 1.771150605405849),
+                        4.685865726299851, (1.3927415900879758, 2.2340228048217936))
+    assert [row[0] for row in diag.trace] == [25, 50]
+    assert diag.iterations == 50
+    assert diag.regauges == 1
+
+
+def test_flow_waits_for_the_amplitude_ratio_in_the_soft_mode(constants, grid):
+    # at beta = 1.06 max mu the residual passes at iteration 50 while the
+    # ratio still moves (3.0656 against sqrt(k2/k1) = 3.0788); the flow runs
+    # on until the ratio has settled
+    diag = sweep_report(constants, grid, (1.0271663925659038, 1.947443146624164),
+                        2.0559806894324923, (3.392010254013333, 1.077303188476444))
+    assert diag.converged
+    assert diag.iterations > 50
+    assert diag.trace[1][3] < 1e-4
+
+
+def test_flow_does_not_regauge_after_the_last_check(cc, grid, monkeypatch):
+    # the reported residual belongs to the returned iterate: the check at the
+    # end of the budget is not followed by a rescaling
+    monkeypatch.setattr(flow, "MAX_ITERATIONS", 25)
+    diag = solve_limit_ground_state(cc, FlowConfig(start_widths=(3.0, 4.0)), grid)
+    assert diag.verdict == "budget exhausted"
+    assert diag.iterations == 25
+    assert diag.regauges == 0
+    pair = Pair(RadialFn(grid, diag.final.u.values), RadialFn(grid, diag.final.v.values))
+    assert weak_residual(pair, Problem.limit(5, cc)) == diag.residual
 
 
 def scalar_ground_state(mu, cfg, grid):

@@ -286,17 +286,30 @@ def test_side_skips_exactly_the_rows_outside_the_support(grid, monkeypatch, supp
 
 
 def test_overlaps_reject_offsets_that_are_not_finite_and_nonnegative(grid):
-    # a nan offset must not read as a far one whose overlap is zero
+    # a nan offset must not read as a far one whose overlap is zero, and an
+    # offset whose square overflows must not escape as an OverflowError
     f = from_callable(grid, lambda r: (1.0 + r**2) ** -3.0, p_tail=6.0, c_tail=1.0)
     bump = from_callable(make_grid(5, 80, 1.0, 1.0), lambda r: np.exp(-((4.0 * r) ** 2)))
-    for rho in (math.nan, math.inf, -1.0):
+    for rho in (1e200, math.nan, math.inf, -1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for run in (lambda: bicenter_integral(f, bump, rho),
                         lambda: bicenter_integrals(bump, [f, f], rho),
-                        lambda: bicenter_rows([(bump, rho)], grid)):
+                        lambda: bicenter_integrals(bump, [f], rho, dilation=0.5),
+                        lambda: bicenter_rows([(bump, rho)], grid),
+                        lambda: axis_moment_integrals(bump, rho),
+                        lambda: Pair(f, f, rho)):
                 with pytest.raises(ParameterError, match="offset"):
                     run()
+
+
+def test_overlaps_at_a_large_finite_offset_are_zero(grid):
+    # 1e150 squares to a finite 1e300: a far offset, not an error
+    f = from_callable(grid, lambda r: np.exp(-(r**2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bicenter_integral(f, f, 1e150) == 0.0
+        assert bicenter_integrals(f, [f], 1e150, dilation=0.5) == [0.0]
 
 
 def test_bicenter_disjoint_supports(grid):
