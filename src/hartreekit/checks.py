@@ -19,6 +19,7 @@ conclusion is reported as supported, never as proved.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -221,6 +222,11 @@ class RegionScan:
     ))
     found: bool = True
     failure: str = ""
+    # one row per (rbar, delta2) tried; kept out of the report (scan_candidates.csv)
+    candidates: Table = field(default_factory=lambda: Table(
+        "scan_candidates",
+        ["rbar", "delta2", "verdict", "face", "delta", "rho", "shape_maps", "energy_maps"],
+    ))
 
     def boundary_rows(self, piece: str):
         return [r for r in self.samples.rows if r["piece"] == piece]
@@ -246,17 +252,20 @@ class TrialSamples:
     reads the profile's unit square or unit density on the profile grid
     at dilation delta.  A sample's key rounds delta and rho to 12 digits,
     so a lattice point reached by two different sums is one sample; its
-    maps are those of the first (delta, rho) read.
+    maps are those of the first (delta, rho) read.  `computed` counts the
+    maps computed so far, per kind.
     """
 
     profile: TrialProfile
     prob: Problem
+    computed: Counter = field(default_factory=Counter, init=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def _read(self, kind: str, maps, delta, rho):
         key = (kind, round(float(delta), 12), round(float(rho), 12))
         if key not in self._memo:
             self._memo[key] = maps(self, float(delta), float(rho))
+            self.computed[kind] += 1
         return self._memo[key]
 
     # each map is read from the module when it is computed, so a hook on
@@ -296,6 +305,16 @@ def _energy_maps(samples: TrialSamples, delta: float, rho: float):
     return t0, t_lam, t0**4 * sigma, t_lam**4 * sigma
 
 
+def _coarse_to_fine(n: int) -> list:
+    """The indices 0..n-1 in visiting order: both ends, then each halving's midpoints."""
+    order, spans = [0, n - 1][:n], [(0, n - 1)]
+    while spans:
+        mids = [(lo, (lo + hi) // 2, hi) for lo, hi in spans if hi - lo > 1]
+        order += [mid for _, mid, _ in mids]
+        spans = [span for lo, mid, hi in mids for span in ((lo, mid), (mid, hi))]
+    return order
+
+
 def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
                 samples: TrialSamples | None = None) -> RegionScan:
     """Search for the linking region and evaluate the energy caps on it.
@@ -305,13 +324,24 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
     the shift-free projected energy below cbar on the whole boundary.  Each
     candidate (rbar, delta2) combination is verified on the same dense
     boundary lattice that the final report carries, so an accepted region is
-    consistent with its own evidence.  Each face test stops at its first
-    failing sample and reads a sample's energy maps only once its
-    concentration passed; the offset face reads only energies.  The
-    recorded lattice (three boundary faces plus the interior) is still
-    evaluated in full once a region is accepted.  kappa (region supremum)
-    is then compared against the scalar-level threshold.  The maps come from
-    `samples`, the run's memo (a fresh one if None).
+    consistent with its own evidence.
+
+    Per rbar the faces are tested cheapest refutation first: the outer-face
+    search for delta2, the offset face at that delta2, and last the inner
+    face at delta1, whose offsets lie inside the probes delta1 already
+    passed.  Each face visits its samples coarse to fine (`_coarse_to_fine`),
+    stops at its first failing sample, and reads a sample's energy maps only
+    once its concentration passed; the offset face reads only energies.  A
+    candidate is accepted when every sample of its three faces passes, and
+    each sample's test reads only that sample's maps, so the order sets what
+    a rejection costs, not which candidate is accepted (up to the memo key's
+    rounding, see `TrialSamples`).  The recorded lattice (three boundary
+    faces plus the interior) is evaluated in full once a region is
+    accepted, and kappa (region supremum) is then compared against the
+    scalar-level threshold.  Each (rbar, delta2) tried leaves a row in
+    `candidates`: its verdict, the face and sample that rejected it, and
+    the maps it computed.  The maps come from `samples`, the run's memo (a
+    fresh one if None).
     """
     if samples is None:
         samples = TrialSamples(profile, prob)
@@ -336,15 +366,21 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
     def above(g):
         return g > 0.5 + GAMMA_MARGIN
 
-    def face_ok(d, rhos, gamma_ok):
-        # lazy: stops at the first sample that fails either constraint, and
-        # reads a sample's energy only once its concentration passed
-        return all(gamma_ok(shape(d, rho)[0]) and energy(d, rho)[2] < cap for rho in rhos)
+    def first_failure(points, gamma_ok=None):
+        # the first of the (delta, rho) points, visited coarse to fine, whose
+        # concentration (unless gamma_ok is None) or energy fails
+        for j in _coarse_to_fine(len(points)):
+            d, rho = points[j]
+            if gamma_ok is not None and not gamma_ok(shape(d, rho)[0]):
+                return d, rho
+            if not energy(d, rho)[2] < cap:
+                return d, rho
+        return None
 
     # inner dilation face: gamma < 1/2 and energy < cbar for every probed offset
     delta1 = None
     for d in DELTA1_CANDIDATES:
-        if d < 0.5 and face_ok(d, Y_PROBE, below):
+        if d < 0.5 and first_failure([(d, rho) for rho in Y_PROBE], below) is None:
             delta1 = d
             break
     if delta1 is None:
@@ -354,26 +390,35 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
 
     nb = BOUNDARY_SAMPLES
 
-    def offset_face_ok(rb, d2):
-        ds = np.geomspace(delta1, d2, nb)
-        return all(energy(d, rb)[2] < cap for d in ds)
+    def try_candidate(rb, d2, rhos):
+        # the face that rejects (rb, d2) and its failing sample, or (None, None)
+        fail = first_failure([(d2, rho) for rho in rhos], above)
+        if fail is not None:
+            return "outer_face", fail
+        fail = first_failure([(d, rb) for d in np.geomspace(delta1, d2, nb)])
+        if fail is not None:
+            return "offset_face", fail
+        fail = first_failure([(delta1, rho) for rho in rhos], below)
+        return ("inner_face", fail) if fail is not None else (None, None)
 
     rbar = delta2 = None
     for rb in RBAR_CANDIDATES:
         rhos = np.linspace(0.0, rb * 0.999, nb)
-        if not face_ok(delta1, rhos, below):
-            continue
-        d2_found = None
-        for d2 in DELTA2_CANDIDATES:
-            if d2 <= 0.5:
-                continue
-            if face_ok(float(d2), rhos, above):
-                d2_found = float(d2)
+        face = "outer_face"
+        for d2 in (float(d) for d in DELTA2_CANDIDATES if d > 0.5):
+            before = samples.computed.copy()
+            face, fail = try_candidate(rb, d2, rhos)
+            d, rho = (math.nan, math.nan) if fail is None else map(float, fail)
+            cost = samples.computed - before
+            scan.candidates.add(rbar=float(rb), delta2=d2,
+                                verdict="rejected" if face else "accepted",
+                                face=face or "", delta=d, rho=rho,
+                                shape_maps=cost["shape"], energy_maps=cost["energy"])
+            # only the first delta2 whose outer face passes is tried further
+            if face != "outer_face":
                 break
-        if d2_found is None:
-            continue
-        if offset_face_ok(rb, d2_found):
-            rbar, delta2 = rb, d2_found
+        if face is None:
+            rbar, delta2 = rb, d2
             break
     if rbar is None:
         scan.found = False

@@ -652,23 +652,37 @@ def _sides(fs: list, s: np.ndarray, s_tail: np.ndarray | None, rho: float) -> li
     rho > 0, values[i] = sum_k a_k f(|x|) over the angular nodes of the
     sphere |x - y| = s_i (f's angular means over the (s, theta) lattice),
     and tail holds the same sums at the tail nodes s_tail that a g with a
-    tail model needs (None without them).  For rho = 0, values are f at s.
+    tail model needs (None without them); both come from one lattice over
+    the nodes s and s_tail.  For rho = 0, values are f at s.
     """
     rho = _offset(rho)
     if rho == 0.0:
         return [(v, None) for v in _evaluate(fs, s)]
     N = fs[0].grid.N
-    values = _lattice_sums(fs, s, rho, N)
-    tails = _lattice_sums(fs, s_tail, rho, N) if s_tail is not None else [None] * len(fs)
-    return list(zip(values, tails))
+    if s_tail is None:
+        return [(v, None) for v in _lattice_sums(fs, s, rho, N)]
+    rows = _lattice_sums(fs, np.concatenate([s, s_tail]), rho, N)
+    return [(v[:len(s)], v[len(s):]) for v in rows]
 
 
 def _tail_nodes(grid: RadialGrid):
-    """Tail nodes s_j = R_max / x_j and radial weights: sum_j q_j h(s_j) ~ int_R^inf h s^{N-1} ds."""
-    x, wx = _tail_rule(_TAIL_NODES)
-    s_t = grid.R_max / x
-    ds = grid.R_max / x**2
-    return s_t, wx * ds * s_t ** (grid.N - 1)
+    """Tail nodes s_j = R_max / x_j and radial weights: sum_j q_j h(s_j) ~ int_R^inf h s^{N-1} ds.
+
+    Memoized on the grid, so the arrays are read-only.
+    """
+    if "tail_nodes" not in grid._cache:
+        x, wx = _tail_rule(_TAIL_NODES)
+        s_t = grid.R_max / x
+        ds = grid.R_max / x**2
+        grid._cache["tail_nodes"] = _read_only(s_t, wx * ds * s_t ** (grid.N - 1))
+    return grid._cache["tail_nodes"]
+
+
+def _radial_weights(grid: RadialGrid) -> np.ndarray:
+    """w1_i r_i^(N-1): sum_i of it times h(r_i) ~ int_0^R h s^{N-1} ds (memoized, read-only)."""
+    if "radial_weights" not in grid._cache:
+        (grid._cache["radial_weights"],) = _read_only(grid.w1 * grid.r ** (grid.N - 1))
+    return grid._cache["radial_weights"]
 
 
 def _weigh(side, f: RadialFn, g: RadialFn, rho: float) -> float:
@@ -678,7 +692,7 @@ def _weigh(side, f: RadialFn, g: RadialFn, rho: float) -> float:
     N = grid.N
     if rho == 0.0:
         return integrate(RadialFn(grid, values, f.p_tail, f.c_tail) * g)
-    core = float((grid.w1 * grid.r ** (N - 1) * g.values) @ values)
+    core = float((_radial_weights(grid) * g.values) @ values)
     if _has_tail(g):
         # s in (R, inf): map s = R / x
         if _has_tail(f) and g.p_tail + f.p_tail <= N:

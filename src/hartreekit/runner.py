@@ -204,8 +204,9 @@ def run(cfg, steps, out_dir) -> int:
     """Run `steps` in order on one context and write their bundle to `out_dir`.
 
     The bundle is report.json, report.md (with each step's wall time and the
-    total), one CSV per table, constants.json, and the flow's files when the
-    flow ran.  Returns the process exit code: 0 if every check passed, else 1.
+    total), one CSV per table, constants.json, the flow's files when the
+    flow ran, and scan_candidates.csv when the region scan ran.  Returns the
+    process exit code: 0 if every check passed, else 1.
     """
     t_all = time.perf_counter()
     steps = [step if step in OWN_STEPS else resolve_check(step) for step in steps]
@@ -223,6 +224,8 @@ def run(cfg, steps, out_dir) -> int:
         json.dumps(ctx.constants.to_dict(), sort_keys=True, indent=2) + "\n")
     if ctx.flow_diag is not None:
         ctx.flow_diag.write_files(out)
+    if ctx.scan is not None:
+        ctx.scan.candidates.to_csv(out / "scan_candidates.csv")
     md = out / "report.md"
     md.write_text(md.read_text() + f"\ntotal wall time: {time.perf_counter() - t_all:.1f}s\n")
     return 0 if payload["all_passed"] else 1

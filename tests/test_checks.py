@@ -248,13 +248,13 @@ def test_scan_matches_the_eager_reference(trial_profile, problem, c_star_lower, 
     assert lazy.samples.rows == ref["rows"]
     assert lazy.found == (shrink is None)
     # the early stop evaluates fewer members than the eager reference; the
-    # default scan records 131 samples from at most 212 shape maps and 255
+    # default scan records 131 samples from at most 177 shape maps and 185
     # energy maps (722 of each when eager)
     for kind, log in count_maps.items():
         assert 0 < lazy_maps[kind] < len(log) - lazy_maps[kind], kind
     if shrink is None:
         assert len(lazy.samples.rows) == 131
-        assert lazy_maps["shape"] <= 212 and lazy_maps["energy"] <= 255
+        assert lazy_maps["shape"] <= 177 and lazy_maps["energy"] <= 185
 
 
 def test_scan_face_test_stops_at_its_first_failing_sample(trial_profile, problem,
@@ -273,6 +273,81 @@ def test_scan_face_test_stops_at_its_first_failing_sample(trial_profile, problem
     assert len(count_maps["energy"]) == 2 * len(checks.Y_PROBE)
 
 
+def test_scan_rejects_at_the_offset_face_before_reading_the_inner_face(
+        trial_profile, problem, c_star_lower, count_maps, monkeypatch):
+    # rbar = 2 passes its outer face at delta2 = 256 and fails its offset
+    # face; the inner face, tested last, is never read beyond rho = 0, which
+    # the delta1 probes already read
+    monkeypatch.setattr(checks, "RBAR_CANDIDATES", (2.0,))
+    lazy = scan_region(trial_profile, problem, c_star_lower)
+    assert not lazy.found
+    last = lazy.candidates.rows[-1]
+    assert (last["rbar"], last["delta2"], last["face"]) == (2.0, 256.0, "offset_face")
+    assert last["rho"] == 2.0 and lazy.delta1 < last["delta"] < 256.0
+    inner = {(lazy.delta1, float(rho)) for rho in np.linspace(0.0, 2.0 * 0.999,
+                                                              checks.BOUNDARY_SAMPLES)}
+    for kind, log in count_maps.items():
+        assert (lazy.delta1, 0.0) in log, kind
+        assert inner & set(log) == {(lazy.delta1, 0.0)}, kind
+
+
+def test_scan_face_finds_a_failure_in_its_middle_in_logarithmic_maps(
+        trial_profile, problem, c_star_lower, count_maps, monkeypatch):
+    # a face that fails only at its middle sample: visited coarse to fine,
+    # the face reads its two ends, then the middle, and stops there
+    nb = checks.BOUNDARY_SAMPLES
+    rhos = np.linspace(0.0, 4.0 * 0.999, nb)
+    middle = (256.0, float(rhos[(nb - 1) // 2]))
+    monkeypatch.setattr(checks, "RBAR_CANDIDATES", (4.0,))
+    monkeypatch.setattr(checks, "DELTA2_CANDIDATES", (256.0,))
+    shape_maps = checks._shape_maps
+
+    def fails_in_the_middle(samples, d, rho):
+        g, xi = shape_maps(samples, d, rho)
+        return (0.5, xi) if (d, rho) == middle else (g, xi)
+
+    monkeypatch.setattr(checks, "_shape_maps", fails_in_the_middle)
+    lazy = scan_region(trial_profile, problem, c_star_lower)
+    assert not lazy.found
+    (row,) = lazy.candidates.rows
+    assert (row["face"], row["delta"], row["rho"]) == ("outer_face", *middle)
+    face_maps = {kind: [p for p in log if p[0] == 256.0] for kind, log in count_maps.items()}
+    assert face_maps["shape"] == [(256.0, 0.0), (256.0, float(rhos[-1])), middle]
+    assert face_maps["energy"] == face_maps["shape"][:2]
+    assert (row["shape_maps"], row["energy_maps"]) == (3, 2)
+    assert sum(map(len, face_maps.values())) <= math.ceil(math.log2(nb)) + 2
+    # without the planted failure the same candidate is accepted
+    monkeypatch.setattr(checks, "_shape_maps", shape_maps)
+    assert scan_region(trial_profile, problem, c_star_lower).found
+
+
+def test_coarse_to_fine_visits_every_index_once_ends_first():
+    for n in (1, 2, 3, 8, 31, 32, 33):
+        order = checks._coarse_to_fine(n)
+        assert sorted(order) == list(range(n))
+        assert order[:2] == [0, n - 1][:n]
+    assert checks._coarse_to_fine(8) == [0, 7, 3, 1, 5, 2, 4, 6]
+
+
+def test_scan_candidates_account_for_the_search(scan, trial_profile, problem, c_star_lower,
+                                                count_maps):
+    # one row per (rbar, delta2) tried; the last is the accepted region, every
+    # other names the face and the sample that rejected it
+    fresh = scan_region(trial_profile, problem, c_star_lower)
+    rows = fresh.candidates.rows
+    assert rows == scan.candidates.rows
+    *rejected, accepted = rows
+    assert (accepted["verdict"], accepted["face"]) == ("accepted", "")
+    assert (accepted["rbar"], accepted["delta2"]) == (fresh.rbar, fresh.delta2)
+    assert math.isnan(accepted["delta"]) and math.isnan(accepted["rho"])
+    assert rejected and all(r["verdict"] == "rejected" and math.isfinite(r["rho"])
+                            and r["face"] in ("outer_face", "offset_face", "inner_face")
+                            for r in rejected)
+    # the candidates cost every scan map but the delta1 probes' and the recorded lattice's
+    for kind in ("shape", "energy"):
+        assert 0 < sum(r[f"{kind}_maps"] for r in rows) < len(count_maps[kind])
+
+
 def test_run_memo_scan_matches_a_fresh_scan(context, scan, count_maps):
     # the context's memo already holds 4.4's, 4.5's and 5.1's samples when
     # the scan runs; the scan reads them and computes only the missing ones
@@ -288,8 +363,8 @@ def test_run_memo_scan_matches_a_fresh_scan(context, scan, count_maps):
     for kind, log in count_maps.items():
         keys = [(round(d, 12), round(rho, 12)) for d, rho in log]
         assert len(set(keys)) == len(keys), kind
-    assert len(count_maps["shape"]) - before["shape"] <= 212
-    assert len(count_maps["energy"]) - before["energy"] <= 255
+    assert len(count_maps["shape"]) - before["shape"] <= 177
+    assert len(count_maps["energy"]) - before["energy"] <= 185
 
 
 def test_scan_rejects_a_memo_of_another_problem(trial_profile, problem, c_star_lower, grid):

@@ -327,6 +327,21 @@ def test_cli_solve_ground_writes_profiles(tmp_path):
     assert (tmp_path / "flow_trace.csv").exists()
 
 
+def test_cli_scan_region_writes_its_candidates_beside_the_report(tmp_path):
+    # one row per (rbar, delta2) tried, ending at the region the report names;
+    # the sidecar stays out of report.json
+    code = run_cli("scan-region", "--out", str(tmp_path))
+    assert code == 0
+    lines = (tmp_path / "scan_candidates.csv").read_text().splitlines()
+    assert lines[0] == "rbar,delta2,verdict,face,delta,rho,shape_maps,energy_maps"
+    region = json.loads((tmp_path / "report.json").read_text())["extras"]["region"]
+    rbar, delta2, verdict, *_ = lines[-1].split(",")
+    assert (float(rbar), float(delta2), verdict) == (region["rbar"], region["delta2"],
+                                                    "accepted")
+    assert all(line.split(",")[2] == "rejected" for line in lines[1:-1])
+    assert "scan_candidates" not in (tmp_path / "report.json").read_text()
+
+
 @pytest.mark.parametrize("text, names", [
     ("[grid]\nm = abc\n", "[grid] m"),
     ("[report]\ntrend_fraction = x\n", "[report] trend_fraction"),

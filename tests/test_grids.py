@@ -251,14 +251,16 @@ def _full_lattice_side(f, grid, rho):
 
 @pytest.mark.parametrize("support", [0.05, 0.4, 2.0, 20.0])
 def test_side_skips_exactly_the_rows_outside_the_support(grid, monkeypatch, support):
-    # a row whose sphere stays beyond a tail-free f's R_max is exactly 0.0 and
-    # is never evaluated; every other row equals the full-lattice sum bit for
+    # the node and tail rows come from one lattice, so one evaluation; a row
+    # whose sphere stays beyond a tail-free f's R_max is exactly 0.0 and is
+    # never evaluated; every other row equals the full-lattice sum bit for
     # bit, and a tail model keeps every row
     from hartreekit import grids
 
     own = make_grid(5, 80, support, 1.0)
     bump = from_callable(own, lambda r: np.exp(1 - 1 / np.clip(1 - (r / support) ** 2, 1e-12, None)))
     tailed = RadialFn(own, bump.values, p_tail=6.0, c_tail=1e-3)
+    s_tail = _tail_nodes(grid)[0]
     evaluated, skipped = [], 0
     inner = grids._evaluate
 
@@ -271,17 +273,18 @@ def test_side_skips_exactly_the_rows_outside_the_support(grid, monkeypatch, supp
             full = _full_lattice_side(f, grid, rho)
             evaluated.clear()
             monkeypatch.setattr(grids, "_evaluate", spy)
-            side = _sides([f], grid.r, _tail_nodes(grid)[0], rho)[0]
+            side = _sides([f], grid.r, s_tail, rho)[0]
             monkeypatch.undo()
-            for got, want, s, n in zip(side, full, (grid.r, _tail_nodes(grid)[0]), evaluated):
+            for got, want in zip(side, full):
                 assert np.array_equal(got, want), (rho, f is bump)
-                outside = np.abs(s - rho) > support
-                if f is bump:
-                    assert np.all(want[outside] == 0.0)
-                    assert n == np.count_nonzero(~outside)
-                    skipped += np.count_nonzero(outside)
-                else:
-                    assert n == len(s)
+            s = np.concatenate([grid.r, s_tail])
+            outside = np.abs(s - rho) > support
+            if f is bump:
+                assert np.all(np.concatenate(full)[outside] == 0.0)
+                assert evaluated == [np.count_nonzero(~outside)]
+                skipped += np.count_nonzero(outside)
+            else:
+                assert evaluated == [len(s)]
     assert skipped > 0
 
 
