@@ -232,11 +232,18 @@ def _decay_amplitude(grid: RadialGrid, values: np.ndarray) -> float:
 
 
 def _amplitude_ratio(X: np.ndarray) -> float:
-    """Bulk amplitude ratio of X = [u v]: the median of v/u where u > 0.01 max u."""
+    """Bulk amplitude ratio of X = [u v]: the median of v/u where u > 0.01 max u.
+
+    The median is np.median's float, read off a sort (np.median would
+    import numpy.ma): the mean of the middle one or two ratios, or NaN
+    when a ratio is NaN, which sorts last.
+    """
     u, v = X.T
     bulk = u > 0.01 * u.max()
     if bulk.any() and np.all(u[bulk] > 0):
-        return float(np.median(v[bulk] / u[bulk]))
+        q = np.sort(v[bulk] / u[bulk])
+        n = len(q)
+        return float(q[-1] if np.isnan(q[-1]) else np.mean(q[(n - 1) // 2:n // 2 + 1]))
     return math.nan
 
 

@@ -306,28 +306,38 @@ def _spline_knots(grid: RadialGrid) -> np.ndarray:
     return grid._cache["spline_knots"]
 
 
+def _slope_factors(grid: RadialGrid, natural_end: bool, transpose: bool = False):
+    """`_thomas_factors` of the slope system of `_cubic_splines` on `grid`, or of its
+    transpose (memoized on the grid, as read-only tuples)."""
+    key = ("slope_factors", natural_end, transpose)
+    if key not in grid._cache:
+        sub, diag, sup = _spline_system(np.diff(_spline_knots(grid)), natural_end)
+        if transpose:
+            sub, sup = sup, sub
+        grid._cache[key] = tuple(map(tuple, _thomas_factors(sub, diag, sup)))
+    return grid._cache[key]
+
+
 def _cubic_splines(grid: RadialGrid, ys: list, end_slopes: list) -> list:
     """C2 cubic splines through (x_i, y_i) for each y in ys, x = `_spline_knots(grid)`.
 
     Each has slope 0 at x_0.  At x_-1 the slope is its `end_slope`, or the
     second derivative is 0 when that is None.  The slopes s_i solve the
-    tridiagonal system of `_spline_system`; splines with one end condition
-    share its factors.  Returns for each y the (intervals, 4) rows
+    tridiagonal system of `_spline_system`, whose factors per end condition
+    the grid keeps.  Returns for each y the (intervals, 4) rows
     (c3, c2, c1, c0) of y = c3 z^3 + c2 z^2 + c1 z + c0 on [x_i, x_i+1],
     z = x - x_i.
     """
     dx = np.diff(_spline_knots(grid))
-    factors, out = {}, []
+    out = []
     for y, end_slope in zip(ys, end_slopes):
         natural = end_slope is None
-        if natural not in factors:
-            factors[natural] = _thomas_factors(*_spline_system(dx, natural))
         slope = np.diff(y) / dx
         rhs = np.empty(len(y))
         rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         rhs[0] = 0.0
         rhs[-1] = 3 * (y[-1] - y[-2]) if natural else end_slope
-        s = np.array(_thomas(factors[natural], rhs.tolist()))
+        s = np.array(_thomas(_slope_factors(grid, natural), rhs.tolist()))
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         out.append(np.column_stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]))
     return out
@@ -622,9 +632,17 @@ def _theta_rule(N: int, n: int):
     return _read_only(t, wt * sphere_area(N - 1))
 
 
+@lru_cache(maxsize=None)
+def _theta_sines(N: int, n: int) -> np.ndarray:
+    """sqrt(1 - t_k^2) at the nodes of `_theta_rule(N, n)` (read-only, memoized)."""
+    t, _ = _theta_rule(N, n)
+    (sines,) = _read_only(np.sqrt(1.0 - t**2))
+    return sines
+
+
 def _offset_distance(s: np.ndarray, rho: float, t: np.ndarray) -> np.ndarray:
     """|x| on the lattice |x - y| = s_i, angle cosine t_k to y, |y| = rho."""
-    out = (2.0 * rho * s)[:, None] * t
+    out = np.einsum("i,k->ik", 2.0 * rho * s, t)
     out += (rho**2 + s**2)[:, None]
     return np.sqrt(out, out=out)
 
@@ -811,8 +829,7 @@ def _spline_pullback(grid: RadialGrid, x: np.ndarray, wx: np.ndarray, owner: np.
     g_y = np.zeros((n_rows, n_int + 1))
     g_y[:, :-1] = B[0]
     # s = T^-1 rhs(y): solve with T's transpose, whose sub and sup swap
-    sub, diag, sup = _spline_system(dx, natural_end=True)
-    lam = _thomas(_thomas_factors(sup, diag, sub), g_s).T
+    lam = _thomas(_slope_factors(grid, natural_end=True, transpose=True), g_s).T
     # rhs_0 = 0, rhs_i = 3 (dx_i m_i-1 + dx_i-1 m_i), rhs_-1 = 3 (y_-1 - y_-2)
     g_m[:, :-1] += 3 * dx[1:] * lam[:, 1:-1]
     g_m[:, 1:] += 3 * dx[:-1] * lam[:, 1:-1]
@@ -856,21 +873,29 @@ def axis_moment_integrals(dens: RadialFn, rho: float, dilation: float = 1.0):
         return d**N * integrate(dens), 0.0, spread
 
     t, a = _theta_rule(N, _THETA_NODES)
-    absx = _offset_distance(r, rho, t)
-    one_absx = 1.0 + absx
-    axial_comp = rho + r[:, None] * t[None, :]
+    one_absx = _offset_distance(r, rho, t)
+    one_absx += 1.0
+    # x.yhat/(1+|x|) = (rho + r t)/(1+|x|) on the lattice, formed once in place
+    axial_comp = np.einsum("i,k->ik", r, t)
+    axial_comp += rho
+    axial_comp /= one_absx
     radial_weight = d**N * grid.w1 * grid.r ** (N - 1) * dens.values
 
     mass = float(a.sum() * radial_weight.sum())
-    axial = float(radial_weight @ ((axial_comp / one_absx) @ a))
+    axial = float(radial_weight @ (axial_comp @ a))
     tail_mass = _tail_integral(dens)
     mass += tail_mass
     xi = axial / mass if mass != 0.0 else 0.0   # a zero density has zero moments
     # |x/(1+|x|) - xi * yhat| from its axial and transverse parts: where a
     # density concentrates near y both are small, and the expanded square
     # |x/(1+|x|)|^2 - 2 xi x.yhat/(1+|x|) + xi^2 would cancel away their digits
-    transverse = r[:, None] * np.sqrt(1.0 - t**2)
-    spread_kernel = np.sqrt((axial_comp / one_absx - xi) ** 2 + (transverse / one_absx) ** 2)
+    transverse = np.einsum("i,k->ik", r, _theta_sines(N, _THETA_NODES))
+    transverse /= one_absx
+    transverse *= transverse
+    axial_comp -= xi
+    axial_comp *= axial_comp
+    axial_comp += transverse
+    spread_kernel = np.sqrt(axial_comp, out=axial_comp)
     # at |x| -> inf the axial weight averages to 0 and the spread weight to
     # the unit-vector distance ~ sqrt(1 + xi^2); first-order tail model
     spread = float(radial_weight @ (spread_kernel @ a)) + tail_mass * math.hypot(1.0, xi)

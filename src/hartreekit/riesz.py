@@ -256,7 +256,7 @@ def _near_cell_weights(grid: RadialGrid, C: np.ndarray) -> None:
     hs = 0.5 * (grid.edges[1:] - grid.edges[:-1])
     n = np.arange(2 * grid.N - 6)  # powers of s in every piece
     binomials = np.array([[math.comb(a, b) for b in n] for a in n], dtype=float)
-    for q in np.unique(counts):
+    for q in sorted(set(counts.tolist())):   # np.unique would import numpy.ma
         cells = np.flatnonzero(counts == q)
         nodes = first[cells][:, None] + np.arange(q)   # (cell, node) grid indices
         # every (row, cell k of the group) pair within reach: each row's window

@@ -262,6 +262,24 @@ def test_run_path_imports_no_scipy(tmp_path, command):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_run_path_imports_no_numpy_ma():
+    # np.unique and np.median import numpy.ma on first use; the context, the
+    # trial profile and the ground-state solve do without them
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    if bare.stdout.strip() == "True":
+        pytest.skip("a bare `import numpy` already loads numpy.ma")
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    code = ("import sys; from hartreekit import runner; from hartreekit.config import load_config; "
+            f"ctx = runner.build_context(load_config({str(cfg)!r})); runner.ensure_profile(ctx); "
+            "assert runner.solver_report(ctx).passed; print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     # the thread count is set in the children's environment only
     reports = []

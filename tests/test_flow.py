@@ -53,6 +53,15 @@ def test_flow_amplitude_ratio(diag_123):
     assert abs(diag_123.amplitude_ratio - math.sqrt(2.0)) <= 1e-3 * math.sqrt(2.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 399, 400])
+def test_amplitude_ratio_is_the_median_bit_for_bit(n):
+    # the sort-based median is np.median's float at odd and even bulk sizes
+    rng = np.random.default_rng(n)
+    u = rng.uniform(1.0, 2.0, n)
+    v = u * (1.4 + rng.standard_normal(n) * 10.0 ** rng.uniform(-16, 0, n))
+    assert flow._amplitude_ratio(np.column_stack([u, v])) == float(np.median(v / u))
+
+
 def test_flow_pohozaev_consistency(diag_123, free_problem):
     lam_mass, gap = pohozaev_residual(diag_123.final, free_problem)
     assert gap < 1e-3
@@ -487,13 +496,12 @@ def _rescale_column(grid, values, scale):
 
 
 @pytest.mark.parametrize("scale", [0.6, 1.7])
-def test_rescale_profile_matches_per_column_reference(grid, scale, monkeypatch):
-    # both components are re-gauged from one cell lookup and one factored
-    # slope system, bit for bit as one RadialFn call per column
+def test_rescale_profile_matches_per_column_reference(scale, monkeypatch):
+    # both components are re-gauged from one cell lookup and the grid's
+    # factored slope system, bit for bit as one RadialFn call per column; a
+    # fresh grid factors that system once, for the reference and the re-gauge
     from hartreekit import grids
 
-    X = np.column_stack([bubble_profile(0.8, grid).values, 0.5 * np.exp(-((grid.r / 2.0) ** 2))])
-    want = np.column_stack([_rescale_column(grid, x, scale) for x in X.T])
     factorizations = []
     inner = grids._thomas_factors
 
@@ -502,6 +510,9 @@ def test_rescale_profile_matches_per_column_reference(grid, scale, monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(grids, "_thomas_factors", spy)
+    grid = make_grid(5, 400, 40.0, 1.02)
+    X = np.column_stack([bubble_profile(0.8, grid).values, 0.5 * np.exp(-((grid.r / 2.0) ** 2))])
+    want = np.column_stack([_rescale_column(grid, x, scale) for x in X.T])
     got = flow._rescale_profile(grid, X, scale)
     assert np.array_equal(got, want)
     assert factorizations == [grid.M]

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -31,15 +32,22 @@ from hartreekit.grids import (
     _cubic_splines,
     _gauss_legendre,
     _horner,
+    _dilation,
+    _offset,
     _offset_distance,
     _sides,
+    _slope_factors,
     _spline_interval,
     _spline_knots,
+    _spline_system,
     _splines,
+    _tail_integral,
     _tail_nodes,
     _stencil_weights,
     _tail_rule,
     _theta_rule,
+    _theta_sines,
+    _thomas_factors,
     apply_stencil,
     bicenter_integrals,
     bicenter_rows,
@@ -362,7 +370,8 @@ def test_quadrature_rules_are_memoized_read_only():
     t, a = _theta_rule(5, 64)
     again = _theta_rule(5, 64)
     assert again[0] is t and again[1] is a
-    for arr in (t, a, *_tail_rule(_TAIL_NODES), *_gauss_legendre(5)):
+    assert _theta_sines(5, 64) is _theta_sines(5, 64)
+    for arr in (t, a, _theta_sines(5, 64), *_tail_rule(_TAIL_NODES), *_gauss_legendre(5)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -561,3 +570,84 @@ def test_radial_fn_values_do_not_depend_on_the_batch(grid):
 def test_axis_moments_of_a_zero_profile_vanish(grid):
     zero = RadialFn(grid, np.zeros(grid.M))
     assert axis_moment_integrals(zero, 1.0) == (0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the lattice kernels under every trial map, against their earlier broadcast
+# forms, kept here as bit-for-bit oracles
+# ---------------------------------------------------------------------------
+
+def _offset_distance_oracle(s, rho, t):
+    out = (2.0 * rho * s)[:, None] * t
+    out += (rho**2 + s**2)[:, None]
+    return np.sqrt(out, out=out)
+
+
+def _axis_moment_oracle(dens, rho, dilation):
+    rho = _offset(rho)
+    grid = dens.grid
+    N = grid.N
+    d = _dilation(dilation, N)
+    r = d * grid.r
+    if rho == 0.0:
+        spread = d**N * float(grid.w @ (dens.values * (r / (1.0 + r)))) + _tail_integral(dens)
+        return d**N * integrate(dens), 0.0, spread
+    t, a = _theta_rule(N, _THETA_NODES)
+    absx = _offset_distance_oracle(r, rho, t)
+    one_absx = 1.0 + absx
+    axial_comp = rho + r[:, None] * t[None, :]
+    radial_weight = d**N * grid.w1 * grid.r ** (N - 1) * dens.values
+    mass = float(a.sum() * radial_weight.sum())
+    axial = float(radial_weight @ ((axial_comp / one_absx) @ a))
+    tail_mass = _tail_integral(dens)
+    mass += tail_mass
+    xi = axial / mass if mass != 0.0 else 0.0
+    transverse = r[:, None] * np.sqrt(1.0 - t**2)
+    spread_kernel = np.sqrt((axial_comp / one_absx - xi) ** 2 + (transverse / one_absx) ** 2)
+    spread = float(radial_weight @ (spread_kernel @ a)) + tail_mass * math.hypot(1.0, xi)
+    return mass, axial, spread
+
+
+_KERNEL_GRIDS = {"profile": (320, 1.0, 1.0), "run": (400, 40.0, 1.02)}
+
+
+@lru_cache(maxsize=None)
+def _kernel_density(which, N):
+    """A tail-free density on the profile grid (M = 320, R = 1) or the run grid."""
+    M, R, stretch = _KERNEL_GRIDS[which]
+    g = make_grid(N, M, R, stretch)
+    return RadialFn(g, (1.0 + (g.r / R) ** 2) ** -N)
+
+
+_kernel_draws = dict(which=st.sampled_from(sorted(_KERNEL_GRIDS)), N=st.integers(5, 8),
+                     rho=st.floats(0.0, 64.0), dilation=st.floats(1e-3, 3e3))
+
+
+@given(**_kernel_draws)
+@settings(max_examples=60, deadline=None)
+def test_offset_distance_is_its_broadcast_form_bit_for_bit(which, N, rho, dilation):
+    dens = _kernel_density(which, N)
+    t, _ = _theta_rule(N, _THETA_NODES)
+    s = dilation * dens.grid.r
+    assert np.array_equal(_offset_distance(s, rho, t), _offset_distance_oracle(s, rho, t))
+
+
+@given(**_kernel_draws)
+@settings(max_examples=60, deadline=None)
+def test_axis_moments_are_their_broadcast_form_bit_for_bit(which, N, rho, dilation):
+    dens = _kernel_density(which, N)
+    assert axis_moment_integrals(dens, rho, dilation) == _axis_moment_oracle(dens, rho, dilation)
+
+
+def test_slope_factors_are_kept_on_the_grid_read_only():
+    # one factorization per end condition and one of the natural system's
+    # transpose, each the tuples of a fresh `_thomas_factors`
+    g = make_grid(5, 80, 40.0, 1.02)
+    dx = np.diff(_spline_knots(g))
+    for natural, transpose in ((True, False), (False, False), (True, True)):
+        factors = _slope_factors(g, natural, transpose)
+        assert _slope_factors(g, natural, transpose) is factors
+        sub, diag, sup = _spline_system(dx, natural)
+        want = _thomas_factors(sup, diag, sub) if transpose else _thomas_factors(sub, diag, sup)
+        assert all(isinstance(part, tuple) for part in factors)
+        assert factors == tuple(map(tuple, want))
