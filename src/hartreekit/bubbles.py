@@ -41,7 +41,6 @@ from .grids import (
     _dilation,
     dirichlet_seminorm,
     integrate,
-    lp_norm,
     make_grid,
     sphere_area,
 )
@@ -78,15 +77,16 @@ def bubble_constant(N: int, grid: RadialGrid | None = None) -> float:
         grid = make_grid(N, 400, 40.0, 1.02)
     if grid.N != N:
         raise ParameterError(f"grid dimension {grid.N} does not match N={N}")
-    key = "bubble_amplitude"
-    if key not in grid._cache:
+
+    def build():
         u1 = unit_extremal(grid)
         num = dirichlet_seminorm(u1)
         den = double_energy(u1.squared(), u1.squared())
         if not (num > 0 and den > 0):
             raise NumericalError("homogeneity relation failed to bracket a positive amplitude")
-        grid._cache[key] = math.sqrt(num / den)
-    return grid._cache[key]
+        return math.sqrt(num / den)
+
+    return grid.kept("bubble_amplitude", build)
 
 
 def bubble_profile(delta: float, grid: RadialGrid) -> RadialFn:
@@ -256,7 +256,6 @@ class TrialProfile:
     energy: float              # ||grad||^2 = D_4(profile^2, profile^2), > S_HL^2
     sigma: float               # coupled limit energy of (sqrt(k1), sqrt(k2)) * profile
     l2_mass: float             # int profile^2
-    lp_crit: float             # L^{2*} norm
     cc: CouplingConstants
     cbar: float
     inner_scale: float         # dilation of the truncated bubble core
@@ -341,7 +340,6 @@ def make_trial_profile(cc: CouplingConstants, cbar: float, grid: RadialGrid,
         energy=E,
         sigma=sigma,
         l2_mass=integrate(square),
-        lp_crit=lp_norm(prof, 2.0 * N / (N - 2.0)),
         cc=cc,
         cbar=cbar,
         inner_scale=delta0,

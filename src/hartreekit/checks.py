@@ -380,7 +380,7 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
     # inner dilation face: gamma < 1/2 and energy < cbar for every probed offset
     delta1 = None
     for d in DELTA1_CANDIDATES:
-        if d < 0.5 and first_failure([(d, rho) for rho in Y_PROBE], below) is None:
+        if first_failure([(d, rho) for rho in Y_PROBE], below) is None:
             delta1 = d
             break
     if delta1 is None:
@@ -390,12 +390,12 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
 
     nb = BOUNDARY_SAMPLES
 
-    def try_candidate(rb, d2, rhos):
+    def try_candidate(rb, d2, rhos, offsets):
         # the face that rejects (rb, d2) and its failing sample, or (None, None)
         fail = first_failure([(d2, rho) for rho in rhos], above)
         if fail is not None:
             return "outer_face", fail
-        fail = first_failure([(d, rb) for d in np.geomspace(delta1, d2, nb)])
+        fail = first_failure([(d, rb) for d in offsets])
         if fail is not None:
             return "offset_face", fail
         fail = first_failure([(delta1, rho) for rho in rhos], below)
@@ -405,9 +405,10 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
     for rb in RBAR_CANDIDATES:
         rhos = np.linspace(0.0, rb * 0.999, nb)
         face = "outer_face"
-        for d2 in (float(d) for d in DELTA2_CANDIDATES if d > 0.5):
+        for d2 in map(float, DELTA2_CANDIDATES):
+            offsets = np.geomspace(delta1, d2, nb)
             before = samples.computed.copy()
-            face, fail = try_candidate(rb, d2, rhos)
+            face, fail = try_candidate(rb, d2, rhos, offsets)
             d, rho = (math.nan, math.nan) if fail is None else map(float, fail)
             cost = samples.computed - before
             scan.candidates.add(rbar=float(rb), delta2=d2,
@@ -435,11 +436,11 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
         scan.samples.add(piece=piece, delta=float(d), rho=float(rho), gamma=g,
                          xi_axial=xi, t0=t0, t_lam=tl, i0_hat=e0, i_tilde=et)
 
-    rho_b = np.linspace(0.0, rbar * 0.999, nb)
-    for rho in rho_b:
+    # the accepted candidate's own face samples
+    for rho in rhos:
         record("inner_face", delta1, rho)
         record("outer_face", delta2, rho)
-    for d in np.geomspace(delta1, delta2, nb):
+    for d in offsets:
         record("offset_face", d, rbar)
     for d in np.geomspace(delta1, delta2, INTERIOR_DELTA_SAMPLES):
         for rho in np.linspace(0.0, rbar * 0.98, INTERIOR_Y_SAMPLES):

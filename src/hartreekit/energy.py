@@ -413,10 +413,8 @@ def weak_residual(p: Pair, prob: Problem) -> float:
     grid and kept in the grid's cache, and a call is one product of W with
     the two residual fields.
     """
-    key = "weak_residual_pairing"
-    if key not in p.grid._cache:
-        p.grid._cache[key] = _pairing_matrix(default_test_set(p.grid), p.grid)
-    W, base, mass = p.grid._cache[key]
+    W, base, mass = p.grid.kept("weak_residual_pairing",
+                                lambda: _pairing_matrix(default_test_set(p.grid), p.grid))
     res_u, res_v = residual_fields(p, prob)
     u, v = p.u, p.v
 

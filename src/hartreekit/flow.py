@@ -85,7 +85,6 @@ class FlowDiagnostics:
     fitted_delta: float = math.nan
     amplitude_ratio: float = math.nan
     shape_error: float = math.nan
-    clamped_mass: list = field(default_factory=list)
     projections: int = 0   # Nehari projections, one convolution-table product each
     regauges: int = 0      # dilation rescalings after a residual check
 
@@ -173,10 +172,8 @@ def _pinned_solver(grid: RadialGrid):
     same strong-form operator that the residual field is built from, so
     converged flows report near-machine residuals.
     """
-    key = "laplacian_inverse"
-    if key not in grid._cache:
-        grid._cache[key] = _block_tridiagonal_inverse(_pinned_laplacian(grid))
-    inv = grid._cache[key]
+    inv = grid.kept("laplacian_inverse",
+                    lambda: _block_tridiagonal_inverse(_pinned_laplacian(grid)))
 
     def solve(rhs):
         b = rhs.copy()
@@ -318,7 +315,6 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
         for _ in range(40):
             cand = (1.0 - tau) * X + tau * pic
             cand_p = np.maximum(cand, 0.0)
-            clamped = float((W @ (cand - cand_p) ** 2).sum())
             try:
                 cand, cand_energy, cand_Z, cand_K = project(cand_p)
             except ParameterError:
@@ -332,7 +328,6 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
             diag.verdict = "stalled line search"
             break
         X, energy, Z, Kx = cand, cand_energy, cand_Z, cand_K
-        diag.clamped_mass.append(clamped)
         tau = min(STEP_SIZE, tau * 1.3)
 
         if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:

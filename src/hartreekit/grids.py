@@ -70,13 +70,20 @@ class RadialGrid:
     def omega(self) -> float:
         return sphere_area(self.N)
 
+    def kept(self, key, build):
+        """The value kept on the grid under `key`: build() on first use, made read-only.
+
+        Every operator derived from the grid is kept this way, so each run's
+        grid owns its caches and no kept array can be changed in place.
+        """
+        if key not in self._cache:
+            self._cache[key] = _read_only(build())
+        return self._cache[key]
+
     @property
     def w(self) -> np.ndarray:
         """Volume weights: sum w_i f(r_i) ~ int_{B_R} f(|x|) dx."""
-        key = "volume_weights"
-        if key not in self._cache:
-            self._cache[key] = self.omega * self.r ** (self.N - 1) * self.w1
-        return self._cache[key]
+        return self.kept("volume_weights", lambda: self.omega * self.r ** (self.N - 1) * self.w1)
 
     def deriv_matrix(self) -> np.ndarray:
         """Nodal first derivative as (M, 5) weights on the stencil windows.
@@ -85,10 +92,7 @@ class RadialGrid:
         so the derivative is 4th-order accurate on smooth profiles.  Apply
         with `apply_stencil`.
         """
-        key = "deriv_matrix"
-        if key not in self._cache:
-            self._cache[key] = _stencil_weights(self.r, 1)
-        return self._cache[key]
+        return self.kept("deriv_matrix", lambda: _stencil_weights(self.r, 1))
 
     def laplacian_matrix(self) -> np.ndarray:
         """Radial Laplacian u'' + (N-1) u'/r at the nodes, as (M, 5) window weights.
@@ -98,11 +102,8 @@ class RadialGrid:
         grid's highest frequency, so the operator is safely invertible.
         Apply with `apply_stencil`.
         """
-        key = "laplacian_matrix"
-        if key not in self._cache:
-            D2 = _stencil_weights(self.r, 2)
-            self._cache[key] = D2 + (self.N - 1) / self.r[:, None] * self.deriv_matrix()
-        return self._cache[key]
+        return self.kept("laplacian_matrix", lambda: _stencil_weights(self.r, 2)
+                         + (self.N - 1) / self.r[:, None] * self.deriv_matrix())
 
 
 def _stencil_weights(r: np.ndarray, k: int) -> np.ndarray:
@@ -134,9 +135,7 @@ def _stencil_windows(M: int) -> np.ndarray:
     """
     width = min(5, M)
     lo = np.clip(np.arange(M) - width // 2, 0, M - width)
-    cols = lo[:, None] + np.arange(width)
-    cols.flags.writeable = False
-    return cols
+    return _read_only(lo[:, None] + np.arange(width))
 
 
 def apply_stencil(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -300,22 +299,20 @@ def _thomas(factors, b):
 
 
 def _spline_knots(grid: RadialGrid) -> np.ndarray:
-    """Knots 0, r_1, ..., r_M of the splines on `grid` (memoized on the grid)."""
-    if "spline_knots" not in grid._cache:
-        grid._cache["spline_knots"] = np.concatenate([[0.0], grid.r])
-    return grid._cache["spline_knots"]
+    """Knots 0, r_1, ..., r_M of the splines on `grid` (kept on the grid)."""
+    return grid.kept("spline_knots", lambda: np.concatenate([[0.0], grid.r]))
 
 
 def _slope_factors(grid: RadialGrid, natural_end: bool, transpose: bool = False):
     """`_thomas_factors` of the slope system of `_cubic_splines` on `grid`, or of its
-    transpose (memoized on the grid, as read-only tuples)."""
-    key = ("slope_factors", natural_end, transpose)
-    if key not in grid._cache:
+    transpose (kept on the grid, as tuples)."""
+    def build():
         sub, diag, sup = _spline_system(np.diff(_spline_knots(grid)), natural_end)
         if transpose:
             sub, sup = sup, sub
-        grid._cache[key] = tuple(map(tuple, _thomas_factors(sub, diag, sup)))
-    return grid._cache[key]
+        return tuple(map(tuple, _thomas_factors(sub, diag, sup)))
+
+    return grid.kept(("slope_factors", natural_end, transpose), build)
 
 
 def _cubic_splines(grid: RadialGrid, ys: list, end_slopes: list) -> list:
@@ -344,7 +341,7 @@ def _cubic_splines(grid: RadialGrid, ys: list, end_slopes: list) -> list:
 
 
 def _cell_lookup(grid: RadialGrid):
-    """Bucket table of the spline intervals on `grid` (memoized on the grid).
+    """Bucket table of the spline intervals on `grid` (kept on the grid).
 
     The buckets split [0, R_max] into _BUCKETS_PER_NODE * M equal cells; a
     point x falls in bucket int(x * inv).  first[b] is the last interval
@@ -355,7 +352,7 @@ def _cell_lookup(grid: RadialGrid):
     so the table needs no slack for round-off; its size is a fixed multiple
     of M on every grid, while `steps` grows where the cells crowd near 0.
     """
-    if "cell_lookup" not in grid._cache:
+    def build():
         starts = _spline_knots(grid)[:-1]
         n_buckets = _BUCKETS_PER_NODE * grid.M
         inv = n_buckets / grid.R_max
@@ -363,8 +360,9 @@ def _cell_lookup(grid: RadialGrid):
         first = np.maximum(below[:-1] - 1, 0)
         steps = int((below[1:] - 1 - first).max()).bit_length()
         padded = np.concatenate([starts, np.full(2**steps, np.inf)])
-        grid._cache["cell_lookup"] = padded, first.astype(np.int32), inv, steps
-    return grid._cache["cell_lookup"]
+        return padded, first.astype(np.int32), inv, steps
+
+    return grid.kept("cell_lookup", build)
 
 
 def _spline_interval(grid: RadialGrid, x: np.ndarray):
@@ -588,23 +586,27 @@ def dirichlet_seminorm(f: RadialFn) -> float:
     return core + tail
 
 
-def _read_only(*arrays):
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+def _read_only(value):
+    """value, with its arrays made read-only: the value itself, a tuple's items, or
+    an object's fields (an AngularKernel's C)."""
+    fields = getattr(value, "__dict__", {}).values()
+    for part in value if isinstance(value, tuple) else (value, *fields):
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return value
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """n-node Gauss-Legendre rule on [-1, 1]; memoized, so the arrays are read-only."""
-    return _read_only(*np.polynomial.legendre.leggauss(n))
+    return _read_only(np.polynomial.legendre.leggauss(n))
 
 
 @lru_cache(maxsize=None)
 def _tail_rule(n: int):
     """Gauss-Legendre rule on (0, 1) for the tail map s = R / x, s in (R, inf)."""
     x, wx = _gauss_legendre(n)
-    return _read_only(0.5 * (x + 1.0), 0.5 * wx)
+    return _read_only((0.5 * (x + 1.0), 0.5 * wx))
 
 
 @lru_cache(maxsize=None)
@@ -629,15 +631,14 @@ def _theta_rule(N: int, n: int):
         norm += p**2
     mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
     wt = mu0 / norm
-    return _read_only(t, wt * sphere_area(N - 1))
+    return _read_only((t, wt * sphere_area(N - 1)))
 
 
 @lru_cache(maxsize=None)
 def _theta_sines(N: int, n: int) -> np.ndarray:
     """sqrt(1 - t_k^2) at the nodes of `_theta_rule(N, n)` (read-only, memoized)."""
     t, _ = _theta_rule(N, n)
-    (sines,) = _read_only(np.sqrt(1.0 - t**2))
-    return sines
+    return _read_only(np.sqrt(1.0 - t**2))
 
 
 def _offset_distance(s: np.ndarray, rho: float, t: np.ndarray) -> np.ndarray:
@@ -684,23 +685,20 @@ def _sides(fs: list, s: np.ndarray, s_tail: np.ndarray | None, rho: float) -> li
 
 
 def _tail_nodes(grid: RadialGrid):
-    """Tail nodes s_j = R_max / x_j and radial weights: sum_j q_j h(s_j) ~ int_R^inf h s^{N-1} ds.
-
-    Memoized on the grid, so the arrays are read-only.
-    """
-    if "tail_nodes" not in grid._cache:
+    """Tail nodes s_j = R_max / x_j and radial weights: sum_j q_j h(s_j) ~ int_R^inf h s^{N-1} ds
+    (kept on the grid)."""
+    def build():
         x, wx = _tail_rule(_TAIL_NODES)
         s_t = grid.R_max / x
         ds = grid.R_max / x**2
-        grid._cache["tail_nodes"] = _read_only(s_t, wx * ds * s_t ** (grid.N - 1))
-    return grid._cache["tail_nodes"]
+        return s_t, wx * ds * s_t ** (grid.N - 1)
+
+    return grid.kept("tail_nodes", build)
 
 
 def _radial_weights(grid: RadialGrid) -> np.ndarray:
-    """w1_i r_i^(N-1): sum_i of it times h(r_i) ~ int_0^R h s^{N-1} ds (memoized, read-only)."""
-    if "radial_weights" not in grid._cache:
-        (grid._cache["radial_weights"],) = _read_only(grid.w1 * grid.r ** (grid.N - 1))
-    return grid._cache["radial_weights"]
+    """w1_i r_i^(N-1): sum_i of it times h(r_i) ~ int_0^R h s^{N-1} ds (kept on the grid)."""
+    return grid.kept("radial_weights", lambda: grid.w1 * grid.r ** (grid.N - 1))
 
 
 def _weigh(side, f: RadialFn, g: RadialFn, rho: float) -> float:
@@ -786,9 +784,9 @@ def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
             W[b] = 0.5 * grid.w * values
             x, wx = own.r, 0.5 * own.w * g.values
         else:
-            W[b] = 0.5 * grid.w1 * grid.r ** (N - 1) * values
+            W[b] = 0.5 * _radial_weights(grid) * values
             x = _offset_distance(own.r, rho, t)
-            wx = np.outer(0.5 * own.w1 * own.r ** (N - 1) * g.values, a)
+            wx = np.outer(0.5 * _radial_weights(own) * g.values, a)
         points.append(x.ravel())
         weights.append(wx.ravel())
         owner.append(np.full(x.size, b))

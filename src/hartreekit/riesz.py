@@ -31,6 +31,8 @@ from .grids import (
     RadialGrid,
     _gauss_legendre,
     _has_tail,
+    _radial_weights,
+    _tail_nodes,
     _tail_rule,
     dirichlet_seminorm,
     from_callable,
@@ -291,7 +293,7 @@ def _build_conv_matrix(grid: RadialGrid) -> np.ndarray:
     r, step = grid.r, max(1, _BLOCK_ENTRIES // grid.M)
     C = np.empty((grid.M, grid.M))
     for i in range(0, grid.M, step):
-        C[i:i + step] = _kernel_table(grid.N, r[i:i + step], r) * (grid.w1 * r ** (grid.N - 1))
+        C[i:i + step] = _kernel_table(grid.N, r[i:i + step], r) * _radial_weights(grid)
     _near_cell_weights(grid, C)
     return C
 
@@ -312,29 +314,25 @@ class AngularKernel:
 
 
 def kernel_for(grid: RadialGrid) -> AngularKernel:
-    """Build (or fetch from the grid's cache) the convolution table of a grid,
-    the one M x M array the grid caches for the kernel."""
-    if "kernel" not in grid._cache:
-        grid._cache["kernel"] = AngularKernel(C=_build_conv_matrix(grid))
-    return grid._cache["kernel"]
+    """The convolution table of a grid, built on first use and kept on the grid:
+    the one M x M array the grid keeps for the kernel."""
+    return grid.kept("kernel", lambda: AngularKernel(C=_build_conv_matrix(grid)))
 
 
 def _tail_in_vector(grid: RadialGrid, p_tail: float, c_tail: float) -> np.ndarray:
     """Contribution of the source tail (s > R) to the convolution at the nodes.
 
     The kernel table against the tail nodes depends on the grid only, so the
-    grid's cache keeps it.
+    grid keeps it.
     """
     N = grid.N
     if p_tail + _ALPHA <= N:
         raise DivergenceError("source tail too slow for the Riesz convolution")
     x, wx = _tail_rule(_TAIL_NODES)
-    s = grid.R_max / x
+    s, _ = _tail_nodes(grid)
     ds = grid.R_max / x**2
     dens = c_tail * s ** (-p_tail) * s ** (N - 1) * ds * wx
-    if "tail_kernel" not in grid._cache:
-        grid._cache["tail_kernel"] = _kernel_table(N, grid.r, s)
-    return grid._cache["tail_kernel"] @ dens
+    return grid.kept("tail_kernel", lambda: _kernel_table(N, grid.r, s)) @ dens
 
 
 def riesz_convolve(f: RadialFn) -> RadialFn:

@@ -208,7 +208,7 @@ def test_trial_member_identity(trial_profile):
 
 def test_trial_member_norm_preservation(trial_profile):
     rng = np.random.default_rng(3)
-    base = trial_profile.lp_crit
+    base = lp_norm(trial_profile.profile, 10.0 / 3.0)
     for _ in range(10):
         d = float(rng.uniform(0.05, 50.0))
         m = dilate(trial_profile.profile, d)

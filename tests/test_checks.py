@@ -30,6 +30,13 @@ def make_problem(grid, v0, lam=0.1):
     return Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0, lam1=lam, lam2=lam, V1=V, V2=V)
 
 
+def test_dilation_candidates_straddle_one_half():
+    # scan_region takes every candidate as it is: the homotopy's identity-end
+    # clearance min(1/2 - delta1, delta2 - 1/2) needs each inner dilation
+    # below 1/2 and each outer one above
+    assert max(checks.DELTA1_CANDIDATES) < 0.5 < min(checks.DELTA2_CANDIDATES)
+
+
 def test_limit_trend_semantics():
     assert limit_trend([1.0, 0.5, 0.2, 0.05])
     assert not limit_trend([1.0, 0.5, 0.2, 0.15])        # final too large

@@ -449,21 +449,71 @@ def test_every_command_writes_the_one_bundle_layout(tmp_path, capsys, argv):
     assert "total wall time:" in md
 
 
+def _rebind(monkeypatch, fn, wrapper):
+    """Bind wrapper in place of every package attribute bound to fn, as the
+    benchmark's layer trace does."""
+    for name, module in list(sys.modules.items()):
+        if name == "hartreekit" or name.startswith("hartreekit."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+
+
 def _count_calls(monkeypatch, fn):
-    """Wrap every package attribute bound to fn, as the benchmark's layer trace
-    does; returns the list that each call appends its positional arguments to."""
+    """Wrap fn everywhere (`_rebind`); returns the list that each call appends
+    its positional arguments to."""
     log = []
 
     def counted(*args, **kwargs):
         log.append(args)
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "hartreekit" or name.startswith("hartreekit."):
-            for key, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, key, counted)
+    _rebind(monkeypatch, fn, counted)
     return log
+
+
+def _log_results(monkeypatch, fn):
+    """Wrap fn everywhere (`_rebind`); returns the list that each call appends
+    its result to."""
+    log = []
+
+    def logged(*args, **kwargs):
+        log.append(fn(*args, **kwargs))
+        return log[-1]
+
+    _rebind(monkeypatch, fn, logged)
+    return log
+
+
+def _arrays(value):
+    """The arrays in a kept value: an array, a tuple of values, or an object's array fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [arr for item in value for arr in _arrays(item)]
+    return [arr for arr in getattr(value, "__dict__", {}).values() if isinstance(arr, np.ndarray)]
+
+
+def test_run_all_keeps_every_grid_value_and_rule_read_only(tmp_path, monkeypatch):
+    # every grid a run-all makes (the run grid, the profile grid, 3.2's fine
+    # grid, the residual's bump grids) keeps its values read-only, and so do
+    # the quadrature rule and stencil window memos: a write raises
+    grids_made = _log_results(monkeypatch, grids.make_grid)
+    rules = [_log_results(monkeypatch, fn)
+             for fn in (grids._gauss_legendre, grids._tail_rule, grids._theta_rule,
+                        grids._theta_sines, grids._stencil_windows)]
+    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path) == 0
+    assert {(400, 40.0), (320, 1.0), (640, 40.0)} <= {(g.M, g.R_max) for g in grids_made}
+    keys = {key for g in grids_made for key in g._cache}
+    assert {"volume_weights", "kernel", "tail_kernel", "laplacian_inverse",
+            "weak_residual_pairing", "cell_lookup", "bubble_amplitude"} <= keys
+    assert all(rules)
+    kept = [value for g in grids_made for value in g._cache.values()]
+    arrays = {id(arr): arr for value in kept + sum(rules, []) for arr in _arrays(value)}
+    for arr in arrays.values():
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = arr
 
 
 def test_run_all_calls_each_step_function_once(tmp_path, monkeypatch):

@@ -116,10 +116,6 @@ def test_flow_shape_matches_ground_family(diag_123):
     assert np.isfinite(diag_123.fitted_delta)
 
 
-def test_flow_clamped_mass_vanishes(diag_123):
-    assert diag_123.clamped_mass[-1] <= 1e-12
-
-
 @pytest.mark.parametrize("widths", [(0.3, 0.3), (0.3, 4.0), (1.0, 1.2), (2.5, 0.7), (4.0, 4.0)])
 @pytest.mark.parametrize("mus", [(1.0, 2.0, 3.0), (0.5, 0.7, 0.8), (2.0, 1.0, 5.0)])
 def test_nonlocal_sum_reads_off_the_convolution(grid, constants, widths, mus):

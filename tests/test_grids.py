@@ -377,6 +377,40 @@ def test_quadrature_rules_are_memoized_read_only():
             arr[0] = 0.0
 
 
+def test_kept_builds_once_and_makes_its_arrays_read_only():
+    # kept calls build on first use only; every array in the value is frozen,
+    # and a build that raises keeps nothing, so the next read builds again
+    from hartreekit.riesz import AngularKernel
+
+    g = make_grid(5, 40, 4.0, 1.0)
+    calls = []
+
+    def counted(value):
+        def build():
+            calls.append(None)
+            return value
+        return build
+
+    values = {"array": np.arange(3.0), "pair": (np.ones(2), 1.5),
+              "kernel": AngularKernel(C=np.eye(2))}
+    for key, value in values.items():
+        assert all(g.kept(key, counted(value)) is value for _ in range(3))
+    assert len(calls) == 3
+    for arr in (values["array"], values["pair"][0], values["kernel"].C):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+    def failing():
+        calls.append(None)
+        raise ArithmeticError
+
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            g.kept("failing", failing)
+    assert len(calls) == 5 and "failing" not in g._cache
+
+
 def test_overlap_quadrature_repeats_bit_for_bit(grid):
     f = from_callable(grid, lambda r: (1.0 + r**2) ** -1.5, p_tail=3.0, c_tail=1.0)
     g = from_callable(grid, lambda r: np.exp(-(r**2)))
