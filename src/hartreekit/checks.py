@@ -299,7 +299,7 @@ def _shape_maps(samples: TrialSamples, delta: float, rho: float):
 def _energy_maps(samples: TrialSamples, delta: float, rho: float):
     """(t0, t_lam, i0_hat, i_tilde) of the trial member at one (delta, rho)."""
     prof = samples.profile
-    t0, t_lam = trial_projection_scalars(prof, delta, rho, samples.prob, prof.cc,
+    t0, t_lam = trial_projection_scalars(prof, delta, rho, samples.prob,
                                          overlaps=samples.overlaps(delta, rho))
     sigma = prof.sigma
     return t0, t_lam, t0**4 * sigma, t_lam**4 * sigma
@@ -315,8 +315,7 @@ def _coarse_to_fine(n: int) -> list:
     return order
 
 
-def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
-                samples: TrialSamples | None = None) -> RegionScan:
+def scan_region(samples: TrialSamples, c_star_lower: float) -> RegionScan:
     """Search for the linking region and evaluate the energy caps on it.
 
     Constraints: concentration below 1/2 on the inner dilation face for all
@@ -340,13 +339,10 @@ def scan_region(profile: TrialProfile, prob: Problem, c_star_lower: float,
     accepted, and kappa (region supremum) is then compared against the
     scalar-level threshold.  Each (rbar, delta2) tried leaves a row in
     `candidates`: its verdict, the face and sample that rejected it, and
-    the maps it computed.  The maps come from `samples`, the run's memo (a
-    fresh one if None).
+    the maps it computed.  The maps come from `samples`, the run's memo of
+    the trial profile under the problem.
     """
-    if samples is None:
-        samples = TrialSamples(profile, prob)
-    elif samples.profile is not profile or samples.prob is not prob:
-        raise ParameterError("the sample memo belongs to another profile or problem")
+    profile = samples.profile
     cc = profile.cc
     cbar = profile.cbar
     c_inf = cc.c_inf
@@ -835,8 +831,7 @@ def trial_samples(ctx: VerifyContext) -> TrialSamples:
 def ensure_scan(ctx: VerifyContext) -> RegionScan:
     """The context's region scan, run once against the context's c_star_lower."""
     if ctx.scan is None:
-        ctx.scan = scan_region(ctx.profile, ctx.prob, c_star_lower=ctx.c_star_lower,
-                               samples=trial_samples(ctx))
+        ctx.scan = scan_region(trial_samples(ctx), c_star_lower=ctx.c_star_lower)
     return ctx.scan
 
 

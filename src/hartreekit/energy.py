@@ -182,17 +182,6 @@ class EnergyBreakdown:
         """The functional at t (u, v): a quarter of t^2 (kinetic + potential)."""
         return 0.25 * self.ray_scale_sq * (self.kinetic + self.potential)
 
-    def to_dict(self) -> dict:
-        return {
-            "kinetic": self.kinetic,
-            "potential": self.potential,
-            "nonlocal_11": self.nonlocal_11,
-            "nonlocal_22": self.nonlocal_22,
-            "nonlocal_12": self.nonlocal_12,
-            "total": self.total,
-            "nehari_defect": self.defect,
-        }
-
 
 def potential_mass(V: RadialFn | None, lam: float, sq: RadialFn, rho: float = 0.0) -> float:
     """int (V(x) + lam) sq(|x - y|) dx at |y| = rho: the lam term, then the V term.
@@ -257,17 +246,19 @@ def trial_overlaps(profile: TrialProfile, prob: Problem, delta: float,
 
 
 def trial_projection_scalars(profile: TrialProfile, delta: float, rho: float,
-                             prob: Problem, cc: CouplingConstants, overlaps=None):
+                             prob: Problem, overlaps=None):
     """Ray scalings t0 (no mass shifts) and t_lam (with them) of a trial member.
 
     Both follow from the profile's certified energy equality and the exact
     dilation covariances: the Dirichlet and double energies of every member
-    equal the profile's, and the L^2 mass scales as delta^2.  The potential
-    overlaps are trial_overlaps, read off the profile's one unit square;
-    `overlaps`, if given, are those two, already computed for this member.
+    equal the profile's, and the L^2 mass scales as delta^2.  The couplings
+    are the profile's own.  The potential overlaps are trial_overlaps, read
+    off the profile's one unit square; `overlaps`, if given, are those two,
+    already computed for this member.
     """
     _offset(rho)
     E = profile.energy
+    cc = profile.cc
     ksum = cc.k_sum
     if overlaps is None:
         overlaps = trial_overlaps(profile, prob, delta, rho)

@@ -353,7 +353,7 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
                     X, energy, Z, Kx = project(X)
                     diag.regauges += 1
 
-    u, v = X.T.copy()
+    u, v = X.T
     diag.iterations = it
     diag.residual = residual
     fu = RadialFn(grid, u, p_tail=N - 2, c_tail=max(_decay_amplitude(grid, u), 0.0))

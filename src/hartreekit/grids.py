@@ -62,6 +62,9 @@ class RadialGrid:
     stretch: float
     _cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        _read_only(self)
+
     @property
     def M(self) -> int:
         return len(self.r)
@@ -73,7 +76,8 @@ class RadialGrid:
     def kept(self, key, build):
         """The value kept on the grid under `key`: build() on first use, made read-only.
 
-        Every operator derived from the grid is kept this way, so each run's
+        Every operator derived from the grid is kept this way, and a
+        RadialFn keeps its spline through this same method, so each run's
         grid owns its caches and no kept array can be changed in place.
         """
         if key not in self._cache:
@@ -304,7 +308,7 @@ def _spline_knots(grid: RadialGrid) -> np.ndarray:
 
 
 def _slope_factors(grid: RadialGrid, natural_end: bool, transpose: bool = False):
-    """`_thomas_factors` of the slope system of `_cubic_splines` on `grid`, or of its
+    """`_thomas_factors` of the slope system of `_cubic_spline` on `grid`, or of its
     transpose (kept on the grid, as tuples)."""
     def build():
         sub, diag, sup = _spline_system(np.diff(_spline_knots(grid)), natural_end)
@@ -315,29 +319,25 @@ def _slope_factors(grid: RadialGrid, natural_end: bool, transpose: bool = False)
     return grid.kept(("slope_factors", natural_end, transpose), build)
 
 
-def _cubic_splines(grid: RadialGrid, ys: list, end_slopes: list) -> list:
-    """C2 cubic splines through (x_i, y_i) for each y in ys, x = `_spline_knots(grid)`.
+def _cubic_spline(grid: RadialGrid, y: np.ndarray, end_slope) -> np.ndarray:
+    """C2 cubic spline through (x_i, y_i), x = `_spline_knots(grid)`.
 
-    Each has slope 0 at x_0.  At x_-1 the slope is its `end_slope`, or the
-    second derivative is 0 when that is None.  The slopes s_i solve the
-    tridiagonal system of `_spline_system`, whose factors per end condition
-    the grid keeps.  Returns for each y the (intervals, 4) rows
-    (c3, c2, c1, c0) of y = c3 z^3 + c2 z^2 + c1 z + c0 on [x_i, x_i+1],
-    z = x - x_i.
+    Slope 0 at x_0.  At x_-1 the slope is `end_slope`, or the second
+    derivative is 0 when that is None.  The slopes s_i solve the tridiagonal
+    system of `_spline_system`, whose factors per end condition the grid
+    keeps.  Returns the (intervals, 4) rows (c3, c2, c1, c0) of
+    y = c3 z^3 + c2 z^2 + c1 z + c0 on [x_i, x_i+1], z = x - x_i.
     """
     dx = np.diff(_spline_knots(grid))
-    out = []
-    for y, end_slope in zip(ys, end_slopes):
-        natural = end_slope is None
-        slope = np.diff(y) / dx
-        rhs = np.empty(len(y))
-        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        rhs[0] = 0.0
-        rhs[-1] = 3 * (y[-1] - y[-2]) if natural else end_slope
-        s = np.array(_thomas(_slope_factors(grid, natural), rhs.tolist()))
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        out.append(np.column_stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]]))
-    return out
+    natural = end_slope is None
+    slope = np.diff(y) / dx
+    rhs = np.empty(len(y))
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    rhs[0] = 0.0
+    rhs[-1] = 3 * (y[-1] - y[-2]) if natural else end_slope
+    s = np.array(_thomas(_slope_factors(grid, natural), rhs.tolist()))
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.column_stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
 
 def _cell_lookup(grid: RadialGrid):
@@ -381,7 +381,7 @@ def _spline_interval(grid: RadialGrid, x: np.ndarray):
 
 
 def _horner(coefs: np.ndarray, i: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A `_cubic_splines` spline at the points of `_spline_interval`'s (i, z), from one gather."""
+    """A `_cubic_spline` at the points of `_spline_interval`'s (i, z), from one gather."""
     c = coefs.take(i, axis=0)
     out = c[..., 0] * z
     out += c[..., 1]
@@ -392,26 +392,21 @@ def _horner(coefs: np.ndarray, i: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _splines(fs: list) -> list:
-    """(intervals, 4) `_cubic_splines` coefficients of each f in fs (one grid), memoized on f.
+def _spline(f: RadialFn) -> np.ndarray:
+    """(intervals, 4) `_cubic_spline` coefficients of f (kept on f).
 
-    Each spline runs through the even extension (0, f(0)), (r_i, f_i), f(0)
+    The spline runs through the even extension (0, f(0)), (r_i, f_i), f(0)
     fitted from a + b r^2 through the first three nodes, and ends clamped to
-    a tail model's slope at R_max, or natural without one.  The ones not yet
-    memoized are built together.
+    a tail model's slope at R_max, or natural without one.
     """
-    todo = [f for f in fs if "spline" not in f._cache]
-    if todo:
-        grid = fs[0].grid
-        ys, end_slopes = [], []
-        for f in todo:
-            ab, *_ = np.linalg.lstsq(_origin_design(grid.r), f.values[:3], rcond=None)
-            ys.append(np.concatenate([[ab[0]], f.values]))
-            end_slopes.append(-f.p_tail * f.c_tail * grid.R_max ** (-f.p_tail - 1)
-                              if _has_tail(f) else None)
-        for f, coefs in zip(todo, _cubic_splines(grid, ys, end_slopes)):
-            f._cache["spline"] = coefs
-    return [f._cache["spline"] for f in fs]
+    def build():
+        grid = f.grid
+        ab, *_ = np.linalg.lstsq(_origin_design(grid.r), f.values[:3], rcond=None)
+        end_slope = (-f.p_tail * f.c_tail * grid.R_max ** (-f.p_tail - 1)
+                     if _has_tail(f) else None)
+        return _cubic_spline(grid, np.concatenate([[ab[0]], f.values]), end_slope)
+
+    return f.kept("spline", build)
 
 
 def _evaluate(fs: list, r: np.ndarray) -> list:
@@ -422,10 +417,10 @@ def _evaluate(fs: list, r: np.ndarray) -> list:
     whole = inside.all()
     i, z = _spline_interval(fs[0].grid, r if whole else r[inside])
     if whole:
-        return [_horner(coefs, i, z) for coefs in _splines(fs)]
+        return [_horner(_spline(f), i, z) for f in fs]
     outs = [np.empty_like(r) for _ in fs]
-    for out, f, coefs in zip(outs, fs, _splines(fs)):
-        out[inside] = _horner(coefs, i, z)
+    for out, f in zip(outs, fs):
+        out[inside] = _horner(_spline(f), i, z)
         out[~inside] = f._tail_values(r[~inside])
     return outs
 
@@ -437,7 +432,11 @@ def _origin_design(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RadialFn:
-    """Nodal values of a radial function plus its power-law tail model."""
+    """Nodal values of a radial function plus its power-law tail model.
+
+    The function owns a read-only copy of the values it is built from, and
+    keeps its spline as a grid keeps its operators (`RadialGrid.kept`).
+    """
 
     grid: RadialGrid
     values: np.ndarray
@@ -446,12 +445,14 @@ class RadialFn:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != self.grid.r.shape:
             raise ParameterError("values shape does not match grid")
         if not np.all(np.isfinite(v)):
             raise ParameterError("values must be finite")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(v))
+
+    kept = RadialGrid.kept
 
     # -- evaluation ---------------------------------------------------------
     def __call__(self, r):
@@ -513,7 +514,7 @@ class RadialFn:
 
 
 def from_callable(grid: RadialGrid, fn, p_tail=None, c_tail=0.0) -> RadialFn:
-    return RadialFn(grid, np.asarray(fn(grid.r), dtype=float), p_tail, c_tail)
+    return RadialFn(grid, fn(grid.r), p_tail, c_tail)
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,6 +34,7 @@ from hartreekit import (
     solve_limit_ground_state,
     vanishing_energy_limit,
 )
+from hartreekit.checks import TrialSamples
 from hartreekit.runner import bubble_certification
 
 from conftest import explicit_trial_pair
@@ -178,7 +179,7 @@ def test_criterion_09_barycenter_machinery(grid, cc, trial_profile):
 
 
 def test_criterion_10_region_and_bounds(trial_profile, problem, c_star_lower):
-    scan = scan_region(trial_profile, problem, c_star_lower)
+    scan = scan_region(TrialSamples(trial_profile, problem), c_star_lower)
     ok = scan.found
     ok = ok and scan.boundary_sup_energy < scan.cbar
     ok = ok and scan.kappa < scan.threshold and (scan.threshold - scan.kappa) > 0

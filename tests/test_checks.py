@@ -114,7 +114,7 @@ def test_choose_a_rejects_inadmissible(grid, constants, c_star_lower):
 
 @pytest.fixture(scope="module")
 def scan(trial_profile, problem, c_star_lower):
-    return scan_region(trial_profile, problem, c_star_lower)
+    return scan_region(checks.TrialSamples(trial_profile, problem), c_star_lower)
 
 
 def test_scan_finds_region(scan):
@@ -154,7 +154,7 @@ def test_scan_negative_control_shrunken_radius(trial_profile, problem, c_star_lo
                                                monkeypatch):
     # a radius below the certified one must fail the boundary constraints
     monkeypatch.setattr(checks, "RBAR_CANDIDATES", (scan.rbar / 16.0,))
-    bad = scan_region(trial_profile, problem, c_star_lower)
+    bad = scan_region(checks.TrialSamples(trial_profile, problem), c_star_lower)
     assert not bad.found
 
 
@@ -246,7 +246,7 @@ def test_scan_matches_the_eager_reference(trial_profile, problem, c_star_lower, 
     # the default constants and the shrunken-radius negative control
     if shrink is not None:
         monkeypatch.setattr(checks, "RBAR_CANDIDATES", (scan.rbar / shrink,))
-    lazy = scan_region(trial_profile, problem, c_star_lower)
+    lazy = scan_region(checks.TrialSamples(trial_profile, problem), c_star_lower)
     lazy_maps = {kind: len(log) for kind, log in count_maps.items()}
     ref = eager_scan(trial_profile, problem)
     assert (lazy.found, lazy.failure) == (ref["found"], ref["failure"])
@@ -271,7 +271,7 @@ def test_scan_face_test_stops_at_its_first_failing_sample(trial_profile, problem
     # fails at its first probed offset: one shape map and no energy map
     monkeypatch.setattr(checks, "DELTA1_CANDIDATES", (0.4, 0.3))
     monkeypatch.setattr(checks, "GAMMA_MARGIN", 0.5)
-    lazy = scan_region(trial_profile, problem, c_star_lower)
+    lazy = scan_region(checks.TrialSamples(trial_profile, problem), c_star_lower)
     assert not lazy.found
     assert count_maps == {"shape": [(0.4, 0.0), (0.3, 0.0)], "energy": []}
     ref = eager_scan(trial_profile, problem)
@@ -286,7 +286,7 @@ def test_scan_rejects_at_the_offset_face_before_reading_the_inner_face(
     # face; the inner face, tested last, is never read beyond rho = 0, which
     # the delta1 probes already read
     monkeypatch.setattr(checks, "RBAR_CANDIDATES", (2.0,))
-    lazy = scan_region(trial_profile, problem, c_star_lower)
+    lazy = scan_region(checks.TrialSamples(trial_profile, problem), c_star_lower)
     assert not lazy.found
     last = lazy.candidates.rows[-1]
     assert (last["rbar"], last["delta2"], last["face"]) == (2.0, 256.0, "offset_face")
@@ -314,7 +314,7 @@ def test_scan_face_finds_a_failure_in_its_middle_in_logarithmic_maps(
         return (0.5, xi) if (d, rho) == middle else (g, xi)
 
     monkeypatch.setattr(checks, "_shape_maps", fails_in_the_middle)
-    lazy = scan_region(trial_profile, problem, c_star_lower)
+    lazy = scan_region(checks.TrialSamples(trial_profile, problem), c_star_lower)
     assert not lazy.found
     (row,) = lazy.candidates.rows
     assert (row["face"], row["delta"], row["rho"]) == ("outer_face", *middle)
@@ -325,7 +325,7 @@ def test_scan_face_finds_a_failure_in_its_middle_in_logarithmic_maps(
     assert sum(map(len, face_maps.values())) <= math.ceil(math.log2(nb)) + 2
     # without the planted failure the same candidate is accepted
     monkeypatch.setattr(checks, "_shape_maps", shape_maps)
-    assert scan_region(trial_profile, problem, c_star_lower).found
+    assert scan_region(checks.TrialSamples(trial_profile, problem), c_star_lower).found
 
 
 def test_coarse_to_fine_visits_every_index_once_ends_first():
@@ -340,7 +340,7 @@ def test_scan_candidates_account_for_the_search(scan, trial_profile, problem, c_
                                                 count_maps):
     # one row per (rbar, delta2) tried; the last is the accepted region, every
     # other names the face and the sample that rejected it
-    fresh = scan_region(trial_profile, problem, c_star_lower)
+    fresh = scan_region(checks.TrialSamples(trial_profile, problem), c_star_lower)
     rows = fresh.candidates.rows
     assert rows == scan.candidates.rows
     *rejected, accepted = rows
@@ -372,12 +372,6 @@ def test_run_memo_scan_matches_a_fresh_scan(context, scan, count_maps):
         assert len(set(keys)) == len(keys), kind
     assert len(count_maps["shape"]) - before["shape"] <= 177
     assert len(count_maps["energy"]) - before["energy"] <= 185
-
-
-def test_scan_rejects_a_memo_of_another_problem(trial_profile, problem, c_star_lower, grid):
-    other = checks.TrialSamples(trial_profile, make_problem(grid, 0.1))
-    with pytest.raises(ParameterError, match="memo"):
-        scan_region(trial_profile, problem, c_star_lower, samples=other)
 
 
 def test_projection_ordering_fails_on_a_negative_node(context, grid):

@@ -496,9 +496,12 @@ def _arrays(value):
 
 def test_run_all_keeps_every_grid_value_and_rule_read_only(tmp_path, monkeypatch):
     # every grid a run-all makes (the run grid, the profile grid, 3.2's fine
-    # grid, the residual's bump grids) keeps its values read-only, and so do
-    # the quadrature rule and stencil window memos: a write raises
+    # grid, the residual's bump grids) keeps its own arrays and its values
+    # read-only, every function the context holds keeps its values and its
+    # spline read-only, and so do the quadrature rule and stencil window
+    # memos: a write raises
     grids_made = _log_results(monkeypatch, grids.make_grid)
+    contexts = _log_results(monkeypatch, runner.build_context)
     rules = [_log_results(monkeypatch, fn)
              for fn in (grids._gauss_legendre, grids._tail_rule, grids._theta_rule,
                         grids._theta_sines, grids._stencil_windows)]
@@ -508,8 +511,13 @@ def test_run_all_keeps_every_grid_value_and_rule_read_only(tmp_path, monkeypatch
     assert {"volume_weights", "kernel", "tail_kernel", "laplacian_inverse",
             "weak_residual_pairing", "cell_lookup", "bubble_amplitude"} <= keys
     assert all(rules)
+    (ctx,) = contexts
+    fns = [ctx.prob.V1, ctx.prob.V2, ctx.profile.square, ctx.profile.density]
+    assert all("spline" in fn._cache for fn in fns[:3])   # the overlaps evaluated them
+    own = [(g.r, g.w1, g.edges, g.node_cell) for g in grids_made]
+    own += [(fn.values, grids._spline(fn)) for fn in fns]
     kept = [value for g in grids_made for value in g._cache.values()]
-    arrays = {id(arr): arr for value in kept + sum(rules, []) for arr in _arrays(value)}
+    arrays = {id(arr): arr for value in own + kept + sum(rules, []) for arr in _arrays(value)}
     for arr in arrays.values():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -151,14 +151,14 @@ def test_on_nehari_energy_formula(grid, cc, problem):
 
 def test_trial_projection_scalars_free_case(trial_profile, cc, grid):
     free = Problem(N=5, mu1=cc.mu1, mu2=cc.mu2, beta=cc.beta)
-    t0, t_lam = trial_projection_scalars(trial_profile, 1.0, 0.0, free, cc)
+    t0, t_lam = trial_projection_scalars(trial_profile, 1.0, 0.0, free)
     assert t0 == 1.0 and t_lam == 1.0
 
 
-def test_trial_projection_scalars_concentration_trend(trial_profile, cc, problem):
+def test_trial_projection_scalars_concentration_trend(trial_profile, problem):
     sups = []
     for d in (1.0, 0.3, 0.1, 0.03):
-        devs = [abs(trial_projection_scalars(trial_profile, d, rho, problem, cc)[0] - 1.0)
+        devs = [abs(trial_projection_scalars(trial_profile, d, rho, problem)[0] - 1.0)
                 for rho in (0.0, 1.0, 3.0)]
         sups.append(max(devs))
     assert all(a > b for a, b in zip(sups[:-1], sups[1:]))
@@ -170,7 +170,7 @@ def test_trial_projection_lambda_term_matches_quadrature(trial_profile, cc, grid
 
     prob = Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0, lam1=0.1, lam2=0.1,
                    V1=potential, V2=potential)
-    t0, t_lam = trial_projection_scalars(trial_profile, 1.0, 0.0, prob, cc)
+    t0, t_lam = trial_projection_scalars(trial_profile, 1.0, 0.0, prob)
     # direct quadrature of the shift term on the unit member's grid
     lam_term = (cc.k1 * 0.1 + cc.k2 * 0.1) * integrate(trial_profile.square)
     pred = (t_lam**2 - t0**2) * cc.k_sum * trial_profile.energy
@@ -271,13 +271,13 @@ def test_projection_ordering_fifty_random_pairs(grid, problem, free_problem):
     assert violations == 0
 
 
-def test_offset_pair_energy_consistent_with_scalar_path(trial_profile, cc, problem):
+def test_offset_pair_energy_consistent_with_scalar_path(trial_profile, problem):
     # projecting the translated trial pair through the full energy machinery
     # must reproduce the certified scalar quotients
     delta, rho = 2.0, 1.5
     pair = explicit_trial_pair(trial_profile, delta, rho)
     t0_scalar, _ = trial_projection_scalars(trial_profile, delta, rho,
-                                            problem.with_lambda(0.0, 0.0), cc)
+                                            problem.with_lambda(0.0, 0.0))
     t_full, proj = nehari_project(pair, problem.with_lambda(0.0, 0.0))
     assert abs(t_full - t0_scalar) <= 1e-6 * t0_scalar
     br = energy_I(proj, problem.with_lambda(0.0, 0.0))
@@ -305,13 +305,13 @@ def test_trial_projection_scalars_match_a_fresh_square(trial_profile, cc, proble
                 * delta**2 * trial_profile.l2_mass)
     ksum_E = cc.k_sum * trial_profile.energy
     expected = (math.sqrt(1.0 + P / ksum_E), math.sqrt(1.0 + (P + lam_term) / ksum_E))
-    got = trial_projection_scalars(trial_profile, delta, rho, problem, cc)
+    got = trial_projection_scalars(trial_profile, delta, rho, problem)
     assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
-def test_trial_projection_scalars_reject_negative_offset(trial_profile, cc, problem):
+def test_trial_projection_scalars_reject_negative_offset(trial_profile, problem):
     with pytest.raises(ParameterError):
-        trial_projection_scalars(trial_profile, 1.0, -0.5, problem, cc)
+        trial_projection_scalars(trial_profile, 1.0, -0.5, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ def test_trial_projection_scalars_share_the_square_exactly(trial_profile, cc, pr
     lam_term = (cc.k1 * 0.2 + cc.k2 * 0.05) * delta**2 * trial_profile.l2_mass
     ksum_E = cc.k_sum * trial_profile.energy
     expected = (math.sqrt(1.0 + P / ksum_E), math.sqrt(1.0 + (P + lam_term) / ksum_E))
-    assert trial_projection_scalars(trial_profile, delta, rho, prob, cc) == expected
+    assert trial_projection_scalars(trial_profile, delta, rho, prob) == expected
 
 
 @pytest.mark.parametrize("case", ["different-s", "V2-none", "V1-none", "V1-untailed"])
@@ -649,7 +649,7 @@ def test_vanishing_and_ground_limits_accept_a_compactly_supported_potential(
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, 1e-320, 1e300, 1e200])
-def test_non_finite_or_non_positive_dilations_are_rejected(trial_profile, cc, problem,
+def test_non_finite_or_non_positive_dilations_are_rejected(trial_profile, problem,
                                                           capfd, bad):
     # every entry point that takes a dilation checks it with grids._dilation:
     # inf would read the unit functions at 0 and 1e-320, 1e300 and 1e200
@@ -665,7 +665,7 @@ def test_non_finite_or_non_positive_dilations_are_rejected(trial_profile, cc, pr
         lambda: problem.potential_overlaps(prof.square, 1.0, bad),
         lambda: trial_overlaps(prof, problem, bad, 1.0),
         lambda: trial_overlaps(prof, Problem(N=5, mu1=1.0, mu2=2.0, beta=3.0), bad, 1.0),
-        lambda: trial_projection_scalars(prof, bad, 1.0, problem, cc),
+        lambda: trial_projection_scalars(prof, bad, 1.0, problem),
         lambda: samples.shape(bad, 1.0),
         lambda: samples.energy(bad, 1.0),
         lambda: bubble_profile(bad, prof.grid),

@@ -29,7 +29,7 @@ from hartreekit.grids import (
     _TAIL_NODES,
     _THETA_NODES,
     _cell_lookup,
-    _cubic_splines,
+    _cubic_spline,
     _gauss_legendre,
     _horner,
     _dilation,
@@ -37,10 +37,10 @@ from hartreekit.grids import (
     _offset_distance,
     _sides,
     _slope_factors,
+    _spline,
     _spline_interval,
     _spline_knots,
     _spline_system,
-    _splines,
     _tail_integral,
     _tail_nodes,
     _stencil_weights,
@@ -454,7 +454,7 @@ def test_cubic_spline_matches_scipy(grid, end_slope):
     y = (1.0 + knots**2) ** -1.5 * (1.0 + 0.01 * rng.standard_normal(len(knots)))
     right = (2, 0.0) if end_slope is None else (1, end_slope)
     ref = CubicSpline(knots, y, bc_type=((1, 0.0), right))
-    (coefs,) = _cubic_splines(grid, [y], [end_slope])
+    coefs = _cubic_spline(grid, y, end_slope)
     for got, want in zip(coefs.T, ref.c):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     x = np.concatenate([[0.0], knots, [grid.R_max], rng.uniform(0.0, grid.R_max, 2000)])
@@ -470,11 +470,49 @@ def test_radial_fn_spline_honours_the_tail_slope(grid):
     tailed = RadialFn(grid, vals, p_tail=3.0, c_tail=1.0)
     bare = RadialFn(grid, vals)
     for fn, right in ((tailed, (1, -3.0 * grid.R_max**-4.0)), (bare, (2, 0.0))):
-        (coefs,) = _splines([fn])
+        coefs = _spline(fn)
         ref = CubicSpline(_spline_knots(grid), np.concatenate([[coefs[0, 3]], vals]),
                           bc_type=((1, 0.0), right))
         x = np.linspace(0.0, grid.R_max, 777)
         assert np.max(np.abs(fn(x) - ref(x))) <= 1e-15
+
+
+def test_radial_fn_builds_its_spline_once(grid, monkeypatch):
+    # the spline is kept on the function: repeated evaluations, alone or in
+    # an overlap, read the one build
+    from hartreekit import grids
+
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _cubic_spline(*args)
+
+    monkeypatch.setattr(grids, "_cubic_spline", counted)
+    fn = from_callable(grid, lambda r: (1.0 + r**2) ** -1.5, p_tail=3.0, c_tail=1.0)
+    x = np.linspace(0.0, 1.5 * grid.R_max, 101)
+    first = fn(x)
+    for _ in range(3):
+        assert np.array_equal(fn(x), first)
+        bicenter_integral(fn, fn, 0.7)
+    assert len(built) == 1
+
+
+def test_radial_fn_owns_read_only_values(grid):
+    # a function keeps a copy of the array it was built from: a later write
+    # to that array (say, a column of an iterate) leaves the function as it was
+    X = np.column_stack([(1.0 + grid.r**2) ** -1.5, np.exp(-grid.r)])
+    want = X[:, 0].copy()
+    fns = [RadialFn(grid, X[:, 0]), from_callable(grid, lambda r: X[:, 0])]
+    x = np.linspace(0.0, grid.R_max, 77)
+    before = [fn(x) for fn in fns]
+    X[:] = 0.0
+    for fn, at_x in zip(fns, before):
+        assert np.array_equal(fn.values, want)
+        assert np.array_equal(fn(x), at_x)
+        assert not fn.values.flags.writeable
+        with pytest.raises(ValueError):
+            fn.values[0] = 0.0
 
 
 def _lookup_grids():

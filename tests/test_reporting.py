@@ -2,24 +2,9 @@ import json
 
 import numpy as np
 
-from hartreekit import (
-    FlowConfig,
-    ground_pair,
-    energy_I,
-    solve_limit_ground_state,
-)
+from hartreekit import FlowConfig, solve_limit_ground_state
 from hartreekit import flow
 from hartreekit.reporting import LemmaReport, Table, write_bundle
-
-
-def test_energy_breakdown_serializes(grid, cc, free_problem):
-    br = energy_I(ground_pair(1.0, 0.0, cc, grid), free_problem)
-    d = br.to_dict()
-    blob = json.dumps(d, sort_keys=True)
-    back = json.loads(blob)
-    for key in ("kinetic", "potential", "nonlocal_11", "nonlocal_22",
-                "nonlocal_12", "total", "nehari_defect"):
-        assert key in back
 
 
 def test_flow_trace_csv(cc, grid, tmp_path, monkeypatch):
