@@ -77,7 +77,7 @@ class AdmissibilityReport:
     The plain convention weighs the L^{N/2} norms directly against the
     Sobolev constant; the alternative scales both sides by the inverse root
     of the sharp convolution constant, so the two agree on satisfaction and
-    differ only in the margin's units; `satisfied` reads the plain one.
+    differ only in the margin's units.
     """
 
     v1_norm: float
@@ -97,24 +97,6 @@ class AdmissibilityReport:
     @property
     def margin_scaled(self) -> float:
         return self.right_scaled - self.left_scaled
-
-    def satisfied(self) -> bool:
-        return self.satisfied_plain
-
-    def to_dict(self) -> dict:
-        return {
-            "v1_norm": self.v1_norm,
-            "v2_norm": self.v2_norm,
-            "left_plain": self.left_plain,
-            "right_plain": self.right_plain,
-            "margin_plain": self.margin_plain,
-            "left_scaled": self.left_scaled,
-            "right_scaled": self.right_scaled,
-            "margin_scaled": self.margin_scaled,
-            "nonzero": self.nonzero,
-            "satisfied_plain": self.satisfied_plain,
-            "satisfied_scaled": self.satisfied_scaled,
-        }
 
 
 def _min_factor(mu1, mu2, beta) -> float:
@@ -156,7 +138,7 @@ def choose_a_and_cbar(prob: Problem, constants: ConstantsTable, c_star_lower: fl
     2^(1-a) c_inf <= min(scalar levels, 2 c_inf) is verified.
     """
     rep = check_A3(prob, constants)
-    if not rep.satisfied():
+    if not rep.satisfied_plain:
         raise AdmissibilityError(
             "potential-smallness condition violated; cannot place the energy cap"
         )
@@ -222,7 +204,7 @@ class RegionScan:
     ))
     found: bool = True
     failure: str = ""
-    # one row per (rbar, delta2) tried; kept out of the report (scan_candidates.csv)
+    # one row per (rbar, delta2) tried; a side table of the bundle, outside report.json
     candidates: Table = field(default_factory=lambda: Table(
         "scan_candidates",
         ["rbar", "delta2", "verdict", "face", "delta", "rho", "shape_maps", "energy_maps"],
@@ -230,16 +212,6 @@ class RegionScan:
 
     def boundary_rows(self, piece: str):
         return [r for r in self.samples.rows if r["piece"] == piece]
-
-    def to_dict(self) -> dict:
-        return {
-            "delta1": self.delta1, "delta2": self.delta2, "rbar": self.rbar,
-            "cbar": self.cbar, "c_star_lower": self.c_star_lower,
-            "kappa": self.kappa, "s_tilde": self.s_tilde,
-            "threshold": self.threshold,
-            "boundary_sup_energy": self.boundary_sup_energy,
-            "found": self.found, "failure": self.failure,
-        }
 
 
 @dataclass(eq=False)

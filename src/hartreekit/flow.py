@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .bubbles import CouplingConstants, bubble_constant, golden_section_min
 from .energy import Problem, _coupling_matrix, weak_residual
 from .errors import ParameterError
 from .grids import Pair, RadialFn, RadialGrid, _dirichlet_sums, _evaluate, _stencil_windows
+from .reporting import Table
 from .riesz import kernel_for
 
 __all__ = [
@@ -76,7 +76,9 @@ class FlowConfig:
 
 @dataclass
 class FlowDiagnostics:
-    trace: list = field(default_factory=list)   # (iteration, energy, defect, residual)
+    # one row per residual check
+    trace: Table = field(default_factory=lambda: Table(
+        "flow_trace", ["iteration", "energy", "nehari_defect", "weak_residual"]))
     final: Pair | None = None
     verdict: str = "budget exhausted"
     iterations: int = 0
@@ -91,24 +93,6 @@ class FlowDiagnostics:
     @property
     def converged(self) -> bool:
         return self.verdict == "converged"
-
-    def trace_csv(self, path):
-        from .reporting import Table
-
-        t = Table("trace", ["iteration", "energy", "nehari_defect", "weak_residual"])
-        for row in self.trace:
-            t.add(iteration=row[0], energy=row[1], nehari_defect=row[2], weak_residual=row[3])
-        t.to_csv(path)
-
-    def write_files(self, out_dir):
-        """flow_trace.csv and, once there is a final iterate, ground_state.csv."""
-        out = Path(out_dir)
-        self.trace_csv(out / "flow_trace.csv")
-        if self.final is not None:
-            u, v = self.final.u, self.final.v
-            np.savetxt(out / "ground_state.csv",
-                       np.column_stack([u.grid.r, u.values, v.values]),
-                       delimiter=",", header="r,u,v", comments="")
 
 
 def _block_tridiagonal_inverse(L: np.ndarray) -> np.ndarray:
@@ -336,12 +320,13 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
             ku, kv = Kx
             K = float(ku + kv)
             defect = (K - nonlocal_sum(np.maximum(X, 0.0) ** 2, Z)) / max(K, 1e-300)
-            diag.trace.append((it, energy, defect, residual))
+            diag.trace.add(iteration=it, energy=energy, nehari_defect=defect,
+                           weak_residual=residual)
             if min(ku, kv) < 1e-12 * max(ku, kv):
                 diag.verdict = "semi-trivial attractor"
                 break
             last_ratio, ratio = ratio, _amplitude_ratio(X)
-            settled = (len(diag.trace) == 1
+            settled = (len(diag.trace.rows) == 1
                        or abs(ratio - last_ratio) <= cfg.residual_tolerance * abs(last_ratio))
             if residual < cfg.residual_tolerance and settled:
                 diag.verdict = "converged"

@@ -1,32 +1,21 @@
-"""Tables, check reports, and the report bundle writers.
+"""Tables, check reports, and the one writer of the run bundle.
 
 report.json is the deterministic machine artifact: given the same config and
 seed two runs produce byte-identical files, so wall-clock runtimes are kept
-out of it (they appear in report.md instead).
+out of it (they appear in report.md instead).  `write_bundle` is the only
+code that knows the bundle's files and how a value is written to JSON or CSV.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-
-def _native(x):
-    """Convert numpy scalars (and containers of them) to plain Python types."""
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, dict):
-        return {k: _native(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_native(v) for v in x]
-    return x
+from .errors import ParameterError
 
 
 @dataclass
@@ -38,7 +27,13 @@ class Table:
     rows: list = field(default_factory=list)
 
     def add(self, **kw):
-        self.rows.append({c: kw.get(c) for c in self.columns})
+        """Append one record; it must give every column and no other."""
+        if kw.keys() != set(self.columns):
+            missing = [c for c in self.columns if c not in kw]
+            unknown = [c for c in kw if c not in self.columns]
+            raise ParameterError(f"table {self.name}: missing columns {missing}, "
+                                 f"unknown columns {unknown}")
+        self.rows.append({c: kw[c] for c in self.columns})
 
     def column(self, name) -> list:
         return [row[name] for row in self.rows]
@@ -49,14 +44,11 @@ class Table:
             lines.append(",".join(_csv_cell(row[c]) for c in self.columns))
         Path(path).write_text("\n".join(lines) + "\n")
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "columns": list(self.columns), "rows": self.rows}
-
 
 def _csv_cell(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    return str(_native(x))
+    return str(x)
 
 
 # a limit 'tends to zero' when the sequence ends below this fraction of its start
@@ -90,18 +82,6 @@ class CheckRow:
     note: str = ""
     # "upper": value < bound - tol; "lower": value > bound + tol; "at_least": value >= bound + tol
     side: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "value": self.value,
-            "target": self.target,
-            "bound": self.bound,
-            "tol": self.tol,
-            "passed": self.passed,
-            "note": self.note,
-            "side": self.side,
-        }
 
 
 @dataclass
@@ -163,39 +143,56 @@ class LemmaReport:
     def passed(self) -> bool:
         return self.status != "fail"
 
-    def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "title": self.title,
-            "status": self.status,
-            "rows": [r.to_dict() for r in self.rows],
-            "tables": [t.to_dict() for t in self.tables],
-            "notes": self.notes,
-        }
-
 
 # report.md's comparison sign for each side of a one-sided row
 _SIDE_SIGNS = {"upper": "<", "lower": ">", "at_least": ">="}
 
 
-def write_bundle(out_dir, reports: list, extras: dict) -> dict:
-    """Write report.json (deterministic), report.md (with each report's
-    runtime), and one CSV per table."""
+def _json_value(x):
+    """What json cannot write itself: a dataclass as its fields, a numpy
+    scalar as the Python value it holds."""
+    if is_dataclass(x):
+        return asdict(x)
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _write_json(path, value):
+    path.write_text(json.dumps(value, sort_keys=True, indent=2, default=_json_value) + "\n")
+
+
+def _table_file(rep: LemmaReport, tbl: Table) -> str:
+    return f"{rep.check_id.replace('.', '_')}_{tbl.name}.csv"
+
+
+def write_bundle(out_dir, reports: list, extras: dict, side_tables: list, started: float) -> bool:
+    """Write the run bundle to `out_dir` and return whether every report passed.
+
+    The files, in the order written: report.json (the reports without their
+    runtimes, `extras` and the verdict; deterministic), constants.json
+    (`extras["constants"]`), one CSV per report table, named
+    <check id>_<table name>.csv, and one per side table, named
+    <table name>.csv; last report.md, with each report's runtime and the
+    total wall time since `started`, a time.perf_counter() reading.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = _native({
-        "reports": [r.to_dict() for r in reports],
+    all_passed = all(rep.passed for rep in reports)
+    _write_json(out / "report.json", {
+        "reports": [{k: v for k, v in asdict(rep).items() if k != "runtime"}
+                    for rep in reports],
         "extras": extras,
-        "all_passed": all(bool(r.passed) for r in reports),
+        "all_passed": all_passed,
     })
-    (out / "report.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(out / "constants.json", extras["constants"])
+    for rep in reports:
+        for tbl in rep.tables:
+            tbl.to_csv(out / _table_file(rep, tbl))
+    for tbl in side_tables:
+        tbl.to_csv(out / f"{tbl.name}.csv")
 
-    lines = ["# Verification report", ""]
-    overall = "PASS" if payload["all_passed"] else "FAIL"
-    lines.append(f"Overall: **{overall}**")
-    lines.append("")
+    lines = ["# Verification report", "", f"Overall: **{'PASS' if all_passed else 'FAIL'}**", ""]
     for rep in reports:
         lines.append(f"## {rep.check_id}: {rep.title}")
         lines.append(f"status: {rep.status} (runtime {rep.runtime:.2f}s)")
@@ -221,9 +218,8 @@ def write_bundle(out_dir, reports: list, extras: dict) -> dict:
         if rep.notes:
             lines.append("")
         for tbl in rep.tables:
-            fname = f"{rep.check_id.replace('.', '_')}_{tbl.name}.csv"
-            tbl.to_csv(out / fname)
-            lines.append(f"table: [{tbl.name}]({fname})")
+            lines.append(f"table: [{tbl.name}]({_table_file(rep, tbl)})")
             lines.append("")
+    lines += ["", f"total wall time: {time.perf_counter() - started:.1f}s"]
     (out / "report.md").write_text("\n".join(lines) + "\n")
-    return payload
+    return all_passed

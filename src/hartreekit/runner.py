@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from pathlib import Path
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .checks import (
 from .energy import Problem, pohozaev_residual, weak_residual
 from .flow import solve_limit_ground_state
 from .grids import Pair, RadialFn, dirichlet_seminorm, make_grid
-from .reporting import LemmaReport, write_bundle
+from .reporting import LemmaReport, Table, write_bundle
 from .riesz import double_energy
 
 # node count of the unit-ball grid that carries the trial profile
@@ -54,7 +53,7 @@ def build_context(cfg) -> VerifyContext:
 def ensure_profile(ctx: VerifyContext) -> None:
     if ctx.profile is None:
         rep = check_A3(ctx.prob, ctx.constants)
-        if rep.satisfied():
+        if rep.satisfied_plain:
             _, cbar = choose_a_and_cbar(ctx.prob, ctx.constants,
                                         c_star_lower=ctx.c_star_lower)
         else:
@@ -132,8 +131,8 @@ def admissibility_report(ctx: VerifyContext) -> LemmaReport:
     rep.info("V2 norm", adm.v2_norm)
     rep.info("plain-convention margin", adm.margin_plain)
     rep.info("scaled-convention margin", adm.margin_scaled)
-    rep.require("condition satisfied", float(adm.satisfied()), target=1.0, tol=0.0)
-    if adm.satisfied():
+    rep.require("condition satisfied", float(adm.satisfied_plain), target=1.0, tol=0.0)
+    if adm.satisfied_plain:
         # choose_a_and_cbar raises unless a lies in (0, 1) and the cap chain holds
         a, cbar = choose_a_and_cbar(ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower)
         rep.info("cap exponent a", a)
@@ -177,17 +176,17 @@ def _run_step(step: str, ctx: VerifyContext) -> LemmaReport:
 def _extras(cfg, ctx: VerifyContext) -> dict:
     """The bundle's extras; the trial profile and region are None if no step built them."""
     prof, scan = ctx.profile, ctx.scan
+    adm = check_A3(ctx.prob, ctx.constants)
     extras = {
         "constants": ctx.constants.to_dict(),
         "couplings": ctx.cc.to_dict(),
-        "admissibility": check_A3(ctx.prob, ctx.constants).to_dict(),
+        "admissibility": {**asdict(adm), "margin_plain": adm.margin_plain,
+                          "margin_scaled": adm.margin_scaled},
         "trial_profile": None if prof is None else {
-            "sigma": prof.sigma,
-            "energy": prof.energy,
-            "inner_scale": prof.inner_scale,
-            "cbar": prof.cbar,
-        },
-        "region": None if scan is None else scan.to_dict(),
+            k: getattr(prof, k) for k in ("sigma", "energy", "inner_scale", "cbar")},
+        # the scan's samples are 5.2's table, and its candidates a side table
+        "region": None if scan is None else {
+            k: v for k, v in asdict(scan).items() if k not in ("samples", "candidates")},
         "config": {"seed": cfg.seed, "grid_m": cfg.grid_m, "r_max": cfg.r_max,
                    "stretch": cfg.stretch, "mu": [cfg.mu1, cfg.mu2], "beta": cfg.beta,
                    "lambda": [cfg.lam1, cfg.lam2]},
@@ -195,18 +194,30 @@ def _extras(cfg, ctx: VerifyContext) -> dict:
     if scan is not None and scan.found:
         sweep = lambda_sweep(prof, scan)
         feasible = [row["lam"] for row in sweep.rows if row["feasible"]]
-        extras["lambda_sweep"] = sweep.to_dict()
+        extras["lambda_sweep"] = sweep
         extras["empirical_lambda_threshold"] = max(feasible) if feasible else None
     return extras
 
 
-def run(cfg, steps, out_dir) -> int:
-    """Run `steps` in order on one context and write their bundle to `out_dir`.
+def _side_tables(ctx: VerifyContext) -> list:
+    """The bundle's tables outside report.json: the flow's trace and final
+    iterate when the flow ran, the scan's candidates when the scan ran."""
+    tables = []
+    if ctx.flow_diag is not None:
+        final = ctx.flow_diag.final
+        ground = Table("ground_state", ["r", "u", "v"])
+        for r, u, v in zip(final.u.grid.r, final.u.values, final.v.values):
+            ground.add(r=r, u=u, v=v)
+        tables += [ctx.flow_diag.trace, ground]
+    if ctx.scan is not None:
+        tables.append(ctx.scan.candidates)
+    return tables
 
-    The bundle is report.json, report.md (with each step's wall time and the
-    total), one CSV per table, constants.json, the flow's files when the
-    flow ran, and scan_candidates.csv when the region scan ran.  Returns the
-    process exit code: 0 if every check passed, else 1.
+
+def run(cfg, steps, out_dir) -> int:
+    """Run `steps` in order on one context and write their bundle to `out_dir`
+    (reporting.write_bundle).  Returns the process exit code: 0 if every
+    check passed, else 1.
     """
     t_all = time.perf_counter()
     steps = [step if step in OWN_STEPS else resolve_check(step) for step in steps]
@@ -217,15 +228,5 @@ def run(cfg, steps, out_dir) -> int:
         rep = _run_step(step, ctx)
         rep.runtime = time.perf_counter() - t0
         reports.append(rep)
-
-    out = Path(out_dir)
-    payload = write_bundle(out, reports, _extras(cfg, ctx))
-    (out / "constants.json").write_text(
-        json.dumps(ctx.constants.to_dict(), sort_keys=True, indent=2) + "\n")
-    if ctx.flow_diag is not None:
-        ctx.flow_diag.write_files(out)
-    if ctx.scan is not None:
-        ctx.scan.candidates.to_csv(out / "scan_candidates.csv")
-    md = out / "report.md"
-    md.write_text(md.read_text() + f"\ntotal wall time: {time.perf_counter() - t_all:.1f}s\n")
-    return 0 if payload["all_passed"] else 1
+    passed = write_bundle(out_dir, reports, _extras(cfg, ctx), _side_tables(ctx), t_all)
+    return 0 if passed else 1

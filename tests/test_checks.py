@@ -365,7 +365,7 @@ def test_run_memo_scan_matches_a_fresh_scan(context, scan, count_maps):
     shared = checks.ensure_scan(ctx)
     assert ctx.samples is checks.trial_samples(ctx)
     assert shared.samples.rows == scan.samples.rows
-    assert shared.to_dict() == scan.to_dict()
+    assert dataclasses.replace(shared, candidates=scan.candidates) == scan
     # no sample is computed twice, and the scan computes at most its own maps
     for kind, log in count_maps.items():
         keys = [(round(d, 12), round(rho, 12)) for d, rho in log]
@@ -475,4 +475,4 @@ def test_c_star_lower_follows_the_margin(monkeypatch):
     assert ctx.profile.cbar == cbar
     monkeypatch.setattr(checks, "DELTA1_CANDIDATES", ())
     verify_lemma("5.2", ctx)
-    assert ctx.scan.to_dict()["c_star_lower"] == ctx.c_star_lower
+    assert ctx.scan.c_star_lower == ctx.c_star_lower

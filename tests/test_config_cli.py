@@ -345,6 +345,19 @@ def test_cli_solve_ground_writes_profiles(tmp_path):
     assert (tmp_path / "flow_trace.csv").exists()
 
 
+def test_ground_state_csv_loads_back_bit_identical(tmp_path, monkeypatch):
+    # every number is written as its repr, so the final iterate reads back exactly
+    contexts = _log_results(monkeypatch, runner.build_context)
+    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["solve-ground"], tmp_path) == 0
+    (ctx,) = contexts
+    final = ctx.flow_diag.final
+    path = tmp_path / "ground_state.csv"
+    assert path.read_text().splitlines()[0] == "r,u,v"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    want = np.column_stack([final.u.grid.r, final.u.values, final.v.values])
+    assert data.tobytes() == want.tobytes()
+
+
 def test_cli_scan_region_writes_its_candidates_beside_the_report(tmp_path):
     # one row per (rbar, delta2) tried, ending at the region the report names;
     # the sidecar stays out of report.json

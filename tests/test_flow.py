@@ -69,7 +69,7 @@ def test_flow_pohozaev_consistency(diag_123, free_problem):
 
 
 def test_flow_energy_trace_nonincreasing(diag_123):
-    energies = [row[1] for row in diag_123.trace]
+    energies = diag_123.trace.column("energy")
     for a, b in zip(energies[:-1], energies[1:]):
         assert b <= a * (1.0 + 1e-12)
 
@@ -207,7 +207,7 @@ def test_flow_convolves_once_per_projection_and_check(cc, grid, monkeypatch, cfg
     diag = solve_limit_ground_state(cc, flow_cfg, grid)
     assert diag.converged
     assert diag.regauges == regauges
-    assert counter.products == diag.projections + len(diag.trace)
+    assert counter.products == diag.projections + len(diag.trace.rows)
     # the start projection, one per accepted step, and at least one more
     assert diag.projections > diag.iterations + 1
 
@@ -230,7 +230,7 @@ def test_flow_regauges_after_a_failed_check(constants, grid):
     # freshly rescaled iterate and the flow ran to 75)
     diag = sweep_report(constants, grid, (0.7015463661686019, 1.771150605405849),
                         4.685865726299851, (1.3927415900879758, 2.2340228048217936))
-    assert [row[0] for row in diag.trace] == [25, 50]
+    assert diag.trace.column("iteration") == [25, 50]
     assert diag.iterations == 50
     assert diag.regauges == 1
 
@@ -243,7 +243,7 @@ def test_flow_waits_for_the_amplitude_ratio_in_the_soft_mode(constants, grid):
                         2.0559806894324923, (3.392010254013333, 1.077303188476444))
     assert diag.converged
     assert diag.iterations > 50
-    assert diag.trace[1][3] < 1e-4
+    assert diag.trace.column("weak_residual")[1] < 1e-4
 
 
 def test_flow_does_not_regauge_after_the_last_check(cc, grid, monkeypatch):
