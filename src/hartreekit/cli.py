@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from .checks import CHECK_IDS, resolve_check
 from .config import load_config
@@ -61,7 +59,7 @@ def main(argv=None) -> int:
     try:
         steps = ((resolve_check(args.check_id),) if args.command == "verify"
                  else COMMANDS[args.command])
-        code = run(cfg, steps, args.out)
+        code, statuses = run(cfg, steps, args.out)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -74,8 +72,8 @@ def main(argv=None) -> int:
     except HartreeKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for rep in json.loads((Path(args.out) / "report.json").read_text())["reports"]:
-        print(f"{rep['check_id']}: {rep['status']}")
+    for check_id, status in statuses:
+        print(f"{check_id}: {status}")
     print(f"bundle written to {args.out}; "
           f"{'all checks passed' if code == EXIT_PASS else 'FAILURES present'}")
     return code

@@ -214,10 +214,10 @@ def _side_tables(ctx: VerifyContext) -> list:
     return tables
 
 
-def run(cfg, steps, out_dir) -> int:
+def run(cfg, steps, out_dir) -> tuple:
     """Run `steps` in order on one context and write their bundle to `out_dir`
-    (reporting.write_bundle).  Returns the process exit code: 0 if every
-    check passed, else 1.
+    (reporting.write_bundle).  Returns the process exit code (0 if every
+    check passed, else 1) and each report's (check id, status), in run order.
     """
     t_all = time.perf_counter()
     steps = [step if step in OWN_STEPS else resolve_check(step) for step in steps]
@@ -229,4 +229,4 @@ def run(cfg, steps, out_dir) -> int:
         rep.runtime = time.perf_counter() - t0
         reports.append(rep)
     passed = write_bundle(out_dir, reports, _extras(cfg, ctx), _side_tables(ctx), t_all)
-    return 0 if passed else 1
+    return (0 if passed else 1), [(rep.check_id, rep.status) for rep in reports]

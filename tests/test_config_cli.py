@@ -348,7 +348,7 @@ def test_cli_solve_ground_writes_profiles(tmp_path):
 def test_ground_state_csv_loads_back_bit_identical(tmp_path, monkeypatch):
     # every number is written as its repr, so the final iterate reads back exactly
     contexts = _log_results(monkeypatch, runner.build_context)
-    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["solve-ground"], tmp_path) == 0
+    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["solve-ground"], tmp_path)[0] == 0
     (ctx,) = contexts
     final = ctx.flow_diag.final
     path = tmp_path / "ground_state.csv"
@@ -462,6 +462,17 @@ def test_every_command_writes_the_one_bundle_layout(tmp_path, capsys, argv):
     assert "total wall time:" in md
 
 
+def test_cli_prints_the_statuses_run_returns_without_reading_the_bundle(tmp_path, capsys,
+                                                                         monkeypatch):
+    # with a bundle writer that writes nothing, the status lines still come
+    # from the reports the run made: no module but reporting names a file
+    monkeypatch.setattr(runner, "write_bundle", lambda out_dir, reports, *rest: True)
+    assert run_cli("constants", "--out", str(tmp_path / "none")) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "constants: pass", f"bundle written to {tmp_path / 'none'}; all checks passed"]
+    assert not (tmp_path / "none").exists()
+
+
 def _rebind(monkeypatch, fn, wrapper):
     """Bind wrapper in place of every package attribute bound to fn, as the
     benchmark's layer trace does."""
@@ -518,10 +529,10 @@ def test_run_all_keeps_every_grid_value_and_rule_read_only(tmp_path, monkeypatch
     rules = [_log_results(monkeypatch, fn)
              for fn in (grids._gauss_legendre, grids._tail_rule, grids._theta_rule,
                         grids._theta_sines, grids._stencil_windows)]
-    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path) == 0
+    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path)[0] == 0
     assert {(400, 40.0), (320, 1.0), (640, 40.0)} <= {(g.M, g.R_max) for g in grids_made}
     keys = {key for g in grids_made for key in g._cache}
-    assert {"volume_weights", "kernel", "tail_kernel", "laplacian_inverse",
+    assert {"volume_weights", "kernel", "tail_kernel", "pinned_factors",
             "weak_residual_pairing", "cell_lookup", "bubble_amplitude"} <= keys
     assert all(rules)
     (ctx,) = contexts
@@ -565,7 +576,7 @@ def test_equal_potential_specs_build_one_potential(grid):
 
 def test_run_all_integrates_each_trial_sample_once(tmp_path, monkeypatch):
     log = _count_calls(monkeypatch, grids.bicenter_integrals)
-    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path) == 0
+    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path)[0] == 0
     # every call is the profile's unit square, read at a trial member's
     # dilation, against the potentials; 359 calls before the run shared one memo
     samples = [(delta, rho) for _, _, rho, delta in log]
@@ -586,7 +597,7 @@ def test_run_all_builds_few_cell_lookups(tmp_path, monkeypatch):
         return lookup(grid)
 
     monkeypatch.setattr(grids, "_cell_lookup", counted)
-    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path) == 0
+    assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path)[0] == 0
     assert len(built) <= 9, built
 
 

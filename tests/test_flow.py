@@ -26,8 +26,15 @@ from hartreekit import (
     weak_residual,
 )
 from hartreekit import flow
+from hartreekit.bubbles import bubble_constant, golden_section_min
 from hartreekit.energy import _coupling_matrix
-from hartreekit.flow import _fit_bubble_dilation, _pinned_laplacian, _pinned_solver
+from hartreekit.flow import (
+    SOLVE_BLOCK,
+    _fit_bubble_dilation,
+    _half_height_scale,
+    _pinned_laplacian,
+    _pinned_solver,
+)
 from hartreekit.runner import solver_report
 
 S_HL_SQ = 225.0 / 16.0
@@ -158,9 +165,10 @@ def test_projection_dirichlet_sums_are_the_seminorm_per_column(cc, grid, monkeyp
 
 
 def test_run_grid_caches_no_dense_stencil_operator(constants, cc, free_problem, c_star_lower):
-    # the derivative and the Laplacian are kept as their five-node windows:
-    # after the ground-state solve and its residual checks, the only M x M
-    # arrays on the run grid are the convolution table and the pinned inverse
+    # the derivative and the Laplacian are kept as their five-node windows,
+    # and the pinned solve as its block-LU factors: after the ground-state
+    # solve and its residual checks, the only M x M array on the run grid is
+    # the convolution table
     g = make_grid(5, 400, 40.0, 1.02)
     ctx = VerifyContext(grid=g, constants=constants, cc=cc, prob=free_problem,
                         c_star_lower=c_star_lower)
@@ -176,7 +184,7 @@ def test_run_grid_caches_no_dense_stencil_operator(constants, cc, free_problem, 
         return []
 
     dense = {key: len(square(value)) for key, value in g._cache.items()}
-    assert {key: n for key, n in dense.items() if n} == {"kernel": 1, "laplacian_inverse": 1}
+    assert {key: n for key, n in dense.items() if n} == {"kernel": 1}
     assert g._cache["deriv_matrix"].shape == g._cache["laplacian_matrix"].shape == (g.M, 5)
 
 
@@ -428,16 +436,18 @@ def _backward_error(L, x, b):
     return res / (np.max(np.abs(L).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(b)))
 
 
-@pytest.mark.parametrize("M", [320, 400, 800])
+@pytest.mark.parametrize("M", [320, 350, 400, 410, 770, 800])
 def test_pinned_solver_matches_lu_solve(M):
     # The pinned solve is held to the accuracy an LU solve with partial
     # pivoting reaches on the same system: normwise backward error within
     # 2 eps and forward error within 1e-12 of the largest entry, against the
-    # exact solution of the float system.  Over M = 320, 350, ..., 800 the
-    # worst cases are 0.70 eps and 3.0e-13 for the pinned solve, 0.24 eps
-    # and 6.2e-13 for lu_solve, which the loop checks too.  The two differ
-    # from each other by up to 6.9e-13 of the largest entry: round-off in
-    # either, so neither is an oracle for the other.
+    # exact solution of the float system.  M = 350, 410 and 770 are not
+    # multiples of SOLVE_BLOCK, so their last block is padded.  Over
+    # M = 320, 350, ..., 800 the worst cases are 0.73 eps and 3.0e-13 for
+    # the pinned solve, 0.24 eps and 6.2e-13 for lu_solve, which the loop
+    # checks too.  The two differ from each other by up to 6.9e-13 of the
+    # largest entry: round-off in either, so neither is an oracle for the
+    # other.
     g = make_grid(5, M, 40.0, 1.02)
     L = _pinned_laplacian(g)
     rhs = (1.0 + g.r**2) ** -2.0 * (1.0 + np.random.default_rng(M).uniform(-0.1, 0.1, M))
@@ -459,8 +469,8 @@ def test_pinned_solver_matches_lu_solve(M):
 
 
 def test_pinned_solver_makes_no_dense_lapack_call(monkeypatch):
-    # the inverse is built from 4 x 4 block solves; any np.linalg call on a
-    # matrix wider than 8 columns is an M x M factorization coming back
+    # the block-LU factors are built from 4 x 4 block solves; any np.linalg
+    # call on a matrix wider than 8 columns is a block or M x M factorization
     def narrow_only(fn):
         def wrapped(*args, **kwargs):
             for a in args:
@@ -478,6 +488,22 @@ def test_pinned_solver_makes_no_dense_lapack_call(monkeypatch):
     assert np.all(np.isfinite(x))
     with pytest.raises(AssertionError):
         np.linalg.inv(np.eye(g.M))
+
+
+@pytest.mark.parametrize("M", [350, 400])
+def test_pinned_factors_are_read_only_and_thin(M):
+    # the grid keeps the Schur-complement inverses and the two thin
+    # couplings: at most K m^2 + 8 K m floats, none of them writable
+    g = make_grid(5, M, 40.0, 1.02)
+    _pinned_solver(g)
+    factors = g._cache["pinned_factors"]
+    K, m = -(-M // SOLVE_BLOCK), SOLVE_BLOCK
+    assert [f.shape for f in factors] == [(K, m, m), (K - 1, m, 4), (K - 1, m, 4)]
+    assert sum(f.size for f in factors) <= K * m * m + 8 * K * m
+    for f in factors:
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[...] = 0.0
 
 
 def _rescale_column(grid, values, scale):
@@ -512,6 +538,35 @@ def test_rescale_profile_matches_per_column_reference(scale, monkeypatch):
     got = flow._rescale_profile(grid, X, scale)
     assert np.array_equal(got, want)
     assert factorizations == [grid.M]
+
+
+def _fit_bubble_dilation_reference(grid, values, amplitude):
+    """The dilation fit with every bulk quantity formed inside the misfit."""
+    d0 = _half_height_scale(grid, values)
+    cn = bubble_constant(grid.N, grid)
+    p = (grid.N - 2) / 2.0
+    bulk = values > 0.01 * values.max()
+    w = grid.w[bulk]
+
+    def misfit(d):
+        model = amplitude * cn * (d / (d**2 + grid.r[bulk] ** 2)) ** p
+        return float(w @ (values[bulk] - model) ** 2)
+
+    d_fit = golden_section_min(misfit, d0 / 1.5, d0 * 1.5)
+    model = amplitude * cn * (d_fit / (d_fit**2 + grid.r[bulk] ** 2)) ** p
+    return d_fit, float(np.max(np.abs(values[bulk] - model)) / values.max())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bubble_dilation_fit_is_the_reference_bit_for_bit(grid, seed):
+    # the misfit's loop invariants are formed once per fit; the fitted
+    # dilation and the shape error are unchanged to the last bit
+    rng = np.random.default_rng(seed)
+    delta, amplitude = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    values = amplitude * bubble_profile(delta, grid).values
+    values = values * (1.0 + rng.uniform(-0.05, 0.05, grid.M))
+    assert _fit_bubble_dilation(grid, values, amplitude) == \
+        _fit_bubble_dilation_reference(grid, values, amplitude)
 
 
 def test_bubble_dilation_fit_recovers_known_dilation(grid):

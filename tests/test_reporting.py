@@ -116,7 +116,7 @@ _EXTRAS_KEYS = {
 
 
 def test_report_json_schema(tmp_path):
-    assert runner.run(load_config(DEFAULT_CFG), runner.COMMANDS["run-all"], tmp_path) == 0
+    assert runner.run(load_config(DEFAULT_CFG), runner.COMMANDS["run-all"], tmp_path)[0] == 0
     blob = json.loads((tmp_path / "report.json").read_text())
     assert set(blob) == {"reports", "extras", "all_passed"}
     tables = []
