@@ -40,7 +40,7 @@ from .energy import (
     trial_projection_scalars,
     weak_residual,
 )
-from .errors import AdmissibilityError, DomainError, NumericalError, ParameterError
+from .errors import AdmissibilityError, NumericalError, ParameterError
 from .flow import FlowConfig, FlowDiagnostics
 from .grids import Pair, RadialFn, RadialGrid, _has_tail, axis_moment_integrals, integrate
 from .reporting import LemmaReport, Table, limit_trend
@@ -107,10 +107,8 @@ def _min_factor(mu1, mu2, beta) -> float:
 
 def check_A3(prob: Problem, constants: ConstantsTable) -> AdmissibilityReport:
     """Evaluate the potential-smallness condition in both conventions."""
-    if prob.beta <= max(prob.mu1, prob.mu2):
-        raise DomainError("beta must exceed max(mu1, mu2)")
-    n1, n2 = prob.potential_norms()
     cc = coupling_constants(prob.mu1, prob.mu2, prob.beta, constants.s_hl_sq)
+    n1, n2 = prob.potential_norms()
     wsum = (cc.k1 * n1 + cc.k2 * n2) / cc.k_sum
     mf = _min_factor(prob.mu1, prob.mu2, prob.beta)
     right_plain = (mf - 1.0) * constants.sobolev
@@ -705,7 +703,7 @@ def _check_nonlocal_splitting(ctx: VerifyContext) -> LemmaReport:
 
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
     bprof = bubble_profile(1.0, grid)
-    fine = make_grid(grid.N, 640, grid.R_max, 1.025)
+    fine = make_grid(grid.N, 8 * grid.M // 5, grid.R_max, 1.025)
     tbl = brezis_lieb_check(gauss, bprof, [1.0, 0.3, 0.1], fine)
     rep.tables.append(tbl)
     for col in ("self_error", "mixed_error"):

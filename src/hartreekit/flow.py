@@ -16,12 +16,13 @@ re-gauge.
 
 The iterate is one (M, 2) array X = [u v], so each table is applied once
 to both components.  A step applies two: the pinned Laplacian's block-LU
-factors (about M m numbers for blocks of m = SOLVE_BLOCK rows) and the
-dense M x M convolution table.  At M = 400 the two take 1.6 MB and fit
-in a 2 MB L2 cache together, where the convolution table and a dense
-inverse (1.28 MB each) did not.  The per-column Dirichlet sums w (D X)^2
-come from the derivative's five-node windows, as in
-grids.dirichlet_seminorm.
+factors and the dense M x M convolution table.  One block LU serves at two
+block sizes: on blocks of m = SOLVE_BLOCK rows it factors the band matrix
+into about M m numbers, and on 4-row blocks it inverts each Schur
+complement.  At M = 400 the two tables take 1.6 MB and fit in a 2 MB L2
+cache together, where the convolution table and a dense inverse (1.28 MB
+each) did not.  The per-column Dirichlet sums w (D X)^2 come from the
+derivative's five-node windows, as in grids.dirichlet_seminorm.
 The projection is the only place the flow convolves: it forms
 Y = (X_+)^2 once, reads the nonlocal sum off the 2 x 2 matrix Y^T (w Z)
 with Z = C Y (against the symmetric coupling the same sum as the double
@@ -99,48 +100,20 @@ class FlowDiagnostics:
         return self.verdict == "converged"
 
 
-def _block_tridiagonal_inverse(L: np.ndarray) -> np.ndarray:
-    """Dense inverse of a matrix with lower half-bandwidth <= 3 and upper <= 4.
-
-    On 4 x 4 blocks such a matrix is block tridiagonal (the last block may be
-    smaller), with diagonal blocks D_k, sub-diagonal B_k and super-diagonal
-    C_k, so block elimination (Golub & Van Loan, Matrix Computations,
-    section 4.5) takes M/4 steps.  The forward sweep forms the Schur
-    complements S_k = D_k - B_k G_{k-1}, G_k = S_k^-1 C_k, and the eliminated
-    identity rows Y_k = S_k^-1 (E_k - B_k Y_{k-1}); the back sweep sets
-    X_k = Y_k - G_k X_{k+1}.  Every product has inner dimension at most 4,
-    so no BLAS thread split can reorder a sum: the result does not depend on
-    the thread count.
-    """
-    M = len(L)
-    blocks = [slice(i, min(i + 4, M)) for i in range(0, M, 4)]
-    X = np.zeros((M, M))
-    G = []
-    for k, s in enumerate(blocks):
-        S = L[s, s]
-        Y = X[s, : s.stop]   # Y_k vanishes right of block k
-        Y[:, s] = np.eye(s.stop - s.start)
-        if k:
-            p = blocks[k - 1]
-            B = L[s, p]
-            S = S - B @ G[-1]
-            Y[:, : p.stop] -= B @ X[p, : p.stop]
-        S_inv = np.linalg.inv(S)
-        Y[:] = S_inv @ Y
-        if k + 1 < len(blocks):
-            G.append(S_inv @ L[s, blocks[k + 1]])
-    for k in range(len(blocks) - 2, -1, -1):
-        X[blocks[k]] -= G[k] @ X[blocks[k + 1]]
-    return X
+def _pinned_entries(grid: RadialGrid):
+    """(rows, cols, values) of -Lap from its stencil windows, the last row pinned to u_M = 0."""
+    M = grid.M
+    values = -grid.laplacian_matrix()
+    values[-1] = 0.0
+    values[-1, -1] = 1.0   # the last window ends on the last node
+    return np.arange(M)[:, None], _stencil_windows(M), values
 
 
 def _pinned_laplacian(grid: RadialGrid) -> np.ndarray:
-    """Dense -Lap scattered from its stencil windows, the last row pinned to u_M = 0."""
-    M = grid.M
-    L = np.zeros((M, M))
-    L[np.arange(M)[:, None], _stencil_windows(M)] = -grid.laplacian_matrix()
-    L[-1, :] = 0.0
-    L[-1, -1] = 1.0
+    """Dense pinned -Lap, scattered from `_pinned_entries`."""
+    rows, cols, values = _pinned_entries(grid)
+    L = np.zeros((grid.M, grid.M))
+    L[rows, cols] = values
     return L
 
 
@@ -148,32 +121,39 @@ def _pinned_laplacian(grid: RadialGrid) -> np.ndarray:
 SOLVE_BLOCK = 100
 
 
-def _pinned_factors(grid: RadialGrid):
-    """Block-LU factors of the pinned -Lap on K = ceil(M / m) diagonal blocks, m = SOLVE_BLOCK.
+def _slabs(n: int, rows, cols, values, m: int) -> np.ndarray:
+    """Scatter an n x n band matrix (lower half-bandwidth <= 3, upper <= 4)
+    into K = ceil(n / m) slabs of shape (m, m + 8).
 
-    The matrix is padded with identity rows to K m.  With diagonal blocks
-    A_k, sub-diagonal B_k and super-diagonal U_k, the Schur complements are
-    S_k = A_k - B_k S_{k-1}^-1 U_{k-1} (Golub & Van Loan, Matrix
-    Computations, section 4.5).  The band (lower 3, upper 4) puts B_k in the
-    first 3 rows of block k and the last 4 columns of block k-1, and U_k in
-    the last 4 rows of block k and the first 4 columns of block k+1, so each
-    correction stays in S_k's top-left corner and S_k keeps the band.
-    Returns S_inv (K, m, m), the inverses of the S_k by
-    `_block_tridiagonal_inverse`; P (K-1, m, 4), P_k = S_k^-1 B_k on the last
-    4 rows of block k-1; and G (K-1, m, 4), G_k = S_k^-1 U_k on the first 4
-    rows of block k+1.  Apart from the 4 x 4 block inverses, every product
-    has inner dimension at most 4, so no BLAS thread split can reorder a sum.
+    Slab k holds block k's rows over the matrix columns k m - 4 .. (k + 1) m + 4.
+    The matrix is padded with identity rows to K m.
     """
-    M, m = grid.M, SOLVE_BLOCK
-    K = -(-M // m)
-    # slab k holds block k's rows over columns k m - 4 .. (k + 1) m + 4
+    K = -(-n // m)
     slabs = np.zeros((K * m, m + 8))
-    rows = np.arange(M - 1)      # the unpinned rows
-    first = rows // m * m - 4    # the matrix column of each row's slab column 0
-    slabs[rows[:, None], _stencil_windows(M)[:-1] - first[:, None]] = -grid.laplacian_matrix()[:-1]
-    pinned = np.arange(M - 1, K * m)   # the pinned row and the identity padding
-    slabs[pinned, pinned % m + 4] = 1.0
-    slabs = slabs.reshape(K, m, m + 8)
+    slabs[rows, cols - rows // m * m + 4] = values
+    pad = np.arange(n, K * m)
+    slabs[pad, pad % m + 4] = 1.0
+    return slabs.reshape(K, m, m + 8)
+
+
+def _band_factors(slabs: np.ndarray):
+    """Block-LU factors of a band matrix from its `_slabs`, on K diagonal blocks of m rows.
+
+    With diagonal blocks A_k, sub-diagonal B_k and super-diagonal U_k, the
+    Schur complements are S_k = A_k - B_k S_{k-1}^-1 U_{k-1} (Golub & Van
+    Loan, Matrix Computations, section 4.5).  The band puts B_k in the first
+    3 rows of block k and the last 4 columns of block k-1, and U_k in the
+    last 4 rows of block k and the first 4 columns of block k+1, so each
+    correction stays in S_k's top-left corner and S_k keeps the band.
+    Returns S_inv (K, m, m), the inverses of the S_k; P (K-1, m, 4),
+    P_k = S_k^-1 B_k on the last 4 rows of block k-1; and G (K-1, m, 4),
+    G_k = S_k^-1 U_k on the first 4 rows of block k+1.  For m > 4 each S_k
+    is inverted by the same elimination on 4-row blocks, a `_band_solve` of
+    the identity; only a 4 x 4 block goes to np.linalg.inv.  Every other
+    product has inner dimension at most 4, so no BLAS thread split can
+    reorder a sum.
+    """
+    K, m, _ = slabs.shape
     S_inv = np.empty((K, m, m))
     P = np.empty((K - 1, m, 4))
     G = np.empty((K - 1, m, 4))
@@ -181,12 +161,34 @@ def _pinned_factors(grid: RadialGrid):
         S = slab[:, 4:-4].copy()
         if k:
             S[:3, :4] -= slab[:3, :4] @ G[k - 1, -4:]
-        S_inv[k] = _block_tridiagonal_inverse(S)
+        if m > 4:
+            rows, cols = np.nonzero(S)
+            S_inv[k] = _band_solve(_band_factors(_slabs(m, rows, cols, S[rows, cols], 4)),
+                                   np.eye(m))
+        else:
+            S_inv[k] = np.linalg.inv(S)
         if k:
             P[k - 1] = S_inv[k, :, :3] @ slab[:3, :4]
         if k + 1 < K:
             G[k] = S_inv[k, :, -4:] @ slab[-4:, -4:]
     return S_inv, P, G
+
+
+def _band_solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """Solve with `_band_factors` for K m right-hand-side rows, (K m,) or (K m, k).
+
+    One batched product of the Schur-complement inverses with the blocks of
+    rhs, then a forward sweep y_k -= P_k y_{k-1} and a back sweep
+    x_k -= G_k x_{k+1}, each through 4 rows.
+    """
+    S_inv, P, G = factors
+    K, m, _ = S_inv.shape
+    x = np.matmul(S_inv, rhs.reshape(K, m, -1))
+    for k in range(1, K):
+        x[k] -= P[k - 1] @ x[k - 1, -4:]
+    for k in range(K - 2, -1, -1):
+        x[k] -= G[k] @ x[k + 1, :4]
+    return x.reshape(rhs.shape)
 
 
 def _pinned_solver(grid: RadialGrid):
@@ -195,32 +197,24 @@ def _pinned_solver(grid: RadialGrid):
     rhs is one (M,) vector or an (M, k) block of right-hand sides, one per
     column; the last row is pinned in every column.  Uses the collocation
     Laplacian (direct second-derivative stencils), whose block-LU factors
-    (`_pinned_factors`, about M m numbers) are kept on the grid: a solve is
-    one batched product of the Schur-complement inverses with the blocks of
-    rhs, then a forward sweep y_k -= P_k y_{k-1} and a back sweep
-    x_k -= G_k x_{k+1}, each through 4 rows.  At M = 400 the factors take
-    340 kB against 1.28 MB for a dense inverse, so they share a 2 MB L2
-    cache with the convolution table.  On the pinned matrix (condition
-    number about 7e6 at M = 400), smooth and rough right-hand sides at
-    M = 320..800 solve with normwise backward error below 2 eps and within
-    1e-12 of the exact solution, relative to its largest entry, as an LU
-    solve with partial pivoting does.  The fixed point of the Picard map
-    then satisfies the same strong-form operator that the residual field
-    is built from, so converged flows report near-machine residuals.
+    (`_band_factors` on blocks of SOLVE_BLOCK rows, 340 kB at M = 400) are
+    kept on the grid.  On the pinned matrix (condition number about 7e6 at
+    M = 400), smooth and rough right-hand sides at M = 320..800 solve with
+    normwise backward error below 2 eps and within 1e-12 of the exact
+    solution, relative to its largest entry, as an LU solve with partial
+    pivoting does.  The fixed point of the Picard map then satisfies the same
+    strong-form operator that the residual field is built from, so
+    converged flows report near-machine residuals.
     """
-    S_inv, P, G = grid.kept("pinned_factors", lambda: _pinned_factors(grid))
     M = grid.M
-    K, m, _ = S_inv.shape
+    factors = grid.kept("pinned_factors", lambda: _band_factors(
+        _slabs(M, *_pinned_entries(grid), SOLVE_BLOCK)))
+    K, m, _ = factors[0].shape
 
     def solve(rhs):
         b = np.zeros((K * m,) + rhs.shape[1:])
         b[:M - 1] = rhs[:M - 1]
-        x = np.matmul(S_inv, b.reshape(K, m, -1))
-        for k in range(1, K):
-            x[k] -= P[k - 1] @ x[k - 1, -4:]
-        for k in range(K - 2, -1, -1):
-            x[k] -= G[k] @ x[k + 1, :4]
-        return x.reshape(b.shape)[:M]
+        return _band_solve(factors, b)[:M]
 
     return solve
 

@@ -6,6 +6,7 @@ import pytest
 
 from hartreekit import (
     AdmissibilityError,
+    DomainError,
     ParameterError,
     Problem,
     RadialFn,
@@ -14,6 +15,7 @@ from hartreekit import (
     from_callable,
     homotopy_boundary_check,
     lambda_sweep,
+    make_grid,
     scan_region,
     verify_lemma,
 )
@@ -66,6 +68,14 @@ def test_check_a3_large_potential_fails(grid, constants):
     assert rep.margin_plain < 0
 
 
+def test_check_a3_rejects_beta_at_max_mu(constants):
+    # the coupling condition beta > max(mu1, mu2) is checked once, by
+    # coupling_constants, and its error names beta
+    prob = Problem(N=5, mu1=1.0, mu2=2.0, beta=2.0, lam1=0.1, lam2=0.1)
+    with pytest.raises(DomainError, match="beta"):
+        check_A3(prob, constants)
+
+
 def test_check_a3_conventions_equivalent(grid, constants):
     # the two conventions are global rescalings of each other, so they agree
     # on satisfaction at every amplitude
@@ -75,6 +85,23 @@ def test_check_a3_conventions_equivalent(grid, constants):
         assert rep.margin_scaled == pytest.approx(
             rep.margin_plain * constants.hls**-0.5, rel=1e-12
         )
+
+
+@pytest.mark.parametrize("M", [320, 400, 800])
+def test_nonlocal_splitting_fine_grid_is_finer_than_the_run_grid(context, monkeypatch, M):
+    # 3.2 compares the energy splitting on its own fine grid, which stays
+    # finer than the run grid at any --grid-m
+    class Handed(Exception):
+        pass
+
+    def capture(u0, bubble, sigmas, grid):
+        raise Handed(grid.M)
+
+    monkeypatch.setattr(checks, "brezis_lieb_check", capture)
+    ctx = dataclasses.replace(context, grid=make_grid(5, M, 40.0, 1.02))
+    with pytest.raises(Handed) as handed:
+        checks._check_nonlocal_splitting(ctx)
+    assert handed.value.args[0] > M
 
 
 def test_choose_a_matches_closed_form(grid, constants, c_star_lower):
