@@ -22,7 +22,12 @@ into about M m numbers, and on 4-row blocks it inverts each Schur
 complement.  At M = 400 the two tables take 1.6 MB and fit in a 2 MB L2
 cache together, where the convolution table and a dense inverse (1.28 MB
 each) did not.  The per-column Dirichlet sums w (D X)^2 come from the
-derivative's five-node windows, as in grids.dirichlet_seminorm.
+derivative's five-node windows.  grids.apply_stencil gathers each column's
+windows as one contiguous row, so a stenciled column does not depend on how
+many columns travel with it, and each sum is bit for bit
+grids.dirichlet_seminorm of that column alone.  The pinned solve does not
+have this property: numpy's matmul takes a matrix-vector path for one
+column, so a solved column moves at round-off with the column count.
 The projection is the only place the flow convolves: it forms
 Y = (X_+)^2 once, reads the nonlocal sum off the 2 x 2 matrix Y^T (w Z)
 with Z = C Y (against the symmetric coupling the same sum as the double
@@ -311,6 +316,9 @@ def solve_limit_ground_state(cc: CouplingConstants, cfg: FlowConfig,
 
     widths = np.asarray(cfg.start_widths, float)
     X = np.asarray(START_AMPLITUDES, float) * np.exp(-(grid.r[:, None] / widths) ** 2)
+    # the Gaussian's far tail would make subnormal entries of Y = X^2, on
+    # which the start product C Y and the first Picard solve run slowly
+    X[X < math.sqrt(np.finfo(float).tiny)] = 0.0
     coupling = _coupling_matrix(cc)
 
     def nonlocal_sum(Y, Z):

@@ -145,11 +145,16 @@ def _stencil_windows(M: int) -> np.ndarray:
 def apply_stencil(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply (M, 5) window weights to an (M,) vector, or to each column of an (M, k) block.
 
-    Row i is sum_j weights[i, j] x[window_i[j]].  einsum without `optimize`
-    makes no BLAS call, so the result does not depend on the thread count.
+    Row i is sum_j weights[i, j] x[window_i[j]].  Each column's windows are
+    gathered as one contiguous (M, 5) row of a (k, M, 5) array, and the block
+    result is the transposed view of the (k, M) sums.  So a column of a block
+    is bit for bit the same column stenciled alone, whatever k is, and a
+    reduction down a result column runs over contiguous memory.  einsum
+    without `optimize` makes no BLAS call, so the result does not depend on
+    the thread count either.
     """
     cols = _stencil_windows(len(weights))
-    return np.einsum("ij,ij...->i...", weights, x.take(cols, axis=0))
+    return np.einsum("ij,...ij->...i", weights, x.T.take(cols, axis=-1)).T
 
 
 def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:

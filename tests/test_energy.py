@@ -21,6 +21,7 @@ from hartreekit import (
     energy_I,
     from_callable,
     ground_pair,
+    make_constants_table,
     nehari_project,
     pohozaev_residual,
     trial_projection_scalars,
@@ -40,6 +41,7 @@ from hartreekit.energy import (
 from hartreekit.grids import (
     _tail_integral,
     _theta_rule,
+    apply_stencil,
     axis_moment_integrals,
     bicenter_integrals,
     bicenter_rows,
@@ -253,6 +255,82 @@ def test_weak_residual_negative_control(grid, cc, free_problem):
 def test_weak_residual_zero_state(grid, free_problem):
     z = Pair(RadialFn(grid, np.zeros(grid.M)), RadialFn(grid, np.zeros(grid.M)))
     assert weak_residual(z, free_problem) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# an exact solution of the full system
+# ---------------------------------------------------------------------------
+
+EXACT_V = 0.1
+
+
+@pytest.fixture(scope="module", params=[5, 6, 7, 8])
+def exact(request):
+    """The exact pair (a U, b U) in R^N, its problem, and the same pair with a^2
+    raised by 1 % (the negative control), on an M = 400 grid.
+
+    The bubble U solves -Lap U = (|x|^-4 * U^2) U with |x|^-4 * U^2 =
+    N (N - 2) (1 + r^2)^-2.  So with V_j = v (1 + r^2)^-2, lam = 0,
+    mu = (1, 2) and beta = 3, the pair solves the full system when
+    mu1 a^2 + beta b^2 = beta a^2 + mu2 b^2 = c = 1 + v / (N (N - 2)),
+    that is a^2 = c / 7 and b^2 = 2 c / 7.  Its energy is c^2 c_inf.  The
+    flow's amplitude ratio at the pair is tested with the ratio's contract
+    in test_flow.
+    """
+    N = request.param
+    g = make_grid(N, 400, 40.0, 1.02)
+    U = bubble_profile(1.0, g)
+    V = from_callable(g, lambda r: EXACT_V * (1.0 + r**2) ** -2.0, p_tail=4.0, c_tail=EXACT_V)
+    prob = Problem(N=N, mu1=1.0, mu2=2.0, beta=3.0, V1=V, V2=V)
+    c = 1.0 + EXACT_V / (N * (N - 2))
+    a, b = math.sqrt(c / 7.0), math.sqrt(2.0 * c / 7.0)
+    return dict(N=N, grid=g, U=U, prob=prob, c=c, a=a, b=b, pair=Pair(a * U, b * U),
+                perturbed=Pair(math.sqrt(1.01) * a * U, b * U))
+
+
+# weak residual at the exact pair: 1.52e-6, 2.61e-6, 6.48e-6 and 1.26e-5 at
+# N = 5..8, the discretization level; with a^2 raised by 1 % it reads
+# 2.26e-3 down to 1.82e-3
+EXACT_WEAK_RESIDUAL_BOUND = {5: 3e-6, 6: 5e-6, 7: 1.3e-5, 8: 2.5e-5}
+
+
+def test_exact_pair_weak_residual_is_at_the_discretization_level(exact):
+    prob = exact["prob"]
+    assert weak_residual(exact["pair"], prob) <= EXACT_WEAK_RESIDUAL_BOUND[exact["N"]]
+    assert weak_residual(exact["perturbed"], prob) > 1e-3
+
+
+def test_exact_pair_residual_fields_are_at_the_discretization_level(exact):
+    # each field in the weighted L2 norm of the grid, relative to the same
+    # norm of its component's -Lap term: 4.7e-5 to 1.09e-4 over N = 5..8 at
+    # the exact pair, 1.42e-3 to 4.31e-3 with a^2 raised by 1 %
+    g = exact["grid"]
+    lap = math.sqrt(float(g.w @ apply_stencil(g.laplacian_matrix(), exact["U"].values) ** 2))
+
+    def relative(pair):
+        return [math.sqrt(float(g.w @ R.values**2)) / (amp * lap)
+                for R, amp in zip(residual_fields(pair, exact["prob"]), (exact["a"], exact["b"]))]
+
+    assert max(relative(exact["pair"])) <= 3e-4
+    assert min(relative(exact["perturbed"])) >= 1e-3
+
+
+def test_exact_pair_energy_is_the_closed_form_level(exact):
+    # energy within 5e-5 of c^2 c_inf (measured 5.6e-6, 4.8e-6, -1.6e-6 and
+    # -1.8e-5 at N = 5..8) and on the Nehari set within 1e-6 (measured
+    # <= 1.9e-8); raising a^2 by 1 % leaves it off the set by about 3e-3
+    a, b, U = exact["a"], exact["b"], exact["U"]
+    cc = coupling_constants(1.0, 2.0, 3.0, make_constants_table(exact["grid"]).s_hl_sq)
+    br = energy_I(exact["pair"], exact["prob"])
+    level = exact["c"] ** 2 * cc.c_inf
+    assert abs(br.total - level) <= 5e-5 * level
+    assert abs(br.defect) <= 1e-6 * (br.kinetic + br.potential)
+    bad = energy_I(exact["perturbed"], exact["prob"])
+    assert abs(bad.defect) >= 1e-3 * (bad.kinetic + bad.potential)
+    # the breakdown of a pair of multiples of one profile, at round-off
+    assert abs(br.kinetic - (a**2 + b**2) * dirichlet_seminorm(U)) <= 1e-13 * br.kinetic
+    for got, want in ((br.nonlocal_12, 6.0 * a**2 * b**2), (br.nonlocal_22, 2.0 * b**4)):
+        assert abs(got / br.nonlocal_11 - want / a**4) <= 1e-12 * want / a**4
 
 
 def test_projection_ordering_fifty_random_pairs(grid, problem, free_problem):

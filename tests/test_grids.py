@@ -30,6 +30,7 @@ from hartreekit.grids import (
     _THETA_NODES,
     _cell_lookup,
     _cubic_spline,
+    _dirichlet_sums,
     _gauss_legendre,
     _horner,
     _dilation,
@@ -621,6 +622,35 @@ def test_apply_stencil_matches_per_row_loop(M, k):
         got, want = apply_stencil(weights, x), D @ x
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(D) @ np.abs(x)))
+
+
+@pytest.mark.parametrize("M", [16, 37, 400, 800])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("stencil", ["deriv_matrix", "laplacian_matrix"])
+def test_a_stenciled_column_does_not_depend_on_the_column_count(M, k, stencil):
+    # each column of a block is bit for bit the same column stenciled alone,
+    # so a solver may carry any number of columns without moving a result
+    g = make_grid(5, M, 40.0, 1.02)
+    weights = getattr(g, stencil)()
+    X = np.random.default_rng(10 * M + k).standard_normal((M, k))
+    block = apply_stencil(weights, X)
+    assert block.shape == (M, k)
+    for j in range(k):
+        assert np.array_equal(block[:, j], apply_stencil(weights, X[:, j]))
+
+
+@pytest.mark.parametrize("M", [16, 37, 400, 800])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dirichlet_sums_of_a_block_are_the_seminorm_of_each_column(M, k):
+    # the ball part of each column's Dirichlet integral, bit for bit, whether
+    # the column is summed alone, in a block, or through dirichlet_seminorm
+    g = make_grid(5, M, 40.0, 1.02)
+    X = np.random.default_rng(10 * M + k).standard_normal((M, k))
+    sums = _dirichlet_sums(g, X)
+    assert sums.shape == (k,)
+    for j in range(k):
+        assert sums[j] == _dirichlet_sums(g, X[:, [j]])[0]
+        assert sums[j] == dirichlet_seminorm(RadialFn(g, X[:, j]))
 
 
 def test_radial_fn_values_do_not_depend_on_the_batch(grid):
