@@ -388,8 +388,11 @@ def _pairing_matrix(bumps: list, grid: RadialGrid):
     resampled RadialFn would point back at the grid whose cache holds them.
     """
     W = bicenter_rows(bumps, grid)
-    base = np.array([dirichlet_seminorm(phi) for phi, _ in bumps])
-    mass = np.array([integrate(phi.squared()) for phi, _ in bumps])
+    # a bump enters at several offsets; its norms are computed once
+    norms = {phi: (dirichlet_seminorm(phi), integrate(phi.squared()))
+             for phi in dict.fromkeys(phi for phi, _ in bumps)}
+    base = np.array([norms[phi][0] for phi, _ in bumps])
+    mass = np.array([norms[phi][1] for phi, _ in bumps])
     return W, base, mass
 
 

@@ -196,17 +196,18 @@ def make_grid(N: int, M: int, R_max: float, stretch: float = 1.0) -> RadialGrid:
     edges = np.concatenate([[0.0], np.cumsum(widths)])
     edges[-1] = R_max
 
-    nodes, weights, cell_idx = [], [], []
-    for j in range(n_cells):
-        q = int(counts[j])
+    # each cell's Gauss-Legendre rule mapped onto it, all cells of one node count at once
+    r, w1 = np.empty(M), np.empty(M)
+    first = np.cumsum(counts) - counts
+    for q in sorted(set(counts.tolist())):
+        cells = np.flatnonzero(counts == q)
         x, wq = _gauss_legendre(q)
-        a, b = edges[j], edges[j + 1]
-        nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
-        weights.append(0.5 * (b - a) * wq)
-        cell_idx.append(np.full(q, j))
-    r = np.concatenate(nodes)
-    w1 = np.concatenate(weights)
-    node_cell = np.concatenate(cell_idx)
+        a, b = edges[cells], edges[cells + 1]
+        half = (0.5 * (b - a))[:, None]
+        nodes = first[cells][:, None] + np.arange(q)
+        r[nodes] = half * x + (0.5 * (b + a))[:, None]
+        w1[nodes] = half * wq
+    node_cell = np.repeat(np.arange(n_cells), counts)
     return RadialGrid(
         N=int(N), r=r, w1=w1, edges=edges, node_cell=node_cell,
         R_max=float(R_max), stretch=float(stretch),
@@ -774,13 +775,15 @@ def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
     halves of the symmetric quadrature are linear in f's nodal values: g's
     side over `grid` weighs them directly, and f's side over g's grid is
     f's spline at the points of g's lattice, which the spline's adjoint
-    pulls back to the nodes.  Points beyond grid.R_max weigh nothing, since
-    f is zero there.
+    pulls back to the nodes.  Each bump's lattice is binned into its row's
+    per-interval z-moments as soon as it is formed, so no two lattices are
+    held at once, and a row does not depend on the rest of `gs`.  Points
+    beyond grid.R_max weigh nothing, since f is zero there.
     """
     N = grid.N
     t, a = _theta_rule(N, _THETA_NODES)
     W = np.empty((len(gs), grid.M))
-    points, weights, owner = [], [], []
+    B = np.empty((4, len(gs), grid.M))  # the spline has M intervals, from knot 0 to r_M
     for b, (g, rho) in enumerate(gs):
         if _has_tail(g):
             raise ParameterError("pairing rows take functions without a tail model")
@@ -793,35 +796,32 @@ def bicenter_rows(gs: list, grid: RadialGrid) -> np.ndarray:
             W[b] = 0.5 * _radial_weights(grid) * values
             x = _offset_distance(own.r, rho, t)
             wx = np.outer(0.5 * _radial_weights(own) * g.values, a)
-        points.append(x.ravel())
-        weights.append(wx.ravel())
-        owner.append(np.full(x.size, b))
-    W += _spline_pullback(grid, np.concatenate(points), np.concatenate(weights),
-                          np.concatenate(owner), len(gs))
+        inside = x <= grid.R_max
+        i, z = _spline_interval(grid, x[inside])
+        # B[m, b, j] = sum of wx z^m over this bump's points in interval j
+        wz = wx[inside]
+        for m in range(4):
+            B[m, b] = np.bincount(i, wz, grid.M)
+            wz = wz * z
+    W += _spline_pullback(grid, B)
     return W
 
 
-def _spline_pullback(grid: RadialGrid, x: np.ndarray, wx: np.ndarray, owner: np.ndarray,
-                     n_rows: int) -> np.ndarray:
-    """Rows L with L[b] @ f.values = sum of wx[p] f(x[p]) over the points p with owner b.
+def _spline_pullback(grid: RadialGrid, B: np.ndarray) -> np.ndarray:
+    """Rows L with L[b] @ f.values = sum_j sum_m B[m, b, j] c_m,j(f), from z-moments B.
 
-    f is any function on `grid` without a tail model, evaluated as
-    RadialFn.__call__ does: its natural-end spline through the even
-    extension f(0) inside R_max, zero beyond.  The spline is linear in the
-    nodal values, so each sum is too; the point weights are binned per
-    interval and power of z, then pulled back through the coefficient
-    formulas, the slope system's transpose and the f(0) fit.
+    B is (4, rows, intervals): B[m, b, j] is the sum of w z^m over row b's
+    weighted points x in spline interval j, z = x - knots[j] (the points
+    inside R_max).  c_m,j(f) is the z^m coefficient of f's spline on
+    interval j, with f any function on `grid` without a tail model,
+    evaluated as RadialFn.__call__ does: its natural-end spline through the
+    even extension f(0).  So L[b] @ f.values is the weighted sum of f over
+    row b's points.  The coefficients are linear in the nodal values, and
+    the moments are pulled back through the coefficient formulas, the slope
+    system's transpose and the f(0) fit.
     """
     dx = np.diff(_spline_knots(grid))
-    n_int = len(dx)
-    inside = x <= grid.R_max
-    i, z = _spline_interval(grid, x[inside])
-    bins = owner[inside] * n_int + i
-    # B[m][b, j] = sum of wx z^m over row b's points in interval j
-    B, wz = [], wx[inside]
-    for _ in range(4):
-        B.append(np.bincount(bins, wz, n_rows * n_int).reshape(n_rows, n_int))
-        wz = wz * z
+    n_rows, n_int = B.shape[1], len(dx)
     # on interval j, with m_j the secant slope (y_j+1 - y_j) / dx_j:
     #   c3 = (s_j + s_j+1 - 2 m_j) / dx_j^2, c2 = (3 m_j - 2 s_j - s_j+1) / dx_j,
     #   c1 = s_j, c0 = y_j; gather the gradients in s, m and y

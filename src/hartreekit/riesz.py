@@ -144,16 +144,29 @@ def _reduced_kernel(N: int, t: np.ndarray) -> np.ndarray:
     """
     x = t * t
     if N % 2 == 0:
-        return x * np.polyval(np.array(_gauss_series(N, N // 2 - 2)[::-1], dtype=float), x)
+        return x * _polyval(_gauss_series(N, N // 2 - 2), x)
     x_cut = _SERIES_BELOW ** (2 / (N - 3))  # where x^p = _SERIES_BELOW
     A, B = _log_form(N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.polyval(A[::-1], x) * (np.arctanh(t) / t) + np.polyval(B[::-1], x)
-    k /= x ** ((N - 5) // 2)
+        k = _polyval(A, x) * (np.arctanh(t) / t) + _polyval(B, x)
+    if N > 5:
+        k /= x ** ((N - 5) // 2)
     small = x < x_cut
-    series = np.array(_gauss_series(N, math.ceil(17 / -math.log10(x_cut)))[::-1], dtype=float)
-    k[small] = x[small] * np.polyval(series, x[small])
+    series = _gauss_series(N, math.ceil(17 / -math.log10(x_cut)))
+    k[small] = x[small] * _polyval(series, x[small])
     return k
+
+
+def _polyval(coefs, x: np.ndarray):
+    """sum_k coefs[k] x^k at finite x by Horner's rule from the leading coefficient.
+
+    The values of np.polyval(coefs[::-1], x) bit for bit, since its first
+    step 0 * x + c is exactly c; one coefficient gives that float alone.
+    """
+    y = float(coefs[-1])
+    for c in coefs[-2::-1]:
+        y = y * x + float(c)
+    return y
 
 
 def _kernel_table(N: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -286,14 +299,19 @@ def _near_cell_weights(grid: RadialGrid, C: np.ndarray) -> None:
 def _build_conv_matrix(grid: RadialGrid) -> np.ndarray:
     """Matrix C with (C f)_i ~ int K_4(r_i, s) s^{N-1} f(s) ds.
 
-    The table K_4(r_i, r_j) w1_j r_j^(N-1) is built in blocks of about
-    _BLOCK_ENTRIES entries, so no temporary outgrows a block; then the
-    near-diagonal blocks are overwritten.
+    The table K_4(r_i, r_j) w1_j r_j^(N-1) is built in row blocks of about
+    _BLOCK_ENTRIES entries, so no temporary outgrows a block.  K_4 is
+    symmetric bit for bit (`_kernel_table`), so each row block is evaluated
+    on the upper triangle only, columns j >= its first row, and written
+    twice: as it is and transposed, each times its columns' radial weights.
+    Then the near-diagonal blocks are overwritten.
     """
-    r, step = grid.r, max(1, _BLOCK_ENTRIES // grid.M)
+    r, rw, step = grid.r, _radial_weights(grid), max(1, _BLOCK_ENTRIES // grid.M)
     C = np.empty((grid.M, grid.M))
     for i in range(0, grid.M, step):
-        C[i:i + step] = _kernel_table(grid.N, r[i:i + step], r) * _radial_weights(grid)
+        K = _kernel_table(grid.N, r[i:i + step], r[i:])
+        C[i:i + step, i:] = K * rw[i:]
+        C[i + step:, i:i + step] = K[:, step:].T * rw[i:i + step]
     _near_cell_weights(grid, C)
     return C
 

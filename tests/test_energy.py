@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -28,11 +29,12 @@ from hartreekit import (
     verify_lemma,
     weak_residual,
 )
-from hartreekit import runner
+from hartreekit import energy, runner
 from hartreekit.checks import TrialSamples
 from hartreekit.config import PotentialSpec, load_config
 from hartreekit.energy import (
     _pair_density,
+    _pairing_matrix,
     default_test_set,
     potential_mass,
     residual_fields,
@@ -442,6 +444,18 @@ def test_pairing_matrix_rows_match_the_overlap_quadrature(free_problem):
     assert list(mass) == [integrate(phi.squared()) for phi, _ in test_set]
 
 
+def test_pairing_matrix_takes_each_bumps_norms_once(monkeypatch):
+    # 20 (bump, offset) pairs share 7 bumps
+    g = make_grid(5, 160, 40.0, 1.02)
+    test_set = default_test_set(g)
+    seen = []
+    monkeypatch.setattr(energy, "dirichlet_seminorm",
+                        lambda phi: seen.append(phi) or dirichlet_seminorm(phi))
+    _, base, _ = _pairing_matrix(test_set, g)
+    assert len(test_set) == 20 and len(seen) == len({id(phi) for phi, _ in test_set}) == 7
+    assert list(base) == [dirichlet_seminorm(phi) for phi, _ in test_set]
+
+
 def test_pairing_rows_of_an_explicit_test_set_match_the_overlap_quadrature():
     g = make_grid(5, 160, 40.0, 1.02)
     wide = make_grid(5, 80, 60.0, 1.0)        # reaches past the run grid's R_max
@@ -456,6 +470,35 @@ def test_pairing_rows_of_an_explicit_test_set_match_the_overlap_quadrature():
     for rho in (0.0, 2.0):
         with pytest.raises(ParameterError):
             bicenter_rows(test_set + [(tailed, rho)], g)
+
+
+@pytest.mark.parametrize("M", [160, 400, 800])
+def test_a_pairing_row_does_not_depend_on_the_rest_of_its_test_set(M):
+    g = make_grid(5, M, 40.0, 1.02)
+    wide = make_grid(5, 80, 60.0, 1.0)        # reaches past the run grid's R_max
+    broad = from_callable(wide, lambda r: np.exp(-((r / 25.0) ** 2)))
+    local = from_callable(g, lambda r: np.exp(-(r**2)))   # lives on the run grid itself
+    test_set = default_test_set(g) + [(broad, 0.0), (broad, 3.0), (local, 0.0), (local, 1.5)]
+    W = bicenter_rows(test_set, g)
+    assert np.array_equal(bicenter_rows(test_set[::-1], g)[::-1], W)
+    for b, pair in enumerate(test_set):
+        assert np.array_equal(bicenter_rows([pair], g)[0], W[b]), b
+
+
+@pytest.mark.parametrize("M, bound_mib", [(400, 2.5), (800, 5.0)])
+def test_pairing_matrix_build_holds_one_bump_lattice_at_a_time(M, bound_mib):
+    # traced peak of a build on a warm grid: 1.6 / 3.4 MiB at M = 400 / 800
+    # with each bump's lattice binned as it is formed, 5.9 / 6.6 MiB when
+    # the 20 lattices (67 120 points) were concatenated before binning
+    g = make_grid(5, M, 40.0, 1.02)
+    _pairing_matrix(default_test_set(g), g)   # builds the grid's kept values
+    tracemalloc.start()
+    try:
+        _pairing_matrix(default_test_set(g), g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, peak / 2**20
 
 
 def test_weak_residual_cached_sides_match_the_plain_quadrature(problem):

@@ -103,6 +103,25 @@ def test_make_grid_coarse_valid():
     assert np.all(g.w1 > 0)
 
 
+@pytest.mark.parametrize("M", [16, 37, 400, 403, 800])
+@pytest.mark.parametrize("stretch", [1.0, 1.025])
+def test_make_grid_maps_each_cells_gauss_legendre_rule(M, stretch):
+    # M = 16, 37 and 403 leave remainder nodes, which go to the outermost cells
+    g = make_grid(5, M, 40.0, stretch)
+    counts = np.bincount(g.node_cell)
+    assert len(counts) == len(g.edges) - 1 and counts.sum() == M
+    assert np.all(np.diff(counts) >= 0) and counts[-1] - counts[0] <= 1
+    for j, q in enumerate(counts.tolist()):
+        x, wq = _gauss_legendre(q)
+        a, b = g.edges[j], g.edges[j + 1]
+        cell = g.node_cell == j
+        assert np.array_equal(g.r[cell], 0.5 * (b - a) * x + 0.5 * (b + a)), j
+        assert np.array_equal(g.w1[cell], 0.5 * (b - a) * wq), j
+    assert 0.0 < g.r[0] and g.r[-1] < g.R_max and np.all(np.diff(g.r) > 0)
+    assert np.all(np.diff(g.node_cell) >= 0)
+    assert abs(g.w1.sum() - g.R_max) <= 1e-14 * g.R_max
+
+
 def test_make_grid_rejects_low_dimension():
     with pytest.raises(ParameterError):
         make_grid(4, 400, 40.0, 1.02)

@@ -418,6 +418,19 @@ def test_conv_matrix_matches_the_per_cell_reference(m):
         assert np.max(np.abs(C - ref) / scale) <= 1e-13, N
 
 
+@pytest.mark.parametrize("m", [37, 400, 403, 800])
+def test_conv_matrix_off_the_near_cells_is_the_kernel_table_exactly(m):
+    # the table is evaluated on its upper triangle and mirrored, which K_4's
+    # symmetry makes exact: off the near-cell blocks every entry is its own
+    # K_4(r_i, r_j) times its column's radial weight, bit for bit
+    for N in range(5, 11):
+        grid = make_grid(N, m, 40.0, 1.02)
+        r = grid.r
+        ref = _kernel_table(N, r, r) * (grid.w1 * r ** (N - 1))[None, :]
+        far = np.abs(grid.node_cell[:, None] - grid.node_cell) > _NEAR_CELL_REACH
+        assert np.array_equal(_build_conv_matrix(grid)[far], ref[far]), N
+
+
 def test_log_moments_against_mpmath():
     # one vectorized call over both branches (a Gauss rule for |c| > 1.25); the
     # by-parts branch loses about 1.25^k ulps at its edge.  k runs past the top
