@@ -30,6 +30,7 @@ from .bubbles import (
     bubble_profile,
     coupling_constants,
     ground_pair,
+    make_trial_profile,
 )
 from .energy import (
     Problem,
@@ -42,7 +43,16 @@ from .energy import (
 )
 from .errors import AdmissibilityError, NumericalError, ParameterError
 from .flow import FlowConfig, FlowDiagnostics
-from .grids import Pair, RadialFn, RadialGrid, _has_tail, axis_moment_integrals, integrate
+from .grids import (
+    Pair,
+    RadialFn,
+    RadialGrid,
+    _has_tail,
+    axis_moment_integrals,
+    from_callable,
+    integrate,
+    make_grid,
+)
 from .reporting import LemmaReport, Table, limit_trend
 from .riesz import ConstantsTable, double_energy
 
@@ -53,6 +63,7 @@ __all__ = [
     "check_A3",
     "choose_a_and_cbar",
     "scan_region",
+    "ensure_profile",
     "ensure_scan",
     "trial_samples",
     "homotopy_boundary_check",
@@ -699,8 +710,6 @@ def _check_ground_level_limit(ctx: VerifyContext) -> LemmaReport:
 def _check_nonlocal_splitting(ctx: VerifyContext) -> LemmaReport:
     rep = LemmaReport("3.2", "nonlocal energy splits along a concentrating family")
     grid = ctx.grid
-    from .grids import from_callable, make_grid
-
     gauss = from_callable(grid, lambda r: np.exp(-((r / 2.0) ** 2)))
     bprof = bubble_profile(1.0, grid)
     fine = make_grid(grid.N, 8 * grid.M // 5, grid.R_max, 1.025)
@@ -791,9 +800,29 @@ def _check_projection_scalars(ctx: VerifyContext) -> LemmaReport:
     return rep
 
 
+# node count of the unit-ball grid that carries the trial profile
+PROFILE_M = 320
+
+
+def ensure_profile(ctx: VerifyContext) -> None:
+    """Build the context's trial profile once, on the unit-ball grid, against the
+    admissible cap, or against a proxy window when the potentials admit none."""
+    if ctx.profile is None:
+        if check_A3(ctx.prob, ctx.constants).satisfied_plain:
+            _, cbar = choose_a_and_cbar(ctx.prob, ctx.constants, c_star_lower=ctx.c_star_lower)
+        else:
+            # no admissible cap from the potentials; certify against the
+            # default proxy window so the trial machinery stays usable
+            cbar = ctx.cc.c_inf + 0.5 * (ctx.c_star_lower - ctx.cc.c_inf)
+        ctx.profile = make_trial_profile(ctx.cc, cbar, make_grid(ctx.grid.N, PROFILE_M, 1.0, 1.0),
+                                         ctx.constants.bubble_norm)
+
+
 def trial_samples(ctx: VerifyContext) -> TrialSamples:
-    """The context's sample memo of its trial profile under its problem, made once."""
+    """The context's sample memo of its trial profile under its problem, made once;
+    its first read builds the profile, so a run that reads no sample builds none."""
     if ctx.samples is None:
+        ensure_profile(ctx)
         ctx.samples = TrialSamples(ctx.profile, ctx.prob)
     return ctx.samples
 

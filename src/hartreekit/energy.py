@@ -13,7 +13,7 @@ exploits.
 Weak pairings are evaluated through the pointwise residual field
 R_u = -L u + (V1 + lam1) u - RHS_u, with L the collocation Laplacian of the
 grid.  Its pairing with a translated test bump is linear in its nodal
-values, so the default test set becomes one pairing matrix per grid
+values, so each dimension's test set becomes one pairing matrix per grid
 (grids.bicenter_rows).  The ground-state flow's fixed point satisfies the
 same collocation equation, so converged flows report near-machine residuals
 and discretized continuum solutions expose only their truncation error.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .grids import (
     _dilation,
     _has_tail,
     _offset,
+    _read_only,
     apply_stencil,
     axis_moment_integrals,
     bicenter_integral,
@@ -365,35 +367,21 @@ def mollified_bump(grid: RadialGrid, scale: float) -> RadialFn:
     return from_callable(grid, f)
 
 
-def default_test_set(grid: RadialGrid) -> list:
-    """(bump, offset) pairs: mollified bumps at log-spaced scales, offsets 0, 1, 5 (20 in all)."""
-    scales = np.geomspace(0.05, 20.0, 7)
-    out = []
-    for s in scales:
-        own = make_grid(grid.N, 80, float(s), 1.0)
-        prof = mollified_bump(own, float(s))
-        for rho in (0.0, 1.0, 5.0):
-            if len(out) >= 20:
-                break
-            out.append((prof, rho))
-    return out[:20]
+@lru_cache(maxsize=None)
+def default_test_set(N: int) -> tuple:
+    """The weak residual's test set in N dimensions, built once (memoized, read-only).
 
-
-def _pairing_matrix(bumps: list, grid: RadialGrid):
-    """(W, ||grad phi||^2, ||phi||_2^2) over a test set, W[b] @ R.values pairing R with bump b.
-
-    The residual fields on `grid` carry no tail model, so the pairing
-    bicenter_integral(R, phi, rho) with each bump (phi, rho) is a fixed row
-    of W (see bicenter_rows).  W and the norms are plain arrays: a
-    resampled RadialFn would point back at the grid whose cache holds them.
+    (pairs, ||grad phi||^2, ||phi||_2^2): 20 (bump, offset) pairs, mollified
+    bumps at 7 log-spaced scales on their own 80-node grids at offsets 0, 1
+    and 5 (the last bump at the first two), and each pair's two norms.
     """
-    W = bicenter_rows(bumps, grid)
-    # a bump enters at several offsets; its norms are computed once
-    norms = {phi: (dirichlet_seminorm(phi), integrate(phi.squared()))
-             for phi in dict.fromkeys(phi for phi, _ in bumps)}
-    base = np.array([norms[phi][0] for phi, _ in bumps])
-    mass = np.array([norms[phi][1] for phi, _ in bumps])
-    return W, base, mass
+    pairs, norms = [], []
+    for s in map(float, np.geomspace(0.05, 20.0, 7)):
+        phi = mollified_bump(make_grid(N, 80, s, 1.0), s)
+        pairs += [(phi, rho) for rho in (0.0, 1.0, 5.0)]
+        norms += 3 * [(dirichlet_seminorm(phi), integrate(phi.squared()))]
+    base, mass = map(np.array, zip(*norms[:20]))
+    return _read_only((tuple(pairs[:20]), base, mass))
 
 
 def weak_residual(p: Pair, prob: Problem) -> float:
@@ -403,12 +391,12 @@ def weak_residual(p: Pair, prob: Problem) -> float:
     are the translated-overlap quadrature bicenter_integral(R, phi, rho) of
     each residual field R, normalized by ||phi|| ||p|| in the lam-weighted
     norm.  A pairing is linear in R's nodal values, so the test set becomes
-    a pairing matrix W, one row per bump: W and the norms are built once per
-    grid and kept in the grid's cache, and a call is one product of W with
-    the two residual fields.
+    a pairing matrix W, one row per bump: the test set and its norms are
+    built once per dimension, W once per grid and kept in the grid's cache,
+    and a call is one product of W with the two residual fields.
     """
-    W, base, mass = p.grid.kept("weak_residual_pairing",
-                                lambda: _pairing_matrix(default_test_set(p.grid), p.grid))
+    pairs, base, mass = default_test_set(p.grid.N)
+    W = p.grid.kept("weak_residual_pairing", lambda: bicenter_rows(pairs, p.grid))
     res_u, res_v = residual_fields(p, prob)
     u, v = p.u, p.v
 

@@ -13,13 +13,13 @@ from .bubbles import (
     coupling_constants,
     ground_pair,
     make_constants_table,
-    make_trial_profile,
 )
 from .checks import (
     CHECK_IDS,
     VerifyContext,
     check_A3,
     choose_a_and_cbar,
+    ensure_profile,  # noqa: F401  (runner.ensure_profile stays the name of the profile build)
     ensure_scan,
     homotopy_boundary_check,
     lambda_sweep,
@@ -28,12 +28,10 @@ from .checks import (
 )
 from .energy import Problem, pohozaev_residual, weak_residual
 from .flow import solve_limit_ground_state
-from .grids import Pair, RadialFn, dirichlet_seminorm, make_grid
+from .grids import Pair, RadialFn, dirichlet_seminorm
 from .reporting import LemmaReport, Table, write_bundle
 from .riesz import double_energy
 
-# node count of the unit-ball grid that carries the trial profile
-PROFILE_M = 320
 # c_star_lower = (1 + C_STAR_MARGIN) c_inf, the lower estimate of the
 # compactness level; it must sit above the limit level
 C_STAR_MARGIN = 0.02
@@ -48,21 +46,6 @@ def build_context(cfg) -> VerifyContext:
         grid=grid, constants=constants, cc=cc, prob=prob,
         c_star_lower=(1.0 + C_STAR_MARGIN) * cc.c_inf,
     )
-
-
-def ensure_profile(ctx: VerifyContext) -> None:
-    if ctx.profile is None:
-        rep = check_A3(ctx.prob, ctx.constants)
-        if rep.satisfied_plain:
-            _, cbar = choose_a_and_cbar(ctx.prob, ctx.constants,
-                                        c_star_lower=ctx.c_star_lower)
-        else:
-            # no admissible cap from the potentials; certify against the
-            # default proxy window so the trial machinery stays usable
-            cbar = ctx.cc.c_inf + 0.5 * (ctx.c_star_lower - ctx.cc.c_inf)
-        profile_grid = make_grid(ctx.grid.N, PROFILE_M, 1.0, 1.0)
-        ctx.profile = make_trial_profile(ctx.cc, cbar, profile_grid,
-                                         ctx.constants.bubble_norm)
 
 
 def constants_report(ctx: VerifyContext) -> LemmaReport:
@@ -166,8 +149,6 @@ def _run_step(step: str, ctx: VerifyContext) -> LemmaReport:
         return admissibility_report(ctx)
     if step == "solve-ground":
         return solver_report(ctx)
-    if ctx.profile is None:     # the checks and the homotopy read the trial profile
-        ensure_profile(ctx)
     if step == "homotopy":
         return homotopy_boundary_check(ensure_scan(ctx))
     return verify_lemma(step, ctx)

@@ -13,8 +13,8 @@ from hartreekit import (
     make_grid,
     make_trial_profile,
 )
-from hartreekit.checks import VerifyContext, choose_a_and_cbar
-from hartreekit.runner import C_STAR_MARGIN, PROFILE_M
+from hartreekit.checks import PROFILE_M, VerifyContext, choose_a_and_cbar
+from hartreekit.runner import C_STAR_MARGIN
 
 
 @pytest.fixture(scope="session")

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hartreekit import grids, runner
+from hartreekit import energy, grids, runner
 from hartreekit.bubbles import bubble_constant
 from hartreekit.checks import verify_lemma
 from hartreekit.cli import main
 from hartreekit.config import _KEYS, PotentialSpec, load_config
-from hartreekit.errors import ParameterError
+from hartreekit.errors import ConstructionError, ParameterError
 from hartreekit.grids import make_grid
-from hartreekit.runner import COMMANDS, OWN_STEPS
+from hartreekit.runner import COMMANDS
 
 
 def run_cli(*args):
@@ -431,8 +431,12 @@ def test_load_config_fuzz_raises_only_config_errors(entries):
             pass
 
 
-# every subcommand but run-all (covered above), and verify at one check
-_COMMAND_ARGV = [[name] for name in COMMANDS if name != "run-all"] + [["verify", "5.2"]]
+# every subcommand but run-all (covered above), and verify at a check that reads
+# trial samples and at one that does not
+_COMMAND_ARGV = [[name] for name in COMMANDS if name != "run-all"] + [["verify", "5.2"],
+                                                                      ["verify", "cor2.3"]]
+# the steps that read the trial family's samples, and so build its profile
+_PROFILE_STEPS = {"4.4", "4.5", "5.1", "5.2", "5.4", "homotopy"}
 _EXTRAS = {"constants", "couplings", "admissibility", "trial_profile", "region", "config"}
 
 
@@ -451,8 +455,7 @@ def test_every_command_writes_the_one_bundle_layout(tmp_path, capsys, argv):
     assert set(extras) == _EXTRAS | ({"lambda_sweep", "empirical_lambda_threshold"}
                                      if found else set())
     # the trial profile is built only for a step that reads it
-    reads_profile = any(s not in OWN_STEPS or s == "homotopy" for s in steps)
-    assert (extras["trial_profile"] is not None) == reads_profile
+    assert (extras["trial_profile"] is not None) == bool(_PROFILE_STEPS & set(steps))
     assert extras["constants"] == json.loads((tmp_path / "constants.json").read_text())
     md = (tmp_path / "report.md").read_text()
     for heavy in {"5.2", "homotopy", "solve-ground"} & set(steps):
@@ -520,15 +523,16 @@ def _arrays(value):
 
 def test_run_all_keeps_every_grid_value_and_rule_read_only(tmp_path, monkeypatch):
     # every grid a run-all makes (the run grid, the profile grid, 3.2's fine
-    # grid, the residual's bump grids) keeps its own arrays and its values
+    # grid, and the residual's bump grids unless an earlier run of the
+    # process built its test set) keeps its own arrays and its values
     # read-only, every function the context holds keeps its values and its
-    # spline read-only, and so do the quadrature rule and stencil window
-    # memos: a write raises
+    # spline read-only, and so do the quadrature rule, stencil window and
+    # test set memos: a write raises
     grids_made = _log_results(monkeypatch, grids.make_grid)
     contexts = _log_results(monkeypatch, runner.build_context)
     rules = [_log_results(monkeypatch, fn)
              for fn in (grids._gauss_legendre, grids._tail_rule, grids._theta_rule,
-                        grids._theta_sines, grids._stencil_windows)]
+                        grids._theta_sines, grids._stencil_windows, energy.default_test_set)]
     assert runner.run(load_config(DEFAULT_CFG), COMMANDS["run-all"], tmp_path)[0] == 0
     assert {(400, 40.0), (320, 1.0), (640, 40.0)} <= {(g.M, g.R_max) for g in grids_made}
     keys = {key for g in grids_made for key in g._cache}
@@ -546,6 +550,19 @@ def test_run_all_keeps_every_grid_value_and_rule_read_only(tmp_path, monkeypatch
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = arr
+
+
+def test_checks_that_read_no_trial_sample_run_where_no_profile_meets_the_cap(tmp_path):
+    # at beta = 2.2 no profile on the profile grid meets the cap window; the
+    # six checks that read no trial sample still run and pass, and build no
+    # profile, while the first check that reads one stops the run
+    cfg = dataclasses.replace(load_config(DEFAULT_CFG), beta=2.2)
+    free = ("2.1", "2.2", "2.5", "2.6", "3.2", "cor2.3")
+    assert runner.run(cfg, free, tmp_path / "free") == (0, [(cid, "pass") for cid in free])
+    blob = json.loads((tmp_path / "free" / "report.json").read_text())
+    assert blob["extras"]["trial_profile"] is None
+    with pytest.raises(ConstructionError, match="energy window .* not reached"):
+        runner.run(cfg, ("cor2.3", "4.4"), tmp_path / "trial")
 
 
 def test_run_all_calls_each_step_function_once(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from hartreekit import (
     RadialFn,
     barycenter,
     bicenter_integral,
+    bubble_constant,
     bubble_profile,
     coupling_constants,
     energy_I,
@@ -25,6 +27,7 @@ from hartreekit import (
     make_constants_table,
     nehari_project,
     pohozaev_residual,
+    sphere_area,
     trial_projection_scalars,
     verify_lemma,
     weak_residual,
@@ -34,8 +37,8 @@ from hartreekit.checks import TrialSamples
 from hartreekit.config import PotentialSpec, load_config
 from hartreekit.energy import (
     _pair_density,
-    _pairing_matrix,
     default_test_set,
+    potential_energy,
     potential_mass,
     residual_fields,
     trial_overlaps,
@@ -264,30 +267,51 @@ def test_weak_residual_zero_state(grid, free_problem):
 # ---------------------------------------------------------------------------
 
 EXACT_V = 0.1
+# unequal potential amplitudes (v1, v2), where both a^2 and b^2 stay positive
+UNEQUAL_V = (0.1, 0.3)
 
 
-@pytest.fixture(scope="module", params=[5, 6, 7, 8])
-def exact(request):
+def _exact_pair(N, v1, v2):
     """The exact pair (a U, b U) in R^N, its problem, and the same pair with a^2
     raised by 1 % (the negative control), on an M = 400 grid.
 
     The bubble U solves -Lap U = (|x|^-4 * U^2) U with |x|^-4 * U^2 =
-    N (N - 2) (1 + r^2)^-2.  So with V_j = v (1 + r^2)^-2, lam = 0,
+    N (N - 2) (1 + r^2)^-2.  So with V_j = v_j (1 + r^2)^-2, lam = 0,
     mu = (1, 2) and beta = 3, the pair solves the full system when
-    mu1 a^2 + beta b^2 = beta a^2 + mu2 b^2 = c = 1 + v / (N (N - 2)),
-    that is a^2 = c / 7 and b^2 = 2 c / 7.  Its energy is c^2 c_inf.  The
-    flow's amplitude ratio at the pair is tested with the ratio's contract
-    in test_flow.
+    mu1 a^2 + beta b^2 = c1 and beta a^2 + mu2 b^2 = c2, c_j = 1 + v_j / (N (N - 2)),
+    that is a^2 = (3 c2 - 2 c1) / 7 and b^2 = (3 c1 - c2) / 7 (c / 7 and
+    2 c / 7 at v1 = v2).  Since ||grad U||^2 = S_HL^2 = N (N - 2) times
+    int (1 + r^2)^-2 U^2, the pair's kinetic plus potential energy is
+    (c1 a^2 + c2 b^2) S_HL^2, and on the Nehari set its energy is a quarter
+    of that: c^2 c_inf at v1 = v2.  One potential object stands for both
+    when v1 = v2.
     """
-    N = request.param
     g = make_grid(N, 400, 40.0, 1.02)
     U = bubble_profile(1.0, g)
-    V = from_callable(g, lambda r: EXACT_V * (1.0 + r**2) ** -2.0, p_tail=4.0, c_tail=EXACT_V)
-    prob = Problem(N=N, mu1=1.0, mu2=2.0, beta=3.0, V1=V, V2=V)
-    c = 1.0 + EXACT_V / (N * (N - 2))
-    a, b = math.sqrt(c / 7.0), math.sqrt(2.0 * c / 7.0)
-    return dict(N=N, grid=g, U=U, prob=prob, c=c, a=a, b=b, pair=Pair(a * U, b * U),
-                perturbed=Pair(math.sqrt(1.01) * a * U, b * U))
+
+    def potential(v):
+        return from_callable(g, lambda r: v * (1.0 + r**2) ** -2.0, p_tail=4.0, c_tail=v)
+
+    V1 = potential(v1)
+    prob = Problem(N=N, mu1=1.0, mu2=2.0, beta=3.0, V1=V1, V2=V1 if v2 == v1 else potential(v2))
+    c1, c2 = (1.0 + v / (N * (N - 2)) for v in (v1, v2))
+    a, b = math.sqrt((3.0 * c2 - 2.0 * c1) / 7.0), math.sqrt((3.0 * c1 - c2) / 7.0)
+    return dict(N=N, grid=g, U=U, prob=prob, v=(v1, v2), c=(c1, c2), a=a, b=b,
+                pair=Pair(a * U, b * U), perturbed=Pair(math.sqrt(1.01) * a * U, b * U))
+
+
+@pytest.fixture(scope="module", params=[5, 6, 7, 8])
+def exact(request):
+    """The exact pair at v1 = v2 = EXACT_V (`_exact_pair`).  The flow's
+    amplitude ratio at the pair is tested with the ratio's contract in
+    test_flow."""
+    return _exact_pair(request.param, EXACT_V, EXACT_V)
+
+
+@pytest.fixture(scope="module", params=[5, 6, 7, 8])
+def unequal(request):
+    """The exact pair at (v1, v2) = UNEQUAL_V (`_exact_pair`)."""
+    return _exact_pair(request.param, *UNEQUAL_V)
 
 
 # weak residual at the exact pair: 1.52e-6, 2.61e-6, 6.48e-6 and 1.26e-5 at
@@ -324,7 +348,7 @@ def test_exact_pair_energy_is_the_closed_form_level(exact):
     a, b, U = exact["a"], exact["b"], exact["U"]
     cc = coupling_constants(1.0, 2.0, 3.0, make_constants_table(exact["grid"]).s_hl_sq)
     br = energy_I(exact["pair"], exact["prob"])
-    level = exact["c"] ** 2 * cc.c_inf
+    level = exact["c"][0] ** 2 * cc.c_inf
     assert abs(br.total - level) <= 5e-5 * level
     assert abs(br.defect) <= 1e-6 * (br.kinetic + br.potential)
     bad = energy_I(exact["perturbed"], exact["prob"])
@@ -333,6 +357,69 @@ def test_exact_pair_energy_is_the_closed_form_level(exact):
     assert abs(br.kinetic - (a**2 + b**2) * dirichlet_seminorm(U)) <= 1e-13 * br.kinetic
     for got, want in ((br.nonlocal_12, 6.0 * a**2 * b**2), (br.nonlocal_22, 2.0 * b**4)):
         assert abs(got / br.nonlocal_11 - want / a**4) <= 1e-12 * want / a**4
+
+
+def test_unequal_exact_pair_weak_residual_is_at_the_discretization_level(unequal):
+    # measured 1.52e-6, 2.59e-6, 6.46e-6 and 1.26e-5 at N = 5..8, as at v1 = v2;
+    # with a^2 raised by 1 % it reads 2.33e-3 down to 1.84e-3
+    prob = unequal["prob"]
+    assert prob.V1 is not prob.V2
+    assert weak_residual(unequal["pair"], prob) <= EXACT_WEAK_RESIDUAL_BOUND[unequal["N"]]
+    assert weak_residual(unequal["perturbed"], prob) > 1e-3
+
+
+def test_unequal_exact_pair_energy_is_the_closed_form_level(unequal):
+    # energy within 5e-5 of (c1 a^2 + c2 b^2) S_HL^2 / 4 (measured 5.5e-6,
+    # 4.8e-6, -1.6e-6 and -1.8e-5 at N = 5..8) and on the Nehari set within
+    # 1e-6 (measured <= 4.3e-8); raising a^2 by 1 % leaves it off the set by
+    # about 3.4e-3
+    (c1, c2), a, b = unequal["c"], unequal["a"], unequal["b"]
+    s_hl_sq = make_constants_table(unequal["grid"]).s_hl_sq
+    br = energy_I(unequal["pair"], unequal["prob"])
+    level = 0.25 * (c1 * a**2 + c2 * b**2) * s_hl_sq
+    assert abs(br.total - level) <= 5e-5 * level
+    assert abs(br.defect) <= 1e-6 * (br.kinetic + br.potential)
+    bad = energy_I(unequal["perturbed"], unequal["prob"])
+    assert abs(bad.defect) >= 1e-3 * (bad.kinetic + bad.potential)
+
+
+def _potential_closed_form(ex, amplitude_a):
+    """(v1 a^2 + v2 b^2) int (1 + r^2)^-2 U^2 dx, the integral being
+    C_N^2 |S^{N-1}| int_0^inf r^(N-1) (1 + r^2)^-N dr = C_N^2 |S^{N-1}| B(N/2, N/2) / 2."""
+    N, (v1, v2) = ex["N"], ex["v"]
+    C_N = bubble_constant(N, ex["grid"])
+    beta_half = float(mpmath.beta(N / 2.0, N / 2.0)) / 2.0
+    return (v1 * amplitude_a**2 + v2 * ex["b"] ** 2) * C_N**2 * sphere_area(N) * beta_half
+
+
+def test_exact_pair_potential_energy_is_its_closed_form(unequal):
+    # measured within 1.4e-10 at N = 5..8; raising a^2 by 1 % moves it by
+    # 1.45e-3 relative
+    pot = potential_energy(unequal["pair"], unequal["prob"])
+    want = _potential_closed_form(unequal, unequal["a"])
+    assert abs(pot - want) <= 1e-8 * want
+    bad = potential_energy(unequal["perturbed"], unequal["prob"])
+    assert abs(bad - want) >= 1e-3 * want
+    assert bad == pytest.approx(_potential_closed_form(unequal, math.sqrt(1.01) * unequal["a"]),
+                                rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.3, 3.0])
+def test_dilated_problem_potential_term_matches_a_quadrature(unequal, delta):
+    # Problem.dilated reads delta^2 V_j(delta x) on the grid, so at the pair its
+    # potential term is (v1 a^2 + v2 b^2) delta^2 C_N^2 |S^{N-1}| J(delta), with
+    # J(delta) = int_0^inf r^(N-1) (1 + delta^2 r^2)^-2 (1 + r^2)^-(N-2) dr by
+    # mpmath; measured within 4.0e-7 for delta in {0.3, 0.5, 2, 3} at N = 5..8
+    # (V's spline read between its nodes); a^2 raised by 1 % moves it by 1.45e-3
+    N, (v1, v2), a, b = unequal["N"], unequal["v"], unequal["a"], unequal["b"]
+    dilated = unequal["prob"].dilated(delta, unequal["grid"])
+    J = mpmath.quad(lambda r: r ** (N - 1) * (1 + delta**2 * r**2) ** -2 * (1 + r**2) ** (2 - N),
+                    [0, 1, 10, mpmath.inf])
+    C_N = bubble_constant(N, unequal["grid"])
+    want = (v1 * a**2 + v2 * b**2) * delta**2 * C_N**2 * sphere_area(N) * float(J)
+    got = potential_energy(unequal["pair"], dilated)
+    assert abs(got - want) <= 2e-6 * want
+    assert abs(potential_energy(unequal["perturbed"], dilated) - want) >= 1e-3 * want
 
 
 def test_projection_ordering_fifty_random_pairs(grid, problem, free_problem):
@@ -437,23 +524,58 @@ def _unrelated_fields(grid):
 def test_pairing_matrix_rows_match_the_overlap_quadrature(free_problem):
     g = make_grid(5, 160, 40.0, 1.02)
     weak_residual(_slow_pair(g), free_problem)
-    W, base, mass = g._cache["weak_residual_pairing"]
-    test_set = default_test_set(g)
+    W = g._cache["weak_residual_pairing"]     # the grid keeps the rows alone
+    test_set, base, mass = default_test_set(5)
     _assert_rows_pair_like_the_quadrature(W, test_set, _unrelated_fields(g))
     assert list(base) == [dirichlet_seminorm(phi) for phi, _ in test_set]
     assert list(mass) == [integrate(phi.squared()) for phi, _ in test_set]
 
 
 def test_pairing_matrix_takes_each_bumps_norms_once(monkeypatch):
-    # 20 (bump, offset) pairs share 7 bumps
-    g = make_grid(5, 160, 40.0, 1.02)
-    test_set = default_test_set(g)
-    seen = []
+    # 20 (bump, offset) pairs share 7 bumps, and the set is built once per
+    # dimension: a second read builds no grid and takes no norm
+    seen, grids_made = [], []
     monkeypatch.setattr(energy, "dirichlet_seminorm",
                         lambda phi: seen.append(phi) or dirichlet_seminorm(phi))
-    _, base, _ = _pairing_matrix(test_set, g)
+    monkeypatch.setattr(energy, "make_grid", lambda *a: grids_made.append(a) or make_grid(*a))
+    default_test_set.cache_clear()
+    test_set, base, mass = default_test_set(5)
     assert len(test_set) == 20 and len(seen) == len({id(phi) for phi, _ in test_set}) == 7
+    assert len(grids_made) == 7
+    assert default_test_set(5)[0] is test_set
+    assert len(seen) == len(grids_made) == 7
     assert list(base) == [dirichlet_seminorm(phi) for phi, _ in test_set]
+    for arr in (base, mass):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_pairing_rows_and_norms_are_the_same_from_a_cold_or_a_warm_memo(N):
+    # a grid's rows and the set's norms do not depend on whether the test set
+    # (its bump grids and their kept splines) was just built or already read
+    # by grids of every size
+    prob = Problem(N=N, mu1=1.0, mu2=2.0, beta=3.0)
+    sizes = (320, 400, 800)
+
+    def rows(M):
+        g = make_grid(N, M, 40.0, 1.02)
+        weak_residual(_slow_pair(g), prob)
+        return g._cache["weak_residual_pairing"]
+
+    for M in sizes:
+        default_test_set.cache_clear()
+        cold = rows(M)
+        test_set, base, mass = default_test_set(N)
+        assert isinstance(cold, np.ndarray) and cold.shape == (20, M)
+        for other in sizes:
+            rows(other)
+        assert default_test_set(N)[0] is test_set
+        assert np.array_equal(rows(M), cold)
+        assert np.array_equal(bicenter_rows(test_set, make_grid(N, M, 40.0, 1.02)), cold)
+        # the norms, taken again on bumps whose grids now keep their values
+        assert list(base) == [dirichlet_seminorm(phi) for phi, _ in test_set]
+        assert list(mass) == [integrate(phi.squared()) for phi, _ in test_set]
 
 
 def test_pairing_rows_of_an_explicit_test_set_match_the_overlap_quadrature():
@@ -478,7 +600,7 @@ def test_a_pairing_row_does_not_depend_on_the_rest_of_its_test_set(M):
     wide = make_grid(5, 80, 60.0, 1.0)        # reaches past the run grid's R_max
     broad = from_callable(wide, lambda r: np.exp(-((r / 25.0) ** 2)))
     local = from_callable(g, lambda r: np.exp(-(r**2)))   # lives on the run grid itself
-    test_set = default_test_set(g) + [(broad, 0.0), (broad, 3.0), (local, 0.0), (local, 1.5)]
+    test_set = [*default_test_set(5)[0], (broad, 0.0), (broad, 3.0), (local, 0.0), (local, 1.5)]
     W = bicenter_rows(test_set, g)
     assert np.array_equal(bicenter_rows(test_set[::-1], g)[::-1], W)
     for b, pair in enumerate(test_set):
@@ -491,10 +613,11 @@ def test_pairing_matrix_build_holds_one_bump_lattice_at_a_time(M, bound_mib):
     # with each bump's lattice binned as it is formed, 5.9 / 6.6 MiB when
     # the 20 lattices (67 120 points) were concatenated before binning
     g = make_grid(5, M, 40.0, 1.02)
-    _pairing_matrix(default_test_set(g), g)   # builds the grid's kept values
+    test_set = default_test_set(5)[0]
+    bicenter_rows(test_set, g)   # builds the grid's kept values
     tracemalloc.start()
     try:
-        _pairing_matrix(default_test_set(g), g)
+        bicenter_rows(test_set, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -505,7 +628,7 @@ def test_weak_residual_cached_sides_match_the_plain_quadrature(problem):
     g = make_grid(5, 160, 40.0, 1.02)
     p = _slow_pair(g)
     prob = problem.with_lambda(0.1, 0.3)
-    expected = _plain_weak_residual(p, prob, default_test_set(g))
+    expected = _plain_weak_residual(p, prob, default_test_set(5)[0])
     assert expected > 1e-3
     assert "weak_residual_pairing" not in g._cache
     # the pairing matrix sums in another order than the per-pairing quadrature
@@ -514,8 +637,8 @@ def test_weak_residual_cached_sides_match_the_plain_quadrature(problem):
     assert math.isclose(weak_residual(p, prob), expected, rel_tol=1e-13)   # warm: reads it
     # the maximum hides all but one pairing: check each cached row on its own
     res_u, _ = residual_fields(p, prob)
-    W, _, _ = g._cache["weak_residual_pairing"]
-    _assert_rows_pair_like_the_quadrature(W, default_test_set(g), [res_u])
+    W = g._cache["weak_residual_pairing"]
+    _assert_rows_pair_like_the_quadrature(W, default_test_set(5)[0], [res_u])
 
 
 def test_weak_residual_cache_frees_with_its_grid(free_problem):
@@ -529,7 +652,7 @@ def test_weak_residual_cache_frees_with_its_grid(free_problem):
         p = _slow_pair(g)
         weak_residual(p, free_problem)
         assert "weak_residual_pairing" in g._cache
-        W, _, _ = g._cache["weak_residual_pairing"]
+        W = g._cache["weak_residual_pairing"]
         assert W.shape == (20, 60)
         ref = weakref.ref(g)
         del g, p
